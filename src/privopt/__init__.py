@@ -16,8 +16,7 @@ from .noise import (RandomStreams, ShareTable, draw_lb_perturbation,
                     obfuscate)
 from .objectives import (Box, GlobalProblem, LogisticObjective,
                          PolynomialObjective, QuadraticObjective,
-                         estimate_constants, evaluate, gradient, project,
-                         solve_centralized)
+                         estimate_constants, solve_centralized)
 from .privacy import (AdversaryView, AlternativeInstance,
                       complete_alternative_objectives, construct_alternative,
                       extract_view, necessity_demo, verify_indistinguishable)

@@ -1,7 +1,8 @@
 """Command-line entry point: run experiments, sweeps, audits, bound reports and
 privacy checks from JSON configs, emitting deterministic CSV/JSON artifacts.
 
-Exit codes: 0 success, 1 check or runtime failure, 2 usage or config error.
+Exit codes: 0 success, 1 check or runtime failure, 2 usage, config or trace
+file error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import datetime
 import json
 import os
 import sys
-import tempfile
+import uuid
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .analysis import (audit_invariants, bound_params, check_consensus,
                        check_lemma1, check_lemma2, check_theorem3,
                        compute_metrics, effective_bounds, render_report_table)
 from .configs import ConfigError, RunConfig, SweepConfig, execute
-from .engine import ExecutionTrace, ScheduleError
+from .engine import ExecutionTrace, ScheduleError, TraceError
 from .graphs import DisconnectedError
 from .objectives import GlobalProblem, solve_centralized
 from .privacy import (NonFsTraceError, NotACutError, TargetSetError,
@@ -43,7 +44,9 @@ def _provenance(config_doc: dict, seed) -> dict:
 
 def _atomic_write(path: str, payload: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-privopt-")
+    tmp = os.path.join(directory, f".tmp-privopt-{uuid.uuid4().hex}")
+    # mode 0o666 less the umask, as open() gives; mkstemp would make it 0600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)
@@ -313,6 +316,9 @@ def main(argv=None) -> int:
         return 2
     except ScheduleError as exc:
         print(f"schedule error: {exc}", file=sys.stderr)
+        return 2
+    except TraceError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)

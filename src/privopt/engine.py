@@ -29,6 +29,10 @@ class ScheduleError(ValueError):
     pass
 
 
+class TraceError(ValueError):
+    """A trace file has an unsupported version or does not match its digest."""
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Step-size sequence. Convergent kinds are non-increasing with divergent
@@ -222,11 +226,11 @@ class ExecutionTrace:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExecutionTrace":
         if doc.get("version") != TRACE_VERSION:
-            raise ValueError(f"unsupported trace version: {doc.get('version')!r}")
+            raise TraceError(f"unsupported trace version: {doc.get('version')!r}")
         rounds = doc["rounds"]
         shares = rounds.get("shares")
         weights_series = rounds.get("weights_series")
-        return cls(
+        trace = cls(
             algorithm=doc["algorithm"],
             topology=Topology.from_spec(doc["topology"]),
             weights=np.asarray(doc["weights"], dtype=float),
@@ -251,6 +255,11 @@ class ExecutionTrace:
             extras=doc.get("extras", {}),
             version=doc["version"],
         )
+        digest = trace.state_digest()
+        if digest != doc.get("digest"):
+            raise TraceError(f"state digest {digest[:12]} does not match the stored "
+                             f"digest {str(doc.get('digest'))[:12]}")
+        return trace
 
     @classmethod
     def load(cls, path) -> "ExecutionTrace":

@@ -3,7 +3,7 @@ global sum objective with a centralized optimum oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,21 +59,6 @@ class Box:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def grid(self, points_per_dim: int) -> np.ndarray:
-        """Regular grid including the corners, flattened to (m, D).
-
-        For dimensions above 3 a full mesh is replaced by corners plus a
-        seeded uniform sample of comparable size.
-        """
-        if self.dim <= 3:
-            axes = [np.linspace(self.lower[d], self.upper[d], points_per_dim) for d in range(self.dim)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            return np.stack([m.ravel() for m in mesh], axis=-1)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(points_per_dim)))
-        count = points_per_dim ** 3
-        sample = rng.uniform(self.lower, self.upper, size=(count, self.dim))
-        return np.concatenate([self.corners(), sample], axis=0)
-
     def corners(self) -> np.ndarray:
         if self.dim > 16:
             raise ValueError("corner enumeration limited to 16 dimensions")
@@ -120,21 +105,15 @@ class Objective:
         raise NotImplementedError
 
     def gradient_bound(self, box: Box) -> float:
-        """Upper bound for sup-norm of the gradient on the box (grid fallback)."""
-        return float(np.max(np.linalg.norm(self.gradient(_constant_grids(box)[1]), axis=-1)))
+        """Closed-form upper bound for the gradient norm on the box (L)."""
+        raise NotImplementedError
 
     def smoothness_bound(self, box: Box) -> float:
-        """Upper bound for the gradient Lipschitz constant on the box (grid fallback)."""
-        return float(np.max(self.curvature_norm(_constant_grids(box)[1])))
+        """Closed-form upper bound for the gradient Lipschitz constant on the box (N)."""
+        raise NotImplementedError
 
     def to_spec(self) -> dict:
         raise NotImplementedError
-
-
-def _constant_grids(box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse grid and a 10x finer certification grid over the box."""
-    base = {1: 101, 2: 21, 3: 9}.get(box.dim, 9)
-    return box.grid(base), box.grid(10 * base)
 
 
 class PolynomialObjective(Objective):
@@ -171,12 +150,10 @@ class PolynomialObjective(Objective):
             )
 
     def gradient_bound(self, box: Box) -> float:
-        exact = self.poly.gradient_sup_norm(box.lower, box.upper)
-        return max(exact, super().gradient_bound(box))
+        return self.poly.gradient_sup_norm(box.lower, box.upper)
 
     def smoothness_bound(self, box: Box) -> float:
-        exact = self.poly.curvature_sup(box.lower, box.upper)
-        return max(exact, super().smoothness_bound(box))
+        return self.poly.curvature_sup(box.lower, box.upper)
 
     def to_spec(self) -> dict:
         return {"kind": "polynomial", "coeffs": self.poly.coeffs.tolist(),
@@ -219,9 +196,7 @@ class QuadraticObjective(Objective):
 
     def gradient_bound(self, box: Box) -> float:
         # ||Qx + b|| is convex, so its max over the box sits at a corner.
-        corners = box.corners()
-        exact = float(np.max(np.linalg.norm(self.gradient(corners), axis=-1)))
-        return max(exact, super().gradient_bound(box))
+        return float(np.max(np.linalg.norm(self.gradient(box.corners()), axis=-1)))
 
     def smoothness_bound(self, box: Box) -> float:
         return float(np.linalg.norm(self.matrix, 2))
@@ -264,18 +239,25 @@ class LogisticObjective(Objective):
         return grad + self.ridge * x
 
     def curvature_norm(self, x):
-        m, x = self._margins(x)
+        m, _ = self._margins(x)
         p = 1.0 / (1.0 + np.exp(-m))
         w = p * (1.0 - p) / self.samples  # (..., samples)
-        flat_w = w.reshape(-1, self.samples)
-        out = np.empty(flat_w.shape[0])
-        for i, wi in enumerate(flat_w):
-            h = (self.features * wi[:, None]).T @ self.features
-            out[i] = np.linalg.norm(h + self.ridge * np.eye(self.dim), 2)
-        return out.reshape(x.shape[:-1])
+        h = np.einsum("...s,sd,se->...de", w, self.features, self.features, optimize=True)
+        return np.linalg.eigvalsh(h + self.ridge * np.eye(self.dim))[..., -1]  # H is symmetric PSD
 
     def ensure_convex_on(self, box: Box) -> None:
         return  # sum of log-convex losses plus a ridge term
+
+    def gradient_bound(self, box: Box) -> float:
+        # sigma <= 1 bounds the loss term by the mean feature norm
+        reach = np.maximum(np.abs(box.lower), np.abs(box.upper))
+        return float(np.mean(np.linalg.norm(self.features, axis=-1))
+                     + self.ridge * np.linalg.norm(reach))
+
+    def smoothness_bound(self, box: Box) -> float:
+        # p(1 - p) <= 1/4, attained at x = 0
+        gram = self.features.T @ self.features
+        return float(np.linalg.eigvalsh(gram)[-1]) / (4 * self.samples) + self.ridge
 
     def to_spec(self) -> dict:
         return {"kind": "logistic", "seed": self.seed, "dim": self.dim,
@@ -301,7 +283,6 @@ class GlobalProblem:
     objectives: list
     feasible: Box
     validate_convexity: bool = True
-    _constants: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         dims = {obj.dim for obj in self.objectives}
@@ -333,10 +314,8 @@ class GlobalProblem:
 
     def constants(self) -> tuple[float, float]:
         """Per-agent gradient bound and Lipschitz constant (max over agents)."""
-        if "LN" not in self._constants:
-            pairs = [estimate_constants(obj, self.feasible) for obj in self.objectives]
-            self._constants["LN"] = (max(p[0] for p in pairs), max(p[1] for p in pairs))
-        return self._constants["LN"]
+        pairs = [estimate_constants(obj, self.feasible) for obj in self.objectives]
+        return max(p[0] for p in pairs), max(p[1] for p in pairs)
 
     def to_spec(self) -> dict:
         return {"objectives": [obj.to_spec() for obj in self.objectives],
@@ -349,36 +328,9 @@ class GlobalProblem:
                    validate_convexity=validate_convexity)
 
 
-def evaluate(obj: Objective, x) -> float:
-    """Objective value at a single point."""
-    return float(obj.value(x))
-
-
-def gradient(obj: Objective, x) -> np.ndarray:
-    """Objective gradient at a single point."""
-    return obj.gradient(x)
-
-
-def project(box: Box, z) -> np.ndarray:
-    """Euclidean projection onto the box."""
-    return box.project(z)
-
-
 def estimate_constants(obj: Objective, box: Box) -> tuple[float, float]:
-    """Gradient sup-norm bound and gradient Lipschitz bound on the box,
-    certified against a 10x finer grid (exact for polynomials/quadratics)."""
-    coarse, fine = _constant_grids(box)
-    grad_candidates = [
-        float(np.max(np.linalg.norm(obj.gradient(coarse), axis=-1))),
-        float(np.max(np.linalg.norm(obj.gradient(fine), axis=-1))),
-    ]
-    smooth_candidates = [
-        float(np.max(obj.curvature_norm(coarse))),
-        float(np.max(obj.curvature_norm(fine))),
-    ]
-    grad_candidates.append(obj.gradient_bound(box))
-    smooth_candidates.append(obj.smoothness_bound(box))
-    return max(grad_candidates), max(smooth_candidates)
+    """Closed-form gradient bound L and gradient Lipschitz bound N on the box."""
+    return obj.gradient_bound(box), obj.smoothness_bound(box)
 
 
 def solve_centralized(problem: GlobalProblem, tolerance: float = 1e-8,
@@ -389,7 +341,7 @@ def solve_centralized(problem: GlobalProblem, tolerance: float = 1e-8,
     search, so the returned value is a certified upper bound on the infimum.
     """
     box = problem.feasible
-    smooth_total = sum(estimate_constants(obj, box)[1] for obj in problem.objectives)
+    smooth_total = sum(obj.smoothness_bound(box) for obj in problem.objectives)
     base = 1.0 / max(smooth_total, 1e-12)
     x = box.midpoint()
     converged = False

@@ -21,8 +21,6 @@ from .graphs import DisconnectedError, FusionMatrix, Topology, canonical_edge, s
 from .noise import COEFF_GRID, RandomStreams
 from .objectives import Box, GlobalProblem, PolynomialObjective
 
-ConnectivityError = DisconnectedError
-
 
 class NonFsTraceError(TypeError):
     pass

@@ -5,6 +5,7 @@ import pytest
 
 import privopt as po
 from privopt.cli import main
+from privopt.engine import ExecutionTrace
 
 from conftest import quartic_config
 
@@ -64,6 +65,16 @@ class TestRun:
     def test_unknown_algorithm_exits_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", quartic_config(algorithm="sgd"))
         assert main(["run", "--config", bad, "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_artifacts_follow_umask(self, tmp_path, run_cfg):
+        out = tmp_path / "out"
+        previous = os.umask(0o027)
+        try:
+            assert main(["run", "--config", run_cfg, "--out-dir", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        for name in ("run_trace.json", "run_metrics.csv"):
+            assert (out / name).stat().st_mode & 0o777 == 0o640
 
     def test_rerun_is_byte_identical_modulo_timestamp(self, tmp_path, run_cfg):
         main(["run", "--config", run_cfg, "--out-dir", str(tmp_path / "a")])
@@ -133,10 +144,30 @@ class TestAudit:
         out = tmp_path / "out"
         main(["run", "--config", run_cfg, "--out-dir", str(out)])
         path = out / "run_trace.json"
-        doc = json.load(open(path))
-        doc["rounds"]["states"][50][2][0] = 99.0  # outside the feasible box
-        write(path, doc)
+        trace = ExecutionTrace.load(path)
+        trace.states[50, 2, 0] = 99.0  # outside the feasible box
+        trace.save(path)  # stamps a digest that matches the tampered states
         assert main(["audit", str(path), "--checks", "invariants"]) == 1
+
+    def test_tampered_trace_exits_2(self, tmp_path, run_cfg, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", run_cfg, "--out-dir", str(out)])
+        path = out / "run_trace.json"
+        doc = json.load(open(path))
+        doc["rounds"]["states"][50][2][0] += 1e-9  # digest left as written
+        write(path, doc)
+        assert main(["audit", str(path), "--checks", "invariants"]) == 2
+        assert "trace error" in capsys.readouterr().err
+
+    def test_unsupported_version_exits_2(self, tmp_path, run_cfg, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", run_cfg, "--out-dir", str(out)])
+        path = out / "run_trace.json"
+        doc = json.load(open(path))
+        doc["version"] = 99
+        write(path, doc)
+        assert main(["audit", str(path)]) == 2
+        assert "unsupported trace version" in capsys.readouterr().err
 
     def test_theorem3_wrong_schedule_exits_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json",
@@ -186,6 +217,15 @@ class TestPrivacy:
         trace, alts, _ = fs_artifacts
         assert main(["privacy", trace, "--coalition", "0,1,2,3,4", "--target", "0",
                      "--alt-objectives", alts]) == 2
+
+    def test_tampered_trace_exits_2(self, fs_artifacts, capsys):
+        trace, alts, _ = fs_artifacts
+        doc = json.load(open(trace))
+        doc["rounds"]["states"][10][0][0] += 1e-9  # digest left as written
+        write(trace, doc)
+        assert main(["privacy", trace, "--coalition", "3,4", "--target", "0",
+                     "--alt-objectives", alts]) == 2
+        assert "trace error" in capsys.readouterr().err
 
     def test_non_fs_trace_exits_2(self, tmp_path, run_cfg):
         out = tmp_path / "out"

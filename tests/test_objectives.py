@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import privopt as po
 from privopt.objectives import (ConvexityError, DimensionMismatchError,
-                                estimate_constants, evaluate, gradient, project,
-                                solve_centralized)
+                                estimate_constants, solve_centralized)
 
 from conftest import quartic_objectives
 
@@ -20,20 +19,26 @@ def finite_difference(obj, x, h=1e-6):
     return out
 
 
+def box_mesh(box, points_per_dim):
+    """Regular grid over the box, corners included, flattened to (m, D)."""
+    axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in zip(box.lower, box.upper)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 class TestEvaluate:
     def test_square_at_two(self):
-        assert evaluate(po.PolynomialObjective([0, 0, 1]), [2.0]) == 4.0
+        assert po.PolynomialObjective([0, 0, 1]).value([2.0]) == 4.0
 
     def test_mixed_quartic_at_zero(self):
-        assert evaluate(po.PolynomialObjective([0, 0, 1, 0, 1]), [0.0]) == 0.0
+        assert po.PolynomialObjective([0, 0, 1, 0, 1]).value([0.0]) == 0.0
 
     def test_scaled_sum_at_one(self):
         # 2.5(x^2 + x^4) evaluated at 1
-        assert evaluate(po.PolynomialObjective([0, 0, 2.5, 0, 2.5]), [1.0]) == 5.0
+        assert po.PolynomialObjective([0, 0, 2.5, 0, 2.5]).value([1.0]) == 5.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            evaluate(po.PolynomialObjective([[0, 1], [0, 1]]), [1.0])
+            po.PolynomialObjective([[0, 1], [0, 1]]).value([1.0])
 
 
 class TestGradient:
@@ -44,7 +49,7 @@ class TestGradient:
     ])
     def test_examples_against_finite_differences(self, coeffs, x, expected):
         obj = po.PolynomialObjective(coeffs)
-        g = gradient(obj, [x])[0]
+        g = obj.gradient([x])[0]
         assert g == pytest.approx(expected, rel=1e-12)
         assert g == pytest.approx(finite_difference(obj, [x])[0], rel=1e-6)
 
@@ -64,21 +69,21 @@ class TestGradient:
         rng = np.random.default_rng(seed)
         obj = quartic_objectives()[int(rng.integers(0, 5))]
         x = rng.uniform(-29, 29, size=1)
-        analytic = gradient(obj, x)
+        analytic = obj.gradient(x)
         numeric = finite_difference(obj, x)
         assert np.abs(analytic - numeric).max() <= 1e-6 * max(1.0, np.abs(analytic).max())
 
 
 class TestProjection:
     def test_clamp(self, wide_box):
-        assert project(wide_box, np.array([40.0]))[0] == 30.0
+        assert wide_box.project(np.array([40.0]))[0] == 30.0
 
     def test_identity_inside(self, wide_box):
-        assert project(wide_box, np.array([12.5]))[0] == 12.5
+        assert wide_box.project(np.array([12.5]))[0] == 12.5
 
     def test_componentwise(self):
         box = po.Box([-1.0, -1.0], [1.0, 1.0])
-        np.testing.assert_array_equal(project(box, np.array([2.0, -3.0])), [1.0, -1.0])
+        np.testing.assert_array_equal(box.project(np.array([2.0, -3.0])), [1.0, -1.0])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -177,10 +182,28 @@ class TestEstimateConstants:
         assert l == pytest.approx(4.0)
         assert n == pytest.approx(12.0)
 
-    def test_constants_dominate_samples(self):
-        box = po.Box([-2.0, -2.0], [2.0, 2.0])
-        obj = po.LogisticObjective(seed=9, dim=2)
+    @pytest.mark.parametrize("obj,box,points", [
+        (po.LogisticObjective(seed=9, dim=2), po.Box([-2.0, -2.0], [2.0, 2.0]), 35),
+        (po.LogisticObjective(seed=3, dim=3), po.Box([-2.0] * 3, [2.0] * 3), 21),
+        (po.LogisticObjective(seed=5, dim=2), po.Box([0.5, -4.0], [3.0, -1.0]), 35),
+        (po.QuadraticObjective([[2.0, 0.3], [0.3, 1.0]], [0.5, -1.0]),
+         po.Box([-1.0, 0.5], [3.0, 2.0]), 35),
+    ], ids=["logistic-d2", "logistic-d3", "logistic-off-origin", "quadratic-d2"])
+    def test_constants_dominate_samples(self, obj, box, points):
         l, n = estimate_constants(obj, box)
-        pts = box.grid(35)
+        pts = box_mesh(box, points)
         assert np.max(np.linalg.norm(obj.gradient(pts), axis=-1)) <= l + 1e-12
         assert np.max(obj.curvature_norm(pts)) <= n + 1e-12
+
+    def test_quadratic_constants_are_exact(self):
+        matrix = np.array([[2.0, 0.3], [0.3, 1.0]])
+        obj = po.QuadraticObjective(matrix, [0.5, -1.0])
+        box = po.Box([-1.0, 0.5], [3.0, 2.0])
+        l, n = estimate_constants(obj, box)
+        assert l == np.max(np.linalg.norm(obj.gradient(box.corners()), axis=-1))
+        assert n == np.linalg.norm(matrix, 2)
+
+    def test_logistic_smoothness_attained_at_origin(self):
+        obj = po.LogisticObjective(seed=9, dim=2)
+        _, n = estimate_constants(obj, po.Box([-2.0, -2.0], [2.0, 2.0]))
+        assert n == pytest.approx(float(obj.curvature_norm(np.zeros(2))), rel=1e-14)
