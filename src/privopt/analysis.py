@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .engine import ExecutionTrace, ScheduleError
+from .engine import ExecutionTrace, NonFiniteError, ScheduleError
 from .graphs import FusionMatrix, Topology
 from .objectives import GlobalProblem, solve_centralized
 
@@ -110,10 +110,15 @@ def compute_metrics(trace: ExecutionTrace, problem: GlobalProblem,
     mean, max_dis = _disagreement(states)
     subopt = problem.total_value(mean) - optimum_value
     eta2 = np.sum(np.square(states - reference_point[None, None, :]), axis=(1, 2))
-    growth = steps * bounds.grad_smoothness * (max_dis + steps * bounds.delta)
     l, nn, dd = bounds.grad_bound, bounds.grad_smoothness, bounds.delta
-    offset = (2.0 * steps * bounds.n * (l + nn / 2.0 + dd) * max_dis
-              + np.square(steps) * bounds.n * (nn * dd + (l + dd) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = steps * nn * (max_dis + steps * dd)
+        offset = (2.0 * steps * bounds.n * (l + nn / 2.0 + dd) * max_dis
+                  + np.square(steps) * bounds.n * (nn * dd + np.float64(l + dd) ** 2))
+    overflow = ~(np.isfinite(growth) & np.isfinite(offset))
+    if overflow.any():
+        raise NonFiniteError(f"round {int(idx[overflow][0])}: the iterate-lemma coefficients "
+                             f"F_k and H_k are not finite (noise bound {dd:g})")
     return [
         RoundMetrics(round_index=int(idx[r]), step=float(steps[r]), mean_state=mean[r],
                      max_disagreement=float(max_dis[r]), suboptimality=float(subopt[r]),

@@ -2,7 +2,7 @@
 privacy checks from JSON configs, emitting deterministic CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 check or runtime failure, 2 usage, config or trace
-file error.
+file error, or a run whose states or bound terms are not finite.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .analysis import (audit_invariants, bound_params, check_consensus,
                        check_lemma1, check_lemma2, check_theorem3,
                        compute_metrics, effective_bounds, render_report_table)
 from .configs import ConfigError, RunConfig, SweepConfig, execute
-from .engine import ExecutionTrace, ScheduleError, TraceError
+from .engine import ExecutionTrace, NonFiniteError, ScheduleError, TraceError
 from .graphs import DisconnectedError
 from .objectives import GlobalProblem, solve_centralized
 from .privacy import (NonFsTraceError, NotACutError, TargetSetError,
@@ -319,6 +319,9 @@ def main(argv=None) -> int:
         return 2
     except TraceError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteError as exc:
+        print(f"non-finite value: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -90,8 +90,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.delta < 0 or self.delta_coeff < 0:
-            raise ConfigError("noise bounds must be non-negative")
+        for name in ("delta", "delta_coeff"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
         if self.d_max < 0:
             raise ConfigError("d_max must be non-negative")
         if self.seed < 0:

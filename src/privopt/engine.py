@@ -20,7 +20,9 @@ from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
                     noise_gradient_bounds, obfuscate)
 from .objectives import Box, GlobalProblem
 
-TRACE_VERSION = 1
+# Version 2: rss noise streams are one per (purpose, agent) and addressed by
+# round, so a version-1 rss trace's seed no longer reproduces its noise.
+TRACE_VERSION = 2
 
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb", "fs")
 
@@ -31,6 +33,10 @@ class ScheduleError(ValueError):
 
 class TraceError(ValueError):
     """A trace file has an unsupported version or does not match its digest."""
+
+
+class NonFiniteError(ValueError):
+    """A round produced a state or a bound term that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -311,10 +317,11 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
         noise, shares = draw(k)  # (n, n, D) perturbation tensor, optional share table
         msgs = broadcast(x[:, None, :], (n, n, dim)) + alpha * noise
         fused = _fuse(b, msgs)
-        fused_true = _fuse(b, broadcast(x[:, None, :], (n, n, dim)))
-        fused_noise = _fuse(b, noise)
         grads = problem.agent_gradients(fused)
         x_next = box.project(fused - alpha * grads)
+        if not np.isfinite(x_next).all():
+            agent = int(np.flatnonzero(~np.isfinite(x_next).all(axis=1))[0])
+            raise NonFiniteError(f"round {k}: the next state of agent {agent} is not finite")
         if k in keep_set:
             rec["steps"][row] = alpha
             rec["states"][row] = x
@@ -325,8 +332,8 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
                 rec["messages"][row] = _broadcast_slice(msgs)
                 rec["perturbations"][row] = _broadcast_slice(noise)
             rec["fused"][row] = fused
-            rec["fused_true"][row] = fused_true
-            rec["fused_noise"][row] = fused_noise
+            rec["fused_true"][row] = _fuse(b, broadcast(x[:, None, :], (n, n, dim)))
+            rec["fused_noise"][row] = _fuse(b, noise)
             if shares_rec is not None:
                 shares_rec[row] = shares.table
             if weights_series is not None:

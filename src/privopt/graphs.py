@@ -7,6 +7,7 @@ u < v. Neighborhoods are self-inclusive; degrees are self-exclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,15 +97,25 @@ class Topology:
             raise GraphError(f"unknown topology family: {name!r}")
         return cls.from_edges(n, edges)
 
+    @cached_property
+    def _neighbor_table(self) -> tuple[tuple[int, ...], ...]:
+        table = [{j} for j in range(self.n)]
+        for (u, v) in self.edges:
+            table[u].add(v)
+            table[v].add(u)
+        return tuple(tuple(sorted(hood)) for hood in table)
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        for (u, v) in self.edges:
+            adj[u, v] = adj[v, u] = True
+        adj.flags.writeable = False
+        return adj
+
     def neighbors(self, j: int) -> tuple[int, ...]:
         """Self-inclusive neighborhood of agent j, ascending."""
-        out = {j}
-        for (u, v) in self.edges:
-            if u == j:
-                out.add(v)
-            elif v == j:
-                out.add(u)
-        return tuple(sorted(out))
+        return self._neighbor_table[j]
 
     def degree(self, j: int) -> int:
         """Self-exclusive degree."""
@@ -114,10 +125,18 @@ class Topology:
         return np.array([self.degree(j) for j in range(self.n)], dtype=int)
 
     def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for (u, v) in self.edges:
-            adj[u, v] = adj[v, u] = True
-        return adj
+        """Symmetric boolean adjacency without self entries; computed once
+        and read-only."""
+        return self._adjacency
+
+    @cached_property
+    def sender_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Directed edges as read-only (sender, receiver) index arrays, sorted
+        by sender and then receiver, so each sender's edges are contiguous."""
+        senders, receivers = np.nonzero(self._adjacency)
+        senders.flags.writeable = False
+        receivers.flags.writeable = False
+        return senders, receivers
 
     def directed_edges(self) -> tuple[tuple[int, int], ...]:
         """Both orientations of every edge, ordered by canonical edge then direction."""

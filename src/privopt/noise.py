@@ -1,9 +1,13 @@
 """Structured-randomization generators: pairwise network-balanced shares,
 locally balanced per-neighbor perturbations, and polynomial noise functions.
 
-All draws are reproducible: streams are split per (agent, round, purpose) from
-a master seed, so changing one agent's draw does not shift the others and runs
-with different noise magnitudes stay seed-paired.
+All draws are reproducible. Each (purpose, agent) pair has one independent
+stream under the master seed, and each stream yields one kind of variate, a
+fixed number per round (the agent's degree times the variate width). The
+values of round k are therefore a function of the seed, the purpose, the
+agent, its degree, the dimension and k alone: changing one agent's draws does
+not shift the others, and runs with different noise magnitudes stay
+seed-paired. The round-addressed layout is the one of trace version 2.
 """
 
 from __future__ import annotations
@@ -15,7 +19,17 @@ import numpy as np
 from .graphs import FusionMatrix, Topology
 from .polynomials import SeparablePolynomial
 
-_PURPOSES = {"nb_share": 1, "lb_raw": 2, "fs_coeff": 3, "alt_extra": 4}
+_PURPOSES = {"nb_direction": 1, "lb_raw": 2, "fs_coeff": 3, "alt_extra": 4, "nb_radius": 5}
+
+# Variates of the round-addressed purposes: rng, shape -> array of that shape.
+_VARIATES = {
+    "nb_direction": lambda rng, shape: rng.standard_normal(shape),
+    "nb_radius": lambda rng, shape: rng.random(shape),
+    "lb_raw": lambda rng, shape: rng.uniform(-1.0, 1.0, shape),
+}
+
+# Rounds drawn per generator call. The values of a round do not depend on it.
+ROUND_BLOCK = 32
 
 # Noise-polynomial coefficients are snapped to this dyadic grid so that
 # obfuscated coefficient sums stay exactly representable in float64; the
@@ -31,28 +45,74 @@ class FsObjectiveError(TypeError):
     pass
 
 
+def _check_bound(value: float, name: str) -> None:
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 class RandomStreams:
-    """Independent generator per (purpose, agent, round) under one master seed."""
+    """Independent generators per (purpose, agent) under one master seed.
+
+    ``round_draws`` keeps one generator per agent for each round-addressed
+    purpose and draws a block of rounds per call; a request for a round before
+    the current block restarts those streams, so any round can be asked for
+    in any order.
+    """
 
     def __init__(self, master_seed: int):
         if master_seed < 0:
             raise ValueError("master seed must be non-negative")
         self.master_seed = int(master_seed)
+        self._blocks: dict = {}
 
-    def generator(self, purpose: str, agent: int, round_index: int = 0) -> np.random.Generator:
+    def generator(self, purpose: str, agent: int, index: int = 0) -> np.random.Generator:
+        """A fresh generator for one (purpose, agent, index) stream; ``index``
+        separates further streams of one agent, such as one per receiver."""
         key = np.random.SeedSequence(
-            entropy=(self.master_seed, _PURPOSES[purpose], int(agent), int(round_index))
+            entropy=(self.master_seed, _PURPOSES[purpose], int(agent), int(index))
         )
         return np.random.Generator(np.random.Philox(key))
 
+    def round_draws(self, purpose: str, topology: Topology, width: int,
+                    round_index: int) -> np.ndarray:
+        """Round ``round_index``'s variates of every agent, shape (E, width):
+        row e belongs to directed edge e of ``topology.sender_edges``. The
+        result is a read-only view of the block buffer."""
+        if round_index < 1:
+            raise ValueError("rounds are 1-indexed")
+        key = (purpose, topology, width)
+        blocks = self._blocks.get(key)
+        if blocks is None or round_index < blocks.first:
+            generators = [self.generator(purpose, j) for j in range(topology.n)]
+            blocks = self._blocks[key] = _RoundBlocks(generators, _VARIATES[purpose],
+                                                      topology.sender_edges[0], width)
+        return blocks.round(round_index)
 
-def _uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
-    """Uniform draws from the Euclidean ball of the given radius."""
-    direction = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = rng.random((count, 1)) ** (1.0 / dim)
-    return direction / norms * radii * radius
+
+class _RoundBlocks:
+    """Forward-only buffer of one purpose's variates for consecutive rounds,
+    drawn ROUND_BLOCK rounds per generator call."""
+
+    def __init__(self, generators: list, variates, senders: np.ndarray, width: int):
+        self.generators, self.variates = generators, variates
+        self.bounds = np.searchsorted(senders, np.arange(len(generators) + 1))
+        self.first = 1  # round held in row 0 of the buffer
+        self.buffer = np.empty((0, senders.size, width))
+
+    def round(self, k: int) -> np.ndarray:
+        while k >= self.first + len(self.buffer):
+            self.first += len(self.buffer)
+            self.buffer = self._next_block()
+        return self.buffer[k - self.first]
+
+    def _next_block(self) -> np.ndarray:
+        _, edges, width = self.buffer.shape
+        block = np.empty((ROUND_BLOCK, edges, width))
+        for j, rng in enumerate(self.generators):
+            lo, hi = self.bounds[j], self.bounds[j + 1]
+            block[:, lo:hi] = self.variates(rng, (ROUND_BLOCK, hi - lo, width))
+        block.flags.writeable = False
+        return block
 
 
 @dataclass
@@ -93,22 +153,24 @@ class ShareTable:
 def draw_nb_shares(topology: Topology, round_index: int, delta: float,
                    streams: RandomStreams, dim: int) -> ShareTable:
     """Shares drawn uniformly from the ball of radius delta/(2n); the first
-    round and delta == 0 give all-zero shares."""
+    round and delta == 0 give all-zero shares.
+
+    A share's direction comes from the sender's ``nb_direction`` stream and
+    its radius from its ``nb_radius`` stream, so shares are linear in delta."""
     if round_index < 1:
         raise ValueError("rounds are 1-indexed")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    _check_bound(delta, "delta")
     n = topology.n
     mask = topology.adjacency()
     table = np.zeros((n, n, dim))
     if round_index > 1 and delta > 0.0:
-        radius = delta / (2.0 * n)
-        for j in range(n):
-            receivers = [i for i in topology.neighbors(j) if i != j]
-            if not receivers:
-                continue
-            rng = streams.generator("nb_share", j, round_index)
-            table[j, receivers] = _uniform_ball(rng, len(receivers), dim, radius)
+        senders, receivers = topology.sender_edges
+        direction = streams.round_draws("nb_direction", topology, dim, round_index)
+        uniform = streams.round_draws("nb_radius", topology, 1, round_index)
+        norms = np.linalg.norm(direction, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        unit_ball = direction / norms * uniform ** (1.0 / dim)
+        table[senders, receivers] = unit_ball * (delta / (2.0 * n))
     return ShareTable(round_index=round_index, delta=delta, table=table, mask=mask)
 
 
@@ -120,8 +182,13 @@ def nb_perturbation(shares: ShareTable, topology: Topology) -> np.ndarray:
     expected = topology.adjacency()
     if not np.array_equal(shares.mask, expected):
         raise MissingShareError("share table support does not match the topology")
-    received = shares.table.transpose(1, 0, 2)
-    return received.sum(axis=1) - shares.table.sum(axis=1)
+    senders, receivers = topology.sender_edges
+    values = shares.table[senders, receivers]
+    received = np.zeros((shares.n, shares.dim))
+    sent = np.zeros((shares.n, shares.dim))
+    np.add.at(received, receivers, values)
+    np.add.at(sent, senders, values)
+    return received - sent
 
 
 def draw_lb_perturbation(topology: Topology, weights: FusionMatrix, delta: float,
@@ -130,28 +197,29 @@ def draw_lb_perturbation(topology: Topology, weights: FusionMatrix, delta: float
     sum_i B[i, j] d[j, i] = 0, with every norm at most delta.
 
     Raw draws are uniform on [-1, 1]^D per non-self neighbor, recentred by the
-    weighted mean so the constraint holds exactly, then the family is shrunk by
-    min(1, delta / max norm). The self entry d[j, j] is zero.
+    weighted mean under this round's weights so the constraint holds exactly,
+    then each agent's family is shrunk by min(1, delta / max norm) (factor 1
+    when every deviation is zero). The self entry d[j, j] is zero.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    _check_bound(delta, "delta")
     n = topology.n
-    b = weights.entries
     out = np.zeros((n, n, dim))
     if delta == 0.0:
         return out
-    for j in range(n):
-        others = [i for i in topology.neighbors(j) if i != j]
-        if not others:
-            raise ValueError(f"agent {j} has no non-self neighbor; locally balanced noise undefined")
-        rng = streams.generator("lb_raw", j, round_index)
-        raw = rng.uniform(-1.0, 1.0, size=(len(others), dim))
-        wts = b[others, j]
-        centre = (wts @ raw) / wts.sum()
-        dev = raw - centre
-        max_norm = float(np.max(np.linalg.norm(dev, axis=1)))
-        factor = 1.0 if max_norm == 0.0 else min(1.0, delta / max_norm)
-        out[j, others] = dev * factor
+    senders, receivers = topology.sender_edges
+    counts = np.bincount(senders, minlength=n)
+    if not counts.all():
+        j = int(np.flatnonzero(counts == 0)[0])
+        raise ValueError(f"agent {j} has no non-self neighbor; locally balanced noise undefined")
+    starts = np.cumsum(counts) - counts
+    raw = streams.round_draws("lb_raw", topology, dim, round_index)
+    wts = weights.entries[receivers, senders]
+    centre = (np.add.reduceat(wts[:, None] * raw, starts, axis=0)
+              / np.add.reduceat(wts, starts)[:, None])
+    dev = raw - centre[senders]
+    max_norm = np.maximum.reduceat(np.linalg.norm(dev, axis=1), starts)
+    factor = delta / np.maximum(max_norm, delta)
+    out[senders, receivers] = dev * factor[senders, None]
     return out
 
 
@@ -161,8 +229,7 @@ def draw_noise_functions(topology: Topology, delta_coeff: float, d_max: int,
     [-delta_coeff, delta_coeff] snapped to a dyadic grid, degree at most d_max."""
     if d_max < 0:
         raise ValueError("d_max must be non-negative")
-    if delta_coeff < 0:
-        raise ValueError("delta_coeff must be non-negative")
+    _check_bound(delta_coeff, "delta_coeff")
     out = {}
     for j in range(topology.n):
         receivers = [i for i in topology.neighbors(j) if i != j]

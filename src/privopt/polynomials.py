@@ -9,6 +9,7 @@ coordinate, summed. A separable polynomial of dimension D with width C is a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -62,12 +63,24 @@ def min_on_interval(coeffs_1d: np.ndarray, lo: float, hi: float) -> float:
 
 @dataclass(frozen=True)
 class SeparablePolynomial:
-    """Sum of independent univariate polynomials, one per coordinate."""
+    """Sum of independent univariate polynomials, one per coordinate.
+    The coefficient array is read-only, so derivative coefficients are
+    computed once."""
 
     coeffs: np.ndarray  # (D, C), constant-first
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", as_coeff_matrix(self.coeffs))
+        coeffs = as_coeff_matrix(self.coeffs)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @cached_property
+    def _first_derivatives(self) -> tuple[np.ndarray, ...]:
+        return tuple(npoly.polyder(row) for row in self.coeffs)
+
+    @cached_property
+    def _second_derivatives(self) -> tuple[np.ndarray, ...]:
+        return tuple(npoly.polyder(row, 2) for row in self.coeffs)
 
     @property
     def dim(self) -> int:
@@ -116,13 +129,13 @@ class SeparablePolynomial:
     def gradient(self, x) -> np.ndarray:
         """Gradient at points x of shape (..., D); returns shape (..., D)."""
         x = np.asarray(x, dtype=float)
-        parts = [npoly.polyval(x[..., d], npoly.polyder(self.coeffs[d])) for d in range(self.dim)]
+        parts = [npoly.polyval(x[..., d], der) for d, der in enumerate(self._first_derivatives)]
         return np.stack(parts, axis=-1)
 
     def curvature(self, x) -> np.ndarray:
         """Per-coordinate second derivatives (the Hessian diagonal) at x."""
         x = np.asarray(x, dtype=float)
-        parts = [npoly.polyval(x[..., d], npoly.polyder(self.coeffs[d], 2)) for d in range(self.dim)]
+        parts = [npoly.polyval(x[..., d], der) for d, der in enumerate(self._second_derivatives)]
         return np.stack(parts, axis=-1)
 
     def gradient_sup_norm(self, lower, upper) -> float:
@@ -130,8 +143,8 @@ class SeparablePolynomial:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         per_dim = [
-            max_abs_on_interval(npoly.polyder(self.coeffs[d]), lower[d], upper[d])
-            for d in range(self.dim)
+            max_abs_on_interval(der, lower[d], upper[d])
+            for d, der in enumerate(self._first_derivatives)
         ]
         return float(np.sqrt(np.sum(np.square(per_dim))))
 
@@ -140,8 +153,8 @@ class SeparablePolynomial:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         per_dim = [
-            max_abs_on_interval(npoly.polyder(self.coeffs[d], 2), lower[d], upper[d])
-            for d in range(self.dim)
+            max_abs_on_interval(der, lower[d], upper[d])
+            for d, der in enumerate(self._second_derivatives)
         ]
         return float(np.max(per_dim)) if per_dim else 0.0
 
@@ -151,7 +164,7 @@ class SeparablePolynomial:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         per_dim = [
-            min_on_interval(npoly.polyder(self.coeffs[d], 2), lower[d], upper[d])
-            for d in range(self.dim)
+            min_on_interval(der, lower[d], upper[d])
+            for d, der in enumerate(self._second_derivatives)
         ]
         return float(np.min(per_dim)) if per_dim else 0.0

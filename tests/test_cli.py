@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import privopt as po
@@ -65,6 +66,40 @@ class TestRun:
     def test_unknown_algorithm_exits_2(self, tmp_path):
         bad = write(tmp_path / "bad.json", quartic_config(algorithm="sgd"))
         assert main(["run", "--config", bad, "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"algorithm": "rss_nb", "delta": float("inf")},
+        {"algorithm": "rss_lb", "delta": float("nan")},
+        {"algorithm": "fs", "delta_coeff": float("inf")},
+    ])
+    def test_non_finite_noise_bound_exits_2(self, tmp_path, capsys, overrides):
+        bad = write(tmp_path / "bad.json", quartic_config(**overrides))
+        out = tmp_path / "out"
+        assert main(["run", "--config", bad, "--out-dir", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_bound_terms_exit_2(self, tmp_path, capsys):
+        # states stay finite (the box clips them), but (L + delta)^2 overflows
+        bad = write(tmp_path / "bad.json",
+                    quartic_config(algorithm="rss_nb", delta=1e308, seed=3, max_iter=20))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", bad, "--out-dir", str(out)]) == 2
+        assert "round 1: the iterate-lemma coefficients" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_non_finite_state_exits_2(self, tmp_path, capsys):
+        # the derivative coefficients of 1e308 x^4 overflow, and agent 2 starts
+        # at 0, where inf * 0 makes its gradient NaN
+        doc = quartic_config(max_iter=20)
+        doc["objectives"][2] = {"kind": "polynomial", "coeffs": [0, 0, 0, 0, 1e308]}
+        bad = write(tmp_path / "bad.json", doc)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", bad, "--out-dir", str(out)]) == 2
+        assert "round 1: the next state of agent 2 is not finite" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_artifacts_follow_umask(self, tmp_path, run_cfg):
         out = tmp_path / "out"

@@ -65,6 +65,19 @@ class TestTopology:
     def test_single_agent_topology(self):
         solo = po.Topology.from_edges(1, [])
         assert solo.neighbors(0) == (0,)
+        assert solo.sender_edges[0].size == 0
+
+    def test_cached_tables_match_edge_scan(self):
+        topo = po.Topology.family("petersen", 10)
+        for j in range(10):
+            scan = sorted({j} | {v for (u, v) in topo.edges if u == j}
+                          | {u for (u, v) in topo.edges if v == j})
+            assert topo.neighbors(j) == tuple(scan)
+        adj = topo.adjacency()
+        assert adj is topo.adjacency() and not adj.flags.writeable
+        senders, receivers = topo.sender_edges
+        assert not senders.flags.writeable and not receivers.flags.writeable
+        assert list(zip(senders, receivers)) == sorted(topo.directed_edges())
 
 
 class TestMetropolis:

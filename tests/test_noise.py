@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import privopt as po
+import privopt.noise as noise
 from privopt.noise import (FsObjectiveError, MissingShareError, RandomStreams,
                            ShareTable, draw_noise_functions, noise_gradient_bounds,
                            noise_offsets, obfuscate)
@@ -36,11 +37,6 @@ class TestNbShares:
         b = po.draw_nb_shares(cycle5, 5, 2.0, RandomStreams(9), dim=3)
         np.testing.assert_array_equal(a.table, b.table)
 
-    def test_per_agent_streams_are_stable(self, cycle5):
-        # same master seed: agent 0's draws do not depend on other agents
-        full = po.draw_nb_shares(cycle5, 4, 1.0, RandomStreams(3), dim=1)
-        again = po.draw_nb_shares(cycle5, 4, 1.0, RandomStreams(3), dim=1)
-        np.testing.assert_array_equal(full.table[0], again.table[0])
 
     def test_scales_linearly_with_delta(self, cycle5):
         small = po.draw_nb_shares(cycle5, 3, 1.0, RandomStreams(5), dim=1)
@@ -103,6 +99,71 @@ class TestLbPerturbation:
         weighted = np.einsum("ij,jid->jd", w.entries, d)
         assert np.abs(weighted).max() < 1e-12
         assert np.linalg.norm(d, axis=2).max() <= delta + 1e-12
+
+
+def _nb_rounds(topology, rounds, streams, delta=1.0, dim=2):
+    return np.stack([po.draw_nb_shares(topology, k, delta, streams, dim).table
+                     for k in rounds])
+
+
+def _lb_rounds(topology, rounds, streams, delta=1.0, dim=2):
+    w = po.metropolis_weights(topology)
+    return np.stack([po.draw_lb_perturbation(topology, w, delta, k, streams, dim)
+                     for k in rounds])
+
+
+class TestStreamContract:
+    """The draws of round k depend only on the seed, the purpose, the agent,
+    its degree, the dimension and k."""
+
+    ROUNDS = range(1, 76)
+
+    def test_agent_draws_depend_only_on_its_neighbourhood(self, cycle5):
+        # agent 2 has neighbours {1, 3} and weights 1/3 on both graphs
+        path5 = po.Topology.family("path", 5)
+        for draw in (_nb_rounds, _lb_rounds):
+            on_path = draw(path5, self.ROUNDS, RandomStreams(3))
+            on_cycle = draw(cycle5, self.ROUNDS, RandomStreams(3))
+            assert np.any(on_cycle[:, 2] != 0.0)
+            np.testing.assert_array_equal(on_path[:, 2], on_cycle[:, 2])
+
+    @pytest.mark.parametrize("draw", [_nb_rounds, _lb_rounds])
+    def test_block_size_does_not_change_draws(self, complete5, monkeypatch, draw):
+        blocked = draw(complete5, self.ROUNDS, RandomStreams(8))
+        monkeypatch.setattr(noise, "ROUND_BLOCK", 1)
+        single = draw(complete5, self.ROUNDS, RandomStreams(8))
+        np.testing.assert_array_equal(blocked, single)
+
+    @pytest.mark.parametrize("draw", [_nb_rounds, _lb_rounds])
+    def test_round_drawn_alone_matches_sequential_run(self, cycle5, draw):
+        streams = RandomStreams(4)
+        sequential = draw(cycle5, self.ROUNDS, streams)
+        for k in (2, 33, 70):
+            alone = draw(cycle5, [k], RandomStreams(4))[0]
+            np.testing.assert_array_equal(alone, sequential[k - 1])
+            # an earlier round from streams that have moved past it
+            np.testing.assert_array_equal(draw(cycle5, [k], streams)[0], sequential[k - 1])
+
+    def test_lb_scales_by_shrink_factor_ratio(self, complete5):
+        w = po.metropolis_weights(complete5)
+        # raw draws lie in [-1, 1]^2, so deviations stay below 15 and the
+        # delta=15 family is the unshrunk deviation itself
+        wide = po.draw_lb_perturbation(complete5, w, 15.0, 6, RandomStreams(2), dim=2)
+        narrow = po.draw_lb_perturbation(complete5, w, 1.0, 6, RandomStreams(2), dim=2)
+        max_norm = np.linalg.norm(wide, axis=2).max(axis=1)
+        factor = np.minimum(1.0, 1.0 / max_norm)
+        assert np.any(factor < 1.0)
+        np.testing.assert_allclose(narrow, wide * factor[:, None, None], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_rejects_bad_noise_bound(self, cycle5, streams, bad):
+        w = po.metropolis_weights(cycle5)
+        with pytest.raises(ValueError):
+            po.draw_nb_shares(cycle5, 2, bad, streams, dim=1)
+        with pytest.raises(ValueError):
+            po.draw_lb_perturbation(cycle5, w, bad, 2, streams, dim=1)
+        with pytest.raises(ValueError):
+            draw_noise_functions(cycle5, bad, 4, streams)
 
 
 class TestNoiseFunctions:

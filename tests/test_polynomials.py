@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numpy.polynomial import polynomial as npoly
+
 from privopt.polynomials import SeparablePolynomial, as_coeff_matrix, max_abs_on_interval
 
 
@@ -75,3 +77,15 @@ def test_gradient_matches_finite_differences(coeffs, x, h_seed):
     numeric = (p.value(x + h) - p.value(x - h)) / (2 * h)
     analytic = p.gradient(x)[0]
     assert abs(numeric - analytic) <= 1e-5 * max(1.0, abs(analytic))
+
+
+def test_cached_derivatives_are_bit_identical_to_polyder():
+    rng = np.random.default_rng(5)
+    coeffs = rng.uniform(-3.0, 3.0, size=(3, 7))
+    p = SeparablePolynomial(coeffs)
+    x = rng.uniform(-2.0, 2.0, size=(11, 3))
+    grad = np.stack([npoly.polyval(x[:, d], npoly.polyder(coeffs[d])) for d in range(3)], axis=-1)
+    curv = np.stack([npoly.polyval(x[:, d], npoly.polyder(coeffs[d], 2)) for d in range(3)], axis=-1)
+    np.testing.assert_array_equal(p.gradient(x), grad)
+    np.testing.assert_array_equal(p.curvature(x), curv)
+    assert not p.coeffs.flags.writeable
