@@ -470,8 +470,7 @@ def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
     pairs = [(r, pos[int(k) + 1]) for r, k in enumerate(trace.round_index) if int(k) + 1 in pos]
     worst = 0.0
     if pairs:
-        grads = np.stack([sub.objectives[j].gradient(trace.fused[:, j, :])
-                          for j in range(n)], axis=1)
+        grads = sub.agent_gradients(trace.fused)
         alt = box.project(trace.fused_true
                           - trace.steps[:, None, None] * (grads - trace.fused_noise))
         rows = np.array([r for r, _ in pairs])

@@ -4,10 +4,11 @@ global sum objective with a centralized optimum oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .polynomials import SeparablePolynomial, as_coeff_matrix
+from .polynomials import SeparablePolynomial, as_coeff_matrix, horner
 
 
 class DimensionMismatchError(ValueError):
@@ -180,8 +181,7 @@ class QuadraticObjective(Objective):
         return 0.5 * np.einsum("...i,ij,...j->...", x, self.matrix, x) + x @ self.vector + self.scalar
 
     def gradient(self, x):
-        x = self.check_dim(x)
-        return x @ self.matrix.T + self.vector
+        return _affine_rows(self.check_dim(x), self.matrix.T, self.vector)
 
     def curvature_norm(self, x):
         x = self.check_dim(x)
@@ -264,6 +264,12 @@ class LogisticObjective(Objective):
                 "samples": self.samples, "ridge": self.ridge}
 
 
+def _affine_rows(x, matrix_t, vector):
+    """x M + v for every point of x (..., D), one vector-matrix product per
+    point, so a point's gradient does not depend on the batch around it."""
+    return np.matmul(x[..., None, :], matrix_t)[..., 0, :] + vector
+
+
 def objective_from_spec(spec: dict) -> Objective:
     kind = spec.get("kind")
     if kind == "polynomial":
@@ -276,15 +282,22 @@ def objective_from_spec(spec: dict) -> Objective:
     raise ValueError(f"unknown objective kind: {kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalProblem:
-    """Local objectives plus the shared feasible set."""
+    """Local objectives plus the shared feasible set.
 
-    objectives: list
+    When every objective is a polynomial, or every one a quadratic, their
+    gradient coefficients are stacked on first use, so ``agent_gradients`` is
+    one array evaluation for all agents, bit-identical to the per-objective
+    gradients. Other problems evaluate agent by agent.
+    """
+
+    objectives: tuple
     feasible: Box
     validate_convexity: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "objectives", tuple(self.objectives))
         dims = {obj.dim for obj in self.objectives}
         if len(dims) != 1:
             raise DimensionMismatchError(f"objectives disagree on dimension: {sorted(dims)}")
@@ -293,6 +306,30 @@ class GlobalProblem:
         if self.validate_convexity:
             for obj in self.objectives:
                 obj.ensure_convex_on(self.feasible)
+
+    @cached_property
+    def _derivatives(self) -> np.ndarray | None:
+        """(n, D, C') first-derivative coefficients of all-polynomial
+        objectives, zero-padded at the high end to the widest; else None."""
+        if not all(isinstance(obj, PolynomialObjective) for obj in self.objectives):
+            return None
+        ders = [obj.poly.first_derivative for obj in self.objectives]
+        out = np.zeros((self.n, self.dim, max(d.shape[1] for d in ders)))
+        for j, der in enumerate(ders):
+            out[j, :, :der.shape[1]] = der
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _affine(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Stacked (Q_j^T, b_j) of all-quadratic objectives, shapes (n, D, D)
+        and (n, D); else None."""
+        if not all(isinstance(obj, QuadraticObjective) for obj in self.objectives):
+            return None
+        matrices_t = np.stack([obj.matrix.T for obj in self.objectives])
+        vectors = np.stack([obj.vector for obj in self.objectives])
+        matrices_t.flags.writeable = vectors.flags.writeable = False
+        return matrices_t, vectors
 
     @property
     def n(self) -> int:
@@ -308,9 +345,20 @@ class GlobalProblem:
     def total_gradient(self, x) -> np.ndarray:
         return sum(obj.gradient(x) for obj in self.objectives)
 
-    def agent_gradients(self, points: np.ndarray) -> np.ndarray:
-        """Row j is the gradient of objective j at points[j]; points (n, D)."""
-        return np.stack([obj.gradient(points[j]) for j, obj in enumerate(self.objectives)])
+    def agent_gradients(self, points) -> np.ndarray:
+        """Gradient of objective j at points[..., j, :] for every agent j;
+        points of shape (..., n, D), result of the same shape."""
+        points = np.asarray(points, dtype=float)
+        if points.shape[-2:] != (self.n, self.dim):
+            raise DimensionMismatchError(
+                f"points of shape {points.shape} do not end in (agents, dimension) "
+                f"= ({self.n}, {self.dim})")
+        if self._derivatives is not None:
+            return horner(self._derivatives, points)
+        if self._affine is not None:
+            return _affine_rows(points, *self._affine)
+        return np.stack([obj.gradient(points[..., j, :]) for j, obj in enumerate(self.objectives)],
+                        axis=-2)
 
     def constants(self) -> tuple[float, float]:
         """Per-agent gradient bound and Lipschitz constant (max over agents)."""

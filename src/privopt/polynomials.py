@@ -31,6 +31,20 @@ def as_coeff_matrix(coeffs, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """Evaluate stacked univariate polynomials, ``coeffs`` of shape (..., C)
+    constant-first, at points x that broadcast against ``coeffs[..., 0]``.
+
+    The operations are those of ``numpy.polynomial.polynomial.polyval``
+    (``c = c_top + x*0``, then ``c = c_i + c*x``), so a row zero-padded at the
+    high end evaluates bit for bit as the unpadded row at every finite x.
+    """
+    out = coeffs[..., -1] + x * 0
+    for i in range(coeffs.shape[-1] - 2, -1, -1):
+        out = coeffs[..., i] + out * x
+    return out
+
+
 def _interval_candidates(coeffs_1d: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Points where |p| can attain its sup on [lo, hi]: endpoints plus real
     critical points of p, padded with a coarse grid as a safety net."""
@@ -65,22 +79,22 @@ def min_on_interval(coeffs_1d: np.ndarray, lo: float, hi: float) -> float:
 class SeparablePolynomial:
     """Sum of independent univariate polynomials, one per coordinate.
     The coefficient array is read-only, so derivative coefficients are
-    computed once."""
+    computed once (read-only too)."""
 
     coeffs: np.ndarray  # (D, C), constant-first
 
     def __post_init__(self):
-        coeffs = as_coeff_matrix(self.coeffs)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _read_only(as_coeff_matrix(self.coeffs)))
 
     @cached_property
-    def _first_derivatives(self) -> tuple[np.ndarray, ...]:
-        return tuple(npoly.polyder(row) for row in self.coeffs)
+    def first_derivative(self) -> np.ndarray:
+        """Per-coordinate first-derivative coefficients, shape (D, max(C - 1, 1))."""
+        return _read_only(np.array([npoly.polyder(row) for row in self.coeffs]))
 
     @cached_property
-    def _second_derivatives(self) -> tuple[np.ndarray, ...]:
-        return tuple(npoly.polyder(row, 2) for row in self.coeffs)
+    def second_derivative(self) -> np.ndarray:
+        """Per-coordinate second-derivative coefficients, shape (D, max(C - 2, 1))."""
+        return _read_only(np.array([npoly.polyder(row, 2) for row in self.coeffs]))
 
     @property
     def dim(self) -> int:
@@ -128,15 +142,11 @@ class SeparablePolynomial:
 
     def gradient(self, x) -> np.ndarray:
         """Gradient at points x of shape (..., D); returns shape (..., D)."""
-        x = np.asarray(x, dtype=float)
-        parts = [npoly.polyval(x[..., d], der) for d, der in enumerate(self._first_derivatives)]
-        return np.stack(parts, axis=-1)
+        return horner(self.first_derivative, np.asarray(x, dtype=float))
 
     def curvature(self, x) -> np.ndarray:
         """Per-coordinate second derivatives (the Hessian diagonal) at x."""
-        x = np.asarray(x, dtype=float)
-        parts = [npoly.polyval(x[..., d], der) for d, der in enumerate(self._second_derivatives)]
-        return np.stack(parts, axis=-1)
+        return horner(self.second_derivative, np.asarray(x, dtype=float))
 
     def gradient_sup_norm(self, lower, upper) -> float:
         """Sup of the gradient 2-norm over an axis-aligned box."""
@@ -144,7 +154,7 @@ class SeparablePolynomial:
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         per_dim = [
             max_abs_on_interval(der, lower[d], upper[d])
-            for d, der in enumerate(self._first_derivatives)
+            for d, der in enumerate(self.first_derivative)
         ]
         return float(np.sqrt(np.sum(np.square(per_dim))))
 
@@ -154,7 +164,7 @@ class SeparablePolynomial:
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         per_dim = [
             max_abs_on_interval(der, lower[d], upper[d])
-            for d, der in enumerate(self._second_derivatives)
+            for d, der in enumerate(self.second_derivative)
         ]
         return float(np.max(per_dim)) if per_dim else 0.0
 
@@ -165,6 +175,11 @@ class SeparablePolynomial:
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         per_dim = [
             min_on_interval(der, lower[d], upper[d])
-            for d, der in enumerate(self._second_derivatives)
+            for d, der in enumerate(self.second_derivative)
         ]
         return float(np.min(per_dim)) if per_dim else 0.0
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr

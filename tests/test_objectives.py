@@ -74,6 +74,107 @@ class TestGradient:
         assert np.abs(analytic - numeric).max() <= 1e-6 * max(1.0, np.abs(analytic).max())
 
 
+def _spd_quadratics(rng, n, dim):
+    objectives = []
+    for _ in range(n):
+        a = rng.normal(size=(dim, dim))
+        q = a @ a.T + 0.1 * np.eye(dim)
+        objectives.append(po.QuadraticObjective(0.5 * (q + q.T), rng.normal(size=dim)))
+    return objectives
+
+
+def _obfuscated_d2():
+    """fs objectives on complete-5 with D=2 and d_max=8 (width 9), not convex."""
+    base = [po.PolynomialObjective([c + [0.0] * (5 - len(c)), [0.0, 0.0, 1.0, 0.0, 0.0]])
+            for c in ([0, 0, 1], [0, 0, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 1, 0, 0.5],
+                      [0, 0, 0.5, 0, 1])]
+    topology = po.Topology.family("complete", 5)
+    noise = po.draw_noise_functions(topology, 0.5, 8, po.RandomStreams(3), 2)
+    return po.obfuscate(base, noise, topology)
+
+
+AGENT_GRADIENT_CASES = {
+    "quartic-widths-3-5": (lambda rng: quartic_objectives(), 1, 30.0),
+    "fs-obfuscated-d2-width9": (lambda rng: _obfuscated_d2(), 2, 3.0),
+    "quadratic-d1": (lambda rng: _spd_quadratics(rng, 6, 1), 1, 10.0),
+    "quadratic-d2": (lambda rng: _spd_quadratics(rng, 6, 2), 2, 10.0),
+    "quadratic-d3": (lambda rng: _spd_quadratics(rng, 6, 3), 3, 10.0),
+    "quadratic-d4": (lambda rng: _spd_quadratics(rng, 6, 4), 4, 10.0),
+    "logistic-d2": (lambda rng: [po.LogisticObjective(s, dim=2) for s in range(4)], 2, 5.0),
+    "mixed-d2": (lambda rng: [po.PolynomialObjective([[0, 0, 1, 0], [0, 1, 0, 0.5]]),
+                              *_spd_quadratics(rng, 2, 2), po.LogisticObjective(1, dim=2)],
+                 2, 5.0),
+}
+
+
+class TestAgentGradients:
+    """``GlobalProblem.agent_gradients`` against the per-agent loop over
+    ``Objective.gradient``, bit for bit."""
+
+    @staticmethod
+    def _problem(case):
+        make, dim, reach = AGENT_GRADIENT_CASES[case]
+        rng = np.random.default_rng(17)
+        problem = po.GlobalProblem(objectives=make(rng), feasible=po.Box([-reach] * dim, [reach] * dim),
+                                   validate_convexity=False)
+        return problem, rng, reach
+
+    @pytest.mark.parametrize("case", sorted(AGENT_GRADIENT_CASES))
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)], ids=["n-D", "R-n-D", "R1-R2-n-D"])
+    def test_matches_per_objective_gradients(self, case, lead):
+        problem, rng, reach = self._problem(case)
+        points = rng.uniform(-reach, reach, size=lead + (problem.n, problem.dim))
+        points[..., -1, 0] = 0.0  # exact zeros exercise signed-zero handling
+        expected = np.stack([obj.gradient(points[..., j, :])
+                             for j, obj in enumerate(problem.objectives)], axis=-2)
+        got = problem.agent_gradients(points)
+        assert got.shape == points.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("case", ["quartic-widths-3-5", "fs-obfuscated-d2-width9",
+                                      "quadratic-d3"])
+    def test_stacked_gradient_is_batch_independent(self, case):
+        """A point's gradient is the same alone as inside a batch of rounds,
+        so the audit recomputes the engine's gradients exactly."""
+        problem, rng, reach = self._problem(case)
+        points = rng.uniform(-reach, reach, size=(5, problem.n, problem.dim))
+        batched = problem.agent_gradients(points)
+        for r in range(points.shape[0]):
+            assert np.array_equal(batched[r], problem.agent_gradients(points[r]))
+            for j, obj in enumerate(problem.objectives):
+                assert np.array_equal(batched[r, j], obj.gradient(points[r, j]))
+
+    @pytest.mark.parametrize("case", ["quartic-widths-3-5", "fs-obfuscated-d2-width9",
+                                      "quadratic-d2"])
+    def test_stacked_kinds_skip_the_per_objective_loop(self, case, monkeypatch):
+        problem, rng, reach = self._problem(case)
+        points = rng.uniform(-reach, reach, size=(problem.n, problem.dim))
+        expected = problem.agent_gradients(points)
+
+        def per_objective(self, x):
+            raise AssertionError("per-objective gradient called")
+        for kind in (po.PolynomialObjective, po.QuadraticObjective):
+            monkeypatch.setattr(kind, "gradient", per_objective)
+        assert np.array_equal(problem.agent_gradients(points), expected)
+
+    @pytest.mark.parametrize("case", sorted(AGENT_GRADIENT_CASES))
+    def test_wrong_shape_raises(self, case):
+        problem, _, _ = self._problem(case)
+        n, dim = problem.n, problem.dim
+        for shape in [(n, dim + 1), (n + 1, dim), (n - 1, dim), (4, n, dim + 1), (n * dim,)]:
+            with pytest.raises(DimensionMismatchError):
+                problem.agent_gradients(np.zeros(shape))
+
+    def test_objectives_are_a_frozen_tuple(self):
+        objectives = quartic_objectives()
+        problem = po.GlobalProblem(objectives=objectives, feasible=po.Box([-30.0], [30.0]))
+        assert isinstance(problem.objectives, tuple)
+        objectives.append(po.PolynomialObjective([0, 0, 1]))
+        assert problem.n == 5
+        with pytest.raises(AttributeError):
+            problem.objectives = tuple(objectives)
+
+
 class TestProjection:
     def test_clamp(self, wide_box):
         assert wide_box.project(np.array([40.0]))[0] == 30.0

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from numpy.polynomial import polynomial as npoly
 
-from privopt.polynomials import SeparablePolynomial, as_coeff_matrix, max_abs_on_interval
+from privopt.polynomials import (SeparablePolynomial, as_coeff_matrix, horner,
+                                 max_abs_on_interval)
 
 
 def test_value_matches_manual_evaluation():
@@ -89,3 +90,17 @@ def test_cached_derivatives_are_bit_identical_to_polyder():
     np.testing.assert_array_equal(p.gradient(x), grad)
     np.testing.assert_array_equal(p.curvature(x), curv)
     assert not p.coeffs.flags.writeable
+    assert not p.first_derivative.flags.writeable
+    assert not p.second_derivative.flags.writeable
+
+
+@pytest.mark.parametrize("top", [2.5, 0.0, -0.0])
+def test_horner_with_high_padding_is_bit_identical_to_polyval(top):
+    """Zero padding at the high end changes no bit, signed zeros included."""
+    row = np.array([0.0, -1.5, top])
+    x = np.array([-2.0, -0.0, 0.0, 0.75, 3.0, -1e-300, 1e150])
+    expected = npoly.polyval(x, row)
+    for pad in range(4):
+        got = horner(np.concatenate([row, np.zeros(pad)]), x)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        np.testing.assert_array_equal(got, expected)
