@@ -1,5 +1,5 @@
 """Synchronous round-based execution of the four distributed algorithms,
-producing a complete per-round execution trace.
+producing an execution trace of the primary per-round arrays.
 
 Every algorithm runs the same fuse-descend-project loop; they differ only in
 how the per-round message tensor is perturbed. With zero perturbation the
@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from .objectives import Box, GlobalProblem
 
 # Version 2: rss noise streams are one per (purpose, agent) and addressed by
 # round, so a version-1 rss trace's seed no longer reproduces its noise.
-TRACE_VERSION = 2
+# Version 3: rounds hold only the primary arrays, and rss_lb perturbations and
+# rss_nb shares are stored on the directed edges (same dynamics as version 2).
+TRACE_VERSION = 3
 
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb", "fs")
 
@@ -32,7 +35,9 @@ class ScheduleError(ValueError):
 
 
 class TraceError(ValueError):
-    """A trace file has an unsupported version or does not match its digest."""
+    """A trace file has an unsupported version, an array of the wrong shape,
+    rounds or steps that its schedule does not give, or a state digest that
+    does not match."""
 
 
 class NonFiniteError(ValueError):
@@ -124,10 +129,25 @@ def _fuse(weights: np.ndarray, messages: np.ndarray) -> np.ndarray:
     return np.einsum("ji,ijd->jd", weights, messages)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _spread(per_agent: np.ndarray) -> np.ndarray:
+    """Broadcast view of an (R, n, D) array as the (R, n, n, D) tensor whose
+    entry [r, i, j] is agent i's row, sent to every j."""
+    r, n, dim = per_agent.shape
+    return np.broadcast_to(per_agent[:, :, None, :], (r, n, n, dim))
+
+
 @dataclass
 class ExecutionTrace:
-    """Complete record of one run: per-round states, messages, perturbations
-    and fused quantities, stored as arrays with a leading round axis."""
+    """Record of one run: the primary per-round arrays (steps, states,
+    perturbations, nb shares and per-round weights), stored with a leading
+    round axis. Messages and fused quantities are derived from them on first
+    use, with the engine's per-round tensor layouts, so they match the values
+    the run used bit for bit."""
 
     algorithm: str
     topology: Topology
@@ -141,11 +161,7 @@ class ExecutionTrace:
     round_index: np.ndarray      # (R,)
     steps: np.ndarray            # (R,)
     states: np.ndarray           # (R, n, D)
-    messages: np.ndarray         # (R, n, D) broadcast algorithms; (R, n, n, D) per-edge
-    perturbations: np.ndarray    # (R, n, D) or (R, n, n, D)
-    fused: np.ndarray            # (R, n, D)
-    fused_true: np.ndarray       # (R, n, D)
-    fused_noise: np.ndarray      # (R, n, D)
+    perturbations: np.ndarray    # (R, n, D); rss_lb (R, n, n, D), [r, i, j] sent from i to j
     final_states: np.ndarray     # (n, D)
     problem_spec: dict
     shares: np.ndarray | None = None  # (R, n, n, D) for network-balanced runs
@@ -164,6 +180,47 @@ class ExecutionTrace:
     @property
     def complete(self) -> bool:
         return self.record_every == 1
+
+    @property
+    def per_edge(self) -> bool:
+        """Whether each agent perturbs its message to every neighbour apart (rss_lb)."""
+        return self.perturbations.ndim == 4
+
+    def _noise_tensor(self) -> np.ndarray:
+        return self.perturbations if self.per_edge else _spread(self.perturbations)
+
+    def _message_tensor(self) -> np.ndarray:
+        """Materialized (R, n, n, D) messages x_i + alpha d_ij, as the engine fuses them."""
+        return self.states[:, :, None, :] + self.steps[:, None, None, None] * self._noise_tensor()
+
+    def _fuse_rounds(self, tensor: np.ndarray) -> np.ndarray:
+        """``_fuse`` of every recorded round in one einsum."""
+        if self.weights_series is None:
+            return np.einsum("ji,rijd->rjd", self.weights, tensor)
+        return np.einsum("rji,rijd->rjd", self.weights_series, tensor)
+
+    @cached_property
+    def messages(self) -> np.ndarray:
+        """Sent messages: (R, n, D), or (R, n, n, D) per edge for rss_lb."""
+        if self.per_edge:
+            return _read_only(self._message_tensor())
+        return _read_only(self.states + self.steps[:, None, None] * self.perturbations)
+
+    @cached_property
+    def fused(self) -> np.ndarray:
+        """(R, n, D) fused perturbed messages: the point each agent descends from."""
+        return _read_only(self._fuse_rounds(
+            self.messages if self.per_edge else self._message_tensor()))
+
+    @cached_property
+    def fused_true(self) -> np.ndarray:
+        """(R, n, D) fused unperturbed states."""
+        return _read_only(self._fuse_rounds(_spread(self.states)))
+
+    @cached_property
+    def fused_noise(self) -> np.ndarray:
+        """(R, n, D) fused perturbations."""
+        return _read_only(self._fuse_rounds(self._noise_tensor()))
 
     def state_digest(self) -> str:
         """Digest of the state evolution; identical dynamics give identical
@@ -190,10 +247,20 @@ class ExecutionTrace:
             return self.weights_series[row]
         return self.weights
 
+    def _on_edges(self, dense: np.ndarray) -> np.ndarray:
+        """(R, n, n, D) -> (R, 2E, D) in ``Topology.sender_edges`` order."""
+        senders, receivers = self.topology.sender_edges
+        return dense[:, senders, receivers, :]
+
     def to_json_dict(self) -> dict:
+        """The trace document. Per-edge arrays (rss_lb perturbations, rss_nb
+        shares) are written as (R, 2E, D) in ``Topology.sender_edges`` order;
+        derived arrays are not written."""
         def listify(a):
             return None if a is None else np.asarray(a).tolist()
 
+        perturbations = self._on_edges(self.perturbations) if self.per_edge else self.perturbations
+        shares = None if self.shares is None else self._on_edges(self.shares)
         return {
             "version": self.version,
             "algorithm": self.algorithm,
@@ -212,12 +279,8 @@ class ExecutionTrace:
                 "index": self.round_index.tolist(),
                 "step": self.steps.tolist(),
                 "states": listify(self.states),
-                "messages": listify(self.messages),
-                "perturbations": listify(self.perturbations),
-                "shares": listify(self.shares),
-                "fused": listify(self.fused),
-                "fused_true": listify(self.fused_true),
-                "fused_noise": listify(self.fused_noise),
+                "perturbations": listify(perturbations),
+                "shares": listify(shares),
                 "weights_series": listify(self.weights_series),
             },
             "final_states": listify(self.final_states),
@@ -231,33 +294,77 @@ class ExecutionTrace:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExecutionTrace":
+        """Rebuild a trace, checking every array's shape, the recorded rounds
+        and steps against the schedule, and the state digest; any mismatch
+        raises ``TraceError``."""
         if doc.get("version") != TRACE_VERSION:
             raise TraceError(f"unsupported trace version: {doc.get('version')!r}")
+        algorithm = doc["algorithm"]
+        if algorithm not in ALGORITHMS:
+            raise TraceError(f"unknown algorithm: {algorithm!r}")
+        topology = Topology.from_spec(doc["topology"])
+        schedule = StepSchedule.from_spec(doc["schedule"])
+        n, dim = int(doc["n"]), int(doc["dim"])
+        max_iter, record_every = int(doc["max_iter"]), int(doc["record_every"])
+        if topology.n != n:
+            raise TraceError(f"topology has {topology.n} agents, trace has {n}")
         rounds = doc["rounds"]
-        shares = rounds.get("shares")
+        index = recorded_rounds(max_iter, record_every)
+        r_count = index.size
+        senders, receivers = topology.sender_edges
+
+        def array(value, name: str, *shape: int) -> np.ndarray:
+            try:
+                out = np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise TraceError(f"{name} is not a numeric array: {exc}") from None
+            if out.shape != shape:
+                raise TraceError(f"{name} has shape {out.shape}, expected {shape}")
+            return out
+
+        def dense(value, name: str) -> np.ndarray:
+            out = np.zeros((r_count, n, n, dim))
+            out[:, senders, receivers, :] = array(value, name, r_count, senders.size, dim)
+            return out
+
+        stored_index = array(rounds.get("index"), "rounds.index", r_count)
+        if not np.array_equal(stored_index, index):
+            raise TraceError(f"rounds.index is not the rounds recorded for max_iter={max_iter}, "
+                             f"record_every={record_every}")
+        steps = array(rounds.get("step"), "rounds.step", r_count)
+        if steps.tobytes() != schedule.steps(max_iter)[index - 1].tobytes():
+            raise TraceError("rounds.step differs from the schedule's steps")
+        if algorithm == "rss_lb":
+            perturbations = dense(rounds.get("perturbations"), "rounds.perturbations")
+        else:
+            perturbations = array(rounds.get("perturbations"), "rounds.perturbations",
+                                  r_count, n, dim)
+        shares = None
+        if algorithm == "rss_nb":
+            shares = dense(rounds.get("shares"), "rounds.shares")
+        elif rounds.get("shares") is not None:
+            raise TraceError(f"only rss_nb traces have shares, not {algorithm}")
         weights_series = rounds.get("weights_series")
+        if weights_series is not None:
+            weights_series = array(weights_series, "rounds.weights_series", r_count, n, n)
         trace = cls(
-            algorithm=doc["algorithm"],
-            topology=Topology.from_spec(doc["topology"]),
-            weights=np.asarray(doc["weights"], dtype=float),
-            schedule=StepSchedule.from_spec(doc["schedule"]),
+            algorithm=algorithm,
+            topology=topology,
+            weights=array(doc.get("weights"), "weights", n, n),
+            schedule=schedule,
             delta=float(doc["delta"]),
             seed=doc["seed"],
-            max_iter=int(doc["max_iter"]),
-            record_every=int(doc["record_every"]),
-            init=np.asarray(doc["init"], dtype=float),
-            round_index=np.asarray(rounds["index"], dtype=int),
-            steps=np.asarray(rounds["step"], dtype=float),
-            states=np.asarray(rounds["states"], dtype=float),
-            messages=np.asarray(rounds["messages"], dtype=float),
-            perturbations=np.asarray(rounds["perturbations"], dtype=float),
-            fused=np.asarray(rounds["fused"], dtype=float),
-            fused_true=np.asarray(rounds["fused_true"], dtype=float),
-            fused_noise=np.asarray(rounds["fused_noise"], dtype=float),
-            final_states=np.asarray(doc["final_states"], dtype=float),
+            max_iter=max_iter,
+            record_every=record_every,
+            init=array(doc.get("init"), "init", n, dim),
+            round_index=index,
+            steps=steps,
+            states=array(rounds.get("states"), "rounds.states", r_count, n, dim),
+            perturbations=perturbations,
+            final_states=array(doc.get("final_states"), "final_states", n, dim),
             problem_spec=doc["problem"],
-            shares=None if shares is None else np.asarray(shares, dtype=float),
-            weights_series=None if weights_series is None else np.asarray(weights_series, dtype=float),
+            shares=shares,
+            weights_series=weights_series,
             extras=doc.get("extras", {}),
             version=doc["version"],
         )
@@ -295,27 +402,20 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
     keep = recorded_rounds(max_iter, record_every)
     keep_set = set(keep.tolist())
     r_count = keep.size
-    msg_shape = (r_count, n, n, dim) if per_edge else (r_count, n, dim)
-    rec = {
-        "steps": np.zeros(r_count),
-        "states": np.zeros((r_count, n, dim)),
-        "messages": np.zeros(msg_shape),
-        "perturbations": np.zeros(msg_shape),
-        "fused": np.zeros((r_count, n, dim)),
-        "fused_true": np.zeros((r_count, n, dim)),
-        "fused_noise": np.zeros((r_count, n, dim)),
-    }
+    steps_rec = np.zeros(r_count)
+    states_rec = np.zeros((r_count, n, dim))
+    perturbations_rec = np.zeros((r_count, n, n, dim) if per_edge else (r_count, n, dim))
     shares_rec = np.zeros((r_count, n, n, dim)) if algorithm == "rss_nb" else None
     weights_series = np.zeros((r_count, n, n)) if varying else None
 
-    broadcast = np.broadcast_to  # message tensor [i, j] = message from i used by j
+    msgs = np.empty((n, n, dim))  # [i, j] = message from i used by j
     row = 0
     for k in range(1, max_iter + 1):
         alpha = schedule.step(k)
         if varying:
             b = _resolve_weights(weights, k).entries
-        noise, shares = draw(k)  # (n, n, D) perturbation tensor, optional share table
-        msgs = broadcast(x[:, None, :], (n, n, dim)) + alpha * noise
+        noise, shares = draw(k)  # (n, n, D) per edge or (n, D) per agent, optional share table
+        np.add(x[:, None, :], alpha * (noise if per_edge else noise[:, None, :]), out=msgs)
         fused = _fuse(b, msgs)
         grads = problem.agent_gradients(fused)
         x_next = box.project(fused - alpha * grads)
@@ -323,17 +423,9 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
             agent = int(np.flatnonzero(~np.isfinite(x_next).all(axis=1))[0])
             raise NonFiniteError(f"round {k}: the next state of agent {agent} is not finite")
         if k in keep_set:
-            rec["steps"][row] = alpha
-            rec["states"][row] = x
-            if per_edge:
-                rec["messages"][row] = msgs
-                rec["perturbations"][row] = noise
-            else:
-                rec["messages"][row] = _broadcast_slice(msgs)
-                rec["perturbations"][row] = _broadcast_slice(noise)
-            rec["fused"][row] = fused
-            rec["fused_true"][row] = _fuse(b, broadcast(x[:, None, :], (n, n, dim)))
-            rec["fused_noise"][row] = _fuse(b, noise)
+            steps_rec[row] = alpha
+            states_rec[row] = x
+            perturbations_rec[row] = noise
             if shares_rec is not None:
                 shares_rec[row] = shares.table
             if weights_series is not None:
@@ -352,25 +444,15 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
         record_every=record_every,
         init=np.array(init, dtype=float),
         round_index=keep,
-        steps=rec["steps"],
-        states=rec["states"],
-        messages=rec["messages"],
-        perturbations=rec["perturbations"],
-        fused=rec["fused"],
-        fused_true=rec["fused_true"],
-        fused_noise=rec["fused_noise"],
+        steps=steps_rec,
+        states=states_rec,
+        perturbations=perturbations_rec,
         final_states=x,
         problem_spec=problem_spec if problem_spec is not None else problem.to_spec(),
         shares=shares_rec,
         weights_series=weights_series,
         extras=extras or {},
     )
-
-
-def _broadcast_slice(tensor: np.ndarray) -> np.ndarray:
-    """Collapse a broadcast (n, n, D) tensor whose rows are constant over the
-    receiver axis back to (n, D)."""
-    return np.array(tensor[:, 0, :])
 
 
 def run_dgd(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
@@ -385,8 +467,7 @@ def run_dgd(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
     """
     weights = weights or metropolis_weights(topology)
     init = default_init(problem.feasible, topology.n) if init is None else init
-    n, dim = topology.n, problem.dim
-    zero = np.zeros((n, n, dim))
+    zero = np.zeros((topology.n, problem.dim))
 
     def draw(k):
         return zero, None
@@ -404,13 +485,12 @@ def run_rss_nb(problem: GlobalProblem, topology: Topology, schedule: StepSchedul
     build perturbations that cancel across the whole network."""
     weights = weights or metropolis_weights(topology)
     init = default_init(problem.feasible, topology.n) if init is None else init
-    n, dim = topology.n, problem.dim
+    dim = problem.dim
     streams = RandomStreams(seed)
 
     def draw(k):
         shares = draw_nb_shares(topology, k, delta, streams, dim)
-        d = nb_perturbation(shares, topology)
-        return np.broadcast_to(d[:, None, :], (n, n, dim)), shares
+        return nb_perturbation(shares, topology), shares
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
                     "rss_nb", delta, seed, draw, per_edge=False)

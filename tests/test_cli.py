@@ -212,6 +212,41 @@ class TestAudit:
         assert main(["audit", str(out / "run_trace.json"), "--checks", "theorem3"]) == 2
 
 
+# Malformed traces whose digest still matches (step and shares are not digested;
+# the index check runs before the digest check)
+MALFORMED = {
+    "truncated_step": ("step", lambda v: v[:-1]),
+    "wrong_shape_edge_array": ("shares", lambda v: [row[:-1] for row in v]),
+    "shifted_index": ("index", lambda v: [k + 1 for k in v]),
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED))
+def malformed_trace(request, tmp_path, run_cfg):
+    out = tmp_path / "out"
+    main(["run", "--config", run_cfg, "--out-dir", str(out)])
+    path = out / "run_trace.json"
+    doc = json.load(open(path))
+    key, change = MALFORMED[request.param]
+    doc["rounds"][key] = change(doc["rounds"][key])
+    write(path, doc)
+    return str(path), key
+
+
+class TestMalformedTrace:
+    def test_audit_exits_2(self, malformed_trace, capsys):
+        path, key = malformed_trace
+        assert main(["audit", path, "--checks", "invariants"]) == 2
+        assert f"trace error: rounds.{key}" in capsys.readouterr().err
+
+    def test_privacy_exits_2(self, malformed_trace, tmp_path, capsys):
+        path, key = malformed_trace
+        alts = write(tmp_path / "alts.json", {"0": [0, 0, 1]})
+        assert main(["privacy", path, "--coalition", "1", "--target", "0",
+                     "--alt-objectives", alts]) == 2
+        assert f"trace error: rounds.{key}" in capsys.readouterr().err
+
+
 @pytest.fixture
 def fs_artifacts(tmp_path):
     cfg = write(tmp_path / "fs.json",

@@ -1,11 +1,21 @@
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 import privopt as po
-from privopt.engine import ScheduleError, StepSchedule, recorded_rounds
+from privopt.configs import RunConfig, execute
+from privopt.engine import ScheduleError, StepSchedule, TraceError, recorded_rounds
 from privopt.noise import FsObjectiveError
 
 from conftest import INTERIOR_INIT
+from test_golden import canonical_traces
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+DERIVED = ("messages", "fused", "fused_true", "fused_noise")
+PRIMARY_KEYS = {"index", "step", "states", "perturbations", "shares", "weights_series"}
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +317,185 @@ class TestFunctionSharing:
         final = float(quartic_problem.total_value(trace.final_states.mean(axis=0))) - f_star
         assert final < 1e-3
         assert abs(trace.final_states.mean()) < 0.05  # consensus near the optimum
+
+
+def _fuse_reference(b, messages):
+    return np.einsum("ji,ijd->jd", b, messages)
+
+
+def per_round_reference(trace) -> dict:
+    """The derived arrays as the engine computed them before the trace derived
+    them: one round at a time, on broadcast (n, n, D) tensors."""
+    n, dim = trace.n, trace.dim
+    out = {name: [] for name in DERIVED}
+    for r in range(trace.round_index.size):
+        x, alpha, b = trace.states[r], trace.steps[r], trace.weights_at(r)
+        d = trace.perturbations[r]
+        per_edge = d.ndim == 3
+        noise = d if per_edge else np.broadcast_to(d[:, None, :], (n, n, dim))
+        spread = np.broadcast_to(x[:, None, :], (n, n, dim))
+        msgs = spread + alpha * noise
+        out["messages"].append(msgs if per_edge else msgs[:, 0, :])
+        out["fused"].append(_fuse_reference(b, msgs))
+        out["fused_true"].append(_fuse_reference(b, spread))
+        out["fused_noise"].append(_fuse_reference(b, noise))
+    return {name: np.array(rows) for name, rows in out.items()}
+
+
+def assert_bit_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def _derived_cases(quartic_problem, quad_problem, cycle5, inv_sqrt):
+    regular = po.metropolis_weights(cycle5)
+    lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
+    provider = lambda k: regular if k % 2 else lazy
+    init2 = np.stack([np.linspace(-1, 1, 5), np.linspace(1, -1, 5)], axis=1)
+    cases = dict(canonical_traces())
+    for name, runner in (("rss_nb", po.run_rss_nb), ("rss_lb", po.run_rss_lb)):
+        cases[f"{name}/provider"] = runner(quartic_problem, cycle5, inv_sqrt, 1.0, 60,
+                                           init=INTERIOR_INIT, seed=6, weights=provider)
+        cases[f"{name}/record_every"] = runner(quad_problem, cycle5, inv_sqrt, 2.0, 90,
+                                               init=init2, seed=14, record_every=7)
+    cases["dgd/provider"] = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 60,
+                                       init=INTERIOR_INIT, weights=provider)
+    cases["fs/record_every"] = po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.1, 4, 90,
+                                         init=INTERIOR_INIT, seed=5, record_every=7)
+    return cases
+
+
+class TestDerivedArrays:
+    """messages, fused, fused_true and fused_noise are derived from the primary
+    arrays; they must equal the per-round engine formulas bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, quartic_problem, quad_problem, cycle5, inv_sqrt):
+        return _derived_cases(quartic_problem, quad_problem, cycle5, inv_sqrt)
+
+    def test_cases_cover_providers_and_downsampling(self, cases):
+        assert sum(t.weights_series is not None for t in cases.values()) == 3
+        assert sum(not t.complete for t in cases.values()) == 3
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["memory", "reloaded"])
+    def test_bit_identical_to_per_round_formulas(self, cases, reload, tmp_path):
+        for name, trace in cases.items():
+            if reload:
+                trace.save(tmp_path / "t.json")
+                trace = po.ExecutionTrace.load(tmp_path / "t.json")
+            expected = per_round_reference(trace)
+            for attr in DERIVED:
+                assert_bit_equal(getattr(trace, attr), expected[attr])
+
+    def test_reload_keeps_primary_arrays(self, cases, tmp_path):
+        for trace in cases.values():
+            trace.save(tmp_path / "t.json")
+            loaded = po.ExecutionTrace.load(tmp_path / "t.json")
+            for attr in ("round_index", "steps", "states", "perturbations", "final_states"):
+                assert_bit_equal(getattr(loaded, attr), getattr(trace, attr))
+            for attr in ("shares", "weights_series"):
+                if getattr(trace, attr) is None:
+                    assert getattr(loaded, attr) is None
+                else:
+                    assert_bit_equal(getattr(loaded, attr), getattr(trace, attr))
+
+    def test_derived_arrays_are_cached_and_read_only(self, short_runs):
+        trace = short_runs["lb"]
+        for attr in DERIVED:
+            value = getattr(trace, attr)
+            assert getattr(trace, attr) is value
+            assert not value.flags.writeable
+        assert trace.messages.shape == (400, 5, 5, 1)
+        assert short_runs["nb"].messages.shape == (400, 5, 1)
+
+
+def _sparse_quadratic_problem(n):
+    return po.GlobalProblem(
+        objectives=[po.QuadraticObjective(np.eye(2) * (1.0 + 0.1 * i), [0.2 * i - 1.0, 0.5])
+                    for i in range(n)],
+        feasible=po.Box([-4.0, -4.0], [4.0, 4.0]))
+
+
+class TestTraceFile:
+    def test_rounds_hold_only_primary_arrays(self, short_runs):
+        for trace in short_runs.values():
+            assert set(trace.to_json_dict()["rounds"]) == PRIMARY_KEYS
+
+    def test_edge_arrays_on_sparse_cycle(self, inv_sqrt):
+        n = 12
+        topology = po.Topology.family("cycle", n)
+        problem = _sparse_quadratic_problem(n)
+        senders, receivers = topology.sender_edges
+        assert senders.size == 2 * n
+        nb = po.run_rss_nb(problem, topology, inv_sqrt, 1.0, 30, seed=2, record_every=10)
+        lb = po.run_rss_lb(problem, topology, inv_sqrt, 1.0, 30, seed=2, record_every=10)
+        r_count = nb.round_index.size
+        for trace, attr, key in ((nb, "shares", "shares"), (lb, "perturbations", "perturbations")):
+            stored = np.asarray(trace.to_json_dict()["rounds"][key])
+            assert stored.shape == (r_count, 2 * n, 2)
+            assert_bit_equal(stored, getattr(trace, attr)[:, senders, receivers, :])
+        assert np.asarray(nb.to_json_dict()["rounds"]["perturbations"]).shape == (r_count, n, 2)
+
+    def test_version_2_document_raises(self, short_runs):
+        doc = short_runs["nb"].to_json_dict()
+        doc["version"] = 2
+        with pytest.raises(TraceError, match="unsupported trace version: 2"):
+            po.ExecutionTrace.from_json_dict(doc)
+
+    # sha256 of json.dumps([index, step, states]) of the "rounds" of each shipped
+    # config's trace, taken before the trace dropped its derived arrays
+    SHIPPED = {
+        "poly_cycle_run.json": "318670403f3a8ba5048c6ae048ce880353c311314f3225ed0f874389b70d8b9f",
+        "fs_complete_run.json": "c776a16163e3901ac718d1d5015cd31d889e83d83a5c52ce6a0cb46b87e598fd",
+    }
+
+    @pytest.mark.parametrize("config", sorted(SHIPPED))
+    def test_shipped_config_lists_unchanged(self, config):
+        rounds = execute(RunConfig.from_file(CONFIGS / config)).to_json_dict()["rounds"]
+        text = json.dumps([rounds["index"], rounds["step"], rounds["states"]])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHIPPED[config]
+
+
+class TestLoadChecks:
+    """A trace whose arrays do not fit its header raises TraceError on load."""
+
+    @pytest.fixture(scope="class")
+    def docs(self, quartic_problem, cycle5, inv_sqrt):
+        kw = dict(init=INTERIOR_INIT, seed=4, record_every=5)
+        return {
+            "dgd": po.run_dgd(quartic_problem, cycle5, inv_sqrt, 30, init=INTERIOR_INIT),
+            "rss_nb": po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, **kw),
+            "rss_lb": po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, **kw),
+        }
+
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb"])
+    def test_untouched_documents_load(self, docs, algorithm):
+        trace = docs[algorithm]
+        loaded = po.ExecutionTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
+        assert loaded.state_digest() == trace.state_digest()
+
+    @pytest.mark.parametrize("algorithm, key, change, match", [
+        ("dgd", "step", lambda v: v[:-1], r"rounds.step has shape \(29,\)"),
+        ("dgd", "step", lambda v: [np.nextafter(v[0], 2.0)] + v[1:], "schedule's steps"),
+        ("rss_nb", "index", lambda v: [k + 1 for k in v], "rounds.index is not"),
+        ("rss_nb", "shares", lambda v: [row[:-1] for row in v], r"rounds.shares has shape"),
+        ("rss_nb", "shares", lambda v: None, r"rounds.shares has shape \(\)"),
+        ("rss_lb", "perturbations", lambda v: [row[:-1] for row in v],
+         r"rounds.perturbations has shape \(\d+, 9, 1\)"),
+        ("rss_lb", "states", lambda v: v[:-1] + [v[-1][:-1]], "rounds.states is not a numeric"),
+        ("dgd", "weights_series", lambda v: [[[0.2] * 5] * 4] * 30,
+         r"rounds.weights_series has shape \(30, 4, 5\)"),
+        ("dgd", "shares", lambda v: [[[0.0]]], "only rss_nb traces have shares, not dgd"),
+    ])
+    def test_mismatch_raises(self, docs, algorithm, key, change, match):
+        doc = json.loads(json.dumps(docs[algorithm].to_json_dict()))
+        doc["rounds"][key] = change(doc["rounds"][key])
+        with pytest.raises(TraceError, match=match):
+            po.ExecutionTrace.from_json_dict(doc)
+
+    def test_header_arrays_checked(self, docs):
+        doc = docs["dgd"].to_json_dict()
+        doc["final_states"] = doc["final_states"][:-1]
+        with pytest.raises(TraceError, match=r"final_states has shape \(4, 1\)"):
+            po.ExecutionTrace.from_json_dict(doc)

@@ -9,8 +9,9 @@ A refactor that keeps behaviour keeps every digest. Running
 
 adds the digests of cases the file does not have yet. It refuses to change or
 drop a stored digest unless ``TRACE_VERSION`` differs from the stored
-``trace_version``, i.e. unless the change alters the dynamics on purpose and
-bumps the version.
+``trace_version``, i.e. unless the change alters the dynamics or the trace
+layout on purpose and bumps the version. It prints how many stored digests
+changed, so a bump for a layout change shows "0 changed".
 """
 
 import json
@@ -84,7 +85,8 @@ CASES = {
 NAMES = [f"{algorithm}/{case}" for case, algorithms in CASES.items() for algorithm in algorithms]
 
 
-def canonical_digests() -> dict:
+def canonical_traces() -> dict:
+    """name -> trace of every canonical run."""
     schedule = po.StepSchedule(kind="inv_sqrt")
     out = {}
     for case, algorithms in CASES.items():
@@ -99,8 +101,25 @@ def canonical_digests() -> dict:
                                     init=init, seed=SEED),
         }
         for algorithm in algorithms:
-            out[f"{algorithm}/{case}"] = runs[algorithm]().state_digest()
+            out[f"{algorithm}/{case}"] = runs[algorithm]()
     return out
+
+
+def canonical_digests() -> dict:
+    return {name: trace.state_digest() for name, trace in canonical_traces().items()}
+
+
+def changed_digests(stored: dict, fresh: dict) -> list:
+    """Stored names whose digest differs from or is missing in ``fresh``."""
+    return sorted(name for name, digest in stored["digests"].items() if fresh.get(name) != digest)
+
+
+def golden_summary(stored: dict, fresh: dict, version: int) -> str:
+    added = sorted(set(fresh) - set(stored["digests"]))
+    changed = changed_digests(stored, fresh)
+    text = (f"trace version {stored['trace_version']} -> {version}: "
+            f"{len(changed)} changed, {len(added)} added")
+    return text + "".join(f"\n  changed: {name}" for name in changed)
 
 
 def merged_golden(stored: dict | None, fresh: dict, version: int) -> dict:
@@ -108,8 +127,7 @@ def merged_golden(stored: dict | None, fresh: dict, version: int) -> dict:
     At the stored version, a stored digest that differs from or is missing in
     ``fresh`` raises ``ValueError``; only new names are added."""
     if stored is not None and stored["trace_version"] == version:
-        changed = sorted(name for name, digest in stored["digests"].items()
-                         if fresh.get(name) != digest)
+        changed = changed_digests(stored, fresh)
         if changed:
             raise ValueError(f"refusing to change golden digests at trace version {version} "
                              f"(bump TRACE_VERSION if the dynamics changed on purpose): "
@@ -153,11 +171,23 @@ class TestMergedGolden:
     def test_no_stored_file(self):
         assert merged_golden(None, {"dgd/a": "00"}, 2)["digests"] == {"dgd/a": "00"}
 
+    def test_summary_of_layout_only_bump(self):
+        fresh = {"dgd/a": "00", "fs/a": "11"}
+        assert golden_summary(self.STORED, fresh, 3) == "trace version 2 -> 3: 0 changed, 0 added"
+
+    def test_summary_names_changed_digests(self):
+        text = golden_summary(self.STORED, {"dgd/a": "ee", "dgd/b": "22"}, 3)
+        assert text.splitlines() == ["trace version 2 -> 3: 2 changed, 1 added",
+                                     "  changed: dgd/a", "  changed: fs/a"]
+
 
 if __name__ == "__main__":
     stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else None
+    fresh = canonical_digests()
     try:
-        doc = merged_golden(stored, canonical_digests(), po.engine.TRACE_VERSION)
+        doc = merged_golden(stored, fresh, po.engine.TRACE_VERSION)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    if stored is not None:
+        print(golden_summary(stored, fresh, po.engine.TRACE_VERSION))
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
