@@ -9,11 +9,10 @@ from .analysis import (BoundParams, audit_invariants, bound_params,
                        effective_bounds)
 from .engine import (ExecutionTrace, StepSchedule, default_init, run_dgd,
                      run_fs, run_rss_lb, run_rss_nb)
-from .graphs import (FusionMatrix, IncidenceMatrix, Topology, metropolis_weights,
-                     min_degree, spanning_tree_split, vertex_connectivity)
-from .noise import (RandomStreams, ShareTable, draw_lb_perturbation,
-                    draw_nb_shares, draw_noise_functions, nb_perturbation,
-                    obfuscate)
+from .graphs import (FusionMatrix, Topology, metropolis_weights,
+                     spanning_tree_split, vertex_connectivity)
+from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
+                    draw_noise_functions, nb_perturbation, obfuscate)
 from .objectives import (Box, GlobalProblem, LogisticObjective,
                          PolynomialObjective, QuadraticObjective,
                          estimate_constants, solve_centralized)

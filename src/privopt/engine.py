@@ -161,10 +161,10 @@ class ExecutionTrace:
     round_index: np.ndarray      # (R,)
     steps: np.ndarray            # (R,)
     states: np.ndarray           # (R, n, D)
-    perturbations: np.ndarray    # (R, n, D); rss_lb (R, n, n, D), [r, i, j] sent from i to j
+    perturbations: np.ndarray    # (R, n, D); rss_lb (R, E, D) on ``topology.sender_edges``
     final_states: np.ndarray     # (n, D)
     problem_spec: dict
-    shares: np.ndarray | None = None  # (R, n, n, D) for network-balanced runs
+    shares: np.ndarray | None = None  # (R, E, D) on ``topology.sender_edges``, rss_nb only
     weights_series: np.ndarray | None = None  # (R, n, n) when a per-round provider ran
     extras: dict = field(default_factory=dict)
     version: int = TRACE_VERSION
@@ -184,10 +184,17 @@ class ExecutionTrace:
     @property
     def per_edge(self) -> bool:
         """Whether each agent perturbs its message to every neighbour apart (rss_lb)."""
-        return self.perturbations.ndim == 4
+        return self.algorithm == "rss_lb"
 
     def _noise_tensor(self) -> np.ndarray:
-        return self.perturbations if self.per_edge else _spread(self.perturbations)
+        """(R, n, n, D) noise as the engine adds it: [r, i, j] is what i adds
+        to its message to j, zero on the diagonal and off the edges."""
+        if not self.per_edge:
+            return _spread(self.perturbations)
+        senders, receivers = self.topology.sender_edges
+        dense = np.zeros((self.steps.size, self.n, self.n, self.dim))
+        dense[:, senders, receivers] = self.perturbations
+        return dense
 
     def _message_tensor(self) -> np.ndarray:
         """Materialized (R, n, n, D) messages x_i + alpha d_ij, as the engine fuses them."""
@@ -240,27 +247,12 @@ class ExecutionTrace:
         arr = np.concatenate([self.states, self.final_states[None]], axis=0)
         return idx, arr
 
-    def weights_at(self, row: int) -> np.ndarray:
-        """Fusion matrix in effect at a recorded row (constant unless a
-        per-round provider was used)."""
-        if self.weights_series is not None:
-            return self.weights_series[row]
-        return self.weights
-
-    def _on_edges(self, dense: np.ndarray) -> np.ndarray:
-        """(R, n, n, D) -> (R, 2E, D) in ``Topology.sender_edges`` order."""
-        senders, receivers = self.topology.sender_edges
-        return dense[:, senders, receivers, :]
-
     def to_json_dict(self) -> dict:
-        """The trace document. Per-edge arrays (rss_lb perturbations, rss_nb
-        shares) are written as (R, 2E, D) in ``Topology.sender_edges`` order;
-        derived arrays are not written."""
+        """The trace document: the primary arrays as they are held, derived
+        arrays not written."""
         def listify(a):
             return None if a is None else np.asarray(a).tolist()
 
-        perturbations = self._on_edges(self.perturbations) if self.per_edge else self.perturbations
-        shares = None if self.shares is None else self._on_edges(self.shares)
         return {
             "version": self.version,
             "algorithm": self.algorithm,
@@ -279,8 +271,8 @@ class ExecutionTrace:
                 "index": self.round_index.tolist(),
                 "step": self.steps.tolist(),
                 "states": listify(self.states),
-                "perturbations": listify(perturbations),
-                "shares": listify(shares),
+                "perturbations": listify(self.perturbations),
+                "shares": listify(self.shares),
                 "weights_series": listify(self.weights_series),
             },
             "final_states": listify(self.final_states),
@@ -294,9 +286,9 @@ class ExecutionTrace:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExecutionTrace":
-        """Rebuild a trace, checking every array's shape, the recorded rounds
-        and steps against the schedule, and the state digest; any mismatch
-        raises ``TraceError``."""
+        """Rebuild a trace, checking every array's shape and finiteness, the
+        noise bounds, the recorded rounds and steps against the schedule, and
+        the state digest; any mismatch raises ``TraceError``."""
         if doc.get("version") != TRACE_VERSION:
             raise TraceError(f"unsupported trace version: {doc.get('version')!r}")
         algorithm = doc["algorithm"]
@@ -311,7 +303,7 @@ class ExecutionTrace:
         rounds = doc["rounds"]
         index = recorded_rounds(max_iter, record_every)
         r_count = index.size
-        senders, receivers = topology.sender_edges
+        edges = topology.sender_edges[0].size
 
         def array(value, name: str, *shape: int) -> np.ndarray:
             try:
@@ -320,12 +312,18 @@ class ExecutionTrace:
                 raise TraceError(f"{name} is not a numeric array: {exc}") from None
             if out.shape != shape:
                 raise TraceError(f"{name} has shape {out.shape}, expected {shape}")
+            if not np.isfinite(out).all():
+                raise TraceError(f"{name} holds a non-finite value")
             return out
 
-        def dense(value, name: str) -> np.ndarray:
-            out = np.zeros((r_count, n, n, dim))
-            out[:, senders, receivers, :] = array(value, name, r_count, senders.size, dim)
-            return out
+        delta = float(array(doc.get("delta"), "delta"))
+        if delta < 0:
+            raise TraceError(f"delta must be non-negative, got {delta!r}")
+        extras = doc.get("extras", {})
+        if algorithm == "fs":
+            for key in ("obf_grad_bound", "obf_smoothness_bound"):
+                if extras.get(key) is not None:
+                    array(extras[key], f"extras.{key}")
 
         stored_index = array(rounds.get("index"), "rounds.index", r_count)
         if not np.array_equal(stored_index, index):
@@ -334,14 +332,11 @@ class ExecutionTrace:
         steps = array(rounds.get("step"), "rounds.step", r_count)
         if steps.tobytes() != schedule.steps(max_iter)[index - 1].tobytes():
             raise TraceError("rounds.step differs from the schedule's steps")
-        if algorithm == "rss_lb":
-            perturbations = dense(rounds.get("perturbations"), "rounds.perturbations")
-        else:
-            perturbations = array(rounds.get("perturbations"), "rounds.perturbations",
-                                  r_count, n, dim)
+        perturbations = array(rounds.get("perturbations"), "rounds.perturbations",
+                              r_count, edges if algorithm == "rss_lb" else n, dim)
         shares = None
         if algorithm == "rss_nb":
-            shares = dense(rounds.get("shares"), "rounds.shares")
+            shares = array(rounds.get("shares"), "rounds.shares", r_count, edges, dim)
         elif rounds.get("shares") is not None:
             raise TraceError(f"only rss_nb traces have shares, not {algorithm}")
         weights_series = rounds.get("weights_series")
@@ -352,7 +347,7 @@ class ExecutionTrace:
             topology=topology,
             weights=array(doc.get("weights"), "weights", n, n),
             schedule=schedule,
-            delta=float(doc["delta"]),
+            delta=delta,
             seed=doc["seed"],
             max_iter=max_iter,
             record_every=record_every,
@@ -365,7 +360,7 @@ class ExecutionTrace:
             problem_spec=doc["problem"],
             shares=shares,
             weights_series=weights_series,
-            extras=doc.get("extras", {}),
+            extras=extras,
             version=doc["version"],
         )
         digest = trace.state_digest()
@@ -387,7 +382,7 @@ def _resolve_weights(weights, k: int) -> FusionMatrix:
 def _execute(problem: GlobalProblem, topology: Topology, weights,
              schedule: StepSchedule, max_iter: int, init: np.ndarray,
              record_every: int, algorithm: str, delta: float,
-             seed: int | None, draw, per_edge: bool,
+             seed: int | None, draw,
              problem_spec: dict | None = None, extras: dict | None = None) -> ExecutionTrace:
     n, dim = topology.n, problem.dim
     box = problem.feasible
@@ -399,23 +394,28 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
     if not box.contains(x):
         raise ValueError("initial states must lie in the feasible set")
 
+    senders, receivers = topology.sender_edges
+    per_edge = algorithm == "rss_lb"
     keep = recorded_rounds(max_iter, record_every)
     keep_set = set(keep.tolist())
     r_count = keep.size
     steps_rec = np.zeros(r_count)
     states_rec = np.zeros((r_count, n, dim))
-    perturbations_rec = np.zeros((r_count, n, n, dim) if per_edge else (r_count, n, dim))
-    shares_rec = np.zeros((r_count, n, n, dim)) if algorithm == "rss_nb" else None
+    perturbations_rec = np.zeros((r_count, senders.size if per_edge else n, dim))
+    shares_rec = np.zeros((r_count, senders.size, dim)) if algorithm == "rss_nb" else None
     weights_series = np.zeros((r_count, n, n)) if varying else None
 
     msgs = np.empty((n, n, dim))  # [i, j] = message from i used by j
+    edge_noise = np.zeros((n, n, dim)) if per_edge else None  # zero off the edges
     row = 0
     for k in range(1, max_iter + 1):
         alpha = schedule.step(k)
         if varying:
             b = _resolve_weights(weights, k).entries
-        noise, shares = draw(k)  # (n, n, D) per edge or (n, D) per agent, optional share table
-        np.add(x[:, None, :], alpha * (noise if per_edge else noise[:, None, :]), out=msgs)
+        noise, shares = draw(k)  # (E, D) per edge or (n, D) per agent; (E, D) nb shares or None
+        if per_edge:
+            edge_noise[senders, receivers] = noise
+        np.add(x[:, None, :], alpha * (edge_noise if per_edge else noise[:, None, :]), out=msgs)
         fused = _fuse(b, msgs)
         grads = problem.agent_gradients(fused)
         x_next = box.project(fused - alpha * grads)
@@ -427,7 +427,7 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
             states_rec[row] = x
             perturbations_rec[row] = noise
             if shares_rec is not None:
-                shares_rec[row] = shares.table
+                shares_rec[row] = shares
             if weights_series is not None:
                 weights_series[row] = b
             row += 1
@@ -473,8 +473,7 @@ def run_dgd(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
         return zero, None
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
-                    _tag, 0.0, None, draw, per_edge=False,
-                    problem_spec=_spec, extras=_extras)
+                    _tag, 0.0, None, draw, problem_spec=_spec, extras=_extras)
 
 
 def run_rss_nb(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
@@ -493,7 +492,7 @@ def run_rss_nb(problem: GlobalProblem, topology: Topology, schedule: StepSchedul
         return nb_perturbation(shares, topology), shares
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
-                    "rss_nb", delta, seed, draw, per_edge=False)
+                    "rss_nb", delta, seed, draw)
 
 
 def run_rss_lb(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
@@ -512,7 +511,7 @@ def run_rss_lb(problem: GlobalProblem, topology: Topology, schedule: StepSchedul
                                     k, streams, dim), None
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
-                    "rss_lb", delta, seed, draw, per_edge=True)
+                    "rss_lb", delta, seed, draw)
 
 
 def run_fs(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,

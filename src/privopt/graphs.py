@@ -138,14 +138,6 @@ class Topology:
         receivers.flags.writeable = False
         return senders, receivers
 
-    def directed_edges(self) -> tuple[tuple[int, int], ...]:
-        """Both orientations of every edge, ordered by canonical edge then direction."""
-        out = []
-        for (u, v) in sorted(self.edges):
-            out.append((u, v))
-            out.append((v, u))
-        return tuple(out)
-
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
@@ -217,11 +209,6 @@ def metropolis_weights(topology: Topology, self_inclusive_degree: bool = False) 
     for i in range(n):
         b[i, i] = 1.0 - (b[i].sum() - b[i, i])
     return FusionMatrix.from_entries(b, topology)
-
-
-def min_degree(topology: Topology) -> int:
-    """Smallest self-exclusive degree over all agents."""
-    return int(topology.degrees().min())
 
 
 def _max_flow_unit_vertex(topology: Topology, source: int, sink: int) -> int:
@@ -321,28 +308,3 @@ def spanning_tree_split(topology: Topology, excluded=()) -> tuple[tuple, tuple]:
     extras = tuple(e for e in induced if e not in tree_set)
     return tuple(tree), extras
 
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Signed incidence matrix over directed edges.
-
-    Column for directed edge (u, v) has -1 at the tail u and +1 at the head v.
-    """
-
-    entries: np.ndarray  # (n, m) of int8
-    columns: tuple  # directed (tail, head) per column
-
-    @classmethod
-    def from_directed_edges(cls, n: int, directed_edges) -> "IncidenceMatrix":
-        cols = tuple((int(u), int(v)) for (u, v) in directed_edges)
-        entries = np.zeros((n, len(cols)), dtype=np.int8)
-        for c, (u, v) in enumerate(cols):
-            if u == v:
-                raise GraphError("directed edge cannot be a self-loop")
-            entries[u, c] = -1
-            entries[v, c] = +1
-        return cls(entries=entries, columns=cols)
-
-    @classmethod
-    def from_topology(cls, topology: Topology) -> "IncidenceMatrix":
-        return cls.from_directed_edges(topology.n, topology.directed_edges())

@@ -8,11 +8,12 @@ values of round k are therefore a function of the seed, the purpose, the
 agent, its degree, the dimension and k alone: changing one agent's draws does
 not shift the others, and runs with different noise magnitudes stay
 seed-paired. The round-addressed layout is the one of trace version 2.
+
+Per-edge quantities (nb shares, lb perturbations) are (E, D) arrays whose row
+e belongs to directed edge e of ``Topology.sender_edges``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +36,6 @@ ROUND_BLOCK = 32
 # obfuscated coefficient sums stay exactly representable in float64; the
 # privacy checker then inverts them with zero residual.
 COEFF_GRID = 2.0 ** -26
-
-
-class MissingShareError(ValueError):
-    pass
 
 
 class FsObjectiveError(TypeError):
@@ -115,99 +112,57 @@ class _RoundBlocks:
         return block
 
 
-@dataclass
-class ShareTable:
-    """Pairwise shares for one round; entry [j, i] is the vector agent j sent to i."""
-
-    round_index: int
-    delta: float
-    table: np.ndarray  # (n, n, D); zero outside directed edges
-    mask: np.ndarray   # (n, n) bool, True on directed edges (no self entries)
-
-    @property
-    def n(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[2]
-
-    @classmethod
-    def from_pairs(cls, topology: Topology, dim: int, pairs: dict,
-                   round_index: int = 1, delta: float = 0.0) -> "ShareTable":
-        """Build a table from an explicit {(sender, receiver): vector} map.
-        Every directed edge must be present."""
-        n = topology.n
-        mask = topology.adjacency()
-        table = np.zeros((n, n, dim))
-        for j in range(n):
-            for i in range(n):
-                if not mask[j, i]:
-                    continue
-                if (j, i) not in pairs:
-                    raise MissingShareError(f"missing share for directed edge ({j}, {i})")
-                table[j, i] = np.asarray(pairs[(j, i)], dtype=float)
-        return cls(round_index=round_index, delta=delta, table=table, mask=mask)
-
-
 def draw_nb_shares(topology: Topology, round_index: int, delta: float,
-                   streams: RandomStreams, dim: int) -> ShareTable:
-    """Shares drawn uniformly from the ball of radius delta/(2n); the first
-    round and delta == 0 give all-zero shares.
+                   streams: RandomStreams, dim: int) -> np.ndarray:
+    """One round's (E, dim) shares, drawn uniformly from the ball of radius
+    delta/(2n); the first round and delta == 0 give all-zero shares.
 
     A share's direction comes from the sender's ``nb_direction`` stream and
     its radius from its ``nb_radius`` stream, so shares are linear in delta."""
     if round_index < 1:
         raise ValueError("rounds are 1-indexed")
     _check_bound(delta, "delta")
-    n = topology.n
-    mask = topology.adjacency()
-    table = np.zeros((n, n, dim))
-    if round_index > 1 and delta > 0.0:
-        senders, receivers = topology.sender_edges
-        direction = streams.round_draws("nb_direction", topology, dim, round_index)
-        uniform = streams.round_draws("nb_radius", topology, 1, round_index)
-        norms = np.linalg.norm(direction, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        unit_ball = direction / norms * uniform ** (1.0 / dim)
-        table[senders, receivers] = unit_ball * (delta / (2.0 * n))
-    return ShareTable(round_index=round_index, delta=delta, table=table, mask=mask)
+    if round_index == 1 or delta == 0.0:
+        return np.zeros((topology.sender_edges[0].size, dim))
+    direction = streams.round_draws("nb_direction", topology, dim, round_index)
+    uniform = streams.round_draws("nb_radius", topology, 1, round_index)
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    unit_ball = direction / norms * uniform ** (1.0 / dim)
+    return unit_ball * (delta / (2.0 * topology.n))
 
 
-def nb_perturbation(shares: ShareTable, topology: Topology) -> np.ndarray:
-    """Antisymmetric aggregation: received shares minus sent shares, per agent.
-    The network sum cancels pairwise and is zero up to rounding."""
-    if shares.n != topology.n:
-        raise MissingShareError("share table size does not match the topology")
-    expected = topology.adjacency()
-    if not np.array_equal(shares.mask, expected):
-        raise MissingShareError("share table support does not match the topology")
+def nb_perturbation(shares: np.ndarray, topology: Topology) -> np.ndarray:
+    """Antisymmetric aggregation of (E, D) shares: received shares minus sent
+    shares, per agent. The network sum cancels pairwise and is zero up to
+    rounding."""
     senders, receivers = topology.sender_edges
-    values = shares.table[senders, receivers]
-    received = np.zeros((shares.n, shares.dim))
-    sent = np.zeros((shares.n, shares.dim))
-    np.add.at(received, receivers, values)
-    np.add.at(sent, senders, values)
+    if shares.ndim != 2 or shares.shape[0] != senders.size:
+        raise ValueError(f"shares have shape {shares.shape}, expected ({senders.size}, D) "
+                         f"for the topology's directed edges")
+    received = np.zeros((topology.n, shares.shape[1]))
+    sent = np.zeros((topology.n, shares.shape[1]))
+    np.add.at(received, receivers, shares)
+    np.add.at(sent, senders, shares)
     return received - sent
 
 
 def draw_lb_perturbation(topology: Topology, weights: FusionMatrix, delta: float,
                          round_index: int, streams: RandomStreams, dim: int) -> np.ndarray:
-    """Per-neighbor perturbations d[j, i] that cancel under the fusion weights:
-    sum_i B[i, j] d[j, i] = 0, with every norm at most delta.
+    """Per-neighbor perturbations d[j, i], one (E, dim) row per directed edge
+    (j, i), that cancel under the fusion weights: sum_i B[i, j] d[j, i] = 0,
+    with every norm at most delta.
 
     Raw draws are uniform on [-1, 1]^D per non-self neighbor, recentred by the
     weighted mean under this round's weights so the constraint holds exactly,
     then each agent's family is shrunk by min(1, delta / max norm) (factor 1
-    when every deviation is zero). The self entry d[j, j] is zero.
+    when every deviation is zero). An agent sends its own state unperturbed.
     """
     _check_bound(delta, "delta")
-    n = topology.n
-    out = np.zeros((n, n, dim))
-    if delta == 0.0:
-        return out
     senders, receivers = topology.sender_edges
-    counts = np.bincount(senders, minlength=n)
+    if delta == 0.0:
+        return np.zeros((senders.size, dim))
+    counts = np.bincount(senders, minlength=topology.n)
     if not counts.all():
         j = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"agent {j} has no non-self neighbor; locally balanced noise undefined")
@@ -219,8 +174,7 @@ def draw_lb_perturbation(topology: Topology, weights: FusionMatrix, delta: float
     dev = raw - centre[senders]
     max_norm = np.maximum.reduceat(np.linalg.norm(dev, axis=1), starts)
     factor = delta / np.maximum(max_norm, delta)
-    out[senders, receivers] = dev * factor[senders, None]
-    return out
+    return dev * factor[senders, None]
 
 
 def draw_noise_functions(topology: Topology, delta_coeff: float, d_max: int,

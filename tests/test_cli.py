@@ -8,7 +8,7 @@ import privopt as po
 from privopt.cli import main
 from privopt.engine import ExecutionTrace
 
-from conftest import quartic_config
+from conftest import INTERIOR_INIT, quartic_config
 
 
 def write(path, doc):
@@ -245,6 +245,108 @@ class TestMalformedTrace:
         assert main(["privacy", path, "--coalition", "1", "--target", "0",
                      "--alt-objectives", alts]) == 2
         assert f"trace error: rounds.{key}" in capsys.readouterr().err
+
+
+def _set(doc, path, value):
+    *outer, last = path
+    for key in outer:
+        doc = doc[key]
+    doc[last] = value
+
+
+# Non-finite or out-of-range values the state digest does not cover:
+# (algorithm, place in the document, value, the name the error gives)
+NON_FINITE = {
+    "nb_perturbation": ("rss_nb", ("rounds", "perturbations", 5, 1, 0), float("nan"),
+                        "rounds.perturbations"),
+    "nb_share": ("rss_nb", ("rounds", "shares", 5, 1, 0), float("nan"), "rounds.shares"),
+    "lb_perturbation": ("rss_lb", ("rounds", "perturbations", 5, 1, 0), float("inf"),
+                        "rounds.perturbations"),
+    "weight": ("rss_nb", ("weights", 0, 1), float("nan"), "weights"),
+    "nan_delta": ("rss_nb", ("delta",), float("nan"), "delta"),
+    "negative_delta": ("rss_nb", ("delta",), -1.0, "delta must be non-negative"),
+    "obf_grad_bound": ("fs", ("extras", "obf_grad_bound"), float("nan"),
+                       "extras.obf_grad_bound"),
+    "obf_smoothness_bound": ("fs", ("extras", "obf_smoothness_bound"), float("inf"),
+                             "extras.obf_smoothness_bound"),
+}
+
+
+@pytest.fixture(params=sorted(NON_FINITE))
+def non_finite_trace(request, tmp_path):
+    algorithm, place, value, name = NON_FINITE[request.param]
+    noise = {"delta_coeff": 0.5, "d_max": 8} if algorithm == "fs" else {"delta": 1.0}
+    cfg = write(tmp_path / "cfg.json", quartic_config(algorithm=algorithm, seed=3, **noise))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
+    path = out / "run_trace.json"
+    doc = json.load(open(path))
+    _set(doc, place, value)
+    write(path, doc)
+    return str(path), name
+
+
+class TestNonFiniteTrace:
+    def test_audit_exits_2(self, non_finite_trace, capsys):
+        path, name = non_finite_trace
+        assert main(["audit", path, "--checks", "invariants,lemma1,lemma2"]) == 2
+        assert f"trace error: {name}" in capsys.readouterr().err
+
+    def test_privacy_exits_2(self, non_finite_trace, tmp_path, capsys):
+        path, name = non_finite_trace
+        alts = write(tmp_path / "alts.json", {"0": [0, 0, 1]})
+        assert main(["privacy", path, "--coalition", "1", "--target", "0",
+                     "--alt-objectives", alts]) == 2
+        assert f"trace error: {name}" in capsys.readouterr().err
+
+
+def _break_nb_sum(trace):
+    trace.perturbations[10, 2] += 1e-6  # agent 2's perturbation no longer cancels
+
+
+def _raise_share(trace):
+    trace.shares[10, 3] = 0.15  # above delta / (2n) = 0.1
+
+
+def _break_lb_balance(trace):
+    trace.perturbations[10, 3] += 1e-6  # edge (1, 2) breaks agent 1's balance
+
+
+# In-memory tampering of a loaded trace; save() stamps a matching digest, so
+# the audit, not the loader, must catch it: (algorithm, provider, tamper, invariant)
+TAMPERED = {
+    "nb_sum": ("rss_nb", False, _break_nb_sum, "network_balanced_sum"),
+    "nb_share": ("rss_nb", False, _raise_share, "share_bound"),
+    "lb_fixed_weights": ("rss_lb", False, _break_lb_balance, "locally_balanced_sum"),
+    "lb_provider": ("rss_lb", True, _break_lb_balance, "locally_balanced_sum"),
+}
+
+
+class TestInvariantViolations:
+    @pytest.mark.parametrize("case", sorted(TAMPERED))
+    def test_audit_names_the_broken_invariant(self, case, quartic_problem, cycle5,
+                                              inv_sqrt, tmp_path, capsys):
+        algorithm, provider, tamper, invariant = TAMPERED[case]
+        runner = po.run_rss_nb if algorithm == "rss_nb" else po.run_rss_lb
+        regular = po.metropolis_weights(cycle5)
+        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
+        weights = (lambda k: regular if k % 2 else lazy) if provider else None
+        trace = runner(quartic_problem, cycle5, inv_sqrt, 1.0, 60, init=INTERIOR_INIT,
+                       seed=3, weights=weights)
+        path = tmp_path / "t.json"
+        trace.save(path)
+        assert main(["audit", str(path), "--checks", "invariants"]) == 0
+        loaded = ExecutionTrace.load(path)
+        assert (loaded.weights_series is not None) == provider
+        tamper(loaded)
+        loaded.save(path)
+        report_path = tmp_path / "audit.json"
+        capsys.readouterr()
+        assert main(["audit", str(path), "--checks", "invariants",
+                     "--out", str(report_path)]) == 1
+        assert f"'invariant': '{invariant}'" in capsys.readouterr().out
+        violations = json.load(open(report_path))["report"]["invariants"]["violations"]
+        assert violations[0]["invariant"] == invariant
 
 
 @pytest.fixture

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import privopt as po
 import privopt.noise as noise
-from privopt.noise import (FsObjectiveError, MissingShareError, RandomStreams,
-                           ShareTable, draw_noise_functions, noise_gradient_bounds,
-                           noise_offsets, obfuscate)
+from privopt.noise import (FsObjectiveError, RandomStreams, draw_noise_functions,
+                           noise_gradient_bounds, noise_offsets, obfuscate)
 from privopt.polynomials import SeparablePolynomial
 
 from conftest import quartic_objectives
@@ -20,28 +19,27 @@ def streams():
 class TestNbShares:
     def test_round_one_is_zero(self, cycle5, streams):
         shares = po.draw_nb_shares(cycle5, 1, delta=5.0, streams=streams, dim=1)
-        assert np.all(shares.table == 0.0)
+        assert shares.shape == (10, 1) and np.all(shares == 0.0)
 
     def test_zero_delta_is_zero_every_round(self, cycle5, streams):
         for k in (2, 3, 10):
             shares = po.draw_nb_shares(cycle5, k, delta=0.0, streams=streams, dim=2)
-            assert np.all(shares.table == 0.0)
+            assert shares.shape == (10, 2) and np.all(shares == 0.0)
 
     def test_norm_bound(self, cycle5, streams):
         shares = po.draw_nb_shares(cycle5, 7, delta=1.0, streams=streams, dim=1)
-        norms = np.linalg.norm(shares.table, axis=2)
+        norms = np.linalg.norm(shares, axis=1)
         assert norms.max() <= 1.0 / 10.0 + 1e-15  # delta/(2n) with n=5
 
     def test_reproducible(self, cycle5):
         a = po.draw_nb_shares(cycle5, 5, 2.0, RandomStreams(9), dim=3)
         b = po.draw_nb_shares(cycle5, 5, 2.0, RandomStreams(9), dim=3)
-        np.testing.assert_array_equal(a.table, b.table)
-
+        np.testing.assert_array_equal(a, b)
 
     def test_scales_linearly_with_delta(self, cycle5):
         small = po.draw_nb_shares(cycle5, 3, 1.0, RandomStreams(5), dim=1)
         large = po.draw_nb_shares(cycle5, 3, 15.0, RandomStreams(5), dim=1)
-        np.testing.assert_allclose(large.table, 15.0 * small.table, rtol=1e-12)
+        np.testing.assert_allclose(large, 15.0 * small, rtol=1e-12)
 
 
 class TestNbPerturbation:
@@ -51,16 +49,16 @@ class TestNbPerturbation:
 
     def test_two_agent_hand_case(self):
         duo = po.Topology.family("path", 2)
-        u = np.array([0.25])
-        shares = ShareTable.from_pairs(duo, 1, {(0, 1): u, (1, 0): np.zeros(1)})
+        shares = np.array([[0.25], [0.0]])  # edges (0, 1) and (1, 0)
         d = po.nb_perturbation(shares, duo)
-        np.testing.assert_array_equal(d[0], -u)
-        np.testing.assert_array_equal(d[1], u)
+        np.testing.assert_array_equal(d[0], [-0.25])
+        np.testing.assert_array_equal(d[1], [0.25])
 
-    def test_missing_share_raises(self):
-        duo = po.Topology.family("path", 2)
-        with pytest.raises(MissingShareError):
-            ShareTable.from_pairs(duo, 1, {(0, 1): np.zeros(1)})
+    def test_rejects_shares_off_the_edges(self, cycle5):
+        with pytest.raises(ValueError, match=r"shares have shape \(9, 1\)"):
+            po.nb_perturbation(np.zeros((9, 1)), cycle5)
+        with pytest.raises(ValueError, match="expected"):
+            po.nb_perturbation(np.zeros((5, 5, 1)), cycle5)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 31), st.integers(2, 12))
@@ -85,10 +83,12 @@ class TestLbPerturbation:
         assert np.abs(d).max() < 1e-15
 
     def test_self_entry_zero_and_support(self, complete5, streams):
+        # one row per directed edge, none for an agent's message to itself
         w = po.metropolis_weights(complete5)
         d = po.draw_lb_perturbation(complete5, w, 2.0, 4, streams, dim=2)
-        for j in range(5):
-            assert np.all(d[j, j] == 0.0)
+        senders, receivers = complete5.sender_edges
+        assert d.shape == (20, 2) and np.all(senders != receivers)
+        assert np.all(np.linalg.norm(d, axis=1) > 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 31), st.floats(0.1, 20.0))
@@ -96,14 +96,15 @@ class TestLbPerturbation:
         topo = po.Topology.family("complete", 5)
         w = po.metropolis_weights(topo)
         d = po.draw_lb_perturbation(topo, w, delta, 2, RandomStreams(seed), dim=2)
-        weighted = np.einsum("ij,jid->jd", w.entries, d)
+        senders, receivers = topo.sender_edges
+        weighted = np.zeros((5, 2))
+        np.add.at(weighted, senders, w.entries[receivers, senders, None] * d)
         assert np.abs(weighted).max() < 1e-12
-        assert np.linalg.norm(d, axis=2).max() <= delta + 1e-12
+        assert np.linalg.norm(d, axis=1).max() <= delta + 1e-12
 
 
 def _nb_rounds(topology, rounds, streams, delta=1.0, dim=2):
-    return np.stack([po.draw_nb_shares(topology, k, delta, streams, dim).table
-                     for k in rounds])
+    return np.stack([po.draw_nb_shares(topology, k, delta, streams, dim) for k in rounds])
 
 
 def _lb_rounds(topology, rounds, streams, delta=1.0, dim=2):
@@ -124,8 +125,10 @@ class TestStreamContract:
         for draw in (_nb_rounds, _lb_rounds):
             on_path = draw(path5, self.ROUNDS, RandomStreams(3))
             on_cycle = draw(cycle5, self.ROUNDS, RandomStreams(3))
-            assert np.any(on_cycle[:, 2] != 0.0)
-            np.testing.assert_array_equal(on_path[:, 2], on_cycle[:, 2])
+            from_path = on_path[:, path5.sender_edges[0] == 2]
+            from_cycle = on_cycle[:, cycle5.sender_edges[0] == 2]
+            assert from_cycle.shape[1] == 2 and np.any(from_cycle != 0.0)
+            np.testing.assert_array_equal(from_path, from_cycle)
 
     @pytest.mark.parametrize("draw", [_nb_rounds, _lb_rounds])
     def test_block_size_does_not_change_draws(self, complete5, monkeypatch, draw):
@@ -150,10 +153,12 @@ class TestStreamContract:
         # delta=15 family is the unshrunk deviation itself
         wide = po.draw_lb_perturbation(complete5, w, 15.0, 6, RandomStreams(2), dim=2)
         narrow = po.draw_lb_perturbation(complete5, w, 1.0, 6, RandomStreams(2), dim=2)
-        max_norm = np.linalg.norm(wide, axis=2).max(axis=1)
+        senders = complete5.sender_edges[0]
+        norms = np.linalg.norm(wide, axis=1)
+        max_norm = np.array([norms[senders == j].max() for j in range(5)])
         factor = np.minimum(1.0, 1.0 / max_norm)
         assert np.any(factor < 1.0)
-        np.testing.assert_allclose(narrow, wide * factor[:, None, None], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(narrow, wide * factor[senders, None], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
     def test_rejects_bad_noise_bound(self, cycle5, streams, bad):
@@ -164,6 +169,32 @@ class TestStreamContract:
             po.draw_lb_perturbation(cycle5, w, bad, 2, streams, dim=1)
         with pytest.raises(ValueError):
             draw_noise_functions(cycle5, bad, 4, streams)
+
+
+def test_draws_are_rows_of_sender_edges():
+    """Row e of the shares and of the lb perturbations belongs to directed edge
+    e = (senders[e], receivers[e])."""
+    complete4 = po.Topology.family("complete", 4)
+    senders, receivers = complete4.sender_edges
+    shares = po.draw_nb_shares(complete4, 3, 2.0, RandomStreams(5), dim=2)
+    assert shares.shape == (12, 2)
+    expected = np.zeros((4, 2))
+    for e, (j, i) in enumerate(zip(senders, receivers)):
+        expected[i] += shares[e]
+        expected[j] -= shares[e]
+    np.testing.assert_allclose(po.nb_perturbation(shares, complete4), expected,
+                               rtol=0, atol=1e-15)
+    # every sender weighs its three receivers differently, so the local balance
+    # holds only with each row paired with its own receiver
+    shift = [np.roll(np.eye(4), s, axis=0) for s in range(4)]
+    entries = 0.4 * shift[0] + 0.3 * shift[1] + 0.2 * shift[2] + 0.1 * shift[3]
+    w = po.FusionMatrix.from_entries(entries, complete4)
+    d = po.draw_lb_perturbation(complete4, w, 1.0, 3, RandomStreams(5), dim=2)
+    assert d.shape == (12, 2)
+    balance = np.zeros((4, 2))
+    for e, (j, i) in enumerate(zip(senders, receivers)):
+        balance[j] += entries[i, j] * d[e]
+    assert np.abs(balance).max() < 1e-15
 
 
 class TestNoiseFunctions:
