@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Print the engine-scaling table: microseconds per round against agent count.
+
+Each cell runs one algorithm for ``--rounds`` rounds on a cycle of n diagonal
+quadratics (D=1, box [-10, 10], ``inv_sqrt`` steps, ``record_every`` equal to
+the round count, Metropolis weights built beforehand) and reports the best of
+``--repeats`` untraced runs, divided by the round count. Run from a source
+checkout:
+
+    PYTHONPATH=src python3 scripts/engine_scaling.py
+    PYTHONPATH=src python3 scripts/engine_scaling.py --sizes 5 100 --rounds 2000
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+import privopt as po
+
+ALGORITHMS = ("dgd", "rss_nb", "rss_lb")
+
+
+def cycle_problem(n: int) -> po.GlobalProblem:
+    rng = np.random.default_rng(n)
+    curvatures = rng.uniform(0.5, 2.0, n)
+    minimisers = rng.uniform(-5.0, 5.0, n)
+    return po.GlobalProblem(
+        objectives=[po.QuadraticObjective([[c]], [-c * m]) for c, m in zip(curvatures, minimisers)],
+        feasible=po.Box([-10.0], [10.0]))
+
+
+def us_per_round(algorithm: str, n: int, rounds: int, repeats: int) -> float:
+    topology = po.Topology.family("cycle", n)
+    problem = cycle_problem(n)
+    weights = po.metropolis_weights(topology)
+    schedule = po.StepSchedule(kind="inv_sqrt")
+    kw = dict(weights=weights, record_every=rounds)
+    if algorithm == "dgd":
+        run = lambda: po.run_dgd(problem, topology, schedule, rounds, **kw)
+    elif algorithm == "rss_nb":
+        run = lambda: po.run_rss_nb(problem, topology, schedule, 1.0, rounds, seed=1, **kw)
+    else:
+        run = lambda: po.run_rss_lb(problem, topology, schedule, 1.0, rounds, seed=1, **kw)
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return 1e6 * best / rounds
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[100, 400, 1000])
+    parser.add_argument("--rounds", type=int, default=200)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    if min(args.sizes) < 3 or args.rounds < 1 or args.repeats < 1:
+        parser.error("sizes must be at least 3, rounds and repeats at least 1")
+
+    print(f"us/round, best of {args.repeats}, {args.rounds} rounds, cycle, D=1, untraced")
+    print("| algorithm | " + " | ".join(f"n={n}" for n in args.sizes) + " |")
+    print("|-----------|" + "|".join("-" * (len(f"n={n}") + 2) for n in args.sizes) + "|")
+    for algorithm in ALGORITHMS:
+        cells = [f"{us_per_round(algorithm, n, args.rounds, args.repeats):.1f}" for n in args.sizes]
+        print(f"| {algorithm:<9} | " + " | ".join(cells) + " |")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -29,6 +29,11 @@ _GRID_KEYS = {"algorithm", "delta", "seed"}
 
 @dataclass
 class RunConfig:
+    """A validated run configuration. The topology and the problem are built
+    once, by ``validate``, and every later ``build_topology`` or
+    ``build_problem`` returns the same objects; the spec fields they come
+    from are not to be changed after construction."""
+
     algorithm: str
     topology: dict
     objectives: list
@@ -44,6 +49,7 @@ class RunConfig:
     metropolis_self_inclusive: bool = False
     output_basename: str = "run"
     raw: dict = field(default_factory=dict, repr=False)
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -113,13 +119,17 @@ class RunConfig:
         return int(self.topology["n"])
 
     def build_topology(self) -> Topology:
-        return Topology.from_spec(self.topology)
+        if "topology" not in self._built:
+            self._built["topology"] = Topology.from_spec(self.topology)
+        return self._built["topology"]
 
     def build_problem(self) -> GlobalProblem:
-        return GlobalProblem(
-            objectives=[objective_from_spec(s) for s in self.objectives],
-            feasible=Box.from_spec(self.feasible),
-        )
+        if "problem" not in self._built:
+            self._built["problem"] = GlobalProblem(
+                objectives=[objective_from_spec(s) for s in self.objectives],
+                feasible=Box.from_spec(self.feasible),
+            )
+        return self._built["problem"]
 
     def build_schedule(self) -> StepSchedule:
         return StepSchedule.from_spec(self.schedule)

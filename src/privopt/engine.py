@@ -2,8 +2,10 @@
 producing an execution trace of the primary per-round arrays.
 
 Every algorithm runs the same fuse-descend-project loop; they differ only in
-how the per-round message tensor is perturbed. With zero perturbation the
-perturbed algorithms reproduce plain distributed gradient descent bit for bit.
+how the messages are perturbed. Each agent fuses only the messages of its
+self-inclusive neighbourhood, gathered into the topology's fusion slots. With
+zero perturbation the perturbed algorithms reproduce plain distributed gradient
+descent bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import FusionMatrix, Topology, metropolis_weights
+from .graphs import FusionMatrix, GraphError, Topology, metropolis_weights
 from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
                     draw_noise_functions, nb_perturbation,
                     noise_gradient_bounds, obfuscate)
@@ -123,10 +125,18 @@ def recorded_rounds(max_iter: int, record_every: int) -> np.ndarray:
     return ks[keep]
 
 
-def _fuse(weights: np.ndarray, messages: np.ndarray) -> np.ndarray:
-    """Row j of the result is sum_i B[j, i] * messages[i, j]; one code path for
-    every algorithm so zero-noise runs are bit-identical."""
-    return np.einsum("ji,ijd->jd", weights, messages)
+def _slot_fuse(weights: np.ndarray, messages: np.ndarray) -> np.ndarray:
+    """Fuse slot-major messages, with any leading round axis: weights
+    (..., K, n) and messages (..., K, n, D) give (..., n, D) whose row j is
+    sum_k weights[k, j] * messages[k, j]. One code path for every algorithm,
+    so zero-noise runs are bit-identical.
+
+    The sum runs over the slots in ascending order from +0.0. That is the
+    order of a dense fuse over all n senders, and the terms it leaves out
+    are 0 * message = +-0, which never change such a sum, so the result is
+    the dense fuse's bit for bit. Reducing over a leading (not contiguous)
+    axis keeps numpy from summing pairwise."""
+    return np.add.reduce(weights[..., None] * messages, axis=-3, initial=0.0)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -134,20 +144,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _spread(per_agent: np.ndarray) -> np.ndarray:
-    """Broadcast view of an (R, n, D) array as the (R, n, n, D) tensor whose
-    entry [r, i, j] is agent i's row, sent to every j."""
-    r, n, dim = per_agent.shape
-    return np.broadcast_to(per_agent[:, :, None, :], (r, n, n, dim))
-
-
 @dataclass
 class ExecutionTrace:
     """Record of one run: the primary per-round arrays (steps, states,
     perturbations, nb shares and per-round weights), stored with a leading
     round axis. Messages and fused quantities are derived from them on first
-    use, with the engine's per-round tensor layouts, so they match the values
-    the run used bit for bit."""
+    use, through the engine's slot fuse, so they match the values the run
+    used bit for bit."""
 
     algorithm: str
     topology: Topology
@@ -186,48 +189,48 @@ class ExecutionTrace:
         """Whether each agent perturbs its message to every neighbour apart (rss_lb)."""
         return self.algorithm == "rss_lb"
 
-    def _noise_tensor(self) -> np.ndarray:
-        """(R, n, n, D) noise as the engine adds it: [r, i, j] is what i adds
-        to its message to j, zero on the diagonal and off the edges."""
+    def _fuse_rounds(self, slot_messages: np.ndarray) -> np.ndarray:
+        """``_slot_fuse`` of every recorded round's (R, K, n, D) slot messages."""
+        entries = self.weights if self.weights_series is None else self.weights_series
+        return _read_only(_slot_fuse(self.topology.fuse_slots.weights(entries), slot_messages))
+
+    def _slot_noise(self) -> np.ndarray:
+        """(R, K, n, D) noise as each slot's sender adds it; zero in the self
+        slot and the pads for rss_lb."""
+        slots = self.topology.fuse_slots
         if not self.per_edge:
-            return _spread(self.perturbations)
-        senders, receivers = self.topology.sender_edges
-        dense = np.zeros((self.steps.size, self.n, self.n, self.dim))
-        dense[:, senders, receivers] = self.perturbations
-        return dense
-
-    def _message_tensor(self) -> np.ndarray:
-        """Materialized (R, n, n, D) messages x_i + alpha d_ij, as the engine fuses them."""
-        return self.states[:, :, None, :] + self.steps[:, None, None, None] * self._noise_tensor()
-
-    def _fuse_rounds(self, tensor: np.ndarray) -> np.ndarray:
-        """``_fuse`` of every recorded round in one einsum."""
-        if self.weights_series is None:
-            return np.einsum("ji,rijd->rjd", self.weights, tensor)
-        return np.einsum("rji,rijd->rjd", self.weights_series, tensor)
+            return self.perturbations[:, slots.senders]
+        zero_row = np.zeros((self.steps.size, 1, self.dim))
+        return np.concatenate([self.perturbations, zero_row], axis=1)[:, slots.edges]
 
     @cached_property
     def messages(self) -> np.ndarray:
-        """Sent messages: (R, n, D), or (R, n, n, D) per edge for rss_lb."""
+        """Sent messages: (R, n, D), or (R, E, D) on ``topology.sender_edges``
+        for rss_lb."""
+        steps = self.steps[:, None, None]
         if self.per_edge:
-            return _read_only(self._message_tensor())
-        return _read_only(self.states + self.steps[:, None, None] * self.perturbations)
+            senders = self.topology.sender_edges[0]
+            return _read_only(self.states[:, senders] + steps * self.perturbations)
+        return _read_only(self.states + steps * self.perturbations)
 
     @cached_property
     def fused(self) -> np.ndarray:
         """(R, n, D) fused perturbed messages: the point each agent descends from."""
-        return _read_only(self._fuse_rounds(
-            self.messages if self.per_edge else self._message_tensor()))
+        senders = self.topology.fuse_slots.senders
+        if self.per_edge:
+            return self._fuse_rounds(self.states[:, senders]
+                                     + self.steps[:, None, None, None] * self._slot_noise())
+        return self._fuse_rounds(self.messages[:, senders])
 
     @cached_property
     def fused_true(self) -> np.ndarray:
         """(R, n, D) fused unperturbed states."""
-        return _read_only(self._fuse_rounds(_spread(self.states)))
+        return self._fuse_rounds(self.states[:, self.topology.fuse_slots.senders])
 
     @cached_property
     def fused_noise(self) -> np.ndarray:
         """(R, n, D) fused perturbations."""
-        return _read_only(self._fuse_rounds(self._noise_tensor()))
+        return self._fuse_rounds(self._slot_noise())
 
     def state_digest(self) -> str:
         """Digest of the state evolution; identical dynamics give identical
@@ -342,10 +345,17 @@ class ExecutionTrace:
         weights_series = rounds.get("weights_series")
         if weights_series is not None:
             weights_series = array(weights_series, "rounds.weights_series", r_count, n, n)
+        weights = array(doc.get("weights"), "weights", n, n)
+        for name, entries in (("weights", weights), ("rounds.weights_series", weights_series)):
+            if entries is not None:
+                try:
+                    topology.fuse_slots.weights(entries)
+                except GraphError as exc:
+                    raise TraceError(f"{name}: {exc}") from None
         trace = cls(
             algorithm=algorithm,
             topology=topology,
-            weights=array(doc.get("weights"), "weights", n, n),
+            weights=weights,
             schedule=schedule,
             delta=delta,
             seed=doc["seed"],
@@ -386,37 +396,41 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
              problem_spec: dict | None = None, extras: dict | None = None) -> ExecutionTrace:
     n, dim = topology.n, problem.dim
     box = problem.feasible
+    slots = topology.fuse_slots
     varying = callable(weights)
-    b = _resolve_weights(weights, 1).entries
+    b = first = _resolve_weights(weights, 1).entries
+    w = slots.weights(b)
     x = np.array(init, dtype=float)
     if x.shape != (n, dim):
         raise ValueError(f"init must have shape ({n}, {dim})")
     if not box.contains(x):
         raise ValueError("initial states must lie in the feasible set")
 
-    senders, receivers = topology.sender_edges
+    edges = topology.sender_edges[0].size
     per_edge = algorithm == "rss_lb"
     keep = recorded_rounds(max_iter, record_every)
     keep_set = set(keep.tolist())
     r_count = keep.size
     steps_rec = np.zeros(r_count)
     states_rec = np.zeros((r_count, n, dim))
-    perturbations_rec = np.zeros((r_count, senders.size if per_edge else n, dim))
-    shares_rec = np.zeros((r_count, senders.size, dim)) if algorithm == "rss_nb" else None
+    perturbations_rec = np.zeros((r_count, edges if per_edge else n, dim))
+    shares_rec = np.zeros((r_count, edges, dim)) if algorithm == "rss_nb" else None
     weights_series = np.zeros((r_count, n, n)) if varying else None
 
-    msgs = np.empty((n, n, dim))  # [i, j] = message from i used by j
-    edge_noise = np.zeros((n, n, dim)) if per_edge else None  # zero off the edges
+    noise_ext = np.zeros((edges + 1, dim)) if per_edge else None  # row E stays 0
     row = 0
     for k in range(1, max_iter + 1):
         alpha = schedule.step(k)
-        if varying:
+        if varying and k > 1:
             b = _resolve_weights(weights, k).entries
+            w = slots.weights(b)
         noise, shares = draw(k)  # (E, D) per edge or (n, D) per agent; (E, D) nb shares or None
         if per_edge:
-            edge_noise[senders, receivers] = noise
-        np.add(x[:, None, :], alpha * (edge_noise if per_edge else noise[:, None, :]), out=msgs)
-        fused = _fuse(b, msgs)
+            noise_ext[:-1] = noise
+            msgs = x[slots.senders] + alpha * noise_ext[slots.edges]
+        else:
+            msgs = (x + alpha * noise)[slots.senders]
+        fused = _slot_fuse(w, msgs)
         grads = problem.agent_gradients(fused)
         x_next = box.project(fused - alpha * grads)
         if not np.isfinite(x_next).all():
@@ -436,7 +450,7 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
     return ExecutionTrace(
         algorithm=algorithm,
         topology=topology,
-        weights=_resolve_weights(weights, 1).entries,
+        weights=first,
         schedule=schedule,
         delta=delta,
         seed=seed,

@@ -138,6 +138,30 @@ class Topology:
         receivers.flags.writeable = False
         return senders, receivers
 
+    @cached_property
+    def fuse_slots(self) -> "FuseSlots":
+        """Each agent's self-inclusive in-neighbours as fusion slots; built
+        once from ``sender_edges`` and read-only."""
+        senders, receivers = self.sender_edges
+        n, count = self.n, senders.size
+        agents = np.arange(n)
+        src = np.concatenate([senders, agents])
+        dst = np.concatenate([receivers, agents])
+        edge = np.concatenate([np.arange(count), np.full(n, count)])
+        order = np.lexsort((src, dst))  # by receiver, then ascending sender
+        src, dst, edge = src[order], dst[order], edge[order]
+        sizes = np.bincount(dst, minlength=n)
+        slot = np.arange(dst.size) - (np.cumsum(sizes) - sizes)[dst]
+        shape = (int(sizes.max()), n)
+        table = FuseSlots(senders=np.broadcast_to(agents, shape).copy(),
+                          edges=np.full(shape, count), live=np.zeros(shape, dtype=bool))
+        table.senders[slot, dst] = src
+        table.edges[slot, dst] = edge
+        table.live[slot, dst] = True
+        for array in (table.senders, table.edges, table.live):
+            array.flags.writeable = False
+        return table
+
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
@@ -149,6 +173,35 @@ class Topology:
         if "family" in spec:
             return cls.family(spec["family"], int(spec["n"]))
         return cls.from_edges(int(spec["n"]), spec["edges"])
+
+
+@dataclass(frozen=True)
+class FuseSlots:
+    """Slot table of a fusion round, slot-major with K = max degree + 1 slots.
+
+    Column j lists agent j's self-inclusive in-neighbours in ascending order,
+    padded with j itself: ``senders[k, j]`` is the agent in slot k,
+    ``edges[k, j]`` its row in ``Topology.sender_edges`` (E, one past the last
+    edge, for the self slot and the pads) and ``live[k, j]`` is False on the
+    pads.
+    """
+
+    senders: np.ndarray  # (K, n) agent indices
+    edges: np.ndarray    # (K, n) directed-edge rows, E off the edges
+    live: np.ndarray     # (K, n) bool
+
+    def weights(self, entries: np.ndarray) -> np.ndarray:
+        """(..., K, n) weights B[j, senders[k, j]] of (..., n, n) matrices B,
+        +0.0 on the pads. Raises GraphError if a matrix has a nonzero entry
+        off the self-inclusive neighbourhoods, which the slots cannot hold."""
+        n = self.senders.shape[1]
+        if entries.shape[-2:] != (n, n):
+            raise GraphError(f"fusion matrix has shape {entries.shape[-2:]}, expected ({n}, {n})")
+        weights = np.where(self.live, entries[..., np.arange(n), self.senders], 0.0)
+        if np.count_nonzero(entries) != np.count_nonzero(weights):
+            raise GraphError("fusion matrix has a nonzero entry off the self-inclusive "
+                             "neighbourhoods")
+        return weights
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,26 @@ class TestRun:
         for name in ("run_trace.json", "run_metrics.csv"):
             assert (out / name).stat().st_mode & 0o777 == 0o640
 
+    def test_builds_problem_and_topology_once(self, tmp_path, run_cfg, monkeypatch):
+        from privopt import configs
+
+        built = {"objectives": 0, "topologies": 0}
+        objective_from_spec, topology_from_spec = configs.objective_from_spec, po.Topology.from_spec
+
+        def count_objective(spec):
+            built["objectives"] += 1
+            return objective_from_spec(spec)
+
+        def count_topology(spec):
+            built["topologies"] += 1
+            return topology_from_spec(spec)
+
+        monkeypatch.setattr(configs, "objective_from_spec", count_objective)
+        monkeypatch.setattr(po.Topology, "from_spec", staticmethod(count_topology))
+        argv = ["run", "--config", run_cfg, "--out-dir", str(tmp_path / "o"), "--record-every", "5"]
+        assert main(argv) == 0
+        assert built == {"objectives": 5, "topologies": 1}
+
     def test_rerun_is_byte_identical_modulo_timestamp(self, tmp_path, run_cfg):
         main(["run", "--config", run_cfg, "--out-dir", str(tmp_path / "a")])
         main(["run", "--config", run_cfg, "--out-dir", str(tmp_path / "b")])

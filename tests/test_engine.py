@@ -1,13 +1,15 @@
 import hashlib
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import privopt as po
 from privopt.configs import RunConfig, execute
-from privopt.engine import ScheduleError, StepSchedule, TraceError, recorded_rounds
+from privopt.engine import (ScheduleError, StepSchedule, TraceError, _slot_fuse,
+                            recorded_rounds)
 from privopt.noise import FsObjectiveError
 
 from conftest import INTERIOR_INIT
@@ -159,10 +161,17 @@ class TestTraceStructure:
     def test_lb_message_support(self, short_runs, cycle5):
         trace = short_runs["lb"]
         assert trace.perturbations.shape == (400, 10, 1)  # one row per directed edge
-        # an agent's own message and any entry off the edges carry no noise
-        unperturbed = ~cycle5.adjacency()
-        sent = np.broadcast_to(trace.states[:, :, None, :], trace.messages.shape)
-        assert np.array_equal(trace.messages[:, unperturbed], sent[:, unperturbed])
+        assert trace.messages.shape == (400, 10, 1)
+        senders, receivers = cycle5.sender_edges
+        sent = trace.messages - trace.states[:, senders]
+        np.testing.assert_allclose(sent, trace.steps[:, None, None] * trace.perturbations,
+                                   rtol=0, atol=1e-15)
+        # an agent's own slot and its pads read the zero row past the edges
+        slots = cycle5.fuse_slots
+        off_edges = slots.senders == np.arange(5)
+        assert np.all(slots.edges[off_edges] == senders.size)
+        assert np.all(senders[slots.edges[~off_edges]] == slots.senders[~off_edges])
+        assert np.all(receivers[slots.edges[~off_edges]] == np.nonzero(~off_edges)[1])
 
     def test_fusion_preserves_average(self, short_runs):
         for trace in short_runs.values():
@@ -326,12 +335,17 @@ class TestFunctionSharing:
 
 
 def _fuse_reference(b, messages):
+    """The dense fuse: row j is sum_i B[j, i] * messages[i, j] over all n senders.
+
+    ``messages`` must be a materialized (n, n, D) array, as the engine's
+    message buffer was: on a broadcast view with a zero stride, einsum adds
+    the senders in another order and can differ in the last bit."""
     return np.einsum("ji,ijd->jd", b, messages)
 
 
 def per_round_reference(trace) -> dict:
-    """The derived arrays as the engine computed them before the trace derived
-    them: one round at a time, on broadcast (n, n, D) tensors."""
+    """The derived arrays by the dense fuse of the (n, n, D) message tensors,
+    one round at a time."""
     n, dim = trace.n, trace.dim
     per_edge = trace.algorithm == "rss_lb"
     out = {name: [] for name in DERIVED}
@@ -344,10 +358,10 @@ def per_round_reference(trace) -> dict:
             for e, (j, i) in enumerate(zip(*trace.topology.sender_edges)):
                 noise[j, i] = d[e]
         else:
-            noise = np.broadcast_to(d[:, None, :], (n, n, dim))
-        spread = np.broadcast_to(x[:, None, :], (n, n, dim))
+            noise = np.repeat(d[:, None, :], n, axis=1)
+        spread = np.repeat(x[:, None, :], n, axis=1)
         msgs = spread + alpha * noise
-        out["messages"].append(msgs if per_edge else msgs[:, 0, :])
+        out["messages"].append(msgs[trace.topology.sender_edges] if per_edge else msgs[:, 0, :])
         out["fused"].append(_fuse_reference(b, msgs))
         out["fused_true"].append(_fuse_reference(b, spread))
         out["fused_noise"].append(_fuse_reference(b, noise))
@@ -418,8 +432,149 @@ class TestDerivedArrays:
             value = getattr(trace, attr)
             assert getattr(trace, attr) is value
             assert not value.flags.writeable
-        assert trace.messages.shape == (400, 5, 5, 1)
+        assert trace.messages.shape == (400, 10, 1)  # on the directed edges
         assert short_runs["nb"].messages.shape == (400, 5, 1)
+
+
+def _random_connected(n, extra, rng):
+    """A random spanning tree on n agents plus ``extra`` random edges."""
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        u, v = sorted(int(a) for a in rng.choice(n, 2, replace=False))
+        edges.add((u, v))
+    return po.Topology.from_edges(n, edges)
+
+
+def _signed_zeros(rng, shape, share=0.3):
+    """Random values with about ``share`` of them replaced by +0.0 or -0.0."""
+    values = rng.standard_normal(shape)
+    zero = rng.random(shape) < share
+    values[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return values
+
+
+class TestSlotFuse:
+    """The slot fuse adds each agent's in-neighbours in ascending order from
+    +0.0, so it equals the dense fuse over all n senders bit for bit."""
+
+    TOPOLOGIES = {
+        "cycle": po.Topology.family("cycle", 7),
+        "path": po.Topology.family("path", 6),
+        "star": po.Topology.family("star", 9),
+        "complete": po.Topology.family("complete", 6),
+        "petersen": po.Topology.family("petersen", 10),
+        "random": _random_connected(23, 30, np.random.default_rng(0)),
+    }
+
+    @staticmethod
+    def _support_weights(topology, rng, shape):
+        """Random nonnegative weights on the self-inclusive neighbourhoods,
+        some of them exact zeros."""
+        support = topology.adjacency() | np.eye(topology.n, dtype=bool)
+        weights = rng.random(shape) * (rng.random(shape) > 0.1)
+        return np.where(support, weights, 0.0)
+
+    @staticmethod
+    def _slot_messages(topology, dense):
+        """(..., K, n, D) slot gather of (..., n, n, D) messages [i, j] from i to j."""
+        slots = topology.fuse_slots
+        return dense[..., slots.senders, np.arange(topology.n), :]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_matches_dense_fuse(self, name, dim):
+        topology = self.TOPOLOGIES[name]
+        n = topology.n
+        rng = np.random.default_rng([dim, n])
+        for _ in range(20):
+            b = self._support_weights(topology, rng, (n, n))
+            dense = _signed_zeros(rng, (n, n, dim))
+            dense[:, rng.integers(0, n)] = -0.0  # one agent receives only -0
+            fused = _slot_fuse(topology.fuse_slots.weights(b), self._slot_messages(topology, dense))
+            assert_bit_equal(fused, _fuse_reference(b, dense))
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_weights_series_matches_per_round_dense_fuse(self, name):
+        topology = self.TOPOLOGIES[name]
+        n, rounds, dim = topology.n, 6, 2
+        rng = np.random.default_rng([7, n])
+        series = self._support_weights(topology, rng, (rounds, n, n))
+        dense = _signed_zeros(rng, (rounds, n, n, dim))
+        fused = _slot_fuse(topology.fuse_slots.weights(series), self._slot_messages(topology, dense))
+        expected = np.array([_fuse_reference(series[r], dense[r]) for r in range(rounds)])
+        assert_bit_equal(fused, expected)
+
+    def test_slot_table_lists_ascending_in_neighbours(self):
+        for topology in self.TOPOLOGIES.values():
+            slots = topology.fuse_slots
+            assert slots.senders.shape == (topology.degrees().max() + 1, topology.n)
+            for j in range(topology.n):
+                hood = topology.neighbors(j)
+                assert tuple(slots.senders[slots.live[:, j], j]) == hood
+                assert np.all(slots.senders[~slots.live[:, j], j] == j)
+
+
+class TestSupportGuard:
+    """A weight off the self-inclusive neighbourhoods would be dropped by the
+    slot fuse, so runs refuse such matrices."""
+
+    @staticmethod
+    def _off_support(cycle5, eps=1e-13):
+        entries = po.metropolis_weights(cycle5).entries.copy()
+        entries[0, 2] = entries[2, 0] = eps  # 0 and 2 are not adjacent on the 5-cycle
+        entries[0, 0] -= eps
+        entries[2, 2] -= eps
+        return entries
+
+    def test_fixed_matrix_off_support_raises(self, quartic_problem, cycle5, inv_sqrt):
+        # within from_entries' tolerance, and a bare FusionMatrix checks nothing
+        for matrix in (po.FusionMatrix.from_entries(self._off_support(cycle5), cycle5),
+                       po.FusionMatrix(entries=self._off_support(cycle5, 0.1), rho=0.1)):
+            with pytest.raises(ValueError, match="off the self-inclusive neighbourhoods"):
+                po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5, init=INTERIOR_INIT,
+                           weights=matrix)
+
+    def test_provider_matrix_off_support_raises(self, quartic_problem, cycle5, inv_sqrt):
+        regular = po.metropolis_weights(cycle5)
+        stray = po.FusionMatrix(entries=self._off_support(cycle5, 0.1), rho=0.1)
+        provider = lambda k: stray if k == 3 else regular
+        with pytest.raises(ValueError, match="off the self-inclusive neighbourhoods"):
+            po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 5, init=INTERIOR_INIT,
+                          seed=1, weights=provider)
+
+    def test_trace_with_off_support_weights_does_not_load(self, short_runs, cycle5):
+        doc = json.loads(json.dumps(short_runs["dgd"].to_json_dict()))
+        doc["weights"] = self._off_support(cycle5).tolist()
+        with pytest.raises(TraceError, match="weights: .*off the self-inclusive"):
+            po.ExecutionTrace.from_json_dict(doc)
+
+
+def test_fuse_memory_grows_with_edges_not_agent_pairs(inv_sqrt):
+    """No round allocates an (n, n, D) message tensor: on a 3000-cycle with
+    the weights built beforehand, four rounds of each algorithm peak below a
+    quarter of one such buffer."""
+    n = 3000
+    topology = po.Topology.family("cycle", n)
+    weights = po.metropolis_weights(topology)
+    problem = po.GlobalProblem(
+        objectives=[po.QuadraticObjective([[1.0 + i % 3]], [0.1 * (i % 7) - 0.3]) for i in range(n)],
+        feasible=po.Box([-10.0], [10.0]))
+    runs = {
+        "dgd": lambda: po.run_dgd(problem, topology, inv_sqrt, 4, weights=weights),
+        "rss_nb": lambda: po.run_rss_nb(problem, topology, inv_sqrt, 1.0, 4, seed=1,
+                                        weights=weights),
+        "rss_lb": lambda: po.run_rss_lb(problem, topology, inv_sqrt, 1.0, 4, seed=1,
+                                        weights=weights),
+    }
+    limit = n * n * 8 / 4
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{name} peaked at {peak / 2**20:.1f} MB"
 
 
 def _sparse_quadratic_problem(n):
