@@ -139,6 +139,41 @@ def _slot_fuse(weights: np.ndarray, messages: np.ndarray) -> np.ndarray:
     return np.add.reduce(weights[..., None] * messages, axis=-3, initial=0.0)
 
 
+def dgd_step(problem: GlobalProblem, weights: np.ndarray, messages: np.ndarray,
+             alpha, rounds) -> np.ndarray:
+    """One descent step of every agent, with any leading axes: fuse the slot
+    messages (..., K, n, D) under the slot weights (..., K, n), step against
+    each agent's gradient at its fused point by ``alpha`` (a scalar, or an
+    array that broadcasts against (..., n, D)) and project onto the feasible
+    set. Every operation is elementwise or over the slot axis, so a step of
+    many states at once is bit-identical to stepping each alone.
+
+    Raises NonFiniteError when a next state is not finite, naming its round
+    from ``rounds`` (which broadcasts against the leading axes)."""
+    fused = _slot_fuse(weights, messages)
+    x_next = problem.feasible.project(fused - alpha * problem.agent_gradients(fused))
+    if not np.isfinite(x_next).all():
+        first = np.argwhere(~np.isfinite(x_next).all(axis=-1))[0]
+        k = np.broadcast_to(rounds, x_next.shape[:-2])[tuple(first[:-1])]
+        raise NonFiniteError(f"round {k}: the next state of agent {first[-1]} is not finite")
+    return x_next
+
+
+def digest_states(max_iter: int, round_index: np.ndarray, init: np.ndarray,
+                  states: np.ndarray, final_states: np.ndarray) -> str:
+    """Digest of a state evolution: the states (R, n, D) at the recorded
+    rounds, the initial and the final states. Identical dynamics give
+    identical digests, whichever algorithm or replay produced them."""
+    h = hashlib.sha256()
+    h.update(b"privopt-trace-v1")
+    h.update(np.array([*states.shape[1:], max_iter], dtype="<i8").tobytes())
+    h.update(round_index.astype("<i8").tobytes())
+    h.update(init.astype("<f8").tobytes())
+    h.update(states.astype("<f8").tobytes())
+    h.update(final_states.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -233,16 +268,9 @@ class ExecutionTrace:
         return self._fuse_rounds(self._slot_noise())
 
     def state_digest(self) -> str:
-        """Digest of the state evolution; identical dynamics give identical
-        digests regardless of which algorithm produced them."""
-        h = hashlib.sha256()
-        h.update(b"privopt-trace-v1")
-        h.update(np.array([self.n, self.dim, self.max_iter], dtype="<i8").tobytes())
-        h.update(self.round_index.astype("<i8").tobytes())
-        h.update(self.init.astype("<f8").tobytes())
-        h.update(self.states.astype("<f8").tobytes())
-        h.update(self.final_states.astype("<f8").tobytes())
-        return h.hexdigest()
+        """``digest_states`` of the run's state evolution."""
+        return digest_states(self.max_iter, self.round_index, self.init, self.states,
+                             self.final_states)
 
     def states_with_final(self) -> tuple[np.ndarray, np.ndarray]:
         """Round indices 1..K+1 paired with the matching state arrays."""
@@ -395,7 +423,6 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
              seed: int | None, draw,
              problem_spec: dict | None = None, extras: dict | None = None) -> ExecutionTrace:
     n, dim = topology.n, problem.dim
-    box = problem.feasible
     slots = topology.fuse_slots
     varying = callable(weights)
     b = first = _resolve_weights(weights, 1).entries
@@ -403,7 +430,7 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
     x = np.array(init, dtype=float)
     if x.shape != (n, dim):
         raise ValueError(f"init must have shape ({n}, {dim})")
-    if not box.contains(x):
+    if not problem.feasible.contains(x):
         raise ValueError("initial states must lie in the feasible set")
 
     edges = topology.sender_edges[0].size
@@ -430,12 +457,7 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
             msgs = x[slots.senders] + alpha * noise_ext[slots.edges]
         else:
             msgs = (x + alpha * noise)[slots.senders]
-        fused = _slot_fuse(w, msgs)
-        grads = problem.agent_gradients(fused)
-        x_next = box.project(fused - alpha * grads)
-        if not np.isfinite(x_next).all():
-            agent = int(np.flatnonzero(~np.isfinite(x_next).all(axis=1))[0])
-            raise NonFiniteError(f"round {k}: the next state of agent {agent} is not finite")
+        x_next = dgd_step(problem, w, msgs, alpha, k)
         if k in keep_set:
             steps_rec[row] = alpha
             states_rec[row] = x

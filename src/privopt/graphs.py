@@ -228,14 +228,16 @@ class FusionMatrix:
         return mat
 
     def validate(self, topology: Topology | None = None, tol: float = 1e-12) -> None:
+        """Check the matrix, or each matrix of a (..., n, n) stack such as
+        the per-round weights of a provider run."""
         b = self.entries
-        if b.shape[0] != b.shape[1]:
+        if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
             raise GraphError("fusion matrix must be square")
         if np.any(b < -tol) or np.any(b > 1 + tol):
             raise GraphError("fusion entries must lie in [0, 1]")
-        if np.max(np.abs(b.sum(axis=1) - 1.0)) > tol:
+        if np.max(np.abs(b.sum(axis=-1) - 1.0)) > tol:
             raise GraphError("rows must sum to 1")
-        if np.max(np.abs(b.sum(axis=0) - 1.0)) > tol:
+        if np.max(np.abs(b.sum(axis=-2) - 1.0)) > tol:
             raise GraphError("columns must sum to 1")
         if topology is not None:
             adj = topology.adjacency() | np.eye(topology.n, dtype=bool)

@@ -16,7 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import ExecutionTrace, StepSchedule, run_dgd
+from .engine import ExecutionTrace, StepSchedule, dgd_step, digest_states, recorded_rounds
+# unused here, but the benchmark's span table (perfbench/spans.py) requires it at this site
+from .engine import run_dgd  # noqa: F401
 from .graphs import DisconnectedError, FusionMatrix, Topology, canonical_edge, spanning_tree_split
 from .noise import COEFF_GRID, RandomStreams
 from .objectives import Box, GlobalProblem, PolynomialObjective
@@ -75,7 +77,9 @@ class AdversaryView:
     """Everything a coalition observes in a function-sharing execution: all
     obfuscated objectives (conservative adversary), its members' own local
     objectives, every noise function on coalition-incident directed edges, the
-    topology, and the run recipe needed to replay the public dynamics."""
+    topology, the run recipe needed to replay the public dynamics, and those
+    dynamics as recorded: the states (R, n, D) at the recipe's recorded
+    rounds and the final states (n, D)."""
 
     coalition: tuple
     topology: Topology
@@ -86,6 +90,8 @@ class AdversaryView:
     observed_noise: dict      # (sender, receiver) -> float coeffs, coalition-incident
     recipe: dict
     trace_digest: str
+    states: np.ndarray
+    final_states: np.ndarray
 
 
 def _polynomial_coeffs_from_spec(problem_spec: dict, width: int, dim: int) -> dict:
@@ -101,9 +107,16 @@ def _polynomial_coeffs_from_spec(problem_spec: dict, width: int, dim: int) -> di
 
 
 def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
-    """Assemble the adversary's observations from a function-sharing trace."""
+    """Assemble the adversary's observations from a function-sharing trace.
+
+    A down-sampled trace of a run with per-round weights is refused with a
+    ValueError: it holds no weights for its unrecorded rounds, so its public
+    dynamics cannot be replayed."""
     if trace.algorithm != "fs":
         raise NonFsTraceError(f"privacy analysis requires a function-sharing trace, got {trace.algorithm!r}")
+    if trace.weights_series is not None and not trace.complete:
+        raise ValueError("a down-sampled trace of a run with per-round weights does not "
+                         "record the weights of its unrecorded rounds, so it cannot be replayed")
     coalition = tuple(sorted(set(int(a) for a in coalition)))
     for a in coalition:
         if not 0 <= a < trace.n:
@@ -118,6 +131,7 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
     recipe = {
         "schedule": trace.schedule.to_spec(),
         "weights": trace.weights.tolist(),
+        "weights_series": None if trace.weights_series is None else trace.weights_series.tolist(),
         "init": trace.init.tolist(),
         "max_iter": trace.max_iter,
         "record_every": trace.record_every,
@@ -135,6 +149,8 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
         observed_noise=observed,
         recipe=recipe,
         trace_digest=trace.state_digest(),
+        states=trace.states,
+        final_states=trace.final_states,
     )
 
 
@@ -361,18 +377,51 @@ def verify_indistinguishable(view: AdversaryView, instance: AlternativeInstance,
 
 def replay_digest(view: AdversaryView) -> str:
     """Digest of the public dynamics re-run from the observed obfuscated
-    functions; identical observations imply an identical digest."""
-    box = Box.from_spec(view.recipe["feasible"])
+    functions; identical observations imply an identical digest.
+
+    Rather than re-running every round in turn, every recorded transition is
+    checked at once: each state recorded at round r_i is advanced, by descent
+    steps of the obfuscated problem, to the next recorded round r_{i+1} (the
+    last one to the final state after round ``max_iter``), all of them in one
+    array operation per step. That is one step for a complete trace and at
+    most ``record_every - 1`` for a down-sampled one. The replayed states are the
+    initial states followed by these advances. When every advance equals the
+    recorded state, a round-by-round replay reproduces the trace by induction;
+    the first advance that differs changes both digests. So this digest
+    equals the trace digest exactly when a round-by-round replay's does.
+
+    Raises GraphError for invalid fusion weights, ValueError for initial
+    states outside the feasible set and NonFiniteError for an advance that is
+    not finite (as a round-by-round replay does when no earlier transition
+    differs)."""
+    topology, recipe = view.topology, view.recipe
+    box = Box.from_spec(recipe["feasible"])
     problem = GlobalProblem(
         objectives=[PolynomialObjective(view.obfuscated[j], enforce_convex=False)
-                    for j in range(view.topology.n)],
+                    for j in range(topology.n)],
         feasible=box, validate_convexity=False)
-    weights = FusionMatrix.from_entries(np.asarray(view.recipe["weights"], dtype=float), view.topology)
-    trace = run_dgd(problem, view.topology, StepSchedule.from_spec(view.recipe["schedule"]),
-                    max_iter=int(view.recipe["max_iter"]),
-                    init=np.asarray(view.recipe["init"], dtype=float),
-                    weights=weights, record_every=int(view.recipe["record_every"]))
-    return trace.state_digest()
+    init = np.asarray(recipe["init"], dtype=float)
+    if init.shape != (topology.n, view.dim):
+        raise ValueError(f"init must have shape ({topology.n}, {view.dim})")
+    if not box.contains(init):
+        raise ValueError("initial states must lie in the feasible set")
+    max_iter = int(recipe["max_iter"])
+    rounds = recorded_rounds(max_iter, int(recipe["record_every"]))
+    varying = recipe["weights_series"] is not None
+    entries = recipe["weights_series"] if varying else recipe["weights"]
+    weights = topology.fuse_slots.weights(
+        FusionMatrix.from_entries(np.asarray(entries, dtype=float), topology).entries)
+    alphas = StepSchedule.from_spec(recipe["schedule"]).steps(max_iter)
+    senders = topology.fuse_slots.senders
+
+    gaps = np.diff(rounds, append=max_iter + 1)
+    x = np.array(view.states, dtype=float)
+    for t in range(int(gaps.max())):
+        live = np.flatnonzero(gaps > t)
+        k = rounds[live] + t
+        x[live] = dgd_step(problem, weights[live] if varying else weights,
+                           x[live][:, senders], alphas[k - 1][:, None, None], k)
+    return digest_states(max_iter, rounds, init, np.concatenate([init[None], x[:-1]]), x[-1])
 
 
 @dataclass

@@ -419,6 +419,20 @@ class TestPrivacy:
                      "--alt-objectives", alts]) == 2
         assert "trace error" in capsys.readouterr().err
 
+    def test_down_sampled_provider_trace_exits_2(self, quartic_problem, cycle5, inv_sqrt,
+                                                 tmp_path, capsys):
+        # its unrecorded rounds' weights are not in the trace, so there is no replay
+        regular = po.metropolis_weights(cycle5)
+        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
+        trace = po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, 60, init=INTERIOR_INIT,
+                          seed=3, weights=lambda k: regular if k % 2 else lazy, record_every=4)
+        path = tmp_path / "t.json"
+        trace.save(path)
+        alts = write(tmp_path / "alts.json", {"0": [0, 0, 1]})
+        assert main(["privacy", str(path), "--coalition", "2", "--target", "0",
+                     "--alt-objectives", alts]) == 2
+        assert "privacy check not applicable" in capsys.readouterr().err
+
     def test_non_fs_trace_exits_2(self, tmp_path, run_cfg):
         out = tmp_path / "out"
         main(["run", "--config", run_cfg, "--out-dir", str(out)])

@@ -1,12 +1,17 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 import privopt as po
-from privopt.graphs import DisconnectedError
+from privopt.engine import NonFiniteError
+from privopt.graphs import DisconnectedError, GraphError
 from privopt.privacy import (AlternativeInstance, NonFsTraceError, NotACutError,
                              TargetSetError, exact_add, exact_max_abs, exact_pad,
-                             exact_sub, from_exact, necessity_demo, to_exact)
+                             exact_sub, from_exact, necessity_demo, replay_digest,
+                             to_exact)
 
 from conftest import INTERIOR_INIT, quartic_objectives
 
@@ -16,13 +21,49 @@ def make_problem(n=5, box=None):
     return po.GlobalProblem(objectives=objs, feasible=box or po.Box([-30.0], [30.0]))
 
 
-def fs_trace(topology, seed=11, delta_coeff=0.5, max_iter=200):
+def fs_trace(topology, seed=11, delta_coeff=0.5, max_iter=200, **options):
     problem = make_problem(topology.n)
     sched = po.StepSchedule(kind="inv_sqrt")
     n = topology.n
     init = np.linspace(-1.0, 1.0, n)[:, None]
     return problem, po.run_fs(problem, topology, sched, delta_coeff, 8, max_iter,
-                              init=init, seed=seed)
+                              init=init, seed=seed, **options)
+
+
+def alternating_weights(topology):
+    """Per-round provider: the two Metropolis matrices, alternating by round."""
+    regular = po.metropolis_weights(topology)
+    lazy = po.metropolis_weights(topology, self_inclusive_degree=True)
+    return lambda k: regular if k % 2 else lazy
+
+
+def sequential_replay_digest(view):
+    """Reference for ``replay_digest``: re-run DGD round by round on the
+    obfuscated objectives from the view's recipe."""
+    recipe = view.recipe
+    problem = po.GlobalProblem(
+        objectives=[po.PolynomialObjective(view.obfuscated[j], enforce_convex=False)
+                    for j in range(view.topology.n)],
+        feasible=po.Box.from_spec(recipe["feasible"]), validate_convexity=False)
+    if recipe["weights_series"] is None:
+        weights = po.FusionMatrix.from_entries(recipe["weights"], view.topology)
+    else:
+        matrices = [po.FusionMatrix.from_entries(b, view.topology)
+                    for b in recipe["weights_series"]]
+
+        def weights(k):
+            return matrices[k - 1]
+    trace = po.run_dgd(problem, view.topology, po.StepSchedule.from_spec(recipe["schedule"]),
+                       max_iter=recipe["max_iter"], init=np.asarray(recipe["init"], dtype=float),
+                       weights=weights, record_every=recipe["record_every"])
+    return trace.state_digest()
+
+
+def replay_verdicts(view):
+    """Whether the replay and its round-by-round reference each reproduce the
+    trace digest."""
+    return (replay_digest(view) == view.trace_digest,
+            sequential_replay_digest(view) == view.trace_digest)
 
 
 def truth_coeffs(trace):
@@ -326,9 +367,10 @@ class TestRandomizedTrials:
             objs = po.complete_alternative_objectives(problem, coalition, target,
                                                       alts, d_max=8)
             inst = po.construct_alternative(view, objs, extras_seed=trial)
-            report = po.verify_indistinguishable(view, inst, rerun=(trial == 0))
+            report = po.verify_indistinguishable(view, inst)
             assert report.passed, (coalition, target, report.first_mismatch)
             assert report.max_residual <= 1e-9
+            assert report.digest_ok is True
 
 
 def test_separable_multivariate_instance(complete5):
@@ -370,4 +412,159 @@ def test_fs_trace_on_n10_runs(quartic_problem):
     objectives = po.complete_alternative_objectives(problem, [1, 6], target=[],
                                                     alternatives={}, d_max=8)
     inst = po.construct_alternative(view, objectives, extras_seed=0)
-    assert po.verify_indistinguishable(view, inst, rerun=False).passed
+    report = po.verify_indistinguishable(view, inst)
+    assert report.passed and report.digest_ok is True
+
+
+REPLAY_GRAPHS = (("complete", 5), ("cycle", 5), ("star", 5), ("petersen", 10))
+
+
+class TestReplay:
+    """``replay_digest`` checks every recorded transition at once; it must
+    reach the verdict of a round-by-round replay."""
+
+    @pytest.mark.parametrize("record_every", [1, 3, 7, 50])
+    @pytest.mark.parametrize("family,n", REPLAY_GRAPHS)
+    def test_digest_equals_sequential_replay(self, family, n, record_every):
+        # 199 rounds: not a multiple of any down-sampling step, so the last gap is short
+        _, trace = fs_trace(po.Topology.family(family, n), max_iter=199,
+                            record_every=record_every)
+        view = po.extract_view(trace, coalition=[0])
+        assert replay_digest(view) == sequential_replay_digest(view) == view.trace_digest
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_ulp_change_in_an_obfuscated_coefficient(self, complete5, record_every):
+        _, trace = fs_trace(complete5, max_iter=199, record_every=record_every)
+        view = po.extract_view(trace, coalition=[3, 4])
+        verdicts = []
+        for agent in range(5):
+            for coeff in (1, 2, 4, 8):
+                bumped = view.obfuscated[agent].copy()
+                bumped[0, coeff] = np.nextafter(bumped[0, coeff], np.inf)
+                tampered = dataclasses.replace(
+                    view, obfuscated={**view.obfuscated, agent: bumped})
+                fast, reference = replay_verdicts(tampered)
+                assert fast == reference, (agent, coeff)
+                verdicts.append(fast)
+        assert not all(verdicts)  # some of these ulps must change the dynamics
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("where", ["middle", "final"])
+    def test_changed_recorded_state(self, cycle5, record_every, where):
+        # a consistently tampered trace: the state changes and its digest with it
+        _, trace = fs_trace(cycle5, max_iter=199, record_every=record_every)
+        if where == "middle":
+            states = trace.states.copy()
+            states[trace.states.shape[0] // 2, 1, 0] += 1e-9
+            trace = dataclasses.replace(trace, states=states)
+        else:
+            trace = dataclasses.replace(trace, final_states=trace.final_states + 1e-9)
+        view = po.extract_view(trace, coalition=[2])
+        assert replay_verdicts(view) == (False, False)
+
+    def test_init_outside_the_box_raises_as_the_reference(self, cycle5):
+        _, trace = fs_trace(cycle5)
+        view = po.extract_view(trace, coalition=[2])
+        outside = dataclasses.replace(view, recipe={**view.recipe, "init": [[40.0]] * 5})
+        for replay in (replay_digest, sequential_replay_digest):
+            with pytest.raises(ValueError, match="feasible set"):
+                replay(outside)
+
+    def test_non_finite_replay_raises_as_the_reference(self, cycle5):
+        # derivative coefficients 4e308 and -3e308 overflow to inf and -inf,
+        # and inf - inf is NaN at every positive fused point
+        _, trace = fs_trace(cycle5)
+        view = po.extract_view(trace, coalition=[2])
+        obfuscated = {}
+        for agent, coeffs in view.obfuscated.items():
+            coeffs = coeffs.copy()
+            coeffs[0, 3:5] = (-1e308, 1e308)
+            obfuscated[agent] = coeffs
+        blown = dataclasses.replace(view, obfuscated=obfuscated)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for replay in (replay_digest, sequential_replay_digest):
+                with pytest.raises(NonFiniteError, match="round 1:"):
+                    replay(blown)
+
+
+class TestProviderTraces:
+    def test_complete_provider_trace_passes(self, cycle5):
+        problem, trace = fs_trace(cycle5, weights=alternating_weights(cycle5))
+        view = po.extract_view(trace, coalition=[2])
+        assert replay_digest(view) == sequential_replay_digest(view) == view.trace_digest
+        alt = np.pad(truth_coeffs(trace)[0], ((0, 0), (0, 6))) + np.eye(1, 9, 4) * 0.5
+        objectives = po.complete_alternative_objectives(problem, [2], target=[0],
+                                                        alternatives={0: alt}, d_max=8)
+        inst = po.construct_alternative(view, objectives, extras_seed=1)
+        report = po.verify_indistinguishable(view, inst)
+        assert report.passed and report.max_residual == 0.0 and report.digest_ok is True
+
+    def test_every_round_weights_are_validated(self, cycle5):
+        _, trace = fs_trace(cycle5, weights=alternating_weights(cycle5))
+        view = po.extract_view(trace, coalition=[2])
+        series = np.array(view.recipe["weights_series"])
+        series[7, 0, 0] += 0.1  # row 0 of round 8 no longer sums to 1
+        bad = dataclasses.replace(view, recipe={**view.recipe,
+                                                "weights_series": series.tolist()})
+        with pytest.raises(GraphError, match="sum to 1"):
+            replay_digest(bad)
+
+    def test_down_sampled_provider_trace_is_refused(self, cycle5):
+        _, trace = fs_trace(cycle5, weights=alternating_weights(cycle5), record_every=3)
+        with pytest.raises(ValueError, match="unrecorded rounds"):
+            po.extract_view(trace, coalition=[2])
+
+
+def _connected(topology, agents):
+    agents = set(agents)
+    start = min(agents)
+    seen, stack = {start}, [start]
+    while stack:
+        u = stack.pop()
+        for v in topology.neighbors(u):
+            if v in agents and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen == agents
+
+
+@pytest.mark.parametrize("family,n,largest", [
+    ("complete", 5, 3), ("cycle", 5, 3), ("star", 5, 3), ("petersen", 10, 4)])
+def test_privacy_certificate_over_small_coalitions(family, n, largest):
+    """The function-sharing privacy theorem, coalition by coalition: every
+    coalition of at most ``largest`` agents (on the 5-agent graphs, every one
+    that leaves two agents or more). If the rest stays connected, an
+    alternative instance passes with zero residual and a matching replay
+    digest. If the coalition is a vertex cut, the construction fails and the
+    view yields each isolated component's objective sum exactly. The smallest
+    cut has ``vertex_connectivity`` members; the complete graph has none."""
+    topology = po.Topology.family(family, n)
+    problem, trace = fs_trace(topology, seed=300 + n)
+    truth = truth_coeffs(trace)
+    smallest_cut = None
+    for size in range(largest + 1):
+        for coalition in itertools.combinations(range(n), size):
+            view = po.extract_view(trace, coalition)
+            good = [j for j in range(n) if j not in coalition]
+            if not _connected(topology, good):
+                with pytest.raises(DisconnectedError):
+                    po.construct_alternative(view, po.complete_alternative_objectives(
+                        problem, coalition, [], {}, d_max=8))
+                report = necessity_demo(view, truth)
+                assert report.passed and len(report.components) >= 2, coalition
+                assert all(c["residual"] == 0.0 for c in report.components), coalition
+                smallest_cut = size if smallest_cut is None else smallest_cut
+                continue
+            target = good[-1]
+            alt = np.pad(truth[target], ((0, 0), (0, 9 - truth[target].shape[1])))
+            alt = alt + np.eye(1, 9, 2 + size % 3) * 0.25
+            objectives = po.complete_alternative_objectives(problem, coalition, [target],
+                                                            {target: alt}, d_max=8)
+            inst = po.construct_alternative(view, objectives, extras_seed=size)
+            report = po.verify_indistinguishable(view, inst)
+            assert report.passed, (coalition, report.first_mismatch)
+            assert report.max_residual == 0.0 and report.digest_ok is True, coalition
+    if family == "complete":
+        assert smallest_cut is None
+    else:
+        assert smallest_cut == po.vertex_connectivity(topology)
