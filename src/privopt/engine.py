@@ -10,6 +10,7 @@ descent bit for bit.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -27,9 +28,13 @@ from .objectives import Box, GlobalProblem
 # round, so a version-1 rss trace's seed no longer reproduces its noise.
 # Version 3: rounds hold only the primary arrays, and rss_lb perturbations and
 # rss_nb shares are stored on the directed edges (same dynamics as version 2).
-TRACE_VERSION = 3
+# Version 4: arrays are base64 float64 bytes, the fusion weights are stored per
+# slot and dgd and fs perturbations, zero by definition, are not stored (same
+# dynamics as version 3).
+TRACE_VERSION = 4
 
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb", "fs")
+PERTURBED = ("rss_nb", "rss_lb")  # dgd and fs messages carry no perturbation
 
 
 class ScheduleError(ValueError):
@@ -37,9 +42,11 @@ class ScheduleError(ValueError):
 
 
 class TraceError(ValueError):
-    """A trace file has an unsupported version, an array of the wrong shape,
-    rounds or steps that its schedule does not give, or a state digest that
-    does not match."""
+    """A trace file has an unsupported version, a missing or malformed header
+    value, an array that is not encoded as ``encode_array`` writes it or has
+    the wrong shape, fusion weights that are not doubly stochastic, rounds or
+    steps that its schedule does not give, or a state digest that does not
+    match."""
 
 
 class NonFiniteError(ValueError):
@@ -179,6 +186,53 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def encode_array(array: np.ndarray) -> dict:
+    """A trace document's form of a float array: its shape and the standard
+    base64 of its C-order little-endian float64 bytes, so decoding gives the
+    array back bit for bit (signed zeros, NaN payloads and all)."""
+    data = np.ascontiguousarray(array, dtype="<f8")
+    return {"shape": list(data.shape),
+            "base64": binascii.b2a_base64(data.tobytes(), newline=False).decode("ascii")}
+
+
+def decode_array(value, name: str, *shape: int) -> np.ndarray:
+    """The writable float64 array of shape ``shape`` that ``encode_array``
+    wrote as ``value``. Anything else raises ``TraceError`` naming ``name``:
+    a value that is not an encoded array, another shape, characters outside
+    the base64 alphabet, a byte count other than 8 per entry, or an entry
+    that is not finite."""
+    if not (isinstance(value, dict) and isinstance(value.get("shape"), list)
+            and isinstance(value.get("base64"), str)):
+        raise TraceError(f"{name} is not an encoded array")
+    if tuple(value["shape"]) != shape:
+        raise TraceError(f"{name} has shape {tuple(value['shape'])}, expected {shape}")
+    try:
+        data = binascii.a2b_base64(value["base64"], strict_mode=True)
+    except binascii.Error as exc:
+        raise TraceError(f"{name} is not valid base64: {exc}") from None
+    expected = 8 * int(np.prod(shape))
+    if len(data) != expected:
+        raise TraceError(f"{name} holds {len(data)} bytes, expected {expected}")
+    out = np.frombuffer(bytearray(data), dtype="<f8").reshape(shape).astype(float, copy=False)
+    if not np.isfinite(out).all():
+        raise TraceError(f"{name} holds a non-finite value")
+    return out
+
+
+def _numbers(value, name: str, *shape: int) -> np.ndarray:
+    """A JSON number, or nested lists of numbers, of the given shape and
+    finite; ``TraceError`` naming ``name`` otherwise."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise TraceError(f"{name} is not a numeric array: {exc}") from None
+    if out.shape != shape:
+        raise TraceError(f"{name} has shape {out.shape}, expected {shape}")
+    if not np.isfinite(out).all():
+        raise TraceError(f"{name} holds a non-finite value")
+    return out
+
+
 @dataclass
 class ExecutionTrace:
     """Record of one run: the primary per-round arrays (steps, states,
@@ -279,11 +333,15 @@ class ExecutionTrace:
         return idx, arr
 
     def to_json_dict(self) -> dict:
-        """The trace document: the primary arrays as they are held, derived
-        arrays not written."""
-        def listify(a):
-            return None if a is None else np.asarray(a).tolist()
+        """The trace document: the primary arrays as ``encode_array`` objects,
+        the fusion weights per slot ((K, n), or (R, K, n) for a provider run),
+        and neither derived arrays nor the zero perturbations of dgd and fs."""
+        def encoded(a):
+            return None if a is None else encode_array(a)
 
+        slot_weights = self.topology.fuse_slots.weights
+        series = self.weights_series
+        perturbations = self.perturbations if self.algorithm in PERTURBED else None
         return {
             "version": self.version,
             "algorithm": self.algorithm,
@@ -295,18 +353,18 @@ class ExecutionTrace:
             "record_every": self.record_every,
             "schedule": self.schedule.to_spec(),
             "topology": self.topology.to_spec(),
-            "weights": listify(self.weights),
-            "init": listify(self.init),
+            "weights": encode_array(slot_weights(self.weights)),
+            "init": encode_array(self.init),
             "problem": self.problem_spec,
             "rounds": {
                 "index": self.round_index.tolist(),
-                "step": self.steps.tolist(),
-                "states": listify(self.states),
-                "perturbations": listify(self.perturbations),
-                "shares": listify(self.shares),
-                "weights_series": listify(self.weights_series),
+                "step": encode_array(self.steps),
+                "states": encode_array(self.states),
+                "perturbations": encoded(perturbations),
+                "shares": encoded(self.shares),
+                "weights_series": None if series is None else encode_array(slot_weights(series)),
             },
-            "final_states": listify(self.final_states),
+            "final_states": encode_array(self.final_states),
             "extras": self.extras,
             "digest": self.state_digest(),
         }
@@ -317,89 +375,116 @@ class ExecutionTrace:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExecutionTrace":
-        """Rebuild a trace, checking every array's shape and finiteness, the
-        noise bounds, the recorded rounds and steps against the schedule, and
-        the state digest; any mismatch raises ``TraceError``."""
+        """Rebuild a trace, checking the header's keys and counts, every
+        array's encoding, shape and finiteness, the fusion weights, the noise
+        bounds and function-sharing extras, the recorded rounds and steps
+        against the schedule, and the state digest; any mismatch raises
+        ``TraceError``."""
+        if not isinstance(doc, dict):
+            raise TraceError("a trace document must be a JSON object")
         if doc.get("version") != TRACE_VERSION:
             raise TraceError(f"unsupported trace version: {doc.get('version')!r}")
-        algorithm = doc["algorithm"]
+
+        def required(key: str):
+            if key not in doc:
+                raise TraceError(f"missing key: {key}")
+            return doc[key]
+
+        def count(key: str) -> int:
+            value = required(key)
+            if type(value) is not int or value < 1:
+                raise TraceError(f"{key} must be a positive integer, got {value!r}")
+            return value
+
+        def mapping(key: str) -> dict:
+            value = required(key)
+            if not isinstance(value, dict):
+                raise TraceError(f"{key} must be a JSON object, got {type(value).__name__}")
+            return value
+
+        algorithm = required("algorithm")
         if algorithm not in ALGORITHMS:
             raise TraceError(f"unknown algorithm: {algorithm!r}")
-        topology = Topology.from_spec(doc["topology"])
-        schedule = StepSchedule.from_spec(doc["schedule"])
-        n, dim = int(doc["n"]), int(doc["dim"])
-        max_iter, record_every = int(doc["max_iter"]), int(doc["record_every"])
+        seed = required("seed")
+        if seed is not None and (type(seed) is not int or seed < 0):
+            raise TraceError(f"seed must be null or a non-negative integer, got {seed!r}")
+        n, dim = count("n"), count("dim")
+        max_iter, record_every = count("max_iter"), count("record_every")
+        topology_spec, schedule_spec = required("topology"), required("schedule")
+        try:
+            topology = Topology.from_spec(topology_spec)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"topology: {type(exc).__name__}: {exc}") from None
+        try:
+            schedule = StepSchedule.from_spec(schedule_spec)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise TraceError(f"schedule: {type(exc).__name__}: {exc}") from None
         if topology.n != n:
             raise TraceError(f"topology has {topology.n} agents, trace has {n}")
-        rounds = doc["rounds"]
+        rounds, extras, problem_spec = mapping("rounds"), mapping("extras"), mapping("problem")
         index = recorded_rounds(max_iter, record_every)
         r_count = index.size
         edges = topology.sender_edges[0].size
+        slots = topology.fuse_slots
+        k_slots = slots.senders.shape[0]
 
-        def array(value, name: str, *shape: int) -> np.ndarray:
+        def fusion(value, name: str, *rounds_shape: int) -> np.ndarray:
+            """Dense (..., n, n) matrices of encoded (..., K, n) slot weights."""
             try:
-                out = np.asarray(value, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise TraceError(f"{name} is not a numeric array: {exc}") from None
-            if out.shape != shape:
-                raise TraceError(f"{name} has shape {out.shape}, expected {shape}")
-            if not np.isfinite(out).all():
-                raise TraceError(f"{name} holds a non-finite value")
-            return out
+                entries = slots.entries(decode_array(value, name, *rounds_shape, k_slots, n))
+                FusionMatrix(entries=entries, rho=0.0).validate()
+            except GraphError as exc:
+                raise TraceError(f"{name}: {exc}") from None
+            return entries
 
-        delta = float(array(doc.get("delta"), "delta"))
+        delta = float(_numbers(doc.get("delta"), "delta"))
         if delta < 0:
             raise TraceError(f"delta must be non-negative, got {delta!r}")
-        extras = doc.get("extras", {})
         if algorithm == "fs":
-            for key in ("obf_grad_bound", "obf_smoothness_bound"):
-                if extras.get(key) is not None:
-                    array(extras[key], f"extras.{key}")
+            _check_fs_extras(extras, topology, dim)
 
-        stored_index = array(rounds.get("index"), "rounds.index", r_count)
+        stored_index = _numbers(rounds.get("index"), "rounds.index", r_count)
         if not np.array_equal(stored_index, index):
             raise TraceError(f"rounds.index is not the rounds recorded for max_iter={max_iter}, "
                              f"record_every={record_every}")
-        steps = array(rounds.get("step"), "rounds.step", r_count)
+        steps = decode_array(rounds.get("step"), "rounds.step", r_count)
         if steps.tobytes() != schedule.steps(max_iter)[index - 1].tobytes():
             raise TraceError("rounds.step differs from the schedule's steps")
-        perturbations = array(rounds.get("perturbations"), "rounds.perturbations",
-                              r_count, edges if algorithm == "rss_lb" else n, dim)
+        if algorithm in PERTURBED:
+            perturbations = decode_array(rounds.get("perturbations"), "rounds.perturbations",
+                                         r_count, edges if algorithm == "rss_lb" else n, dim)
+        elif rounds.get("perturbations") is not None:
+            raise TraceError(f"{algorithm} perturbations are zero and not stored")
+        else:
+            perturbations = np.zeros((r_count, n, dim))
         shares = None
         if algorithm == "rss_nb":
-            shares = array(rounds.get("shares"), "rounds.shares", r_count, edges, dim)
+            shares = decode_array(rounds.get("shares"), "rounds.shares", r_count, edges, dim)
         elif rounds.get("shares") is not None:
             raise TraceError(f"only rss_nb traces have shares, not {algorithm}")
         weights_series = rounds.get("weights_series")
         if weights_series is not None:
-            weights_series = array(weights_series, "rounds.weights_series", r_count, n, n)
-        weights = array(doc.get("weights"), "weights", n, n)
-        for name, entries in (("weights", weights), ("rounds.weights_series", weights_series)):
-            if entries is not None:
-                try:
-                    topology.fuse_slots.weights(entries)
-                except GraphError as exc:
-                    raise TraceError(f"{name}: {exc}") from None
+            weights_series = fusion(weights_series, "rounds.weights_series", r_count)
         trace = cls(
             algorithm=algorithm,
             topology=topology,
-            weights=weights,
+            weights=fusion(doc.get("weights"), "weights"),
             schedule=schedule,
             delta=delta,
-            seed=doc["seed"],
+            seed=seed,
             max_iter=max_iter,
             record_every=record_every,
-            init=array(doc.get("init"), "init", n, dim),
+            init=decode_array(doc.get("init"), "init", n, dim),
             round_index=index,
             steps=steps,
-            states=array(rounds.get("states"), "rounds.states", r_count, n, dim),
+            states=decode_array(rounds.get("states"), "rounds.states", r_count, n, dim),
             perturbations=perturbations,
-            final_states=array(doc.get("final_states"), "final_states", n, dim),
-            problem_spec=doc["problem"],
+            final_states=decode_array(doc.get("final_states"), "final_states", n, dim),
+            problem_spec=problem_spec,
             shares=shares,
             weights_series=weights_series,
             extras=extras,
-            version=doc["version"],
+            version=TRACE_VERSION,
         )
         digest = trace.state_digest()
         if digest != doc.get("digest"):
@@ -411,6 +496,30 @@ class ExecutionTrace:
     def load(cls, path) -> "ExecutionTrace":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _check_fs_extras(extras: dict, topology: Topology, dim: int) -> None:
+    """Check the function-sharing extras that the audits and the privacy
+    check read: finite bounds, the obfuscated objectives as a finite
+    (n, dim, width) array, and one finite (dim, width) noise function per
+    directed edge, in ``Topology.sender_edges`` order."""
+    for key in ("obf_grad_bound", "obf_smoothness_bound"):
+        if extras.get(key) is not None:
+            _numbers(extras[key], f"extras.{key}")
+    width = extras.get("width")
+    if type(width) is not int or width < 1:
+        raise TraceError(f"extras.width must be a positive integer, got {width!r}")
+    _numbers(extras.get("obfuscated"), "extras.obfuscated", topology.n, dim, width)
+    noise = extras.get("noise")
+    senders, receivers = topology.sender_edges
+    if (not isinstance(noise, list)
+            or not all(isinstance(entry, list) and len(entry) == 3 for entry in noise)
+            or [entry[:2] for entry in noise] != [list(e) for e in zip(senders.tolist(),
+                                                                      receivers.tolist())]):
+        raise TraceError("extras.noise must hold one [sender, receiver, coefficients] entry "
+                         "per directed edge, in edge order")
+    for sender, receiver, coeffs in noise:
+        _numbers(coeffs, f"extras.noise of edge ({sender}, {receiver})", dim, width)
 
 
 def _resolve_weights(weights, k: int) -> FusionMatrix:

@@ -203,6 +203,19 @@ class FuseSlots:
                              "neighbourhoods")
         return weights
 
+    def entries(self, weights: np.ndarray) -> np.ndarray:
+        """(..., n, n) matrices of (..., K, n) slot weights, the inverse of
+        ``weights``: only the live slots are scattered, since a pad points at
+        its agent's own column. Raises GraphError for a nonzero pad weight,
+        which would sit off the self-inclusive neighbourhoods."""
+        if np.any(weights[..., ~self.live]):
+            raise GraphError("nonzero weight in a pad slot, off the self-inclusive "
+                             "neighbourhoods")
+        slot, agent = np.nonzero(self.live)
+        entries = np.zeros(weights.shape[:-2] + (self.senders.shape[1],) * 2)
+        entries[..., agent, self.senders[slot, agent]] = weights[..., slot, agent]
+        return entries
+
 
 @dataclass(frozen=True)
 class FusionMatrix:

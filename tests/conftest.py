@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import privopt as po
+from privopt.engine import decode_array, encode_array
 
 # Local objective family used throughout: x^2, x^4, x^2+x^4, x^2+0.5x^4, 0.5x^2+x^4
 QUARTIC_COEFFS = [
@@ -64,3 +65,30 @@ def quartic_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def decoded(value):
+    """The array of an ``encode_array`` object of a trace document."""
+    return decode_array(value, "array", *value["shape"])
+
+
+def with_entry(array, index, value):
+    """A copy of ``array`` with ``array[index] = value``."""
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+def edit_array(doc, path, change):
+    """Replace the value at ``path`` (a sequence of keys) of a trace document
+    by ``change(value)``. An encoded array is handed to ``change`` decoded,
+    and an array it returns is stored encoded; any other value is handed over
+    and stored as it is."""
+    *outer, last = path
+    for key in outer:
+        doc = doc[key]
+    value = doc[last]
+    if isinstance(value, dict) and "base64" in value:
+        value = decoded(value)
+    new = change(value)
+    doc[last] = encode_array(new) if isinstance(new, np.ndarray) else new

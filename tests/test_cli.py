@@ -8,7 +8,7 @@ import privopt as po
 from privopt.cli import main
 from privopt.engine import ExecutionTrace
 
-from conftest import INTERIOR_INIT, quartic_config
+from conftest import INTERIOR_INIT, edit_array, quartic_config, with_entry
 
 
 def write(path, doc):
@@ -209,7 +209,8 @@ class TestAudit:
         main(["run", "--config", run_cfg, "--out-dir", str(out)])
         path = out / "run_trace.json"
         doc = json.load(open(path))
-        doc["rounds"]["states"][50][2][0] += 1e-9  # digest left as written
+        # digest left as written
+        edit_array(doc, ("rounds", "states"), lambda a: with_entry(a, (50, 2, 0), a[50, 2, 0] + 1e-9))
         write(path, doc)
         assert main(["audit", str(path), "--checks", "invariants"]) == 2
         assert "trace error" in capsys.readouterr().err
@@ -236,7 +237,7 @@ class TestAudit:
 # the index check runs before the digest check)
 MALFORMED = {
     "truncated_step": ("step", lambda v: v[:-1]),
-    "wrong_shape_edge_array": ("shares", lambda v: [row[:-1] for row in v]),
+    "wrong_shape_edge_array": ("shares", lambda v: v[:, :-1]),
     "shifted_index": ("index", lambda v: [k + 1 for k in v]),
 }
 
@@ -248,7 +249,7 @@ def malformed_trace(request, tmp_path, run_cfg):
     path = out / "run_trace.json"
     doc = json.load(open(path))
     key, change = MALFORMED[request.param]
-    doc["rounds"][key] = change(doc["rounds"][key])
+    edit_array(doc, ("rounds", key), change)
     write(path, doc)
     return str(path), key
 
@@ -267,11 +268,12 @@ class TestMalformedTrace:
         assert f"trace error: rounds.{key}" in capsys.readouterr().err
 
 
-def _set(doc, path, value):
-    *outer, last = path
-    for key in outer:
-        doc = doc[key]
-    doc[last] = value
+def _set(doc, place, value):
+    """Set ``value`` at ``place``: keys into the document, then the index of
+    an entry when the keys lead to an encoded array."""
+    keys = [p for p in place if isinstance(p, str)]
+    index = tuple(p for p in place if isinstance(p, int))
+    edit_array(doc, keys, lambda v: with_entry(v, index, value) if index else value)
 
 
 # Non-finite or out-of-range values the state digest does not cover:
@@ -413,7 +415,8 @@ class TestPrivacy:
     def test_tampered_trace_exits_2(self, fs_artifacts, capsys):
         trace, alts, _ = fs_artifacts
         doc = json.load(open(trace))
-        doc["rounds"]["states"][10][0][0] += 1e-9  # digest left as written
+        # digest left as written
+        edit_array(doc, ("rounds", "states"), lambda a: with_entry(a, (10, 0, 0), a[10, 0, 0] + 1e-9))
         write(trace, doc)
         assert main(["privacy", trace, "--coalition", "3,4", "--target", "0",
                      "--alt-objectives", alts]) == 2
@@ -439,6 +442,41 @@ class TestPrivacy:
         alts = write(tmp_path / "alts.json", {"0": [0, 0, 1]})
         assert main(["privacy", str(out / "run_trace.json"), "--coalition", "1",
                      "--target", "0", "--alt-objectives", alts]) == 2
+
+
+# Header and extras defects of a complete-5 fs trace, each raising TraceError
+# that names the key: (edit of the document, the start of the error message)
+MALFORMED_HEADER = {
+    "missing_seed": (lambda d: d.pop("seed"), "missing key: seed"),
+    "missing_algorithm": (lambda d: d.pop("algorithm"), "missing key: algorithm"),
+    "missing_topology": (lambda d: d.pop("topology"), "missing key: topology"),
+    "missing_rounds": (lambda d: d.pop("rounds"), "missing key: rounds"),
+    "missing_problem": (lambda d: d.pop("problem"), "missing key: problem"),
+    "n_not_an_integer": (lambda d: d.update(n="five"), "n must be a positive integer"),
+    "topology_n_not_an_integer": (lambda d: d["topology"].update(n="x"),
+                                  "topology: ValueError"),
+    "edge_out_of_range": (lambda d: d["topology"]["edges"].append([0, 9]),
+                          "topology: GraphError: edge (0, 9) out of range"),
+    "extras_not_an_object": (lambda d: d.update(extras=[]), "extras must be a JSON object"),
+    "obfuscated_shape": (lambda d: d["extras"].update(obfuscated=[[1.0]]),
+                         "extras.obfuscated has shape (1, 1), expected (5, 1, 9)"),
+}
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("command", ["audit", "privacy"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADER))
+    def test_exits_2_naming_the_key(self, case, command, fs_artifacts, capsys):
+        trace, alts, _ = fs_artifacts
+        doc = json.load(open(trace))
+        edit, message = MALFORMED_HEADER[case]
+        edit(doc)
+        write(trace, doc)
+        argv = {"audit": ["audit", trace],
+                "privacy": ["privacy", trace, "--coalition", "3,4", "--target", "0",
+                            "--alt-objectives", alts]}[command]
+        assert main(argv) == 2
+        assert f"trace error: {message}" in capsys.readouterr().err
 
 
 class TestBounds:

@@ -9,10 +9,10 @@ import pytest
 import privopt as po
 from privopt.configs import RunConfig, execute
 from privopt.engine import (ScheduleError, StepSchedule, TraceError, _slot_fuse,
-                            recorded_rounds)
+                            encode_array, recorded_rounds)
 from privopt.noise import FsObjectiveError
 
-from conftest import INTERIOR_INIT
+from conftest import INTERIOR_INIT, decoded, edit_array, with_entry
 from test_golden import canonical_traces
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -504,6 +504,17 @@ class TestSlotFuse:
         expected = np.array([_fuse_reference(series[r], dense[r]) for r in range(rounds)])
         assert_bit_equal(fused, expected)
 
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_entries_invert_weights(self, name):
+        # the pads of the star and path point at the agent's own column, so
+        # scattering them would overwrite its self weight
+        topology = self.TOPOLOGIES[name]
+        rng = np.random.default_rng([11, topology.n])
+        series = self._support_weights(topology, rng, (3, topology.n, topology.n))
+        slots = topology.fuse_slots
+        assert_bit_equal(slots.entries(slots.weights(series)), series)
+        assert_bit_equal(slots.entries(slots.weights(series[0])), series[0])
+
     def test_slot_table_lists_ascending_in_neighbours(self):
         for topology in self.TOPOLOGIES.values():
             slots = topology.fuse_slots
@@ -542,9 +553,13 @@ class TestSupportGuard:
             po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 5, init=INTERIOR_INIT,
                           seed=1, weights=provider)
 
-    def test_trace_with_off_support_weights_does_not_load(self, short_runs, cycle5):
-        doc = json.loads(json.dumps(short_runs["dgd"].to_json_dict()))
-        doc["weights"] = self._off_support(cycle5).tolist()
+    def test_trace_with_off_support_weights_does_not_load(self, quartic_problem, inv_sqrt):
+        # slots hold only the neighbourhoods; an off-support weight can sit
+        # only in a pad slot, which the end agents of a path have
+        path5 = po.Topology.family("path", 5)
+        doc = po.run_dgd(quartic_problem, path5, inv_sqrt, 5, init=INTERIOR_INIT).to_json_dict()
+        pad = tuple(np.argwhere(~path5.fuse_slots.live)[0])
+        edit_array(doc, ("weights",), lambda w: with_entry(w, pad, 1e-13))
         with pytest.raises(TraceError, match="weights: .*off the self-inclusive"):
             po.ExecutionTrace.from_json_dict(doc)
 
@@ -598,10 +613,10 @@ class TestTraceFile:
         lb = po.run_rss_lb(problem, topology, inv_sqrt, 1.0, 30, seed=2, record_every=10)
         r_count = nb.round_index.size
         for trace, attr, key in ((nb, "shares", "shares"), (lb, "perturbations", "perturbations")):
-            stored = np.asarray(trace.to_json_dict()["rounds"][key])
+            stored = decoded(trace.to_json_dict()["rounds"][key])
             assert stored.shape == (r_count, 2 * n, 2)
             assert_bit_equal(stored, getattr(trace, attr))
-        assert np.asarray(nb.to_json_dict()["rounds"]["perturbations"]).shape == (r_count, n, 2)
+        assert decoded(nb.to_json_dict()["rounds"]["perturbations"]).shape == (r_count, n, 2)
 
     def test_version_2_document_raises(self, short_runs):
         doc = short_runs["nb"].to_json_dict()
@@ -609,8 +624,26 @@ class TestTraceFile:
         with pytest.raises(TraceError, match="unsupported trace version: 2"):
             po.ExecutionTrace.from_json_dict(doc)
 
+    def test_version_3_document_raises(self, short_runs):
+        doc = short_runs["fs"].to_json_dict()
+        doc["version"] = 3
+        with pytest.raises(TraceError, match="unsupported trace version: 3"):
+            po.ExecutionTrace.from_json_dict(doc)
+
+    def test_zero_perturbations_are_not_stored(self, short_runs):
+        for name, trace in short_runs.items():
+            stored = trace.to_json_dict()["rounds"]["perturbations"]
+            assert (stored is None) == (name in ("dgd", "fs"))
+            loaded = po.ExecutionTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
+            assert_bit_equal(loaded.perturbations, trace.perturbations)
+
+    def test_weights_are_stored_per_slot(self, short_runs, cycle5):
+        weights = decoded(short_runs["dgd"].to_json_dict()["weights"])
+        assert_bit_equal(weights, cycle5.fuse_slots.weights(short_runs["dgd"].weights))
+
     # sha256 of json.dumps([index, step, states]) of the "rounds" of each shipped
-    # config's trace, taken before the trace dropped its derived arrays
+    # config's trace as number lists, taken before the trace dropped its
+    # derived arrays
     SHIPPED = {
         "poly_cycle_run.json": "318670403f3a8ba5048c6ae048ce880353c311314f3225ed0f874389b70d8b9f",
         "fs_complete_run.json": "c776a16163e3901ac718d1d5015cd31d889e83d83a5c52ce6a0cb46b87e598fd",
@@ -619,7 +652,8 @@ class TestTraceFile:
     @pytest.mark.parametrize("config", sorted(SHIPPED))
     def test_shipped_config_lists_unchanged(self, config):
         rounds = execute(RunConfig.from_file(CONFIGS / config)).to_json_dict()["rounds"]
-        text = json.dumps([rounds["index"], rounds["step"], rounds["states"]])
+        text = json.dumps([rounds["index"], decoded(rounds["step"]).tolist(),
+                           decoded(rounds["states"]).tolist()])
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHIPPED[config]
 
 
@@ -629,39 +663,145 @@ class TestLoadChecks:
     @pytest.fixture(scope="class")
     def docs(self, quartic_problem, cycle5, inv_sqrt):
         kw = dict(init=INTERIOR_INIT, seed=4, record_every=5)
+        regular = po.metropolis_weights(cycle5)
+        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
         return {
             "dgd": po.run_dgd(quartic_problem, cycle5, inv_sqrt, 30, init=INTERIOR_INIT),
             "rss_nb": po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, **kw),
             "rss_lb": po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, **kw),
+            "fs": po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, 30, **kw),
+            "provider": po.run_dgd(quartic_problem, cycle5, inv_sqrt, 30, init=INTERIOR_INIT,
+                                   weights=lambda k: regular if k % 2 else lazy),
         }
 
-    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb"])
+    @staticmethod
+    def _doc(trace):
+        return json.loads(json.dumps(trace.to_json_dict()))
+
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs", "provider"])
     def test_untouched_documents_load(self, docs, algorithm):
         trace = docs[algorithm]
-        loaded = po.ExecutionTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
+        loaded = po.ExecutionTrace.from_json_dict(self._doc(trace))
         assert loaded.state_digest() == trace.state_digest()
 
     @pytest.mark.parametrize("algorithm, key, change, match", [
         ("dgd", "step", lambda v: v[:-1], r"rounds.step has shape \(29,\)"),
-        ("dgd", "step", lambda v: [np.nextafter(v[0], 2.0)] + v[1:], "schedule's steps"),
+        ("dgd", "step", lambda v: with_entry(v, 0, np.nextafter(v[0], 2.0)), "schedule's steps"),
         ("rss_nb", "index", lambda v: [k + 1 for k in v], "rounds.index is not"),
-        ("rss_nb", "shares", lambda v: [row[:-1] for row in v], r"rounds.shares has shape"),
-        ("rss_nb", "shares", lambda v: None, r"rounds.shares has shape \(\)"),
-        ("rss_lb", "perturbations", lambda v: [row[:-1] for row in v],
+        ("rss_nb", "shares", lambda v: v[:, :-1], r"rounds.shares has shape"),
+        ("rss_nb", "shares", lambda v: None, "rounds.shares is not an encoded array"),
+        ("rss_lb", "perturbations", lambda v: v[:, :-1],
          r"rounds.perturbations has shape \(\d+, 9, 1\)"),
-        ("rss_lb", "states", lambda v: v[:-1] + [v[-1][:-1]], "rounds.states is not a numeric"),
-        ("dgd", "weights_series", lambda v: [[[0.2] * 5] * 4] * 30,
+        ("rss_lb", "states", lambda v: v.tolist(), "rounds.states is not an encoded array"),
+        ("rss_lb", "states", lambda v: {**encode_array(v), "base64": "*" + encode_array(v)["base64"][1:]},
+         "rounds.states is not valid base64"),
+        ("rss_lb", "states", lambda v: {**encode_array(v[:-1]), "shape": list(v.shape)},
+         r"rounds.states holds \d+ bytes, expected \d+"),
+        ("dgd", "weights_series", lambda v: np.full((30, 4, 5), 0.2),
          r"rounds.weights_series has shape \(30, 4, 5\)"),
-        ("dgd", "shares", lambda v: [[[0.0]]], "only rss_nb traces have shares, not dgd"),
+        ("dgd", "shares", lambda v: np.zeros((1, 1, 1)), "only rss_nb traces have shares, not dgd"),
+        ("dgd", "perturbations", lambda v: np.zeros((30, 5, 1)),
+         "dgd perturbations are zero and not stored"),
+        ("fs", "perturbations", lambda v: np.zeros((13, 5, 1)),
+         "fs perturbations are zero and not stored"),
+        ("provider", "weights_series", lambda v: with_entry(v, (3, 0, 0), v[3, 0, 0] + 0.01),
+         "rounds.weights_series: rows must sum to 1"),
     ])
     def test_mismatch_raises(self, docs, algorithm, key, change, match):
-        doc = json.loads(json.dumps(docs[algorithm].to_json_dict()))
-        doc["rounds"][key] = change(doc["rounds"][key])
+        doc = self._doc(docs[algorithm])
+        edit_array(doc, ("rounds", key), change)
         with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
 
     def test_header_arrays_checked(self, docs):
-        doc = docs["dgd"].to_json_dict()
-        doc["final_states"] = doc["final_states"][:-1]
+        doc = self._doc(docs["dgd"])
+        edit_array(doc, ("final_states",), lambda v: v[:-1])
         with pytest.raises(TraceError, match=r"final_states has shape \(4, 1\)"):
             po.ExecutionTrace.from_json_dict(doc)
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda v: with_entry(v, (0, 0), v[0, 0] + 0.01), "weights: rows must sum to 1"),
+        (lambda v: with_entry(v, (1, 2), 1.5), r"weights: fusion entries must lie in \[0, 1\]"),
+    ])
+    def test_fusion_weights_validated(self, docs, change, match):
+        doc = self._doc(docs["dgd"])
+        edit_array(doc, ("weights",), change)
+        with pytest.raises(TraceError, match=match):
+            po.ExecutionTrace.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("record_every", 0, "record_every must be a positive integer, got 0"),
+        ("record_every", -3, "record_every must be a positive integer, got -3"),
+        ("record_every", 1.0, "record_every must be a positive integer, got 1.0"),
+        ("max_iter", 0, "max_iter must be a positive integer, got 0"),
+        ("max_iter", "30", "max_iter must be a positive integer"),
+        ("seed", "abc", "seed must be null or a non-negative integer, got 'abc'"),
+        ("seed", -1.5, "seed must be null or a non-negative integer, got -1.5"),
+        ("seed", -1, "seed must be null or a non-negative integer, got -1"),
+        ("dim", True, "dim must be a positive integer, got True"),
+        ("schedule", [], "schedule: AttributeError"),
+        ("rounds", [], "rounds must be a JSON object, got list"),
+    ])
+    def test_header_values_checked(self, docs, key, value, match):
+        doc = self._doc(docs["rss_nb"])
+        doc[key] = value
+        with pytest.raises(TraceError, match=match):
+            po.ExecutionTrace.from_json_dict(doc)
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda x: x.update(width=0), "extras.width must be a positive integer, got 0"),
+        (lambda x: x.update(obfuscated=[[1.0]]), r"extras.obfuscated has shape \(1, 1\)"),
+        (lambda x: x["obfuscated"][2][0].__setitem__(3, float("nan")),
+         "extras.obfuscated holds a non-finite value"),
+        (lambda x: x["noise"].pop(), "extras.noise must hold one"),
+        (lambda x: x["noise"].reverse(), "extras.noise must hold one"),
+        (lambda x: x["noise"][4].__setitem__(2, [[0.5]]),
+         r"extras.noise of edge \(2, 1\) has shape \(1, 1\), expected \(1, 9\)"),
+        (lambda x: x["noise"][4][2][0].__setitem__(0, float("inf")),
+         r"extras.noise of edge \(2, 1\) holds a non-finite value"),
+    ])
+    def test_fs_extras_checked(self, docs, change, match):
+        doc = self._doc(docs["fs"])
+        change(doc["extras"])
+        with pytest.raises(TraceError, match=match):
+            po.ExecutionTrace.from_json_dict(doc)
+
+
+class TestTraceRoundTrip:
+    """Saving and loading gives back every array bit for bit."""
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("provider", [False, True], ids=["fixed", "provider"])
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs"])
+    def test_arrays_bit_identical(self, algorithm, provider, record_every, quartic_problem,
+                                  cycle5, inv_sqrt, tmp_path):
+        regular = po.metropolis_weights(cycle5)
+        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
+        weights = (lambda k: regular if k % 2 else lazy) if provider else regular
+        init = with_entry(INTERIOR_INIT, (2, 0), -0.0)
+        kw = dict(init=init, weights=weights, record_every=record_every)
+        trace = {
+            "dgd": lambda: po.run_dgd(quartic_problem, cycle5, inv_sqrt, 30, **kw),
+            "rss_nb": lambda: po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, seed=2, **kw),
+            "rss_lb": lambda: po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, seed=2, **kw),
+            "fs": lambda: po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, 30, seed=2, **kw),
+        }[algorithm]()
+        assert np.signbit(trace.states[0, 2, 0]) and trace.states[0, 2, 0] == 0
+        trace.save(tmp_path / "t.json")
+        loaded = po.ExecutionTrace.load(tmp_path / "t.json")
+        for attr in ("init", "round_index", "steps", "states", "perturbations", "final_states",
+                     "shares"):
+            if getattr(trace, attr) is None:
+                assert getattr(loaded, attr) is None
+            else:
+                assert getattr(loaded, attr).tobytes() == getattr(trace, attr).tobytes(), attr
+        slots = cycle5.fuse_slots
+        for attr in ("weights", "weights_series"):
+            if getattr(trace, attr) is None:
+                assert getattr(loaded, attr) is None
+                continue
+            assert np.array_equal(getattr(loaded, attr), getattr(trace, attr))
+            assert (slots.weights(getattr(loaded, attr)).tobytes()
+                    == slots.weights(getattr(trace, attr)).tobytes())
+        assert (loaded.weights_series is not None) == provider
+        assert loaded.state_digest() == trace.state_digest()
