@@ -54,10 +54,8 @@ def effective_bounds(trace: ExecutionTrace, problem: GlobalProblem) -> BoundPara
     recorded obfuscated-gradient bounds and carry no state perturbation. For a
     per-round matrix provider the smallest positive weight over the whole
     series drives the contraction constants."""
-    weights = FusionMatrix.from_entries(trace.weights, trace.topology)
-    if trace.weights_series is not None:
-        positive = trace.weights_series[trace.weights_series > 0]
-        weights = FusionMatrix(entries=trace.weights, rho=float(positive.min()))
+    series = trace.weights if trace.weights_series is None else trace.weights_series
+    weights = FusionMatrix(trace.topology, series)
     if trace.algorithm == "fs":
         return bound_params(trace.topology, weights, problem, delta=0.0,
                             grad_bound=trace.extras.get("obf_grad_bound"),
@@ -134,6 +132,7 @@ class CheckReport:
     checked: int
     violations: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
+    summary: str = ""  # the report table's detail when nothing is violated
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": bool(self.passed), "checked": self.checked,
@@ -156,23 +155,7 @@ def render_report_table(reports: list) -> str:
     """Aligned human-readable summary of check reports (one line per check)."""
     rows = [("check", "status", "checked", "detail")]
     for rep in reports:
-        if rep.name == "lemma1":
-            detail = f"min margin {rep.details.get('min_margin'):.3e}"
-        elif rep.name == "lemma2":
-            detail = f"min margin {rep.details.get('min_margin'):.3e}"
-        elif rep.name == "consensus":
-            detail = (f"tail {rep.details['tail_max']:.3e} vs head {rep.details['head_max']:.3e}"
-                      f" [{rep.details['status']}]")
-        elif rep.name == "transition":
-            detail = f"final deviation {rep.details['final_deviation']:.3e}"
-        elif rep.name == "theorem3":
-            cs = ", ".join(f"{f['delta']:g}:{f['fitted_constant']:.2e}"
-                           for f in rep.details["fits"])
-            detail = f"fitted constants {cs}"
-        elif rep.name == "invariants":
-            detail = f"perspective gap {rep.details['perspective_worst_gap']:.3e}"
-        else:
-            detail = ""
+        detail = rep.summary
         if rep.violations:
             detail = f"{len(rep.violations)} violation(s); first: {rep.violations[0]}"
         rows.append((rep.name, "PASS" if rep.passed else "FAIL", str(rep.checked), detail))
@@ -217,7 +200,8 @@ def check_lemma1(trace: ExecutionTrace, bounds: BoundParams, slack: float = 1e-9
         details["margin_quantiles"] = {str(q): float(v)
                                        for q, v in zip((0, 25, 50, 75, 100), qs)}
     return CheckReport(name="lemma1", passed=not violations, checked=checked,
-                       violations=violations, details=details)
+                       violations=violations, details=details,
+                       summary=f"min margin {np.min(margins):.3e}" if margins else "")
 
 
 def check_lemma2(trace: ExecutionTrace, problem: GlobalProblem, y: np.ndarray,
@@ -255,7 +239,8 @@ def check_lemma2(trace: ExecutionTrace, problem: GlobalProblem, y: np.ndarray,
     details = {"min_margin": float(np.min(margins)) if margins else None,
                "margin_histogram": {"counts": hist_counts.tolist(), "edges": hist_edges.tolist()}}
     return CheckReport(name="lemma2", passed=not violations, checked=checked,
-                       violations=violations, details=details)
+                       violations=violations, details=details,
+                       summary=f"min margin {np.min(margins):.3e}" if margins else "")
 
 
 def check_consensus(trace: ExecutionTrace, tail_fraction: float = 0.1,
@@ -276,7 +261,8 @@ def check_consensus(trace: ExecutionTrace, tail_fraction: float = 0.1,
                        violations=[] if ok else [{"tail_max": tail, "head_max": head}],
                        details={"status": status, "tail_max": tail, "head_max": head,
                                 "threshold": threshold, "single_agent": single_agent,
-                                "schedule_convergent": trace.schedule.convergent})
+                                "schedule_convergent": trace.schedule.convergent},
+                       summary=f"tail {tail:.3e} vs head {head:.3e} [{status}]")
 
 
 def weighted_average_suboptimality(trace: ExecutionTrace, problem: GlobalProblem,
@@ -361,17 +347,20 @@ def check_theorem3(runs: list, problem: GlobalProblem,
             violations.append({"reason": "fitted constant not non-decreasing in delta",
                                "delta_low": a.delta, "delta_high": b.delta,
                                "c_low": a.fitted_constant, "c_high": b.fitted_constant})
+    constants = ", ".join(f"{f.delta:g}:{f.fitted_constant:.2e}" for f in fits)
     return CheckReport(name="theorem3", passed=not violations, checked=len(fits),
                        violations=violations,
-                       details={"fits": [f.to_dict() for f in fits]})
+                       details={"fits": [f.to_dict() for f in fits]},
+                       summary=f"fitted constants {constants}")
 
 
 def check_transition_matrix(weights: FusionMatrix, horizon: int,
                             slack: float = 1e-12) -> CheckReport:
     """Products of the fusion matrix approach uniform averaging inside the
-    geometric envelope, with a non-increasing deviation profile."""
-    b = weights.entries
-    n = b.shape[0]
+    geometric envelope, with a non-increasing deviation profile. The one
+    place the (n, n) matrix is built, since its powers fill it."""
+    n = weights.topology.n
+    b = weights.topology.fuse_slots.entries(weights.weights)
     rho = weights.rho
     contraction = 1.0 - rho / (4.0 * n * n)
     envelope = contraction ** -2.0
@@ -393,7 +382,8 @@ def check_transition_matrix(weights: FusionMatrix, horizon: int,
     return CheckReport(name="transition", passed=not violations, checked=horizon,
                        violations=violations,
                        details={"final_deviation": float(deviations[-1]),
-                                "contraction": contraction, "envelope": envelope})
+                                "contraction": contraction, "envelope": envelope},
+                       summary=f"final deviation {deviations[-1]:.3e}")
 
 
 def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
@@ -402,13 +392,13 @@ def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
     cancelling perturbation sums, average preservation under fusion, and the
     gradient-noise perspective identity."""
     violations = []
-    b = trace.weights
     n = trace.n
     box = problem.feasible
+    slots = trace.topology.fuse_slots
 
-    matrices = trace.weights_series if trace.weights_series is not None else b[None]
-    if (np.max(np.abs(matrices.sum(axis=1) - 1.0)) > tol
-            or np.max(np.abs(matrices.sum(axis=2) - 1.0)) > tol):
+    weights = trace.weights_series if trace.weights_series is not None else trace.weights[None]
+    if (np.max(np.abs(weights.sum(axis=1) - 1.0)) > tol
+            or np.max(np.abs(slots.column_sums(weights) - 1.0)) > tol):
         violations.append({"invariant": "doubly_stochastic"})
 
     idx, states = trace.states_with_final()
@@ -429,9 +419,8 @@ def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
                 violations.append({"invariant": "share_bound", "max": float(share_norms.max())})
     if trace.algorithm == "rss_lb" and trace.perturbations.size:
         # sum_i B[i, j] d[j, i] per sender j, over its contiguous edges
-        senders, receivers = trace.topology.sender_edges
-        weights = trace.weights_series if trace.weights_series is not None else b[None]
-        terms = weights[:, receivers, senders, None] * trace.perturbations
+        senders = trace.topology.sender_edges[0]
+        terms = slots.edge_weights(weights)[..., None] * trace.perturbations
         weighted = np.abs(np.add.reduceat(terms, np.searchsorted(senders, np.arange(n)), axis=1))
         if float(weighted.max()) > tol:
             violations.append({"invariant": "locally_balanced_sum", "max": float(weighted.max())})
@@ -476,4 +465,5 @@ def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
                                "round": int(trace.round_index[rows[bad]]), "gap": worst})
     return CheckReport(name="invariants", passed=not violations,
                        checked=int(idx.size + len(pairs)), violations=violations,
-                       details={"perspective_worst_gap": worst})
+                       details={"perspective_worst_gap": worst},
+                       summary=f"perspective gap {worst:.3e}")

@@ -243,7 +243,7 @@ class ExecutionTrace:
 
     algorithm: str
     topology: Topology
-    weights: np.ndarray
+    weights: np.ndarray          # (K, n) slot weights on ``topology.fuse_slots``
     schedule: StepSchedule
     delta: float
     seed: int | None
@@ -257,7 +257,7 @@ class ExecutionTrace:
     final_states: np.ndarray     # (n, D)
     problem_spec: dict
     shares: np.ndarray | None = None  # (R, E, D) on ``topology.sender_edges``, rss_nb only
-    weights_series: np.ndarray | None = None  # (R, n, n) when a per-round provider ran
+    weights_series: np.ndarray | None = None  # (R, K, n) when a per-round provider ran
     extras: dict = field(default_factory=dict)
     version: int = TRACE_VERSION
 
@@ -280,8 +280,8 @@ class ExecutionTrace:
 
     def _fuse_rounds(self, slot_messages: np.ndarray) -> np.ndarray:
         """``_slot_fuse`` of every recorded round's (R, K, n, D) slot messages."""
-        entries = self.weights if self.weights_series is None else self.weights_series
-        return _read_only(_slot_fuse(self.topology.fuse_slots.weights(entries), slot_messages))
+        weights = self.weights if self.weights_series is None else self.weights_series
+        return _read_only(_slot_fuse(weights, slot_messages))
 
     def _slot_noise(self) -> np.ndarray:
         """(R, K, n, D) noise as each slot's sender adds it; zero in the self
@@ -339,8 +339,6 @@ class ExecutionTrace:
         def encoded(a):
             return None if a is None else encode_array(a)
 
-        slot_weights = self.topology.fuse_slots.weights
-        series = self.weights_series
         perturbations = self.perturbations if self.algorithm in PERTURBED else None
         return {
             "version": self.version,
@@ -353,7 +351,7 @@ class ExecutionTrace:
             "record_every": self.record_every,
             "schedule": self.schedule.to_spec(),
             "topology": self.topology.to_spec(),
-            "weights": encode_array(slot_weights(self.weights)),
+            "weights": encode_array(self.weights),
             "init": encode_array(self.init),
             "problem": self.problem_spec,
             "rounds": {
@@ -362,7 +360,7 @@ class ExecutionTrace:
                 "states": encode_array(self.states),
                 "perturbations": encoded(perturbations),
                 "shares": encoded(self.shares),
-                "weights_series": None if series is None else encode_array(slot_weights(series)),
+                "weights_series": encoded(self.weights_series),
             },
             "final_states": encode_array(self.final_states),
             "extras": self.extras,
@@ -425,17 +423,14 @@ class ExecutionTrace:
         index = recorded_rounds(max_iter, record_every)
         r_count = index.size
         edges = topology.sender_edges[0].size
-        slots = topology.fuse_slots
-        k_slots = slots.senders.shape[0]
 
         def fusion(value, name: str, *rounds_shape: int) -> np.ndarray:
-            """Dense (..., n, n) matrices of encoded (..., K, n) slot weights."""
+            """Encoded (..., K, n) slot weights, checked as ``FusionMatrix`` checks them."""
+            weights = decode_array(value, name, *rounds_shape, *topology.fuse_slots.senders.shape)
             try:
-                entries = slots.entries(decode_array(value, name, *rounds_shape, k_slots, n))
-                FusionMatrix(entries=entries, rho=0.0).validate()
+                return FusionMatrix(topology, weights).weights
             except GraphError as exc:
                 raise TraceError(f"{name}: {exc}") from None
-            return entries
 
         delta = float(_numbers(doc.get("delta"), "delta"))
         if delta < 0:
@@ -522,8 +517,12 @@ def _check_fs_extras(extras: dict, topology: Topology, dim: int) -> None:
         _numbers(coeffs, f"extras.noise of edge ({sender}, {receiver})", dim, width)
 
 
-def _resolve_weights(weights, k: int) -> FusionMatrix:
-    return weights(k) if callable(weights) else weights
+def _resolve_weights(weights, k: int, topology: Topology) -> FusionMatrix:
+    """Round k's fusion weights: ``weights`` itself, or what a provider gives."""
+    matrix = weights(k) if callable(weights) else weights
+    if matrix.topology != topology:
+        raise GraphError(f"round {k}: the fusion weights are for another topology")
+    return matrix
 
 
 def _execute(problem: GlobalProblem, topology: Topology, weights,
@@ -534,8 +533,7 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
     n, dim = topology.n, problem.dim
     slots = topology.fuse_slots
     varying = callable(weights)
-    b = first = _resolve_weights(weights, 1).entries
-    w = slots.weights(b)
+    matrix = first = _resolve_weights(weights, 1, topology)
     x = np.array(init, dtype=float)
     if x.shape != (n, dim):
         raise ValueError(f"init must have shape ({n}, {dim})")
@@ -551,22 +549,21 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
     states_rec = np.zeros((r_count, n, dim))
     perturbations_rec = np.zeros((r_count, edges if per_edge else n, dim))
     shares_rec = np.zeros((r_count, edges, dim)) if algorithm == "rss_nb" else None
-    weights_series = np.zeros((r_count, n, n)) if varying else None
+    weights_series = np.zeros((r_count,) + first.weights.shape) if varying else None
 
     noise_ext = np.zeros((edges + 1, dim)) if per_edge else None  # row E stays 0
     row = 0
     for k in range(1, max_iter + 1):
         alpha = schedule.step(k)
         if varying and k > 1:
-            b = _resolve_weights(weights, k).entries
-            w = slots.weights(b)
-        noise, shares = draw(k)  # (E, D) per edge or (n, D) per agent; (E, D) nb shares or None
+            matrix = _resolve_weights(weights, k, topology)
+        noise, shares = draw(k, matrix)  # (E, D) or (n, D) noise; (E, D) nb shares or None
         if per_edge:
             noise_ext[:-1] = noise
             msgs = x[slots.senders] + alpha * noise_ext[slots.edges]
         else:
             msgs = (x + alpha * noise)[slots.senders]
-        x_next = dgd_step(problem, w, msgs, alpha, k)
+        x_next = dgd_step(problem, matrix.weights, msgs, alpha, k)
         if k in keep_set:
             steps_rec[row] = alpha
             states_rec[row] = x
@@ -574,14 +571,14 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
             if shares_rec is not None:
                 shares_rec[row] = shares
             if weights_series is not None:
-                weights_series[row] = b
+                weights_series[row] = matrix.weights
             row += 1
         x = x_next
 
     return ExecutionTrace(
         algorithm=algorithm,
         topology=topology,
-        weights=first,
+        weights=first.weights,
         schedule=schedule,
         delta=delta,
         seed=seed,
@@ -614,7 +611,7 @@ def run_dgd(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
     init = default_init(problem.feasible, topology.n) if init is None else init
     zero = np.zeros((topology.n, problem.dim))
 
-    def draw(k):
+    def draw(k, matrix):
         return zero, None
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
@@ -632,7 +629,7 @@ def run_rss_nb(problem: GlobalProblem, topology: Topology, schedule: StepSchedul
     dim = problem.dim
     streams = RandomStreams(seed)
 
-    def draw(k):
+    def draw(k, matrix):
         shares = draw_nb_shares(topology, k, delta, streams, dim)
         return nb_perturbation(shares, topology), shares
 
@@ -651,9 +648,8 @@ def run_rss_lb(problem: GlobalProblem, topology: Topology, schedule: StepSchedul
     dim = problem.dim
     streams = RandomStreams(seed)
 
-    def draw(k):
-        return draw_lb_perturbation(topology, _resolve_weights(weights, k), delta,
-                                    k, streams, dim), None
+    def draw(k, matrix):
+        return draw_lb_perturbation(topology, matrix, delta, k, streams, dim), None
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
                     "rss_lb", delta, seed, draw)

@@ -105,14 +105,6 @@ class Topology:
             table[v].add(u)
         return tuple(tuple(sorted(hood)) for hood in table)
 
-    @cached_property
-    def _adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for (u, v) in self.edges:
-            adj[u, v] = adj[v, u] = True
-        adj.flags.writeable = False
-        return adj
-
     def neighbors(self, j: int) -> tuple[int, ...]:
         """Self-inclusive neighborhood of agent j, ascending."""
         return self._neighbor_table[j]
@@ -122,18 +114,18 @@ class Topology:
         return len(self.neighbors(j)) - 1
 
     def degrees(self) -> np.ndarray:
-        return np.array([self.degree(j) for j in range(self.n)], dtype=int)
-
-    def adjacency(self) -> np.ndarray:
-        """Symmetric boolean adjacency without self entries; computed once
-        and read-only."""
-        return self._adjacency
+        """Self-exclusive degree of every agent."""
+        return np.bincount(self.sender_edges[0], minlength=self.n)
 
     @cached_property
     def sender_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed edges as read-only (sender, receiver) index arrays, sorted
         by sender and then receiver, so each sender's edges are contiguous."""
-        senders, receivers = np.nonzero(self._adjacency)
+        ends = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        src = np.concatenate([ends[:, 0], ends[:, 1]])
+        dst = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((dst, src))
+        senders, receivers = src[order], dst[order]
         senders.flags.writeable = False
         receivers.flags.writeable = False
         return senders, receivers
@@ -154,11 +146,14 @@ class Topology:
         slot = np.arange(dst.size) - (np.cumsum(sizes) - sizes)[dst]
         shape = (int(sizes.max()), n)
         table = FuseSlots(senders=np.broadcast_to(agents, shape).copy(),
-                          edges=np.full(shape, count), live=np.zeros(shape, dtype=bool))
+                          edges=np.full(shape, count), live=np.zeros(shape, dtype=bool),
+                          edge_slots=np.empty(count, dtype=np.intp))
         table.senders[slot, dst] = src
         table.edges[slot, dst] = edge
         table.live[slot, dst] = True
-        for array in (table.senders, table.edges, table.live):
+        on_edge = edge < count
+        table.edge_slots[edge[on_edge]] = (slot * n + dst)[on_edge]
+        for array in (table.senders, table.edges, table.live, table.edge_slots):
             array.flags.writeable = False
         return table
 
@@ -183,79 +178,93 @@ class FuseSlots:
     padded with j itself: ``senders[k, j]`` is the agent in slot k,
     ``edges[k, j]`` its row in ``Topology.sender_edges`` (E, one past the last
     edge, for the self slot and the pads) and ``live[k, j]`` is False on the
-    pads.
+    pads. ``edge_slots[e]`` is the flat (K * n) index of the slot that holds
+    directed edge e.
     """
 
-    senders: np.ndarray  # (K, n) agent indices
-    edges: np.ndarray    # (K, n) directed-edge rows, E off the edges
-    live: np.ndarray     # (K, n) bool
+    senders: np.ndarray     # (K, n) agent indices
+    edges: np.ndarray       # (K, n) directed-edge rows, E off the edges
+    live: np.ndarray        # (K, n) bool
+    edge_slots: np.ndarray  # (E,) flat slot of each directed edge
 
-    def weights(self, entries: np.ndarray) -> np.ndarray:
-        """(..., K, n) weights B[j, senders[k, j]] of (..., n, n) matrices B,
-        +0.0 on the pads. Raises GraphError if a matrix has a nonzero entry
-        off the self-inclusive neighbourhoods, which the slots cannot hold."""
-        n = self.senders.shape[1]
-        if entries.shape[-2:] != (n, n):
-            raise GraphError(f"fusion matrix has shape {entries.shape[-2:]}, expected ({n}, {n})")
-        weights = np.where(self.live, entries[..., np.arange(n), self.senders], 0.0)
-        if np.count_nonzero(entries) != np.count_nonzero(weights):
-            raise GraphError("fusion matrix has a nonzero entry off the self-inclusive "
-                             "neighbourhoods")
-        return weights
+    def edge_weights(self, weights: np.ndarray) -> np.ndarray:
+        """(..., E) weight that the receiver of each directed edge (j, i)
+        gives it, B[i, j], in ``Topology.sender_edges`` order, of (..., K, n)
+        slot weights."""
+        return weights.reshape(weights.shape[:-2] + (-1,))[..., self.edge_slots]
+
+    def column_sums(self, weights: np.ndarray) -> np.ndarray:
+        """(..., n) column sums of the matrices that (..., K, n) slot weights
+        hold: each agent's weight summed over the slots it sends in."""
+        k_slots, n = self.senders.shape
+        flat = weights.reshape(-1, k_slots * n)
+        index = np.arange(flat.shape[0])[:, None] * n + self.senders.ravel()
+        sums = np.bincount(index.ravel(), flat.ravel(), minlength=flat.shape[0] * n)
+        return sums.reshape(weights.shape[:-2] + (n,))
 
     def entries(self, weights: np.ndarray) -> np.ndarray:
-        """(..., n, n) matrices of (..., K, n) slot weights, the inverse of
-        ``weights``: only the live slots are scattered, since a pad points at
-        its agent's own column. Raises GraphError for a nonzero pad weight,
-        which would sit off the self-inclusive neighbourhoods."""
-        if np.any(weights[..., ~self.live]):
-            raise GraphError("nonzero weight in a pad slot, off the self-inclusive "
-                             "neighbourhoods")
+        """(..., n, n) matrices B of (..., K, n) slot weights, with
+        B[j, senders[k, j]] = weights[k, j]: only the live slots are
+        scattered, since a pad points at its agent's own column."""
         slot, agent = np.nonzero(self.live)
         entries = np.zeros(weights.shape[:-2] + (self.senders.shape[1],) * 2)
         entries[..., agent, self.senders[slot, agent]] = weights[..., slot, agent]
         return entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionMatrix:
-    """Doubly stochastic weight matrix supported on self-inclusive neighborhoods."""
+    """Doubly stochastic fusion weights on the self-inclusive neighbourhoods
+    of a topology, held per fusion slot: ``weights[k, j]`` is the weight agent
+    j gives the sender in its slot k of ``topology.fuse_slots``, +0.0 on the
+    pads. A (R, K, n) stack holds R rounds of a per-round provider run.
 
-    entries: np.ndarray
-    rho: float  # smallest nonzero entry
+    Checked once, when built, and held as a read-only copy: GraphError for a
+    shape other than the topology's slots, a nonzero pad weight, a weight
+    outside [0, 1], or a row or column sum more than 1e-12 away from 1."""
+
+    topology: Topology
+    weights: np.ndarray  # (K, n), or (R, K, n)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
+        weights = np.array(self.weights, dtype=float)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+        slots = self.topology.fuse_slots
+        tol = 1e-12
+        if weights.shape[-2:] != slots.senders.shape:
+            raise GraphError(f"fusion weights have shape {weights.shape}, expected "
+                             f"{slots.senders.shape} slots")
+        if np.any(weights[..., ~slots.live]):
+            raise GraphError("nonzero weight in a pad slot, off the self-inclusive "
+                             "neighbourhoods")
+        if not np.all((weights >= -tol) & (weights <= 1 + tol)):
+            raise GraphError("fusion entries must lie in [0, 1]")
+        if np.max(np.abs(weights.sum(axis=-2) - 1.0)) > tol:
+            raise GraphError("rows must sum to 1")
+        if np.max(np.abs(slots.column_sums(weights) - 1.0)) > tol:
+            raise GraphError("columns must sum to 1")
 
     @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    def rho(self) -> float:
+        """The smallest positive weight, over every round of a stack."""
+        return float(self.weights[self.weights > 0].min())
 
     @classmethod
-    def from_entries(cls, entries, topology: Topology | None = None, tol: float = 1e-12) -> "FusionMatrix":
+    def from_entries(cls, entries, topology: Topology) -> "FusionMatrix":
+        """Fusion weights of a dense (n, n) matrix B, where B[j, i] is the
+        weight agent j gives agent i. Raises GraphError for another shape or
+        a nonzero entry off the self-inclusive neighbourhoods, which the slots
+        cannot hold, and as the constructor does."""
         entries = np.asarray(entries, dtype=float)
-        positive = entries[entries > 0]
-        rho = float(positive.min()) if positive.size else 0.0
-        mat = cls(entries=entries, rho=rho)
-        mat.validate(topology, tol=tol)
-        return mat
-
-    def validate(self, topology: Topology | None = None, tol: float = 1e-12) -> None:
-        """Check the matrix, or each matrix of a (..., n, n) stack such as
-        the per-round weights of a provider run."""
-        b = self.entries
-        if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
-            raise GraphError("fusion matrix must be square")
-        if np.any(b < -tol) or np.any(b > 1 + tol):
-            raise GraphError("fusion entries must lie in [0, 1]")
-        if np.max(np.abs(b.sum(axis=-1) - 1.0)) > tol:
-            raise GraphError("rows must sum to 1")
-        if np.max(np.abs(b.sum(axis=-2) - 1.0)) > tol:
-            raise GraphError("columns must sum to 1")
-        if topology is not None:
-            adj = topology.adjacency() | np.eye(topology.n, dtype=bool)
-            if np.any((b > tol) != adj):
-                raise GraphError("support must match self-inclusive neighborhoods")
+        n, slots = topology.n, topology.fuse_slots
+        if entries.shape != (n, n):
+            raise GraphError(f"fusion matrix has shape {entries.shape}, expected ({n}, {n})")
+        weights = np.where(slots.live, entries[np.arange(n), slots.senders], 0.0)
+        if np.count_nonzero(entries) != np.count_nonzero(weights):
+            raise GraphError("fusion matrix has a nonzero entry off the self-inclusive "
+                             "neighbourhoods")
+        return cls(topology, weights)
 
 
 def metropolis_weights(topology: Topology, self_inclusive_degree: bool = False) -> FusionMatrix:
@@ -263,20 +272,20 @@ def metropolis_weights(topology: Topology, self_inclusive_degree: bool = False) 
 
     Off-diagonal weight for adjacent i, j is 1/(1 + max(d_i, d_j)) with the
     self-exclusive degree by default; ``self_inclusive_degree=True`` counts the
-    agent itself, giving 1/(2 + max(d_i, d_j)). The diagonal absorbs the
-    remainder.
+    agent itself, giving 1/(2 + max(d_i, d_j)). The self weight absorbs the
+    remainder: 1 minus the agent's other weights, summed in ascending sender
+    order as the fuse sums.
     """
-    n = topology.n
+    slots = topology.fuse_slots
+    senders, receivers = topology.sender_edges
     deg = topology.degrees().astype(float)
     if self_inclusive_degree:
         deg = deg + 1.0
-    b = np.zeros((n, n))
-    for (u, v) in topology.edges:
-        w = 1.0 / (1.0 + max(deg[u], deg[v]))
-        b[u, v] = b[v, u] = w
-    for i in range(n):
-        b[i, i] = 1.0 - (b[i].sum() - b[i, i])
-    return FusionMatrix.from_entries(b, topology)
+    weights = np.zeros(slots.senders.shape)
+    weights.flat[slots.edge_slots] = 1.0 / (1.0 + np.maximum(deg[senders], deg[receivers]))
+    slot, agent = np.nonzero(slots.live & (slots.edges == senders.size))
+    weights[slot, agent] = 1.0 - np.add.reduce(weights, axis=0, initial=0.0)[agent]
+    return FusionMatrix(topology, weights)
 
 
 def _max_flow_unit_vertex(topology: Topology, source: int, sink: int) -> int:
@@ -327,11 +336,10 @@ def vertex_connectivity(topology: Topology) -> int:
         return 0
     if topology.is_complete():
         return n - 1
-    adj = topology.adjacency()
     best = n - 1
     for s in range(n):
         for t in range(s + 1, n):
-            if not adj[s, t]:
+            if (s, t) not in topology.edges:
                 best = min(best, _max_flow_unit_vertex(topology, s, t))
     return best
 

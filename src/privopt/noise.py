@@ -159,7 +159,7 @@ def draw_lb_perturbation(topology: Topology, weights: FusionMatrix, delta: float
     when every deviation is zero). An agent sends its own state unperturbed.
     """
     _check_bound(delta, "delta")
-    senders, receivers = topology.sender_edges
+    senders = topology.sender_edges[0]
     if delta == 0.0:
         return np.zeros((senders.size, dim))
     counts = np.bincount(senders, minlength=topology.n)
@@ -168,7 +168,7 @@ def draw_lb_perturbation(topology: Topology, weights: FusionMatrix, delta: float
         raise ValueError(f"agent {j} has no non-self neighbor; locally balanced noise undefined")
     starts = np.cumsum(counts) - counts
     raw = streams.round_draws("lb_raw", topology, dim, round_index)
-    wts = weights.entries[receivers, senders]
+    wts = topology.fuse_slots.edge_weights(weights.weights)
     centre = (np.add.reduceat(wts[:, None] * raw, starts, axis=0)
               / np.add.reduceat(wts, starts)[:, None])
     dev = raw - centre[senders]

@@ -88,7 +88,7 @@ class AdversaryView:
     obfuscated: dict          # agent -> float coeffs (dim, width), all agents
     coalition_objectives: dict  # agent in coalition -> float coeffs
     observed_noise: dict      # (sender, receiver) -> float coeffs, coalition-incident
-    recipe: dict
+    recipe: dict              # JSON values; fusion weights as (K, n) or (R, K, n) slot lists
     trace_digest: str
     states: np.ndarray
     final_states: np.ndarray
@@ -408,9 +408,8 @@ def replay_digest(view: AdversaryView) -> str:
     max_iter = int(recipe["max_iter"])
     rounds = recorded_rounds(max_iter, int(recipe["record_every"]))
     varying = recipe["weights_series"] is not None
-    entries = recipe["weights_series"] if varying else recipe["weights"]
-    weights = topology.fuse_slots.weights(
-        FusionMatrix.from_entries(np.asarray(entries, dtype=float), topology).entries)
+    weights = FusionMatrix(topology, recipe["weights_series"] if varying
+                           else recipe["weights"]).weights
     alphas = StepSchedule.from_spec(recipe["schedule"]).steps(max_iter)
     senders = topology.fuse_slots.senders
 

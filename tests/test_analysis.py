@@ -223,7 +223,7 @@ class TestTransitionMatrix:
         report = check_transition_matrix(w, 50)
         assert report.passed
         # uniform up to one ulp: the diagonal is a floating-point remainder
-        assert np.max(np.abs(w.entries - 0.2)) <= 1e-16
+        assert np.max(np.abs(w.weights - 0.2)) <= 1e-16
 
 
 class TestInvariantAudit:

@@ -8,8 +8,10 @@ import pytest
 
 import privopt as po
 from privopt.configs import RunConfig, execute
+from privopt.analysis import audit_invariants
 from privopt.engine import (ScheduleError, StepSchedule, TraceError, _slot_fuse,
                             encode_array, recorded_rounds)
+from privopt.graphs import GraphError
 from privopt.noise import FsObjectiveError
 
 from conftest import INTERIOR_INIT, decoded, edit_array, with_entry
@@ -153,9 +155,10 @@ class TestTraceStructure:
     def test_lb_weighted_sums_cancel(self, short_runs, cycle5):
         trace = short_runs["lb"]
         senders, receivers = cycle5.sender_edges
+        b = cycle5.fuse_slots.entries(trace.weights)
         weighted = np.zeros((trace.round_index.size, 5, 1))
         for e, (j, i) in enumerate(zip(senders, receivers)):
-            weighted[:, j] += trace.weights[i, j] * trace.perturbations[:, e]
+            weighted[:, j] += b[i, j] * trace.perturbations[:, e]
         assert np.abs(weighted).max() < 1e-12
 
     def test_lb_message_support(self, short_runs, cycle5):
@@ -251,7 +254,7 @@ class TestPerRoundWeightsProvider:
         trace = po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 300,
                               init=INTERIOR_INIT, seed=6, weights=provider)
         assert trace.weights_series is not None
-        assert trace.weights_series.shape == (300, 5, 5)
+        assert trace.weights_series.shape == (300, 3, 5)  # (R, K, n) slot weights
         report = audit_invariants(trace, quartic_problem)
         assert report.passed, report.violations
         bounds = effective_bounds(trace, quartic_problem)
@@ -351,7 +354,8 @@ def per_round_reference(trace) -> dict:
     out = {name: [] for name in DERIVED}
     for r in range(trace.round_index.size):
         x, alpha = trace.states[r], trace.steps[r]
-        b = trace.weights if trace.weights_series is None else trace.weights_series[r]
+        b = trace.topology.fuse_slots.entries(
+            trace.weights if trace.weights_series is None else trace.weights_series[r])
         d = trace.perturbations[r]
         if per_edge:
             noise = np.zeros((n, n, dim))
@@ -467,12 +471,13 @@ class TestSlotFuse:
     }
 
     @staticmethod
-    def _support_weights(topology, rng, shape):
-        """Random nonnegative weights on the self-inclusive neighbourhoods,
-        some of them exact zeros."""
-        support = topology.adjacency() | np.eye(topology.n, dtype=bool)
+    def _slot_weights(topology, rng, rounds_shape):
+        """Random nonnegative (..., K, n) slot weights, some of them exact
+        zeros, +0.0 on the pads."""
+        slots = topology.fuse_slots
+        shape = rounds_shape + slots.senders.shape
         weights = rng.random(shape) * (rng.random(shape) > 0.1)
-        return np.where(support, weights, 0.0)
+        return np.where(slots.live, weights, 0.0)
 
     @staticmethod
     def _slot_messages(topology, dense):
@@ -487,21 +492,22 @@ class TestSlotFuse:
         n = topology.n
         rng = np.random.default_rng([dim, n])
         for _ in range(20):
-            b = self._support_weights(topology, rng, (n, n))
+            w = self._slot_weights(topology, rng, ())
             dense = _signed_zeros(rng, (n, n, dim))
             dense[:, rng.integers(0, n)] = -0.0  # one agent receives only -0
-            fused = _slot_fuse(topology.fuse_slots.weights(b), self._slot_messages(topology, dense))
-            assert_bit_equal(fused, _fuse_reference(b, dense))
+            fused = _slot_fuse(w, self._slot_messages(topology, dense))
+            assert_bit_equal(fused, _fuse_reference(topology.fuse_slots.entries(w), dense))
 
     @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
     def test_weights_series_matches_per_round_dense_fuse(self, name):
         topology = self.TOPOLOGIES[name]
         n, rounds, dim = topology.n, 6, 2
         rng = np.random.default_rng([7, n])
-        series = self._support_weights(topology, rng, (rounds, n, n))
+        series = self._slot_weights(topology, rng, (rounds,))
         dense = _signed_zeros(rng, (rounds, n, n, dim))
-        fused = _slot_fuse(topology.fuse_slots.weights(series), self._slot_messages(topology, dense))
-        expected = np.array([_fuse_reference(series[r], dense[r]) for r in range(rounds)])
+        fused = _slot_fuse(series, self._slot_messages(topology, dense))
+        matrices = topology.fuse_slots.entries(series)
+        expected = np.array([_fuse_reference(matrices[r], dense[r]) for r in range(rounds)])
         assert_bit_equal(fused, expected)
 
     @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
@@ -510,10 +516,17 @@ class TestSlotFuse:
         # scattering them would overwrite its self weight
         topology = self.TOPOLOGIES[name]
         rng = np.random.default_rng([11, topology.n])
-        series = self._support_weights(topology, rng, (3, topology.n, topology.n))
+        series = self._slot_weights(topology, rng, (3,))
         slots = topology.fuse_slots
-        assert_bit_equal(slots.entries(slots.weights(series)), series)
-        assert_bit_equal(slots.entries(slots.weights(series[0])), series[0])
+        n = topology.n
+        for weights in (series, series[0]):
+            dense = slots.entries(weights)
+            gathered = np.where(slots.live, dense[..., np.arange(n), slots.senders], 0.0)
+            assert_bit_equal(gathered, weights)
+            assert np.count_nonzero(dense) == np.count_nonzero(weights)
+        metropolis = po.metropolis_weights(topology).weights
+        assert_bit_equal(po.FusionMatrix.from_entries(slots.entries(metropolis), topology).weights,
+                         metropolis)
 
     def test_slot_table_lists_ascending_in_neighbours(self):
         for topology in self.TOPOLOGIES.values():
@@ -526,32 +539,51 @@ class TestSlotFuse:
 
 
 class TestSupportGuard:
-    """A weight off the self-inclusive neighbourhoods would be dropped by the
-    slot fuse, so runs refuse such matrices."""
+    """The slots hold only the self-inclusive neighbourhoods, so a fusion
+    matrix with a weight off them is refused when it is built, and a trace
+    with a nonzero pad weight does not load."""
 
     @staticmethod
     def _off_support(cycle5, eps=1e-13):
-        entries = po.metropolis_weights(cycle5).entries.copy()
+        entries = cycle5.fuse_slots.entries(po.metropolis_weights(cycle5).weights)
         entries[0, 2] = entries[2, 0] = eps  # 0 and 2 are not adjacent on the 5-cycle
         entries[0, 0] -= eps
         entries[2, 2] -= eps
         return entries
 
-    def test_fixed_matrix_off_support_raises(self, quartic_problem, cycle5, inv_sqrt):
-        # within from_entries' tolerance, and a bare FusionMatrix checks nothing
-        for matrix in (po.FusionMatrix.from_entries(self._off_support(cycle5), cycle5),
-                       po.FusionMatrix(entries=self._off_support(cycle5, 0.1), rho=0.1)):
-            with pytest.raises(ValueError, match="off the self-inclusive neighbourhoods"):
-                po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5, init=INTERIOR_INIT,
-                           weights=matrix)
+    def test_fixed_matrix_off_support_raises(self, cycle5):
+        # inside the 1e-12 tolerance of the sums, and far outside it
+        for eps in (1e-13, 0.1):
+            with pytest.raises(GraphError, match="off the self-inclusive neighbourhoods"):
+                po.FusionMatrix.from_entries(self._off_support(cycle5, eps), cycle5)
+        path5 = po.Topology.family("path", 5)
+        weights = po.metropolis_weights(path5).weights.copy()
+        weights[tuple(np.argwhere(~path5.fuse_slots.live)[0])] = 1e-13
+        with pytest.raises(GraphError, match="pad slot, off the self-inclusive neighbourhoods"):
+            po.FusionMatrix(path5, weights)
 
     def test_provider_matrix_off_support_raises(self, quartic_problem, cycle5, inv_sqrt):
         regular = po.metropolis_weights(cycle5)
-        stray = po.FusionMatrix(entries=self._off_support(cycle5, 0.1), rho=0.1)
-        provider = lambda k: stray if k == 3 else regular
+        stray = self._off_support(cycle5, 0.1)
+        provider = lambda k: po.FusionMatrix.from_entries(stray, cycle5) if k == 3 else regular
         with pytest.raises(ValueError, match="off the self-inclusive neighbourhoods"):
             po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 5, init=INTERIOR_INIT,
                           seed=1, weights=provider)
+
+    def test_weights_of_another_topology_raise(self, quartic_problem, cycle5, inv_sqrt):
+        regular = po.metropolis_weights(cycle5)
+        other = po.metropolis_weights(po.Topology.family("path", 5))  # same slot shape
+        for weights, k in ((other, 1), (lambda k: other if k == 3 else regular, 3)):
+            with pytest.raises(GraphError, match=f"round {k}: the fusion weights are for "
+                                                 "another topology"):
+                po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5, init=INTERIOR_INIT,
+                           weights=weights)
+        # an equal topology built apart is the same topology
+        rebuilt = po.metropolis_weights(po.Topology.family("cycle", 5))
+        same = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5, init=INTERIOR_INIT,
+                          weights=rebuilt)
+        assert same.state_digest() == po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5,
+                                                 init=INTERIOR_INIT).state_digest()
 
     def test_trace_with_off_support_weights_does_not_load(self, quartic_problem, inv_sqrt):
         # slots hold only the neighbourhoods; an off-support weight can sit
@@ -565,15 +597,29 @@ class TestSupportGuard:
 
 
 def test_fuse_memory_grows_with_edges_not_agent_pairs(inv_sqrt):
-    """No round allocates an (n, n, D) message tensor: on a 3000-cycle with
-    the weights built beforehand, four rounds of each algorithm peak below a
-    quarter of one such buffer."""
+    """No step from building the weights to auditing a trace holds an (n, n)
+    array or an (n, n, D) message tensor: on a 3000-cycle, building the
+    Metropolis weights, four rounds of each algorithm, a to_json_dict ->
+    from_json_dict round trip of each trace and its invariants audit each
+    peak below a quarter of one (n, n) float64 matrix."""
     n = 3000
     topology = po.Topology.family("cycle", n)
-    weights = po.metropolis_weights(topology)
     problem = po.GlobalProblem(
         objectives=[po.QuadraticObjective([[1.0 + i % 3]], [0.1 * (i % 7) - 0.3]) for i in range(n)],
         feasible=po.Box([-10.0], [10.0]))
+    limit = n * n * 8 / 4
+
+    def traced(what, step):
+        tracemalloc.start()
+        try:
+            result = step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{what} peaked at {peak / 2**20:.1f} MB"
+        return result
+
+    weights = traced("metropolis_weights", lambda: po.metropolis_weights(topology))
     runs = {
         "dgd": lambda: po.run_dgd(problem, topology, inv_sqrt, 4, weights=weights),
         "rss_nb": lambda: po.run_rss_nb(problem, topology, inv_sqrt, 1.0, 4, seed=1,
@@ -581,15 +627,11 @@ def test_fuse_memory_grows_with_edges_not_agent_pairs(inv_sqrt):
         "rss_lb": lambda: po.run_rss_lb(problem, topology, inv_sqrt, 1.0, 4, seed=1,
                                         weights=weights),
     }
-    limit = n * n * 8 / 4
     for name, run in runs.items():
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit, f"{name} peaked at {peak / 2**20:.1f} MB"
+        trace = traced(name, run)
+        traced(f"{name} round trip",
+               lambda: po.ExecutionTrace.from_json_dict(trace.to_json_dict()))
+        assert traced(f"{name} audit", lambda: audit_invariants(trace, problem)).passed
 
 
 def _sparse_quadratic_problem(n):
@@ -639,7 +681,8 @@ class TestTraceFile:
 
     def test_weights_are_stored_per_slot(self, short_runs, cycle5):
         weights = decoded(short_runs["dgd"].to_json_dict()["weights"])
-        assert_bit_equal(weights, cycle5.fuse_slots.weights(short_runs["dgd"].weights))
+        assert weights.shape == cycle5.fuse_slots.senders.shape
+        assert_bit_equal(weights, short_runs["dgd"].weights)
 
     # sha256 of json.dumps([index, step, states]) of the "rounds" of each shipped
     # config's trace as number lists, taken before the trace dropped its
@@ -790,18 +833,10 @@ class TestTraceRoundTrip:
         trace.save(tmp_path / "t.json")
         loaded = po.ExecutionTrace.load(tmp_path / "t.json")
         for attr in ("init", "round_index", "steps", "states", "perturbations", "final_states",
-                     "shares"):
+                     "shares", "weights", "weights_series"):
             if getattr(trace, attr) is None:
                 assert getattr(loaded, attr) is None
             else:
                 assert getattr(loaded, attr).tobytes() == getattr(trace, attr).tobytes(), attr
-        slots = cycle5.fuse_slots
-        for attr in ("weights", "weights_series"):
-            if getattr(trace, attr) is None:
-                assert getattr(loaded, attr) is None
-                continue
-            assert np.array_equal(getattr(loaded, attr), getattr(trace, attr))
-            assert (slots.weights(getattr(loaded, attr)).tobytes()
-                    == slots.weights(getattr(trace, attr)).tobytes())
         assert (loaded.weights_series is not None) == provider
         assert loaded.state_digest() == trace.state_digest()

@@ -1,7 +1,8 @@
 """Golden state digests of short canonical runs: every algorithm on a 5-cycle
 with D=1 and on a complete 5-graph with D=2 (quartic objectives), and the
 perturbation-free and rss algorithms on 5-cycles of dense quadratic and of
-logistic objectives with D=2.
+logistic objectives with D=2, and dgd and rss_lb on a 9-agent star, whose hub
+sums its Metropolis weights in slot order (see ``metropolis_weights``).
 
 A refactor that keeps behaviour keeps every digest. Running
 
@@ -72,6 +73,11 @@ def _case(case: str):
         problem = po.GlobalProblem(objectives=objectives,
                                    feasible=po.Box([-5.0] * 2, [5.0] * 2))
         return problem, po.Topology.family("cycle", 5), _ramp2()
+    if case == "star9":
+        problem = po.GlobalProblem(
+            objectives=[po.PolynomialObjective(QUARTIC_COEFFS[i % 5]) for i in range(9)],
+            feasible=po.Box([-30.0], [30.0]))
+        return problem, po.Topology.family("star", 9), np.linspace(-1.0, 1.0, 9)[:, None]
     raise ValueError(f"unknown case {case!r}")
 
 
@@ -81,6 +87,7 @@ CASES = {
     "complete5": po.engine.ALGORITHMS,
     "quadratic_cycle5": ("dgd", "rss_nb", "rss_lb"),
     "logistic_cycle5": ("dgd", "rss_nb", "rss_lb"),
+    "star9": ("dgd", "rss_lb"),
 }
 NAMES = [f"{algorithm}/{case}" for case, algorithms in CASES.items() for algorithm in algorithms]
 

@@ -73,48 +73,111 @@ class TestTopology:
             scan = sorted({j} | {v for (u, v) in topo.edges if u == j}
                           | {u for (u, v) in topo.edges if v == j})
             assert topo.neighbors(j) == tuple(scan)
-        adj = topo.adjacency()
-        assert adj is topo.adjacency() and not adj.flags.writeable
+        assert topo.sender_edges is topo.sender_edges
+        assert topo.degrees().tolist() == [topo.degree(j) for j in range(10)]
         senders, receivers = topo.sender_edges
         assert not senders.flags.writeable and not receivers.flags.writeable
         both_ways = list(topo.edges) + [(v, u) for (u, v) in topo.edges]
         assert list(zip(senders, receivers)) == sorted(both_ways)
 
 
+def dense_metropolis(topology, self_inclusive_degree=False):
+    """The dense (n, n) Metropolis construction that preceded the slot form,
+    kept as the reference: an edge loop, then each self weight as 1 minus
+    numpy's sum of the row, which is pairwise for rows of 8 or more."""
+    n = topology.n
+    deg = np.array([topology.degree(j) for j in range(n)], dtype=float)
+    if self_inclusive_degree:
+        deg = deg + 1.0
+    b = np.zeros((n, n))
+    for (u, v) in topology.edges:
+        w = 1.0 / (1.0 + max(deg[u], deg[v]))
+        b[u, v] = b[v, u] = w
+    for i in range(n):
+        b[i, i] = 1.0 - (b[i].sum() - b[i, i])
+    return b
+
+
+def assert_matches_dense(topology, self_inclusive_degree, exact_self):
+    """Off-diagonal weights equal the reference bit for bit. Self weights do
+    too when ``exact_self``; otherwise the two are 1 minus the same d
+    weights summed in two orders, so they differ by at most d machine
+    epsilons, d the agent's degree."""
+    w = po.metropolis_weights(topology, self_inclusive_degree)
+    dense = topology.fuse_slots.entries(w.weights)
+    reference = dense_metropolis(topology, self_inclusive_degree)
+    off = ~np.eye(topology.n, dtype=bool)
+    assert dense[off].tobytes() == reference[off].tobytes()
+    if exact_self:
+        assert np.diag(dense).tobytes() == np.diag(reference).tobytes()
+    else:
+        drift = np.abs(np.diag(dense) - np.diag(reference))
+        assert np.all(drift <= topology.degrees() * np.finfo(float).eps)
+
+
 class TestMetropolis:
     def test_cycle_values(self, cycle5):
         w = po.metropolis_weights(cycle5)
-        assert w.entries[0, 1] == pytest.approx(1 / 3)
-        assert w.entries[0, 0] == pytest.approx(1 / 3)
+        assert cycle5.fuse_slots.senders[:, 0].tolist() == [0, 1, 4]
+        assert w.weights[1, 0] == pytest.approx(1 / 3)  # agent 0's weight on agent 1
+        assert w.weights[0, 0] == pytest.approx(1 / 3)
         assert w.rho == pytest.approx(1 / 3)
+        assert not w.weights.flags.writeable  # checked once, so held read-only
 
     def test_complete_values(self, complete5):
         w = po.metropolis_weights(complete5)
-        assert np.allclose(w.entries, 0.2)
+        assert np.allclose(w.weights, 0.2)
         assert w.rho == pytest.approx(0.2)
 
     def test_two_agents(self):
         w = po.metropolis_weights(po.Topology.family("path", 2))
-        assert np.allclose(w.entries, 0.5)
+        assert np.allclose(w.weights, 0.5)
 
     def test_self_inclusive_switch(self, cycle5):
         w = po.metropolis_weights(cycle5, self_inclusive_degree=True)
-        assert w.entries[0, 1] == pytest.approx(1 / 4)
-        assert np.allclose(w.entries.sum(axis=0), 1.0)
+        assert w.weights[1, 0] == pytest.approx(1 / 4)
+        assert np.allclose(cycle5.fuse_slots.column_sums(w.weights), 1.0)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 7), st.integers(0, 10_000))
-    def test_doubly_stochastic_with_matching_support(self, n, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(2, 7), st.integers(8, 30)), st.integers(0, 10_000),
+           st.booleans())
+    def test_doubly_stochastic_with_matching_support(self, n, seed, self_inclusive):
         topo = random_connected_topology(np.random.default_rng(seed), n)
-        w = po.metropolis_weights(topo)
-        assert np.max(np.abs(w.entries.sum(axis=0) - 1)) < 1e-12
-        assert np.max(np.abs(w.entries.sum(axis=1) - 1)) < 1e-12
-        assert np.max(np.abs(w.entries - w.entries.T)) < 1e-15
-        support = w.entries > 1e-12
-        expected = topo.adjacency() | np.eye(n, dtype=bool)
-        assert np.array_equal(support, expected)
-        positive = w.entries[w.entries > 0]
+        w = po.metropolis_weights(topo, self_inclusive)
+        slots = topo.fuse_slots
+        assert np.max(np.abs(slots.column_sums(w.weights) - 1)) < 1e-12
+        assert np.max(np.abs(w.weights.sum(axis=0) - 1)) < 1e-12
+        senders, receivers = topo.sender_edges
+        reverse = np.lexsort((senders, receivers))  # row e holds the edge back along e
+        edge_weights = slots.edge_weights(w.weights)
+        assert np.max(np.abs(edge_weights - edge_weights[reverse])) < 1e-15
+        assert np.all(w.weights[slots.live] > 1e-12)
+        assert np.all(w.weights[~slots.live] == 0.0)
+        positive = w.weights[w.weights > 0]
         assert w.rho == pytest.approx(float(positive.min()))
+        # rows of fewer than 8 entries numpy sums in order, as the slots do
+        assert_matches_dense(topo, self_inclusive, exact_self=n <= 7)
+
+    @pytest.mark.parametrize("self_inclusive", [False, True])
+    @pytest.mark.parametrize("family, n, exact_self", [
+        ("cycle", 5, True), ("cycle", 9, True), ("cycle", 1000, True),
+        ("path", 2, True), ("path", 30, True), ("petersen", 10, True),
+        ("star", 9, False), ("star", 30, False),
+        ("complete", 8, False), ("complete", 40, False),
+    ])
+    def test_matches_dense_construction(self, family, n, exact_self, self_inclusive):
+        assert_matches_dense(po.Topology.family(family, n), self_inclusive, exact_self)
+
+    def test_self_weights_exact_on_every_graph_up_to_five_agents(self):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(2 ** len(pairs)):
+                edges = [e for b, e in enumerate(pairs) if mask >> b & 1]
+                if not po.Topology._connected(set(range(n)), edges):
+                    continue
+                for self_inclusive in (False, True):
+                    assert_matches_dense(po.Topology.from_edges(n, edges), self_inclusive,
+                                          exact_self=True)
 
 
 class TestConnectivity:

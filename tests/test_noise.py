@@ -98,7 +98,8 @@ class TestLbPerturbation:
         d = po.draw_lb_perturbation(topo, w, delta, 2, RandomStreams(seed), dim=2)
         senders, receivers = topo.sender_edges
         weighted = np.zeros((5, 2))
-        np.add.at(weighted, senders, w.entries[receivers, senders, None] * d)
+        b = topo.fuse_slots.entries(w.weights)
+        np.add.at(weighted, senders, b[receivers, senders, None] * d)
         assert np.abs(weighted).max() < 1e-12
         assert np.linalg.norm(d, axis=1).max() <= delta + 1e-12
 

@@ -46,10 +46,9 @@ def sequential_replay_digest(view):
                     for j in range(view.topology.n)],
         feasible=po.Box.from_spec(recipe["feasible"]), validate_convexity=False)
     if recipe["weights_series"] is None:
-        weights = po.FusionMatrix.from_entries(recipe["weights"], view.topology)
+        weights = po.FusionMatrix(view.topology, recipe["weights"])
     else:
-        matrices = [po.FusionMatrix.from_entries(b, view.topology)
-                    for b in recipe["weights_series"]]
+        matrices = [po.FusionMatrix(view.topology, w) for w in recipe["weights_series"]]
 
         def weights(k):
             return matrices[k - 1]
