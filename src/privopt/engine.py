@@ -23,6 +23,7 @@ from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
                     draw_noise_functions, nb_perturbation,
                     noise_gradient_bounds, obfuscate)
 from .objectives import Box, GlobalProblem
+from .polynomials import pad_coeffs
 
 # Version 2: rss noise streams are one per (purpose, agent) and addressed by
 # round, so a version-1 rss trace's seed no longer reproduces its noise.
@@ -662,19 +663,20 @@ def run_fs(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
     """Function sharing: exchange polynomial noise functions once, obfuscate the
     local objectives, then run plain distributed gradient descent on them."""
     streams = RandomStreams(seed)
-    noise_functions = draw_noise_functions(topology, delta_coeff, d_max, streams, problem.dim)
-    obfuscated = obfuscate(problem.objectives, noise_functions, topology)
+    noise = draw_noise_functions(topology, delta_coeff, d_max, streams, problem.dim)
+    obfuscated = obfuscate(problem.objectives, noise, topology)
     width = obfuscated[0].poly.width
     box = problem.feasible
     sub_problem = GlobalProblem(objectives=obfuscated, feasible=box, validate_convexity=False)
-    grad_bound, curv_bound = noise_gradient_bounds(noise_functions, box.lower, box.upper)
+    grad_bound, curv_bound = noise_gradient_bounds(noise, topology, box.lower, box.upper)
     base_l, base_n = problem.constants()
+    senders, receivers = topology.sender_edges
     extras = {
         "delta_coeff": delta_coeff,
         "d_max": d_max,
         "width": width,
-        "noise": [[j, i, poly.padded(width).coeffs.tolist()]
-                  for (j, i), poly in sorted(noise_functions.items())],
+        "noise": [[j, i, coeffs] for j, i, coeffs in
+                  zip(senders.tolist(), receivers.tolist(), pad_coeffs(noise, width).tolist())],
         "obfuscated": [obj.poly.coeffs.tolist() for obj in obfuscated],
         "obf_grad_bound": base_l + grad_bound,
         "obf_smoothness_bound": base_n + curv_bound,

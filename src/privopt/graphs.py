@@ -6,6 +6,7 @@ u < v. Neighborhoods are self-inclusive; degrees are self-exclusive.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,28 +42,8 @@ class Topology:
                 raise GraphError(f"self-loop on agent {u}")
             if u > v:
                 raise GraphError(f"edge ({u}, {v}) not in canonical order")
-        if not self._connected(set(range(self.n)), self.edges):
+        if len(components(self)) != 1:
             raise DisconnectedError("topology is not connected")
-
-    @staticmethod
-    def _connected(nodes: set, edges) -> bool:
-        if not nodes:
-            return False
-        adj = {v: [] for v in nodes}
-        for (u, v) in edges:
-            if u in adj and v in adj:
-                adj[u].append(v)
-                adj[v].append(u)
-        start = min(nodes)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == nodes
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Topology":
@@ -288,59 +269,84 @@ def metropolis_weights(topology: Topology, self_inclusive_degree: bool = False) 
     return FusionMatrix(topology, weights)
 
 
+def components(topology: Topology, excluded=()) -> list[list[int]]:
+    """Connected components of the graph induced on the agents outside
+    ``excluded``, each sorted, in order of their smallest agent."""
+    seen = set(int(a) for a in excluded)
+    out = []
+    for start in range(topology.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = [start], [start]
+        while stack:
+            for w in topology._neighbor_table[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        out.append(sorted(comp))
+    return out
+
+
 def _max_flow_unit_vertex(topology: Topology, source: int, sink: int) -> int:
     """Vertex-capacity max-flow between non-adjacent source and sink.
 
     Standard node splitting: vertex v becomes v_in -> v_out with capacity 1
-    (unbounded at the terminals); every undirected edge contributes unbounded
-    arcs out_u -> in_v and out_v -> in_u. BFS augmentation; each augmenting
-    path adds one unit.
+    (n, unbounded for a flow of at most n - 2, at the terminals); every
+    undirected edge contributes unbounded arcs out_u -> in_v and out_v -> in_u.
+    Residual capacities are held per arc in adjacency dicts; BFS augmentation
+    adds one unit per path.
     """
     n = topology.n
-    big = n * n
-    size = 2 * n  # v_in = v, v_out = v + n
-    cap = np.zeros((size, size), dtype=int)
-    for v in range(n):
-        cap[v, v + n] = big if v in (source, sink) else 1
+    # v_in = v, v_out = v + n; every arc is paired with a reverse arc
+    cap = ([{v + n: n if v in (source, sink) else 1} for v in range(n)]
+           + [{v: 0} for v in range(n)])
     for (u, v) in topology.edges:
-        cap[u + n, v] = big
-        cap[v + n, u] = big
+        cap[u + n][v] = cap[v + n][u] = n
+        cap[v][u + n] = cap[u][v + n] = 0
     s, t = source + n, sink
     flow = 0
     while True:
-        parent = [-1] * size
-        parent[s] = s
-        queue = [s]
-        while queue and parent[t] == -1:
-            cur = queue.pop(0)
-            for nxt in np.nonzero(cap[cur] > 0)[0]:
-                if parent[nxt] == -1:
+        parent = {s: s}
+        queue = deque([s])
+        while queue and t not in parent:
+            cur = queue.popleft()
+            for nxt, c in cap[cur].items():
+                if c > 0 and nxt not in parent:
                     parent[nxt] = cur
-                    queue.append(int(nxt))
-        if parent[t] == -1:
+                    queue.append(nxt)
+        if t not in parent:
             return flow
         node = t
         while node != s:
             prev = parent[node]
-            cap[prev, node] -= 1
-            cap[node, prev] += 1
+            cap[prev][node] -= 1
+            cap[node][prev] += 1
             node = prev
         flow += 1
 
 
 def vertex_connectivity(topology: Topology) -> int:
     """Minimum number of vertex deletions that disconnect the graph (n-1 for
-    complete graphs), via unit-vertex-capacity max-flow over non-adjacent pairs."""
+    complete graphs), via unit-vertex-capacity max-flow over non-adjacent pairs.
+
+    Sources are bounded as in Even's algorithm: a minimum cut C leaves some
+    agent s <= |C| outside it, and every agent in another component of the
+    graph without C has a larger index than s. So the sources stop once their
+    index exceeds the smallest cut found."""
     n = topology.n
     if n == 1:
         return 0
     if topology.is_complete():
         return n - 1
     best = n - 1
-    for s in range(n):
+    s = 0
+    while s <= best:
         for t in range(s + 1, n):
             if (s, t) not in topology.edges:
                 best = min(best, _max_flow_unit_vertex(topology, s, t))
+        s += 1
     return best
 
 
@@ -354,33 +360,22 @@ def spanning_tree_split(topology: Topology, excluded=()) -> tuple[tuple, tuple]:
     precondition fails).
     """
     excluded = set(int(a) for a in excluded)
-    good = sorted(set(range(topology.n)) - excluded)
+    good = [v for v in range(topology.n) if v not in excluded]
     if not good:
         raise GraphError("no agents remain after exclusion")
-    good_set = set(good)
-    induced = sorted(e for e in topology.edges if e[0] in good_set and e[1] in good_set)
-    adj = {v: [] for v in good}
-    for (u, v) in induced:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-    root = good[0]
-    seen = {root}
-    queue = [root]
-    tree = []
+    seen, queue, tree = {good[0]}, deque([good[0]]), []
     while queue:
-        u = queue.pop(0)
-        for w in adj[u]:
-            if w not in seen:
+        u = queue.popleft()
+        for w in topology._neighbor_table[u]:
+            if w not in seen and w not in excluded:
                 seen.add(w)
                 tree.append(canonical_edge(u, w))
                 queue.append(w)
-    if seen != good_set:
+    if len(seen) != len(good):
         raise DisconnectedError(
             "induced subgraph on retained agents is disconnected; privacy precondition fails"
         )
     tree_set = set(tree)
-    extras = tuple(e for e in induced if e not in tree_set)
+    extras = tuple(sorted(e for e in topology.edges if e[0] not in excluded
+                          and e[1] not in excluded and e not in tree_set))
     return tuple(tree), extras
-

@@ -9,8 +9,9 @@ agent, its degree, the dimension and k alone: changing one agent's draws does
 not shift the others, and runs with different noise magnitudes stay
 seed-paired. The round-addressed layout is the one of trace version 2.
 
-Per-edge quantities (nb shares, lb perturbations) are (E, D) arrays whose row
-e belongs to directed edge e of ``Topology.sender_edges``.
+Per-edge quantities (nb shares, lb perturbations, function-sharing noise) are
+(E, ...) arrays whose row e belongs to directed edge e of
+``Topology.sender_edges``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import FusionMatrix, Topology
-from .polynomials import SeparablePolynomial
+from .polynomials import SeparablePolynomial, pad_coeffs
 
 _PURPOSES = {"nb_direction": 1, "lb_raw": 2, "fs_coeff": 3, "alt_extra": 4, "nb_radius": 5}
 
@@ -178,49 +179,45 @@ def draw_lb_perturbation(topology: Topology, weights: FusionMatrix, delta: float
 
 
 def draw_noise_functions(topology: Topology, delta_coeff: float, d_max: int,
-                         streams: RandomStreams, dim: int = 1) -> dict:
-    """One noise polynomial per directed edge, with coefficients uniform in
-    [-delta_coeff, delta_coeff] snapped to a dyadic grid, degree at most d_max."""
+                         streams: RandomStreams, dim: int = 1) -> np.ndarray:
+    """One noise polynomial per directed edge, as an (E, dim, d_max + 1)
+    array whose row e belongs to directed edge e of ``Topology.sender_edges``.
+    Coefficients are uniform in [-delta_coeff, delta_coeff], snapped to a
+    dyadic grid, and drawn from the sender's stream, receiver by receiver."""
     if d_max < 0:
         raise ValueError("d_max must be non-negative")
     _check_bound(delta_coeff, "delta_coeff")
-    out = {}
+    noise = np.zeros((topology.sender_edges[0].size, dim, d_max + 1))
+    row = 0
     for j in range(topology.n):
-        receivers = [i for i in topology.neighbors(j) if i != j]
         rng = streams.generator("fs_coeff", j, 0)
-        for i in receivers:
-            if delta_coeff == 0.0:
-                coeffs = np.zeros((dim, d_max + 1))
-            else:
+        for i in topology.neighbors(j):
+            if i == j:
+                continue
+            if delta_coeff != 0.0:
                 raw = rng.uniform(-delta_coeff, delta_coeff, size=(dim, d_max + 1))
-                coeffs = np.clip(np.round(raw / COEFF_GRID) * COEFF_GRID,
-                                 -delta_coeff, delta_coeff)
-            out[(j, i)] = SeparablePolynomial(coeffs)
-    return out
+                noise[row] = np.clip(np.round(raw / COEFF_GRID) * COEFF_GRID,
+                                     -delta_coeff, delta_coeff)
+            row += 1
+    return noise
 
 
-def noise_offsets(noise_functions: dict, topology: Topology, width: int) -> list:
-    """Per-agent noise polynomial: received functions minus sent functions.
-    Their network sum is identically zero."""
-    offsets = []
-    for j in range(topology.n):
-        acc = SeparablePolynomial.zero(next(iter(noise_functions.values())).dim
-                                       if noise_functions else 1, width)
-        for i in topology.neighbors(j):
-            if i == j:
-                continue
-            acc = acc + noise_functions[(i, j)].padded(width)
-        for i in topology.neighbors(j):
-            if i == j:
-                continue
-            acc = acc - noise_functions[(j, i)].padded(width)
-        offsets.append(acc)
+def noise_offsets(noise: np.ndarray, topology: Topology) -> np.ndarray:
+    """(n, ...) per-agent offsets of (E, ...) edge noise: the rows an agent
+    receives minus the rows it sends, each added in edge order from zero.
+    Their network sum is identically zero. Exact on the integer arrays of
+    ``privacy``."""
+    senders, receivers = topology.sender_edges
+    offsets = np.zeros((topology.n,) + noise.shape[1:], dtype=noise.dtype)
+    np.add.at(offsets, receivers, noise)
+    np.subtract.at(offsets, senders, noise)
     return offsets
 
 
-def obfuscate(objectives: list, noise_functions: dict, topology: Topology) -> list:
-    """Obfuscated objectives: each local polynomial plus its zero-sum noise
-    offset, padded to a common width. Requires a polynomial objective family."""
+def obfuscate(objectives: list, noise: np.ndarray, topology: Topology) -> list:
+    """Obfuscated objectives: each local polynomial plus its zero-sum offset
+    of the (E, D, W) edge noise, padded to a common width. Requires a
+    polynomial objective family."""
     from .objectives import PolynomialObjective
 
     if len(objectives) != topology.n:
@@ -228,28 +225,25 @@ def obfuscate(objectives: list, noise_functions: dict, topology: Topology) -> li
     for obj in objectives:
         if not isinstance(obj, PolynomialObjective):
             raise FsObjectiveError("function sharing requires polynomial local objectives")
-    width = max([obj.poly.width for obj in objectives]
-                + [p.width for p in noise_functions.values()] + [1])
-    offsets = noise_offsets(noise_functions, topology, width) if noise_functions else \
-        [SeparablePolynomial.zero(objectives[0].dim, width) for _ in objectives]
-    obfuscated = []
-    for obj, off in zip(objectives, offsets):
-        coeffs = obj.poly.padded(width).coeffs + off.coeffs
-        obfuscated.append(PolynomialObjective(coeffs, enforce_convex=False))
-    return obfuscated
+    width = max([obj.poly.width for obj in objectives] + [noise.shape[-1]])
+    offsets = noise_offsets(pad_coeffs(noise, width), topology)
+    return [PolynomialObjective(pad_coeffs(obj.poly.coeffs, width) + off, enforce_convex=False)
+            for obj, off in zip(objectives, offsets)]
 
 
-def noise_gradient_bounds(noise_functions: dict, lower, upper) -> tuple[float, float]:
-    """Largest gradient sup-norm and curvature sup over all per-agent noise
-    offsets is bounded by summing per-function bounds; used for the obfuscated
+def noise_gradient_bounds(noise: np.ndarray, topology: Topology,
+                          lower, upper) -> tuple[float, float]:
+    """Largest gradient sup-norm and curvature sup over all per-agent offsets
+    of (E, D, W) edge noise, bounded by summing, in edge order, the bounds of
+    the functions an agent sends or receives; used for the obfuscated
     gradient constants."""
-    grad = 0.0
-    curv = 0.0
-    by_agent: dict[int, list] = {}
-    for (j, i), poly in noise_functions.items():
-        by_agent.setdefault(j, []).append(poly)
-        by_agent.setdefault(i, []).append(poly)
-    for polys in by_agent.values():
-        grad = max(grad, sum(p.gradient_sup_norm(lower, upper) for p in polys))
-        curv = max(curv, sum(p.curvature_sup(lower, upper) for p in polys))
-    return grad, curv
+    polys = [SeparablePolynomial(coeffs) for coeffs in noise]
+    ends = np.stack(topology.sender_edges, axis=1).ravel()  # sender, receiver of each edge
+
+    def largest_agent_sum(per_edge: list) -> float:
+        per_agent = np.zeros(topology.n)
+        np.add.at(per_agent, ends, np.repeat(per_edge, 2))
+        return float(per_agent.max())
+
+    return (largest_agent_sum([p.gradient_sup_norm(lower, upper) for p in polys]),
+            largest_agent_sum([p.curvature_sup(lower, upper) for p in polys]))

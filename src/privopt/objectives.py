@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .polynomials import SeparablePolynomial, as_coeff_matrix, horner
+from .polynomials import SeparablePolynomial, as_coeff_matrix, horner, pad_coeffs
 
 
 class DimensionMismatchError(ValueError):
@@ -314,9 +314,8 @@ class GlobalProblem:
         if not all(isinstance(obj, PolynomialObjective) for obj in self.objectives):
             return None
         ders = [obj.poly.first_derivative for obj in self.objectives]
-        out = np.zeros((self.n, self.dim, max(d.shape[1] for d in ders)))
-        for j, der in enumerate(ders):
-            out[j, :, :der.shape[1]] = der
+        width = max(d.shape[1] for d in ders)
+        out = np.stack([pad_coeffs(der, width) for der in ders])
         out.flags.writeable = False
         return out
 

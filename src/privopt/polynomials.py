@@ -31,6 +31,16 @@ def as_coeff_matrix(coeffs, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def pad_coeffs(coeffs: np.ndarray, width: int) -> np.ndarray:
+    """Coefficients (..., C) zero-padded at the high end to (..., width), in
+    their own dtype (floats, or the exact integers of ``privacy``)."""
+    if width < coeffs.shape[-1]:
+        raise ValueError("cannot shrink coefficient width")
+    out = np.zeros(coeffs.shape[:-1] + (width,), dtype=coeffs.dtype)
+    out[..., : coeffs.shape[-1]] = coeffs
+    return out
+
+
 def horner(coeffs: np.ndarray, x) -> np.ndarray:
     """Evaluate stacked univariate polynomials, ``coeffs`` of shape (..., C)
     constant-first, at points x that broadcast against ``coeffs[..., 0]``.
@@ -109,28 +119,6 @@ class SeparablePolynomial:
         """Highest power with a nonzero coefficient in any coordinate (-1 if zero)."""
         nz = np.nonzero(np.any(self.coeffs != 0.0, axis=0))[0]
         return int(nz[-1]) if nz.size else -1
-
-    @classmethod
-    def zero(cls, dim: int, width: int = 1) -> "SeparablePolynomial":
-        return cls(np.zeros((dim, width)))
-
-    def padded(self, width: int) -> "SeparablePolynomial":
-        if width < self.width:
-            raise ValueError("cannot shrink coefficient width")
-        out = np.zeros((self.dim, width))
-        out[:, : self.width] = self.coeffs
-        return SeparablePolynomial(out)
-
-    def __add__(self, other: "SeparablePolynomial") -> "SeparablePolynomial":
-        w = max(self.width, other.width)
-        return SeparablePolynomial(self.padded(w).coeffs + other.padded(w).coeffs)
-
-    def __sub__(self, other: "SeparablePolynomial") -> "SeparablePolynomial":
-        w = max(self.width, other.width)
-        return SeparablePolynomial(self.padded(w).coeffs - other.padded(w).coeffs)
-
-    def __neg__(self) -> "SeparablePolynomial":
-        return SeparablePolynomial(-self.coeffs)
 
     def value(self, x) -> np.ndarray:
         """Evaluate at points x of shape (..., D); returns shape (...)."""

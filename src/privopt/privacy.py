@@ -3,25 +3,32 @@
 Given an execution trace and an adversary coalition, this module builds an
 alternative problem instance (different local objectives, different noise
 functions) whose observable footprint is identical, and verifies the match
-coefficientwise. The spanning-tree noise system is solved by exact
-leaf-elimination over rationals, so balance residuals are zero rather than
-merely small: every float coefficient is a dyadic rational, and the solve
-stays in that field.
+coefficientwise.
+
+Noise functions are (E, D, W) arrays whose row e belongs to directed edge e
+of ``Topology.sender_edges``; ``noise.noise_offsets`` alone turns them into
+per-agent offsets. Exact values are numpy object arrays of Python ints in
+units of 2**-1074, the smallest subnormal float64. Every finite float64 is an
+integer multiple of that unit, so converting a coefficient is exact, sums and
+differences stay exact, and dividing by 2**1074 rounds correctly back to the
+nearest float. The spanning-tree noise system is solved by leaf elimination
+in these integers, so a residual is the exact residual of the inputs, zero
+when they are consistent rather than merely small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .engine import ExecutionTrace, StepSchedule, dgd_step, digest_states, recorded_rounds
 # unused here, but the benchmark's span table (perfbench/spans.py) requires it at this site
 from .engine import run_dgd  # noqa: F401
-from .graphs import DisconnectedError, FusionMatrix, Topology, canonical_edge, spanning_tree_split
-from .noise import COEFF_GRID, RandomStreams
+from .graphs import FusionMatrix, Topology, canonical_edge, components, spanning_tree_split
+from .noise import COEFF_GRID, RandomStreams, noise_offsets
 from .objectives import Box, GlobalProblem, PolynomialObjective
+from .polynomials import pad_coeffs
 
 
 class NonFsTraceError(TypeError):
@@ -36,40 +43,41 @@ class TargetSetError(ValueError):
     pass
 
 
-# Exact coefficient arithmetic: a polynomial is a (dim, width) grid of Fractions.
+# Exact coefficient arithmetic: integer arrays in units of 2**-1074.
+_UNIT = 2 ** 1074
 
-def to_exact(arr) -> tuple:
+
+def to_exact(arr) -> np.ndarray:
+    """Float coefficients, at least 2-D, as exact integers. A value keeps no
+    sign of zero: -0.0 becomes 0."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    return tuple(tuple(Fraction(v) for v in row) for row in arr)
+    units = []
+    for v in arr.ravel().tolist():
+        num, den = v.as_integer_ratio()  # den is 2**k with k <= 1074
+        units.append(num << (1075 - den.bit_length()))
+    return np.array(units, dtype=object).reshape(arr.shape)
 
 
-def from_exact(poly) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in poly])
+def from_exact(exact) -> np.ndarray:
+    """Exact integers as the nearest floats."""
+    return np.asarray(exact / _UNIT, dtype=float)
 
 
-def exact_zero(dim: int, width: int) -> tuple:
-    return tuple(tuple(Fraction(0) for _ in range(width)) for _ in range(dim))
+def exact_pad(exact, width: int) -> np.ndarray:
+    return pad_coeffs(exact, width)
 
 
-def exact_pad(poly, width: int) -> tuple:
-    return tuple(tuple(row) + tuple(Fraction(0) for _ in range(width - len(row))) for row in poly)
+def exact_add(a, b) -> np.ndarray:
+    return a + b
 
 
-def exact_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def exact_sub(a, b) -> np.ndarray:
+    return a - b
 
 
-def exact_sub(a, b) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def exact_max_abs(poly) -> float:
-    worst = Fraction(0)
-    for row in poly:
-        for v in row:
-            if abs(v) > worst:
-                worst = abs(v)
-    return float(worst)
+def exact_max_abs(exact) -> float:
+    """Largest magnitude, as the nearest float; 0.0 when empty."""
+    return max(map(abs, np.ravel(exact).tolist()), default=0) / _UNIT
 
 
 @dataclass(frozen=True)
@@ -86,24 +94,13 @@ class AdversaryView:
     dim: int
     width: int
     obfuscated: dict          # agent -> float coeffs (dim, width), all agents
-    coalition_objectives: dict  # agent in coalition -> float coeffs
-    observed_noise: dict      # (sender, receiver) -> float coeffs, coalition-incident
+    coalition_objectives: dict  # agent in coalition -> float coeffs (dim, width)
+    observed: np.ndarray      # (E,) bool: the coalition-incident directed edges
+    noise: np.ndarray         # (E, dim, width) float noise, zero off the observed edges
     recipe: dict              # JSON values; fusion weights as (K, n) or (R, K, n) slot lists
     trace_digest: str
     states: np.ndarray
     final_states: np.ndarray
-
-
-def _polynomial_coeffs_from_spec(problem_spec: dict, width: int, dim: int) -> dict:
-    out = {}
-    for agent, spec in enumerate(problem_spec["objectives"]):
-        if spec.get("kind") != "polynomial":
-            raise NonFsTraceError("function-sharing traces require polynomial objectives")
-        coeffs = np.atleast_2d(np.asarray(spec["coeffs"], dtype=float))
-        padded = np.zeros((dim, width))
-        padded[:, : coeffs.shape[1]] = coeffs
-        out[agent] = padded
-    return out
 
 
 def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
@@ -121,13 +118,17 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
     for a in coalition:
         if not 0 <= a < trace.n:
             raise ValueError(f"coalition member {a} out of range")
+    specs = trace.problem_spec["objectives"]
+    if any(spec.get("kind") != "polynomial" for spec in specs):
+        raise NonFsTraceError("function-sharing traces require polynomial objectives")
     width = int(trace.extras["width"])
     dim = trace.dim
-    obfuscated = {j: np.asarray(c, dtype=float) for j, c in enumerate(trace.extras["obfuscated"])}
-    all_noise = {(int(j), int(i)): np.asarray(c, dtype=float) for j, i, c in trace.extras["noise"]}
-    mark = set(coalition)
-    observed = {edge: c for edge, c in all_noise.items() if edge[0] in mark or edge[1] in mark}
-    true_coeffs = _polynomial_coeffs_from_spec(trace.problem_spec, width, dim)
+    senders, receivers = trace.topology.sender_edges
+    member = np.zeros(trace.n, dtype=bool)
+    member[list(coalition)] = True
+    observed = member[senders] | member[receivers]
+    noise = np.array([c for _, _, c in trace.extras["noise"]], dtype=float)
+    noise = np.where(observed[:, None, None], noise.reshape(senders.size, dim, width), 0.0)
     recipe = {
         "schedule": trace.schedule.to_spec(),
         "weights": trace.weights.tolist(),
@@ -144,9 +145,11 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
         topology=trace.topology,
         dim=dim,
         width=width,
-        obfuscated=obfuscated,
-        coalition_objectives={a: true_coeffs[a] for a in coalition},
-        observed_noise=observed,
+        obfuscated={j: np.asarray(c, dtype=float) for j, c in enumerate(trace.extras["obfuscated"])},
+        coalition_objectives={a: pad_coeffs(np.atleast_2d(np.asarray(specs[a]["coeffs"], dtype=float)),
+                                            width) for a in coalition},
+        observed=observed,
+        noise=noise,
         recipe=recipe,
         trace_digest=trace.state_digest(),
         states=trace.states,
@@ -154,11 +157,25 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
     )
 
 
+def _exact_obfuscated(view: AdversaryView) -> np.ndarray:
+    """(n, dim, width) exact obfuscated objectives."""
+    return to_exact([view.obfuscated[j] for j in range(view.topology.n)])
+
+
+def _edge_rows(topology: Topology, pairs) -> np.ndarray:
+    """Rows in ``topology.sender_edges`` of directed edges given as (sender,
+    receiver) pairs; the edges are sorted by sender, then receiver."""
+    senders, receivers = topology.sender_edges
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    return np.searchsorted(senders * topology.n + receivers, pairs[:, 0] * topology.n + pairs[:, 1])
+
+
 def complete_alternative_objectives(problem: GlobalProblem, coalition, target,
-                                    alternatives: dict, d_max: int) -> dict:
-    """Fill in alternative local objectives for the remaining free agents so
-    the retained agents' sum is preserved coefficientwise; the residual
-    polynomial lands on the lowest-index free agent."""
+                                    alternatives: dict, d_max: int) -> np.ndarray:
+    """Alternative local objectives, exact and (n, dim, d_max + 1): the
+    targets' ``alternatives``, and the true objectives elsewhere, except that
+    the lowest-index free agent absorbs the difference, so the retained
+    agents' sum is preserved coefficientwise."""
     coalition = set(int(a) for a in coalition)
     target = set(int(a) for a in target)
     n = problem.n
@@ -175,113 +192,84 @@ def complete_alternative_objectives(problem: GlobalProblem, coalition, target,
             raise NonFsTraceError("function sharing requires polynomial local objectives")
         if obj.poly.width > width:
             raise ValueError("objective degree exceeds d_max")
-    dim = problem.dim
-    truth = {j: exact_pad(to_exact(problem.objectives[j].poly.coeffs), width) for j in range(n)}
-    out = dict(truth)
-    residual = exact_zero(dim, width)
+    truth = np.stack([exact_pad(to_exact(obj.poly.coeffs), width) for obj in problem.objectives])
+    out = truth.copy()
     for agent in sorted(target):
         alt = np.atleast_2d(np.asarray(alternatives[agent], dtype=float))
         if alt.shape[1] > width:
             raise ValueError(f"alternative objective for agent {agent} exceeds d_max")
-        alt_exact = exact_pad(to_exact(alt), width)
-        out[agent] = alt_exact
-        residual = exact_add(residual, exact_sub(truth[agent], alt_exact))
-    out[free[0]] = exact_add(out[free[0]], residual)
+        out[agent] = exact_pad(to_exact(alt), width)
+    out[free[0]] = exact_add(out[free[0]], exact_sub(truth, out).sum(axis=0))
     return out
 
 
 @dataclass
 class AlternativeInstance:
-    """Full alternative assignment: objectives for every agent and noise
-    functions for every directed edge, in exact coefficient form."""
+    """Full alternative assignment, exact: objectives (n, dim, width) for
+    every agent and noise functions (E, dim, width) for every directed edge,
+    in ``Topology.sender_edges`` order."""
 
-    objectives: dict     # agent -> exact poly
-    noise: dict          # (sender, receiver) -> exact poly
+    objectives: np.ndarray
+    noise: np.ndarray
     dim: int
     width: int
     tree_edges: tuple = ()
     solve_residual: float = 0.0
 
-    def float_objectives(self) -> dict:
-        return {j: from_exact(p) for j, p in self.objectives.items()}
 
-    def float_noise(self) -> dict:
-        return {e: from_exact(p) for e, p in self.noise.items()}
-
-
-def _exact_obfuscation(agent: int, topology: Topology, objectives: dict, noise: dict):
-    total = objectives[agent]
-    for i in topology.neighbors(agent):
-        if i == agent:
-            continue
-        total = exact_add(total, noise[(i, agent)])
-        total = exact_sub(total, noise[(agent, i)])
-    return total
-
-
-def construct_alternative(view: AdversaryView, objectives: dict,
-                          extras: dict | None = None, extras_seed: int = 0) -> AlternativeInstance:
-    """Build an alternative instance matching the adversary's observations.
+def construct_alternative(view: AdversaryView, objectives: np.ndarray,
+                          extras: np.ndarray | None = None,
+                          extras_seed: int = 0) -> AlternativeInstance:
+    """Build an alternative instance matching the adversary's observations,
+    for exact (n, dim, width) ``objectives``.
 
     Noise on coalition-incident edges is pinned to the observed functions and
     conceptually deleted; the remaining good-good edges split into a spanning
     tree plus extra edges. Extra edges (and the reverse orientation of each
-    tree edge) receive arbitrary seeded polynomials unless supplied via
-    ``extras``; the canonical orientation of each tree edge is then the unique
-    solution of the good agents' balance equations, computed by peeling leaves.
+    tree edge) receive arbitrary seeded polynomials unless their rows are
+    taken from ``extras``, float (E, dim, width) noise; the canonical
+    orientation of each tree edge is then the unique solution of the good
+    agents' balance equations, computed by peeling leaves.
     """
     topology = view.topology
-    coalition = set(view.coalition)
-    good = sorted(set(range(topology.n)) - coalition)
+    width, dim = view.width, view.dim
+    good = [j for j in range(topology.n) if j not in view.coalition]
     if len(good) < 1:
         raise TargetSetError("no retained agents remain")
-    width, dim = view.width, view.dim
-
-    exact_objectives = {}
-    for j in range(topology.n):
-        poly = objectives[j]
-        exact_objectives[j] = poly if isinstance(poly, tuple) else exact_pad(to_exact(poly), width)
-    for a in coalition:
-        if exact_objectives[a] != exact_pad(to_exact(view.coalition_objectives[a]), width):
+    objectives = np.asarray(objectives)
+    if objectives.dtype != object or objectives.shape != (topology.n, dim, width):
+        raise ValueError(f"objectives must be exact coefficients of shape "
+                         f"({topology.n}, {dim}, {width})")
+    for a in view.coalition:
+        if not np.array_equal(objectives[a], exact_pad(to_exact(view.coalition_objectives[a]), width)):
             raise ValueError(f"alternative objective for coalition agent {a} must equal the observed one")
 
-    tree, tree_extras = spanning_tree_split(topology, excluded=coalition)
+    tree, _ = spanning_tree_split(topology, excluded=view.coalition)
+    tree_rows = dict(zip(tree, _edge_rows(topology, tree).tolist()))  # canonical (u, v), u < v
 
-    noise: dict = {}
-    for edge, coeffs in view.observed_noise.items():
-        noise[edge] = exact_pad(to_exact(coeffs), width)
+    # Pinned rows: the observed functions. Every other row but the tree's
+    # unknowns is assigned.
+    noise = to_exact(view.noise)
+    assigned = ~view.observed
+    assigned[list(tree_rows.values())] = False
+    rows = np.flatnonzero(assigned)
+    if extras is None:
+        senders, receivers = topology.sender_edges
+        streams = RandomStreams(extras_seed)
+        scale = max(float(view.recipe.get("delta_coeff", 0.0)), 1.0)
+        raw = [streams.generator("alt_extra", senders[e], receivers[e])
+               .uniform(-scale, scale, size=(dim, width)) for e in rows]
+        values = np.round(np.reshape(raw, (rows.size, dim, width)) / COEFF_GRID) * COEFF_GRID
+    else:
+        values = np.asarray(extras, dtype=float)[rows]
+    noise[rows] = exact_pad(to_exact(values), width)
 
-    unknown = {edge: None for edge in tree}  # canonical orientation (u, v), u < v
-    assigned_pairs = []
-    for (u, v) in tree_extras:
-        assigned_pairs.extend([(u, v), (v, u)])
-    assigned_pairs.extend([(v, u) for (u, v) in tree])  # reverse orientation of tree edges
-
-    streams = RandomStreams(extras_seed)
-    scale = max(float(view.recipe.get("delta_coeff", 0.0)), 1.0)
-    for (j, i) in assigned_pairs:
-        if extras is not None and (j, i) in extras:
-            noise[(j, i)] = exact_pad(to_exact(extras[(j, i)]), width)
-        else:
-            rng = streams.generator("alt_extra", j, i)
-            raw = rng.uniform(-scale, scale, size=(dim, width))
-            noise[(j, i)] = to_exact(np.round(raw / COEFF_GRID) * COEFF_GRID)
-
-    # Balance residual per good agent: what the unknown tree functions must supply.
-    residual = {}
-    for j in good:
-        r = exact_sub(exact_pad(to_exact(view.obfuscated[j]), width), exact_objectives[j])
-        for i in topology.neighbors(j):
-            if i == j:
-                continue
-            if (i, j) in noise:
-                r = exact_sub(r, noise[(i, j)])
-            if (j, i) in noise:
-                r = exact_add(r, noise[(j, i)])
-        residual[j] = r
+    # Balance residual per agent: what the unknown tree functions must supply.
+    residual = exact_sub(exact_sub(_exact_obfuscated(view), objectives),
+                         noise_offsets(noise, topology))
 
     # Peel leaves of the spanning tree; each leaf's single unknown edge is
-    # determined by its balance equation.
+    # determined by its balance equation, and its residual moves to its parent.
     tree_adj = {j: [] for j in good}
     for (u, v) in tree:
         tree_adj[u].append(v)
@@ -295,29 +283,20 @@ def construct_alternative(view: AdversaryView, objectives: dict,
             continue  # peeled down to the root
         removed.add(leaf)
         parent = next(p for p in tree_adj[leaf] if p not in removed)
-        u, v = canonical_edge(leaf, parent)
-        if (u, v) == (leaf, parent):
-            # unknown leaves the leaf: -t[leaf, parent] = residual  =>  t = -r
-            value = tuple(tuple(-c for c in row) for row in residual[leaf])
-            residual[parent] = exact_sub(residual[parent], value)
-        else:
-            # unknown enters the leaf: +t[parent, leaf] = residual
-            value = residual[leaf]
-            residual[parent] = exact_add(residual[parent], value)
-        unknown[(u, v)] = value
+        # the unknown enters the leaf (+t = residual) or leaves it (-t = residual)
+        row = tree_rows[canonical_edge(leaf, parent)]
+        noise[row] = residual[leaf] if parent < leaf else -residual[leaf]
+        residual[parent] = exact_add(residual[parent], residual[leaf])
         degree[parent] -= 1
         degree[leaf] = 0
         if degree[parent] == 1 and parent not in removed:
             leaves.append(parent)
-    solve_residual = 0.0
-    root = next(j for j in good if j not in removed) if len(removed) < len(good) else good[0]
-    if len(good) > len(removed):
-        solve_residual = exact_max_abs(residual[root])
-    noise.update({edge: val for edge, val in unknown.items()})
+    root = next(j for j in good if j not in removed)
+    solve_residual = exact_max_abs(residual[root])
     if solve_residual > 1e-12:
         raise RuntimeError(
             f"tree solve left residual {solve_residual:.3e} at agent {root}; inputs are inconsistent")
-    return AlternativeInstance(objectives=exact_objectives, noise=noise, dim=dim,
+    return AlternativeInstance(objectives=objectives, noise=noise, dim=dim,
                                width=width, tree_edges=tree, solve_residual=solve_residual)
 
 
@@ -338,33 +317,28 @@ class VerificationReport:
 def verify_indistinguishable(view: AdversaryView, instance: AlternativeInstance,
                              tolerance: float = 1e-9, rerun: bool = True) -> VerificationReport:
     """Replay the obfuscation under the alternative instance and compare every
-    observation: obfuscated functions for all agents, the coalition's own
-    objectives, and coalition-incident noise. Optionally re-run the public
-    dynamics from the observed obfuscated functions and compare trace digests.
+    observation, in this order: obfuscated functions for all agents, the
+    coalition's own objectives, and coalition-incident noise. Optionally
+    re-run the public dynamics from the observed obfuscated functions and
+    compare trace digests.
     """
     topology = view.topology
-    width = view.width
-    max_residual = 0.0
-    first = None
-
-    def note(kind, where, gap):
-        nonlocal max_residual, first
-        if gap > max_residual:
-            max_residual = gap
-        if gap > tolerance and first is None:
-            first = {"kind": kind, "where": where, "gap": gap}
-
-    for j in range(topology.n):
-        rebuilt = _exact_obfuscation(j, topology, instance.objectives, instance.noise)
-        gap = exact_max_abs(exact_sub(rebuilt, exact_pad(to_exact(view.obfuscated[j]), width)))
-        note("obfuscated_function", {"agent": j}, gap)
+    senders, receivers = topology.sender_edges
+    rebuilt = exact_add(instance.objectives, noise_offsets(instance.noise, topology))
+    gaps = [("obfuscated_function", {"agent": j}, exact_max_abs(gap))
+            for j, gap in enumerate(exact_sub(rebuilt, _exact_obfuscated(view)))]
     for a in view.coalition:
-        gap = exact_max_abs(exact_sub(instance.objectives[a],
-                                      exact_pad(to_exact(view.coalition_objectives[a]), width)))
-        note("coalition_objective", {"agent": a}, gap)
-    for edge, coeffs in view.observed_noise.items():
-        gap = exact_max_abs(exact_sub(instance.noise[edge], exact_pad(to_exact(coeffs), width)))
-        note("coalition_incident_noise", {"edge": list(edge)}, gap)
+        gap = exact_sub(instance.objectives[a],
+                        exact_pad(to_exact(view.coalition_objectives[a]), view.width))
+        gaps.append(("coalition_objective", {"agent": a}, exact_max_abs(gap)))
+    observed = np.flatnonzero(view.observed)
+    for e, gap in zip(observed.tolist(), exact_sub(instance.noise[observed],
+                                                   to_exact(view.noise[observed]))):
+        gaps.append(("coalition_incident_noise",
+                     {"edge": [int(senders[e]), int(receivers[e])]}, exact_max_abs(gap)))
+    max_residual = max([0.0] + [gap for _, _, gap in gaps])
+    first = next(({"kind": kind, "where": where, "gap": gap}
+                  for kind, where, gap in gaps if gap > tolerance), None)
 
     digest_ok = None
     if rerun and first is None:
@@ -438,55 +412,23 @@ def necessity_demo(view: AdversaryView, true_objectives: dict,
     """When the coalition is a vertex cut, reconstruct the exact objective sum
     of each isolated component from the view alone (obfuscated sums minus
     boundary noise) and verify it against the ground truth."""
-    topology = view.topology
-    coalition = set(view.coalition)
-    good = sorted(set(range(topology.n)) - coalition)
-    if not good:
+    parts = components(view.topology, excluded=view.coalition)
+    if not parts:
         raise NotACutError("no retained agents to isolate")
-    adj = {j: [] for j in good}
-    for (u, v) in topology.edges:
-        if u in adj and v in adj:
-            adj[u].append(v)
-            adj[v].append(u)
-    components = []
-    seen = set()
-    for start in good:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        components.append(sorted(comp))
-    if len(components) < 2:
+    if len(parts) < 2:
         raise NotACutError("coalition is not a vertex cut; reconstruction demo inapplicable")
 
-    width, dim = view.width, view.dim
+    # The observed noise of a retained agent is its boundary noise.
+    recovered = exact_sub(_exact_obfuscated(view), noise_offsets(to_exact(view.noise), view.topology))
     rows = []
     passed = True
-    for comp in components:
-        comp_set = set(comp)
-        recon = exact_zero(dim, width)
-        for l in comp:
-            recon = exact_add(recon, exact_pad(to_exact(view.obfuscated[l]), width))
-        for (j, i), coeffs in view.observed_noise.items():
-            if j in coalition and i in comp_set:
-                recon = exact_sub(recon, exact_pad(to_exact(coeffs), width))
-            elif j in comp_set and i in coalition:
-                recon = exact_add(recon, exact_pad(to_exact(coeffs), width))
-        truth = exact_zero(dim, width)
-        for l in comp:
-            truth = exact_add(truth, exact_pad(to_exact(np.atleast_2d(
-                np.asarray(true_objectives[l], dtype=float))), width))
+    for comp in parts:
+        recon = recovered[comp].sum(axis=0)
+        truth = sum(exact_pad(to_exact(true_objectives[l]), view.width) for l in comp)
         gap = exact_max_abs(exact_sub(recon, truth))
         ok = gap <= tolerance
         passed &= ok
         rows.append({"members": comp, "residual": gap, "recovered": from_exact(recon).tolist(),
                      "matches_truth": ok})
     return NecessityReport(passed=passed, components=rows,
-                           details={"tolerance": tolerance, "component_count": len(components)})
+                           details={"tolerance": tolerance, "component_count": len(parts)})

@@ -23,6 +23,19 @@ def quartic_objectives():
     return [po.PolynomialObjective(c) for c in QUARTIC_COEFFS]
 
 
+def random_connected_topology(rng, n):
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    edges = set()
+    for a, b in zip(nodes, nodes[1:]):  # random spanning tree keeps it connected
+        edges.add((min(a, b), max(a, b)))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.3:
+                edges.add((u, v))
+    return po.Topology.from_edges(n, edges)
+
+
 @pytest.fixture(scope="session")
 def wide_box():
     return po.Box([-30.0], [30.0])

@@ -23,7 +23,7 @@ import privopt as po
 from privopt.analysis import (audit_invariants, check_lemma1, check_lemma2,
                               check_theorem3, check_transition_matrix,
                               effective_bounds)
-from privopt.privacy import AlternativeInstance, necessity_demo
+from privopt.privacy import AlternativeInstance, necessity_demo, to_exact
 
 from conftest import INTERIOR_INIT, QUARTIC_COEFFS, quartic_objectives
 
@@ -234,15 +234,10 @@ def _random_trial(problem, trace, view_cache, rng, max_coalition, trial_seed):
 
 
 def _corrupt_one_coefficient(instance, rng):
-    from fractions import Fraction
-
-    edges = sorted(instance.noise)
-    edge = edges[int(rng.integers(0, len(edges)))]
+    row = int(rng.integers(0, len(instance.noise)))
     coeff = int(rng.integers(0, instance.width))
-    rows = [list(r) for r in instance.noise[edge]]
-    rows[0][coeff] += Fraction(1, 1000)
-    noise = dict(instance.noise)
-    noise[edge] = tuple(tuple(r) for r in rows)
+    noise = instance.noise.copy()
+    noise[row, 0, coeff] += to_exact(1e-3)[0, 0]
     return AlternativeInstance(objectives=instance.objectives, noise=noise,
                                dim=instance.dim, width=instance.width)
 

@@ -300,16 +300,9 @@ class TestFunctionSharing:
         # hand-built noise: agent 0 receives -x^4, making its local objective
         # concave in the quartic direction, while the sum is untouched
         from privopt.noise import obfuscate
-        from privopt.polynomials import SeparablePolynomial
 
-        fns = {}
-        for j in range(5):
-            for i in cycle5.neighbors(j):
-                if i != j:
-                    fns[(j, i)] = SeparablePolynomial(np.zeros((1, 9)))
-        strong = np.zeros((1, 9))
-        strong[0, 4] = 2.0
-        fns[(0, 1)] = SeparablePolynomial(strong)  # agent 0 sheds +2x^4
+        fns = np.zeros((10, 1, 9))  # one row per directed edge; edge 0 is (0, 1)
+        fns[0, 0, 4] = 2.0  # agent 0 sheds +2x^4
         obfuscated = obfuscate(quartic_problem.objectives, fns, cycle5)
         floor = obfuscated[0].poly.curvature_floor([-30.0], [30.0])
         assert floor < 0  # genuinely non-convex on the box

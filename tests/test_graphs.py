@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import privopt as po
-from privopt.graphs import DisconnectedError, GraphError
+from privopt.graphs import DisconnectedError, GraphError, components
+
+from conftest import random_connected_topology
 
 
 def brute_force_connectivity(topology):
@@ -17,26 +19,9 @@ def brute_force_connectivity(topology):
     nodes = list(range(n))
     for size in range(0, n - 1):
         for subset in itertools.combinations(nodes, size):
-            remaining = set(nodes) - set(subset)
-            if len(remaining) < 2:
-                continue
-            edges = [e for e in topology.edges if e[0] in remaining and e[1] in remaining]
-            if not po.Topology._connected(remaining, edges):
+            if n - size >= 2 and len(components(topology, excluded=subset)) > 1:
                 return size
     return best
-
-
-def random_connected_topology(rng, n):
-    nodes = list(range(n))
-    rng.shuffle(nodes)
-    edges = set()
-    for a, b in zip(nodes, nodes[1:]):  # random spanning tree keeps it connected
-        edges.add((min(a, b), max(a, b)))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.3:
-                edges.add((u, v))
-    return po.Topology.from_edges(n, edges)
 
 
 class TestTopology:
@@ -172,12 +157,13 @@ class TestMetropolis:
         for n in range(1, 6):
             pairs = list(itertools.combinations(range(n), 2))
             for mask in range(2 ** len(pairs)):
-                edges = [e for b, e in enumerate(pairs) if mask >> b & 1]
-                if not po.Topology._connected(set(range(n)), edges):
+                try:
+                    topology = po.Topology.from_edges(
+                        n, [e for b, e in enumerate(pairs) if mask >> b & 1])
+                except DisconnectedError:
                     continue
                 for self_inclusive in (False, True):
-                    assert_matches_dense(po.Topology.from_edges(n, edges), self_inclusive,
-                                          exact_self=True)
+                    assert_matches_dense(topology, self_inclusive, exact_self=True)
 
 
 class TestConnectivity:
@@ -191,6 +177,16 @@ class TestConnectivity:
         assert cycle5.degrees().min() == 2
         assert complete5.degrees().min() == 4
         assert po.Topology.family("star", 5).degrees().min() == 1
+
+    def test_long_cycle(self):
+        assert po.vertex_connectivity(po.Topology.family("cycle", 80)) == 2
+
+    def test_components_of_the_induced_graph(self):
+        cycle6 = po.Topology.family("cycle", 6)
+        assert components(cycle6) == [[0, 1, 2, 3, 4, 5]]
+        assert components(cycle6, excluded=[0, 3]) == [[1, 2], [4, 5]]
+        assert components(po.Topology.family("star", 4), excluded=[0]) == [[1], [2], [3]]
+        assert components(cycle6, excluded=range(6)) == []
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 7), st.integers(0, 10_000))

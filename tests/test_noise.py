@@ -6,9 +6,9 @@ import privopt as po
 import privopt.noise as noise
 from privopt.noise import (FsObjectiveError, RandomStreams, draw_noise_functions,
                            noise_gradient_bounds, noise_offsets, obfuscate)
-from privopt.polynomials import SeparablePolynomial
+from privopt.polynomials import SeparablePolynomial, pad_coeffs
 
-from conftest import quartic_objectives
+from conftest import quartic_objectives, random_connected_topology
 
 
 @pytest.fixture
@@ -198,26 +198,95 @@ def test_draws_are_rows_of_sender_edges():
     assert np.abs(balance).max() < 1e-15
 
 
+def reference_offsets(noise, topology):
+    """The per-agent neighbour loop that ``noise_offsets`` replaces: from
+    zero, add the rows the agent receives, then subtract the rows it sends,
+    each in ascending neighbour order."""
+    row = {(j, i): e for e, (j, i) in enumerate(zip(*[a.tolist() for a in topology.sender_edges]))}
+    out = []
+    for j in range(topology.n):
+        acc = np.zeros(noise.shape[1:], dtype=noise.dtype)
+        for i in topology.neighbors(j):
+            if i != j:
+                acc = acc + noise[row[(i, j)]]
+        for i in topology.neighbors(j):
+            if i != j:
+                acc = acc - noise[row[(j, i)]]
+        out.append(acc)
+    return np.array(out)
+
+
 class TestNoiseFunctions:
     def test_zero_coefficient_bound(self, cycle5, streams):
         fns = draw_noise_functions(cycle5, 0.0, 8, streams)
-        assert all(np.all(p.coeffs == 0.0) for p in fns.values())
+        assert fns.shape == (10, 1, 9) and np.all(fns == 0.0)
 
     def test_degree_cap_zero_gives_constants(self, cycle5, streams):
         fns = draw_noise_functions(cycle5, 1.0, 0, streams)
-        assert all(p.width == 1 for p in fns.values())
+        assert fns.shape == (10, 1, 1)
 
     def test_gradient_bounds_finite(self, cycle5, streams):
         fns = draw_noise_functions(cycle5, 0.5, 8, streams)
-        for p in fns.values():
-            assert np.isfinite(p.gradient_sup_norm([-30.0], [30.0]))
-        grad, curv = noise_gradient_bounds(fns, [-30.0], [30.0])
+        for coeffs in fns:
+            assert np.isfinite(SeparablePolynomial(coeffs).gradient_sup_norm([-30.0], [30.0]))
+        grad, curv = noise_gradient_bounds(fns, cycle5, [-30.0], [30.0])
         assert grad > 0.0 and curv > 0.0 and np.isfinite(grad) and np.isfinite(curv)
+
+    @pytest.mark.parametrize("family,n,dim", [("cycle", 5, 1), ("star", 6, 2), ("petersen", 10, 1)])
+    def test_gradient_bounds_sum_each_agents_functions_in_edge_order(self, family, n, dim):
+        """Bit for bit what summing every function's bounds once per endpoint
+        gives, agent by agent in edge order."""
+        topology = po.Topology.family(family, n)
+        fns = draw_noise_functions(topology, 0.75, 6, RandomStreams(n), dim)
+        lower, upper = [-3.0] * dim, [2.0] * dim
+        incident = {}
+        for e, ends in enumerate(zip(*[a.tolist() for a in topology.sender_edges])):
+            for agent in ends:
+                incident.setdefault(agent, []).append(SeparablePolynomial(fns[e]))
+        grad = max(sum(p.gradient_sup_norm(lower, upper) for p in ps) for ps in incident.values())
+        curv = max(sum(p.curvature_sup(lower, upper) for p in ps) for ps in incident.values())
+        assert noise_gradient_bounds(fns, topology, lower, upper) == (grad, curv)
 
     def test_coefficient_magnitude(self, cycle5, streams):
         fns = draw_noise_functions(cycle5, 0.25, 6, streams)
-        for p in fns.values():
-            assert np.abs(p.coeffs).max() <= 0.25
+        assert np.abs(fns).max() <= 0.25
+
+    def test_rows_are_each_senders_stream_in_receiver_order(self, cycle5):
+        fns = draw_noise_functions(cycle5, 0.5, 3, RandomStreams(9), dim=2)
+        senders = cycle5.sender_edges[0]
+        for j in range(5):
+            rng = RandomStreams(9).generator("fs_coeff", j, 0)
+            for row in np.flatnonzero(senders == j):
+                raw = rng.uniform(-0.5, 0.5, size=(2, 4))
+                expected = np.clip(np.round(raw / noise.COEFF_GRID) * noise.COEFF_GRID, -0.5, 0.5)
+                np.testing.assert_array_equal(fns[row], expected)
+
+
+class TestNoiseOffsets:
+    def test_bit_identical_to_the_neighbour_loop(self):
+        rng = np.random.default_rng(2024)
+        for case in range(300):
+            topology = random_connected_topology(rng, int(rng.integers(2, 26)))
+            dim = int(rng.integers(1, 3))
+            delta = float(10.0 ** rng.uniform(-3, 6))
+            if case % 2:
+                fns = draw_noise_functions(topology, delta, int(rng.integers(0, 9)),
+                                           RandomStreams(case), dim)
+            else:  # off the coefficient grid, so the additions round
+                fns = rng.uniform(-delta, delta, (topology.sender_edges[0].size, dim, 5))
+            offsets = noise_offsets(fns, topology)
+            assert offsets.tobytes() == reference_offsets(fns, topology).tobytes(), case
+
+    def test_exact_on_integer_arrays(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            topology = random_connected_topology(rng, int(rng.integers(2, 15)))
+            ints = rng.integers(-2 ** 62, 2 ** 62, (topology.sender_edges[0].size, 2, 3))
+            exact = ints.astype(object) * 2 ** 1000 + 1  # far beyond float precision
+            offsets = noise_offsets(exact, topology)
+            assert offsets.dtype == object
+            assert np.array_equal(offsets, reference_offsets(exact, topology))
+            assert all(v == 0 for v in offsets.sum(axis=0).ravel())
 
 
 class TestObfuscate:
@@ -233,8 +302,8 @@ class TestObfuscate:
     def test_two_agent_hand_case(self):
         duo = po.Topology.family("path", 2)
         objs = [po.PolynomialObjective([0, 0, 1]), po.PolynomialObjective([0, 0, 2])]
-        fns = {(0, 1): SeparablePolynomial([0.0, 1.0]),   # agent 0 sends x
-               (1, 0): SeparablePolynomial([0.0, 0.0])}
+        fns = np.array([[[0.0, 1.0]],    # edge (0, 1): agent 0 sends x
+                        [[0.0, 0.0]]])   # edge (1, 0)
         out = obfuscate(objs, fns, duo)
         np.testing.assert_array_equal(out[0].poly.coeffs, [[0.0, -1.0, 1.0]])
         np.testing.assert_array_equal(out[1].poly.coeffs, [[0.0, 1.0, 2.0]])
@@ -244,7 +313,7 @@ class TestObfuscate:
         fns = draw_noise_functions(cycle5, 0.5, 8, RandomStreams(7))
         out = obfuscate(objs, fns, cycle5)
         width = out[0].poly.width
-        total = sum(o.poly.padded(width).coeffs for o in out)
+        total = sum(pad_coeffs(o.poly.coeffs, width) for o in out)
         # Σ f_i coefficientwise: x^2 and x^4 coefficients are each 3.5
         expected = np.zeros((1, width))
         expected[0, 2] = 3.5
@@ -253,29 +322,27 @@ class TestObfuscate:
 
     def test_offsets_sum_to_zero(self, complete5):
         fns = draw_noise_functions(complete5, 1.0, 8, RandomStreams(3))
-        offs = noise_offsets(fns, complete5, 9)
-        total = sum(p.coeffs for p in offs)
-        assert np.abs(total).max() < 1e-12
+        offs = noise_offsets(fns, complete5)
+        assert offs.shape == (5, 1, 9)
+        assert np.abs(offs.sum(axis=0)).max() < 1e-12
 
     def test_additive_group_action(self, cycle5):
         objs = quartic_objectives()
         first = draw_noise_functions(cycle5, 0.5, 8, RandomStreams(1))
         second = draw_noise_functions(cycle5, 0.5, 8, RandomStreams(2))
-        combined = {e: first[e] + second[e] for e in first}
         once_then_twice = obfuscate(obfuscate(objs, first, cycle5), second, cycle5)
-        at_once = obfuscate(objs, combined, cycle5)
+        at_once = obfuscate(objs, first + second, cycle5)
         for a, b in zip(once_then_twice, at_once):
             assert np.abs(a.poly.coeffs - b.poly.coeffs).max() < 1e-12
 
     def test_rejects_non_polynomial(self, cycle5):
         objs = quartic_objectives()[:4] + [po.LogisticObjective(seed=1, dim=1)]
         with pytest.raises(FsObjectiveError):
-            obfuscate(objs, {}, cycle5)
+            obfuscate(objs, np.zeros((10, 1, 1)), cycle5)
 
 
 def test_draws_are_bit_reproducible(cycle5):
     a = draw_noise_functions(cycle5, 0.7, 8, RandomStreams(123))
     b = draw_noise_functions(cycle5, 0.7, 8, RandomStreams(123))
-    assert a.keys() == b.keys()
-    for e in a:
-        np.testing.assert_array_equal(a[e].coeffs, b[e].coeffs)
+    assert a.shape == (10, 1, 9)
+    assert a.tobytes() == b.tobytes()

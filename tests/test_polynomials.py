@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from privopt.polynomials import (SeparablePolynomial, as_coeff_matrix, horner,
-                                 max_abs_on_interval)
+                                 max_abs_on_interval, pad_coeffs)
 
 
 def test_value_matches_manual_evaluation():
@@ -28,12 +28,13 @@ def test_batched_evaluation_shapes():
     assert p.curvature(pts).shape == (7, 4, 2)
 
 
-def test_addition_pads_to_common_width():
-    a = SeparablePolynomial([1.0, 1.0])
-    b = SeparablePolynomial([0.0, 0.0, 5.0])
-    c = a + b
-    np.testing.assert_array_equal(c.coeffs, [[1.0, 1.0, 5.0]])
-    assert (a - a).degree == -1
+def test_pad_coeffs_keeps_the_dtype_and_never_shrinks():
+    padded = pad_coeffs(np.array([[1.0, 1.0]]), 3)
+    np.testing.assert_array_equal(padded, [[1.0, 1.0, 0.0]])
+    exact = pad_coeffs(np.array([[[2 ** 80]]], dtype=object), 2)
+    assert exact.dtype == object and exact.tolist() == [[[2 ** 80, 0]]]
+    with pytest.raises(ValueError):
+        pad_coeffs(padded, 2)
 
 
 def test_degree_ignores_trailing_zeros():

@@ -1,9 +1,9 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from fractions import Fraction
 
 import privopt as po
 from privopt.engine import NonFiniteError
@@ -71,8 +71,13 @@ def truth_coeffs(trace):
 
 
 def original_noise(trace):
-    return {(int(j), int(i)): np.asarray(c, dtype=float)
-            for j, i, c in trace.extras["noise"]}
+    return np.array([c for _, _, c in trace.extras["noise"]], dtype=float)
+
+
+def edge_rows(topology):
+    """Row of each directed edge (sender, receiver) in ``sender_edges``."""
+    return {(j, i): e for e, (j, i) in
+            enumerate(zip(*[a.tolist() for a in topology.sender_edges]))}
 
 
 @pytest.fixture(scope="module")
@@ -82,27 +87,97 @@ def k5_case(complete5):
     return problem, trace, view
 
 
+def as_fractions(exact):
+    return [Fraction(int(v), 2 ** 1074) for v in np.ravel(exact)]
+
+
+class TestExactLayer:
+    """The exact integers, in units of 2**-1074, against a ``Fraction``
+    reference."""
+
+    EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, -0.1, 1 / 3,
+                1.7976931348623157e308, -1.7976931348623157e308]
+
+    def test_round_trip_is_bit_exact(self):
+        values = np.array(self.EXTREMES)
+        exact = to_exact(values)
+        assert exact.dtype == object and exact.shape == (1, values.size)
+        assert as_fractions(exact) == [Fraction(v) for v in self.EXTREMES]
+        # both signed zeros are the value 0, as fractions are; every other
+        # value comes back with its own bits
+        assert from_exact(exact).tobytes() == np.where(values == 0.0, 0.0, values).tobytes()
+        assert exact_max_abs(exact) == 1.7976931348623157e308
+
+    def test_sums_and_differences_equal_the_fraction_sums(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            a, b = (rng.uniform(-1, 1, (2, 3, 5)) * 10.0 ** rng.uniform(-320, 300, (2, 3, 5))
+                    for _ in range(2))
+            fa, fb = as_fractions(to_exact(a)), as_fractions(to_exact(b))
+            assert fa == [Fraction(v) for v in a.ravel()]
+            total, diff = exact_add(to_exact(a), to_exact(b)), exact_sub(to_exact(a), to_exact(b))
+            assert as_fractions(total) == [x + y for x, y in zip(fa, fb)]
+            assert as_fractions(diff) == [x - y for x, y in zip(fa, fb)]
+            assert from_exact(total).tobytes() == np.array(
+                [float(x + y) for x, y in zip(fa, fb)]).reshape(a.shape).tobytes()
+            assert exact_max_abs(diff) == float(max(abs(x - y) for x, y in zip(fa, fb)))
+
+    def test_pad_adds_exact_zeros(self):
+        padded = exact_pad(to_exact([[0.1, 3e-310]]), 4)
+        assert as_fractions(padded) == [Fraction(0.1), Fraction(3e-310), 0, 0]
+
+    # The checker's verdicts when it computed on tuples of Fractions.
+    @pytest.mark.parametrize("family,residual", [("complete", 8.326672684688674e-17),
+                                                 ("cycle", 1.3877787807814457e-16)])
+    def test_off_grid_objectives_keep_their_residuals(self, family, residual):
+        """Objectives off the 2**-26 noise grid: the obfuscated sums round,
+        so the tree solve leaves the exact, tiny residual of its inputs."""
+        rows = [[0.1, 0.0, 1 / 3], [3e-310, 0.1, 1.0, 0.0, 0.1], [1 / 3, 3e-310, 0.1, 0.0, 0.1],
+                [3e-310, 1 / 3, 0.5, 0.0, 1 / 3], [0.0, 0.0, 1 / 3]]
+        problem = po.GlobalProblem(objectives=[po.PolynomialObjective(r) for r in rows],
+                                   feasible=po.Box([-30.0], [30.0]))
+        trace = po.run_fs(problem, po.Topology.family(family, 5), po.StepSchedule(kind="inv_sqrt"),
+                          0.5, 8, 200, init=np.linspace(-1, 1, 5)[:, None], seed=11)
+        view = po.extract_view(trace, [3])
+        alt = np.zeros((1, 9))
+        alt[0, :3] = rows[0]
+        alt[0, 2] += 0.1
+        alt[0, 4] = 1 / 3
+        objectives = po.complete_alternative_objectives(problem, [3], [0], {0: alt}, d_max=8)
+        inst = po.construct_alternative(view, objectives, extras_seed=3)
+        report = po.verify_indistinguishable(view, inst)
+        assert inst.solve_residual == residual
+        assert report.max_residual == residual
+        assert report.passed and report.digest_ok is True and report.first_mismatch is None
+
+
 class TestExtractView:
     def test_empty_coalition_sees_only_obfuscated(self, cycle5):
         _, trace = fs_trace(cycle5)
         view = po.extract_view(trace, coalition=[])
         assert len(view.obfuscated) == 5
-        assert view.observed_noise == {}
+        assert not view.observed.any() and not view.noise.any()
         assert view.coalition_objectives == {}
 
     def test_full_coalition_sees_everything(self, cycle5):
         _, trace = fs_trace(cycle5)
         view = po.extract_view(trace, coalition=range(5))
-        assert len(view.observed_noise) == 10  # every directed edge
+        assert view.observed.all()  # every directed edge
+        np.testing.assert_array_equal(view.noise, original_noise(trace))
         assert len(view.coalition_objectives) == 5
 
     def test_incident_edge_count_on_cycle(self, cycle5):
         _, trace = fs_trace(cycle5)
         view = po.extract_view(trace, coalition=[0, 2])
         # non-adjacent pair on the cycle touches 4 undirected edges
-        assert len(view.observed_noise) == 8
-        undirected = {tuple(sorted(e)) for e in view.observed_noise}
+        assert view.observed.sum() == 8
+        senders, receivers = cycle5.sender_edges
+        undirected = {tuple(sorted(e)) for e in zip(senders[view.observed].tolist(),
+                                                     receivers[view.observed].tolist())}
         assert len(undirected) == 4
+        np.testing.assert_array_equal(view.noise[view.observed],
+                                      original_noise(trace)[view.observed])
+        assert not view.noise[~view.observed].any()
 
     def test_rejects_non_fs_trace(self, quartic_problem, cycle5, inv_sqrt):
         trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 50, init=INTERIOR_INIT)
@@ -166,12 +241,7 @@ class TestConstructAlternative:
                                                         alternatives={}, d_max=8)
         inst = po.construct_alternative(view, objectives, extras=original_noise(trace))
         assert inst.solve_residual == 0.0
-        originals = original_noise(trace)
-        for edge, poly in inst.float_noise().items():
-            expected = np.zeros_like(poly)
-            src = originals[edge]
-            expected[:, : src.shape[1]] = src
-            np.testing.assert_array_equal(poly, expected)
+        np.testing.assert_array_equal(from_exact(inst.noise), original_noise(trace))
 
     def test_alternative_passes_verification(self, k5_case):
         problem, trace, view = k5_case
@@ -213,7 +283,7 @@ class TestConstructAlternative:
         problem, trace, view = k5_case
         objectives = po.complete_alternative_objectives(problem, [3, 4], target=[],
                                                         alternatives={}, d_max=8)
-        tampered = dict(objectives)
+        tampered = objectives.copy()
         tampered[3] = exact_add(objectives[3], to_exact(np.full((1, 9), 0.5)))
         with pytest.raises(ValueError):
             po.construct_alternative(view, tampered)
@@ -228,7 +298,8 @@ class TestConstructAlternative:
         good = [0, 1, 2]
         tree = list(inst.tree_edges)
         # build residual b_j = f_hat_j - g_j - known flows, unknowns on tree edges
-        noise_f = inst.float_noise()
+        noise_f = from_exact(inst.noise)
+        row = edge_rows(view.topology)
         b = []
         for j in good:
             r = view.obfuscated[j].astype(float).copy()
@@ -236,10 +307,10 @@ class TestConstructAlternative:
             for i in view.topology.neighbors(j):
                 if i == j:
                     continue
-                if (i, j) not in tree and (i, j) in noise_f:
-                    r -= noise_f[(i, j)]
-                if (j, i) not in tree and (j, i) in noise_f:
-                    r += noise_f[(j, i)]
+                if (i, j) not in tree:
+                    r -= noise_f[row[(i, j)]]
+                if (j, i) not in tree:
+                    r += noise_f[row[(j, i)]]
             b.append(r.ravel())
         b = np.array(b)
         a = np.zeros((len(good), len(tree)))
@@ -248,15 +319,13 @@ class TestConstructAlternative:
             a[good.index(u), c] = -1.0  # outflow at the tail
         solution, *_ = np.linalg.lstsq(a, b, rcond=None)
         for c, e in enumerate(tree):
-            np.testing.assert_allclose(solution[c], noise_f[e].ravel(), atol=1e-8)
+            np.testing.assert_allclose(solution[c], noise_f[row[e]].ravel(), atol=1e-8)
 
 
 class TestVerifyNegativeControls:
-    def corrupt(self, inst, edge, coeff_index, amount=Fraction(1, 1000)):
-        noise = dict(inst.noise)
-        rows = [list(r) for r in noise[edge]]
-        rows[0][coeff_index] += amount
-        noise[edge] = tuple(tuple(r) for r in rows)
+    def corrupt(self, inst, row, coeff_index, amount=1e-3):
+        noise = inst.noise.copy()
+        noise[row, 0, coeff_index] += to_exact(amount)[0, 0]
         return AlternativeInstance(objectives=inst.objectives, noise=noise,
                                    dim=inst.dim, width=inst.width,
                                    tree_edges=inst.tree_edges)
@@ -266,11 +335,11 @@ class TestVerifyNegativeControls:
         objectives = po.complete_alternative_objectives(problem, [3, 4], target=[],
                                                         alternatives={}, d_max=8)
         inst = po.construct_alternative(view, objectives, extras_seed=2)
-        for edge in inst.noise:
+        for row in range(len(inst.noise)):
             for c in range(inst.width):
-                bad = self.corrupt(inst, edge, c)
+                bad = self.corrupt(inst, row, c)
                 report = po.verify_indistinguishable(view, bad, rerun=False)
-                assert not report.passed, (edge, c)
+                assert not report.passed, (row, c)
                 assert report.first_mismatch is not None
 
     def test_corrupted_objective_detected(self, k5_case):
@@ -278,7 +347,7 @@ class TestVerifyNegativeControls:
         objectives = po.complete_alternative_objectives(problem, [3, 4], target=[],
                                                         alternatives={}, d_max=8)
         inst = po.construct_alternative(view, objectives, extras_seed=2)
-        tampered = dict(inst.objectives)
+        tampered = inst.objectives.copy()
         tampered[1] = exact_add(inst.objectives[1],
                                 to_exact(np.eye(1, 9, 3) * 1e-3))
         bad = AlternativeInstance(objectives=tampered, noise=inst.noise,
@@ -306,12 +375,9 @@ class TestGroupStructure:
 
         first = variant(0, 4, 1.0, seed=3)
         second = variant(1, 2, 0.25, seed=4)
-        composed_objs = {j: exact_add(first.objectives[j],
-                                      exact_sub(second.objectives[j], identity.objectives[j]))
-                         for j in range(5)}
-        composed_noise = {e: exact_add(first.noise[e],
-                                       exact_sub(second.noise[e], identity.noise[e]))
-                          for e in first.noise}
+        composed_objs = exact_add(first.objectives,
+                                  exact_sub(second.objectives, identity.objectives))
+        composed_noise = exact_add(first.noise, exact_sub(second.noise, identity.noise))
         composed = AlternativeInstance(objectives=composed_objs, noise=composed_noise,
                                        dim=1, width=9)
         report = po.verify_indistinguishable(view, composed, rerun=False)
