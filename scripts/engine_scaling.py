@@ -50,12 +50,12 @@ def us_per_round(algorithm: str, n: int, rounds: int, repeats: int) -> float:
     return 1e6 * best / rounds
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[100, 400, 1000])
     parser.add_argument("--rounds", type=int, default=200)
     parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if min(args.sizes) < 3 or args.rounds < 1 or args.repeats < 1:
         parser.error("sizes must be at least 3, rounds and repeats at least 1")
 

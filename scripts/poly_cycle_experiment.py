@@ -24,12 +24,12 @@ OBJECTIVES = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results/poly_cycle")
     parser.add_argument("--max-iter", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=101)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     problem = po.GlobalProblem(
         objectives=[po.PolynomialObjective(c) for c in OBJECTIVES],
@@ -57,9 +57,10 @@ def main() -> int:
             trace = po.run_rss_lb(problem, topology, schedule, spec[1], args.max_iter,
                                   init=init, seed=args.seed)
         metrics = po.compute_metrics(trace, problem, x_star, f_star)
-        for m in metrics:
-            rows.append(f"{label},{m.round_index},{m.suboptimality!r},{m.max_disagreement!r}")
-        picked = {m.round_index: m.suboptimality for m in metrics if m.round_index in probes}
+        columns = (metrics.round_index.tolist(), metrics.suboptimality.tolist(),
+                   metrics.max_disagreement.tolist())
+        rows.extend(f"{label},{k},{sub!r},{dis!r}" for k, sub, dis in zip(*columns))
+        picked = {k: sub for k, sub, _ in zip(*columns) if k in probes}
         summary = "  ".join(f"k={k}: {picked[k]:.3e}" for k in probes if k in picked)
         print(f"{label:14s} {summary}")
 

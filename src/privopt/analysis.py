@@ -64,15 +64,18 @@ def effective_bounds(trace: ExecutionTrace, problem: GlobalProblem) -> BoundPara
 
 
 @dataclass(frozen=True)
-class RoundMetrics:
-    round_index: int
-    step: float
-    mean_state: np.ndarray
-    max_disagreement: float
-    suboptimality: float
-    eta2: float
-    growth_coeff: float   # F_k in the iterate lemma
-    offset_term: float    # H_k in the iterate lemma
+class MetricColumns:
+    """Per-round metrics as columns, one entry per recorded round plus the
+    post-run state."""
+
+    round_index: np.ndarray       # (R,) ints
+    step: np.ndarray              # (R,)
+    mean_state: np.ndarray        # (R, D)
+    max_disagreement: np.ndarray  # (R,)
+    suboptimality: np.ndarray     # (R,)
+    eta2: np.ndarray              # (R,)
+    growth_coeff: np.ndarray      # (R,) F_k in the iterate lemma
+    offset_term: np.ndarray       # (R,) H_k in the iterate lemma
 
 
 def _disagreement(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +93,7 @@ def _steps_for(trace: ExecutionTrace, indices: np.ndarray) -> np.ndarray:
 def compute_metrics(trace: ExecutionTrace, problem: GlobalProblem,
                     reference_point: np.ndarray | None = None,
                     optimum_value: float | None = None,
-                    bounds: BoundParams | None = None) -> list[RoundMetrics]:
+                    bounds: BoundParams | None = None) -> MetricColumns:
     """Per-round metrics over all recorded rounds plus the post-run state.
 
     The reference point defaults to the centralized optimum, which also
@@ -117,12 +120,8 @@ def compute_metrics(trace: ExecutionTrace, problem: GlobalProblem,
     if overflow.any():
         raise NonFiniteError(f"round {int(idx[overflow][0])}: the iterate-lemma coefficients "
                              f"F_k and H_k are not finite (noise bound {dd:g})")
-    return [
-        RoundMetrics(round_index=int(idx[r]), step=float(steps[r]), mean_state=mean[r],
-                     max_disagreement=float(max_dis[r]), suboptimality=float(subopt[r]),
-                     eta2=float(eta2[r]), growth_coeff=float(growth[r]), offset_term=float(offset[r]))
-        for r in range(idx.size)
-    ]
+    return MetricColumns(round_index=idx, step=steps, mean_state=mean, max_disagreement=max_dis,
+                         suboptimality=subopt, eta2=eta2, growth_coeff=growth, offset_term=offset)
 
 
 @dataclass
@@ -174,34 +173,32 @@ def check_lemma1(trace: ExecutionTrace, bounds: BoundParams, slack: float = 1e-9
     beta, theta = bounds.contraction, bounds.envelope
     n, l_plus = bounds.n, bounds.grad_bound + bounds.delta
 
-    # tail_sum[k] = sum_{l=2..k} beta^(k+1-l) alpha_{l-1}, built by recursion.
-    tail = np.zeros(trace.max_iter + 1)
-    for k in range(2, trace.max_iter + 1):
-        tail[k] = beta * (tail[k - 1] + all_steps[k - 2])
+    # tail[k] = sum_{l=2..k} beta^(k+1-l) alpha_{l-1}, by its recursion; a
+    # linear recurrence has no exact array form, so it runs on Python floats
+    tail = [0.0, 0.0]
+    for step in all_steps[:-1].tolist():
+        tail.append(beta * (tail[-1] + step))
 
-    pos = {int(r): i for i, r in enumerate(idx)}
-    violations = []
-    margins = []
-    checked = 0
-    for k in range(1, trace.max_iter + 1):
-        if (k + 1) not in pos:
-            continue
-        lhs = max_dis[pos[k + 1]]
-        rhs = (n * theta * beta ** k * init_norm
-               + 2.0 * all_steps[k - 1] * l_plus
-               + n * theta * l_plus * tail[k])
-        margins.append(rhs - lhs)
-        checked += 1
-        if lhs > rhs + slack:
-            violations.append({"round": k, "lhs": float(lhs), "rhs": float(rhs)})
-    details = {"min_margin": float(np.min(margins)) if margins else None}
-    if margins:
+    # each round k whose successor k + 1 is recorded bounds that successor
+    later = idx >= 2
+    ks, lhs = idx[later] - 1, max_dis[later]
+    # scalar pow per round: numpy's vectorised power differs from it in the last bits
+    powers = np.array([beta ** k for k in ks.tolist()])
+    rhs = (n * theta * powers * init_norm
+           + 2.0 * all_steps[ks - 1] * l_plus
+           + n * theta * l_plus * np.array(tail)[ks])
+    margins = rhs - lhs
+    bad = lhs > rhs + slack
+    violations = [{"round": k, "lhs": x, "rhs": y}
+                  for k, x, y in zip(ks[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist())]
+    details = {"min_margin": float(np.min(margins)) if margins.size else None}
+    if margins.size:
         qs = np.quantile(margins, [0.0, 0.25, 0.5, 0.75, 1.0])
         details["margin_quantiles"] = {str(q): float(v)
                                        for q, v in zip((0, 25, 50, 75, 100), qs)}
-    return CheckReport(name="lemma1", passed=not violations, checked=checked,
+    return CheckReport(name="lemma1", passed=not violations, checked=int(margins.size),
                        violations=violations, details=details,
-                       summary=f"min margin {np.min(margins):.3e}" if margins else "")
+                       summary=f"min margin {np.min(margins):.3e}" if margins.size else "")
 
 
 def check_lemma2(trace: ExecutionTrace, problem: GlobalProblem, y: np.ndarray,
@@ -220,27 +217,24 @@ def check_lemma2(trace: ExecutionTrace, problem: GlobalProblem, y: np.ndarray,
     f_y = float(problem.total_value(y))
     l, nn, dd, n = bounds.grad_bound, bounds.grad_smoothness, bounds.delta, bounds.n
 
-    violations = []
-    margins = []
-    checked = 0
-    for r in range(idx.size - 1):
-        if idx[r + 1] != idx[r] + 1:
-            continue
-        a = steps[r]
-        growth = a * nn * (max_dis[r] + a * dd)
-        offset = 2.0 * a * n * (l + nn / 2.0 + dd) * max_dis[r] + a * a * n * (nn * dd + (l + dd) ** 2)
-        rhs = (1.0 + growth) * eta2[r] - 2.0 * a * (f_mean[r] - f_y) + offset
-        lhs = eta2[r + 1]
-        margins.append(rhs - lhs)
-        checked += 1
-        if lhs > rhs + slack:
-            violations.append({"round": int(idx[r]), "lhs": float(lhs), "rhs": float(rhs)})
-    hist_counts, hist_edges = np.histogram(margins, bins=10) if margins else (np.array([]), np.array([]))
-    details = {"min_margin": float(np.min(margins)) if margins else None,
+    # every recorded round r whose successor round is recorded too
+    r = np.flatnonzero(idx[1:] == idx[:-1] + 1)
+    a, dis = steps[r], max_dis[r]
+    growth = a * nn * (dis + a * dd)
+    offset = 2.0 * a * n * (l + nn / 2.0 + dd) * dis + a * a * n * (nn * dd + (l + dd) ** 2)
+    rhs = (1.0 + growth) * eta2[r] - 2.0 * a * (f_mean[r] - f_y) + offset
+    lhs = eta2[r + 1]
+    margins = rhs - lhs
+    bad = lhs > rhs + slack
+    violations = [{"round": k, "lhs": x, "rhs": y}
+                  for k, x, y in zip(idx[r[bad]].tolist(), lhs[bad].tolist(), rhs[bad].tolist())]
+    hist_counts, hist_edges = (np.histogram(margins, bins=10) if margins.size
+                               else (np.array([]), np.array([])))
+    details = {"min_margin": float(np.min(margins)) if margins.size else None,
                "margin_histogram": {"counts": hist_counts.tolist(), "edges": hist_edges.tolist()}}
-    return CheckReport(name="lemma2", passed=not violations, checked=checked,
+    return CheckReport(name="lemma2", passed=not violations, checked=int(r.size),
                        violations=violations, details=details,
-                       summary=f"min margin {np.min(margins):.3e}" if margins else "")
+                       summary=f"min margin {np.min(margins):.3e}" if margins.size else "")
 
 
 def check_consensus(trace: ExecutionTrace, tail_fraction: float = 0.1,

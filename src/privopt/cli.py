@@ -63,12 +63,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(path: str, rows: list, provenance: dict) -> None:
+def write_metrics_csv(path: str, tables: list, provenance: dict) -> None:
+    """One row per entry of each table's formatted ``METRIC_COLUMNS``."""
     lines = [f"# timestamp={_timestamp()}",
              "# provenance=" + json.dumps(provenance, sort_keys=True),
              ",".join(METRIC_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in METRIC_COLUMNS))
+    for table in tables:
+        lines.extend(map(",".join, zip(*(table[c] for c in METRIC_COLUMNS))))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -81,22 +82,28 @@ def write_report_json(path: str | None, report: dict, provenance: dict) -> None:
         _atomic_write(path, payload + "\n")
 
 
-def _metric_rows(trace: ExecutionTrace, problem: GlobalProblem, optimum,
-                 delta=None, seed=None) -> list:
+def _metrics_table(trace: ExecutionTrace, problem: GlobalProblem, optimum,
+                   delta=None, seed=None) -> dict:
+    """A trace's metrics table: each of ``METRIC_COLUMNS`` as a list of
+    cells, formatted column by column as ``_fmt`` formats one cell."""
     x_star, f_star = optimum
     metrics = compute_metrics(trace, problem, reference_point=x_star, optimum_value=f_star)
     if delta is None:
         delta = trace.delta if trace.algorithm != "fs" else trace.extras.get("delta_coeff", 0.0)
     if seed is None:
         seed = trace.seed if trace.seed is not None else ""
-    rows = []
-    for m in metrics:
-        rows.append({"k": m.round_index, "algorithm": trace.algorithm,
-                     "delta": delta, "seed": seed,
-                     "suboptimality": m.suboptimality,
-                     "max_disagreement": m.max_disagreement,
-                     "eta2": m.eta2, "F_k": m.growth_coeff, "H_k": m.offset_term})
-    return rows
+    rows = metrics.round_index.size
+
+    def floats(column):
+        return list(map(repr, column.tolist()))
+
+    return {"k": list(map(str, metrics.round_index.tolist())),
+            "algorithm": [_fmt(trace.algorithm)] * rows,
+            "delta": [_fmt(delta)] * rows, "seed": [_fmt(seed)] * rows,
+            "suboptimality": floats(metrics.suboptimality),
+            "max_disagreement": floats(metrics.max_disagreement),
+            "eta2": floats(metrics.eta2), "F_k": floats(metrics.growth_coeff),
+            "H_k": floats(metrics.offset_term)}
 
 
 def _cmd_run(args) -> int:
@@ -108,15 +115,15 @@ def _cmd_run(args) -> int:
     trace = execute(config)
     problem = config.build_problem()
     optimum = solve_centralized(problem)
-    rows = _metric_rows(trace, problem, optimum)
+    table = _metrics_table(trace, problem, optimum)
     provenance = _provenance(config.canonical_dict(), config.seed)
     base = os.path.join(args.out_dir, config.output_basename)
     trace_doc = trace.to_json_dict()
     trace_doc["provenance"] = provenance
     _atomic_write(base + "_trace.json", json.dumps(trace_doc) + "\n")
-    write_metrics_csv(base + "_metrics.csv", rows, provenance)
+    write_metrics_csv(base + "_metrics.csv", [table], provenance)
     print(f"wrote {base}_trace.json and {base}_metrics.csv "
-          f"(final suboptimality {rows[-1]['suboptimality']:.3e})")
+          f"(final suboptimality {float(table['suboptimality'][-1]):.3e})")
     return 0
 
 
@@ -124,7 +131,7 @@ def _cmd_sweep(args) -> int:
     sweep = SweepConfig.from_file(args.config)
     cells = sweep.cells()
     os.makedirs(args.out_dir, exist_ok=True)
-    rows: list = []
+    tables: list = []
     failures: list = []
     optimum = None
     if cells:
@@ -141,7 +148,7 @@ def _cmd_sweep(args) -> int:
     for doc, outcome in zip(cells, results):
         ok, payload = outcome
         if ok:
-            rows.extend(payload)
+            tables.append(payload)
         else:
             failures.append({"algorithm": doc.get("algorithm"), "delta": doc.get("delta"),
                              "seed": doc.get("seed"), "error": payload})
@@ -149,7 +156,7 @@ def _cmd_sweep(args) -> int:
                               "grid": {"algorithm": sweep.algorithms,
                                        "delta": sweep.deltas, "seed": sweep.seeds}},
                              seed=sweep.seeds)
-    write_metrics_csv(os.path.join(args.out_dir, "sweep_metrics.csv"), rows, provenance)
+    write_metrics_csv(os.path.join(args.out_dir, "sweep_metrics.csv"), tables, provenance)
     write_report_json(os.path.join(args.out_dir, "sweep_report.json"),
                       {"cells": len(cells), "failed": failures}, provenance)
     print(f"swept {len(cells)} cells, {len(failures)} failed")
@@ -162,8 +169,8 @@ def _sweep_cell_safe(doc: dict, optimum):
         config = RunConfig.from_dict(doc)
         trace = execute(config)
         problem = config.build_problem()
-        return True, _metric_rows(trace, problem, optimum,
-                                  delta=config.delta, seed=config.seed)
+        return True, _metrics_table(trace, problem, optimum,
+                                    delta=config.delta, seed=config.seed)
     except Exception as exc:
         return False, f"{type(exc).__name__}: {exc}"
 
@@ -175,17 +182,22 @@ def _cmd_audit(args) -> int:
         print(f"unknown checks: {unknown}; available: {list(_AUDIT_CHECKS)}", file=sys.stderr)
         return 2
     trace = ExecutionTrace.load(args.trace)
-    problem = GlobalProblem.from_spec(trace.problem_spec, validate_convexity=False)
+    try:
+        problem = GlobalProblem.from_spec(trace.problem_spec, validate_convexity=False)
+        problem.check_critical_points()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceError(f"problem: {type(exc).__name__}: {exc}") from None
     optimum = solve_centralized(problem)
+    bounds = effective_bounds(trace, problem) if {"lemma1", "lemma2"} & set(checks) else None
     reports = []
     failed = False
     for check in checks:
         if check == "invariants":
             rep = audit_invariants(trace, problem)
         elif check == "lemma1":
-            rep = check_lemma1(trace, effective_bounds(trace, problem))
+            rep = check_lemma1(trace, bounds)
         elif check == "lemma2":
-            rep = check_lemma2(trace, problem, optimum[0])
+            rep = check_lemma2(trace, problem, optimum[0], bounds)
         elif check == "consensus":
             rep = check_consensus(trace, tail_fraction=args.tail_fraction,
                                   threshold=args.consensus_threshold)

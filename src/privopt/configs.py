@@ -125,10 +125,12 @@ class RunConfig:
 
     def build_problem(self) -> GlobalProblem:
         if "problem" not in self._built:
-            self._built["problem"] = GlobalProblem(
+            problem = GlobalProblem(
                 objectives=[objective_from_spec(s) for s in self.objectives],
                 feasible=Box.from_spec(self.feasible),
             )
+            problem.check_critical_points()
+            self._built["problem"] = problem
         return self._built["problem"]
 
     def build_schedule(self) -> StepSchedule:

@@ -264,6 +264,23 @@ class LogisticObjective(Objective):
                 "samples": self.samples, "ridge": self.ridge}
 
 
+# A stacked total evaluates every agent at every point at once; large batches
+# (the oracle's 4097-point grid) go in blocks of about this many values, so
+# the temporaries stay as small as the per-objective loop's.
+_BLOCK_VALUES = 1 << 13
+
+
+def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """0 + t_0 + t_1 + ... over ``axis``, added left to right as Python's
+    ``sum`` over objectives adds (``np.sum`` would add pairwise), so a
+    stacked total is bit-identical to the per-objective loop. The running
+    sums overwrite ``terms``, and the total is a view of it."""
+    terms = np.moveaxis(terms, axis, 0)
+    terms[0] += 0.0  # 0 + t_0: turns -0.0 into +0.0
+    np.add.accumulate(terms, axis=0, out=terms)
+    return terms[-1]
+
+
 def _affine_rows(x, matrix_t, vector):
     """x M + v for every point of x (..., D), one vector-matrix product per
     point, so a point's gradient does not depend on the batch around it."""
@@ -284,12 +301,16 @@ def objective_from_spec(spec: dict) -> Objective:
 
 @dataclass(frozen=True)
 class GlobalProblem:
-    """Local objectives plus the shared feasible set.
+    """Local objectives plus the shared feasible set: the one place that
+    evaluates the whole problem.
 
     When every objective is a polynomial, or every one a quadratic, their
-    gradient coefficients are stacked on first use, so ``agent_gradients`` is
-    one array evaluation for all agents, bit-identical to the per-objective
-    gradients. Other problems evaluate agent by agent.
+    coefficients are stacked on first use (never at construction), so
+    ``agent_gradients``, the polynomials' ``total_value`` and the
+    quadratics' ``total_gradient`` are one array evaluation for all agents.
+    Totals add the agents left to right, as the per-objective loop does, so
+    every value is bit-identical to it. Other problems evaluate agent by
+    agent. The per-agent constants are likewise computed once per instance.
     """
 
     objectives: tuple
@@ -307,17 +328,28 @@ class GlobalProblem:
             for obj in self.objectives:
                 obj.ensure_convex_on(self.feasible)
 
+    def _stacked_polynomials(self, rows) -> np.ndarray | None:
+        """(n, D, C) stack of one (D, C_j) coefficient array per objective,
+        zero-padded at the high end to the widest, if every objective is a
+        polynomial; else None."""
+        if not all(isinstance(obj, PolynomialObjective) for obj in self.objectives):
+            return None
+        arrays = [rows(obj.poly) for obj in self.objectives]
+        width = max(a.shape[1] for a in arrays)
+        out = np.stack([pad_coeffs(a, width) for a in arrays])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _coefficients(self) -> np.ndarray | None:
+        """(n, D, C) value coefficients of all-polynomial objectives; else None."""
+        return self._stacked_polynomials(lambda poly: poly.coeffs)
+
     @cached_property
     def _derivatives(self) -> np.ndarray | None:
         """(n, D, C') first-derivative coefficients of all-polynomial
-        objectives, zero-padded at the high end to the widest; else None."""
-        if not all(isinstance(obj, PolynomialObjective) for obj in self.objectives):
-            return None
-        ders = [obj.poly.first_derivative for obj in self.objectives]
-        width = max(d.shape[1] for d in ders)
-        out = np.stack([pad_coeffs(der, width) for der in ders])
-        out.flags.writeable = False
-        return out
+        objectives; else None."""
+        return self._stacked_polynomials(lambda poly: poly.first_derivative)
 
     @cached_property
     def _affine(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -339,10 +371,30 @@ class GlobalProblem:
         return self.feasible.dim
 
     def total_value(self, x) -> np.ndarray:
-        return sum(obj.value(x) for obj in self.objectives)
+        """Sum of the objectives' values at points x of shape (..., D)."""
+        if self._coefficients is None:
+            return sum(obj.value(x) for obj in self.objectives)
+        x = self.objectives[0].check_dim(x)  # every objective has the problem's dimension
+        flat = x.reshape(-1, self.dim)
+        rows = max(1, _BLOCK_VALUES // (self.n * self.dim))
+        if len(flat) > rows:
+            blocks = [self.total_value(flat[i:i + rows]) for i in range(0, len(flat), rows)]
+            return np.concatenate(blocks).reshape(x.shape[:-1])
+        per_coordinate = horner(self._coefficients, x[..., None, :])  # (..., n, D)
+        return _ordered_sum(_ordered_sum(per_coordinate, axis=-1), axis=-1).copy()
 
     def total_gradient(self, x) -> np.ndarray:
-        return sum(obj.gradient(x) for obj in self.objectives)
+        """Sum of the objectives' gradients at points x of shape (..., D).
+
+        Only all-quadratic problems sum stacked gradients. Polynomial
+        problems keep the per-objective loop: the oracle's descent is the
+        last caller of ``PolynomialObjective.gradient``, whose calls the
+        traced benchmark's self-test requires on its polynomial workloads
+        (``EXPECT_NONZERO`` in ``perfbench/run.py``)."""
+        if self._affine is None:
+            return sum(obj.gradient(x) for obj in self.objectives)
+        x = self.objectives[0].check_dim(x)
+        return _ordered_sum(_affine_rows(x[..., None, :], *self._affine), axis=-2).copy()
 
     def agent_gradients(self, points) -> np.ndarray:
         """Gradient of objective j at points[..., j, :] for every agent j;
@@ -359,10 +411,40 @@ class GlobalProblem:
         return np.stack([obj.gradient(points[..., j, :]) for j, obj in enumerate(self.objectives)],
                         axis=-2)
 
+    @cached_property
+    def agent_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-agent gradient bounds L_j and gradient Lipschitz bounds N_j on
+        the feasible set, shapes (n,), computed once per problem. All-quadratic
+        problems take them from the stacked (Q_j^T, b_j) in a few array
+        operations, bit-identical to ``estimate_constants``, which the other
+        problems call objective by objective."""
+        if self._affine is not None:
+            # ||Q_j x + b_j|| at every corner, and ||Q_j||_2, for all agents at once
+            corners = self.feasible.corners()[:, None, :]
+            grad_bounds = np.max(np.linalg.norm(_affine_rows(corners, *self._affine), axis=-1),
+                                 axis=0)
+            matrices = np.stack([obj.matrix for obj in self.objectives])
+            smoothness = np.linalg.norm(matrices, 2, axis=(1, 2))
+        else:
+            pairs = [estimate_constants(obj, self.feasible) for obj in self.objectives]
+            grad_bounds, smoothness = map(np.array, zip(*pairs))
+        grad_bounds.flags.writeable = smoothness.flags.writeable = False
+        return grad_bounds, smoothness
+
     def constants(self) -> tuple[float, float]:
         """Per-agent gradient bound and Lipschitz constant (max over agents)."""
-        pairs = [estimate_constants(obj, self.feasible) for obj in self.objectives]
-        return max(p[0] for p in pairs), max(p[1] for p in pairs)
+        grad_bounds, smoothness = self.agent_constants
+        return max(grad_bounds.tolist()), max(smoothness.tolist())
+
+    def check_critical_points(self) -> None:
+        """Raise ValueError naming the first agent whose polynomial's critical
+        points cannot be located, so its constants cannot be computed."""
+        for j, obj in enumerate(self.objectives):
+            if isinstance(obj, PolynomialObjective) and obj.poly.critical_points_overflow():
+                raise ValueError(
+                    f"agent {j}: polynomial {obj.poly.coeffs.tolist()} has a leading "
+                    f"coefficient too small against the others (subnormal, say) to locate "
+                    f"its critical points")
 
     def to_spec(self) -> dict:
         return {"objectives": [obj.to_spec() for obj in self.objectives],
@@ -388,7 +470,7 @@ def solve_centralized(problem: GlobalProblem, tolerance: float = 1e-8,
     search, so the returned value is a certified upper bound on the infimum.
     """
     box = problem.feasible
-    smooth_total = sum(obj.smoothness_bound(box) for obj in problem.objectives)
+    smooth_total = sum(problem.agent_constants[1].tolist())
     base = 1.0 / max(smooth_total, 1e-12)
     x = box.midpoint()
     converged = False
@@ -417,7 +499,8 @@ def solve_centralized(problem: GlobalProblem, tolerance: float = 1e-8,
         for _ in range(200):
             m1 = a + (b - a) / 3.0
             m2 = b - (b - a) / 3.0
-            if problem.total_value(np.array([m1])) <= problem.total_value(np.array([m2])):
+            f1, f2 = problem.total_value(np.array([[m1], [m2]]))
+            if f1 <= f2:
                 b = m2
             else:
                 a = m1

@@ -48,10 +48,13 @@ def horner(coeffs: np.ndarray, x) -> np.ndarray:
     The operations are those of ``numpy.polynomial.polynomial.polyval``
     (``c = c_top + x*0``, then ``c = c_i + c*x``), so a row zero-padded at the
     high end evaluates bit for bit as the unpadded row at every finite x.
+    They run in place on the result (IEEE products and sums commute exactly),
+    so a batch needs no temporaries of its size.
     """
     out = coeffs[..., -1] + x * 0
     for i in range(coeffs.shape[-1] - 2, -1, -1):
-        out = coeffs[..., i] + out * x
+        out *= x
+        out += coeffs[..., i]
     return out
 
 
@@ -135,6 +138,20 @@ class SeparablePolynomial:
     def curvature(self, x) -> np.ndarray:
         """Per-coordinate second derivatives (the Hessian diagonal) at x."""
         return horner(self.second_derivative, np.asarray(x, dtype=float))
+
+    def critical_points_overflow(self) -> bool:
+        """Whether ``_interval_candidates`` cannot locate the critical points
+        of the first or second derivative, so the box sups and floors (the
+        constants and the convexity check) cannot be computed:
+        ``npoly.polyroots`` divides a derivative's coefficients by its
+        leading one, and the quotient overflows when that one is too small
+        against the others (a subnormal one, say)."""
+        with np.errstate(over="ignore"):
+            for row in (*self.first_derivative, *self.second_derivative):
+                trimmed = np.trim_zeros(npoly.polyder(row), trim="b")
+                if trimmed.size >= 2 and not np.all(np.isfinite(trimmed[:-1] / trimmed[-1])):
+                    return True
+        return False
 
     def gradient_sup_norm(self, lower, upper) -> float:
         """Sup of the gradient 2-norm over an axis-aligned box."""

@@ -58,23 +58,24 @@ class TestComputeMetrics:
                                       quartic_optimum):
         trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 20, init=np.zeros((5, 1)))
         x_star, f_star = quartic_optimum
-        rows = compute_metrics(trace, quartic_problem, x_star, f_star)
-        assert all(m.max_disagreement == 0.0 for m in rows)
+        metrics = compute_metrics(trace, quartic_problem, x_star, f_star)
+        assert metrics.max_disagreement.size == 21 and np.all(metrics.max_disagreement == 0.0)
 
     def test_growth_coeff_specializes_at_zero_delta(self, dgd_run, quartic_problem,
                                                     quartic_optimum):
         x_star, f_star = quartic_optimum
-        rows = compute_metrics(dgd_run, quartic_problem, x_star, f_star)
+        metrics = compute_metrics(dgd_run, quartic_problem, x_star, f_star)
         bounds = effective_bounds(dgd_run, quartic_problem)
-        for m in rows[:50]:
-            assert m.growth_coeff == pytest.approx(
-                m.step * bounds.grad_smoothness * m.max_disagreement)
+        np.testing.assert_allclose(
+            metrics.growth_coeff[:50],
+            metrics.step[:50] * bounds.grad_smoothness * metrics.max_disagreement[:50],
+            rtol=1e-6, atol=1e-12)
 
     def test_suboptimality_trends_down(self, nb_run, quartic_problem, quartic_optimum):
         x_star, f_star = quartic_optimum
-        rows = compute_metrics(nb_run, quartic_problem, x_star, f_star)
-        early = max(m.suboptimality for m in rows[1:20])
-        late = rows[-1].suboptimality
+        subopt = compute_metrics(nb_run, quartic_problem, x_star, f_star).suboptimality
+        early = subopt[1:20].max()
+        late = subopt[-1]
         assert late < 1e-4 and late < early
 
     def test_zero_delta_metric_series_identical_across_algorithms(
@@ -85,9 +86,10 @@ class TestComputeMetrics:
         for trace in (po.run_dgd(quartic_problem, cycle5, inv_sqrt, **kw),
                       po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 0.0, seed=1, **kw),
                       po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 0.0, seed=2, **kw)):
-            rows = compute_metrics(trace, quartic_problem, x_star, f_star)
-            series.append([(m.suboptimality, m.max_disagreement, m.eta2) for m in rows])
-        assert series[0] == series[1] == series[2]
+            metrics = compute_metrics(trace, quartic_problem, x_star, f_star)
+            series.append(np.stack([metrics.suboptimality, metrics.max_disagreement,
+                                    metrics.eta2]))
+        assert np.array_equal(series[0], series[1]) and np.array_equal(series[0], series[2])
 
 
 class TestLemma1:

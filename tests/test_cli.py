@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -479,6 +480,44 @@ class TestMalformedHeader:
         assert f"trace error: {message}" in capsys.readouterr().err
 
 
+class TestUnlocatableCriticalPoints:
+    """A polynomial whose leading coefficient is too small against the others
+    (here a subnormal one) has critical points the root finder cannot
+    locate, so its constants cannot be computed: refused with exit 2."""
+
+    COEFFS = [0, 0, 1, 0, 3e-310]
+
+    def test_run_exits_2_naming_the_agent(self, tmp_path, capsys):
+        with open(os.path.join(CONFIGS, "fs_complete_run.json")) as fh:
+            doc = json.load(fh)
+        doc["objectives"][1]["coeffs"] = self.COEFFS
+        cfg = write(tmp_path / "fs.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: agent 1: polynomial [[0.0, 0.0, 1.0, 0.0, 3e-310]]" in err
+        assert not out.exists()
+
+    def test_wide_normal_range_is_refused_too(self, tmp_path, capsys):
+        doc = quartic_config(objectives=[{"kind": "polynomial", "coeffs": c} for c in
+                                         ([0, 0, 1], [0, 0, 1], [0, 0, 1e10, 0, 1e-300],
+                                          [0, 0, 1], [0, 0, 1])])
+        assert main(["run", "--config", write(tmp_path / "c.json", doc),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "config error: agent 2: " in capsys.readouterr().err
+
+    def test_audit_exits_2(self, tmp_path, run_cfg, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", run_cfg, "--out-dir", str(out)]) == 0
+        trace = str(out / "run_trace.json")
+        doc = json.load(open(trace))
+        doc["problem"]["objectives"][1]["coeffs"] = self.COEFFS
+        write(trace, doc)
+        capsys.readouterr()
+        assert main(["audit", trace]) == 2
+        assert "trace error: problem: ValueError: agent 1: " in capsys.readouterr().err
+
+
 class TestBounds:
     def test_prints_constants(self, tmp_path, run_cfg, capsys):
         assert main(["bounds", "--config", run_cfg]) == 0
@@ -527,3 +566,63 @@ class TestRandomizedConfigs:
         path = tmp_path / f"t{trial}.json"
         trace.save(path)
         assert ExecutionTrace.load(path).state_digest() == trace.state_digest()
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def _body_digest(path, mask):
+    """sha256 of an artifact with its timestamp dropped and ``mask`` (the
+    directory it was written in) replaced, so reruns elsewhere compare."""
+    text = "".join(strip_timestamp(path)).replace(mask, "OUT")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestArtifactsPinned:
+    """The metrics CSVs and audit reports of the shipped configs, and the CSV
+    of a small sweep, are byte for byte those of the per-objective code they
+    replaced (timestamps aside)."""
+
+    SHIPPED = {
+        "poly_cycle_run.json": (
+            "poly_cycle",
+            "600cfcecd17787f0681bfb3edc60e4795b673512027d248c4bfb28f903459c3b",
+            "d9a1198b2fb0e0d002fcb7758285317194b11cec9ce6697bef99e60640269493"),
+        "fs_complete_run.json": (
+            "fs_complete",
+            "74d8f4a2de363c4bb4703f4d4eebc8c48959a3dc82e61aeb38ff48d55054c6eb",
+            "72e9cdaf8806219cb0157f9f590735d857385bef5203ebbcf3b1ec63f1703a56"),
+    }
+    DOWN_SAMPLED = "6751ef7c4c2e90c68c6d5d314a4e308dcc1accf2f86f0553c6af93c0dcf63a8b"
+    SWEEP = "75404a7c06a3210c81e08a1f25b755c2f56b04162ade7207bfc50e40d4da70d3"
+
+    @pytest.mark.parametrize("config", sorted(SHIPPED))
+    def test_shipped_config_metrics_and_audit(self, tmp_path, config):
+        base, metrics_digest, audit_digest = self.SHIPPED[config]
+        out = tmp_path / "out"
+        assert main(["run", "--config", os.path.join(CONFIGS, config),
+                     "--out-dir", str(out)]) == 0
+        report = str(tmp_path / "audit.json")
+        main(["audit", str(out / f"{base}_trace.json"),
+              "--checks", "invariants,lemma1,lemma2,consensus", "--out", report])
+        assert _body_digest(out / f"{base}_metrics.csv", str(tmp_path)) == metrics_digest
+        assert _body_digest(report, str(tmp_path)) == audit_digest
+
+    def test_down_sampled_audit(self, tmp_path):
+        """Lemma margins over a trace that records every 7th round."""
+        cfg = write(tmp_path / "lb.json", quartic_config(algorithm="rss_lb", delta=1.0, seed=9,
+                                                         max_iter=400, record_every=7))
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        report = str(tmp_path / "audit.json")
+        assert main(["audit", str(tmp_path / "out" / "run_trace.json"),
+                     "--checks", "lemma1,lemma2", "--out", report]) == 0
+        assert _body_digest(report, str(tmp_path)) == self.DOWN_SAMPLED
+
+    def test_sweep_metrics(self, tmp_path):
+        base = quartic_config(max_iter=200, record_every=1)
+        base.pop("algorithm")
+        cfg = write(tmp_path / "sweep.json", {"base": base, "grid": {
+            "algorithm": ["rss_nb", "rss_lb"], "delta": [1.0, 15.0], "seed": [101, 202]}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert _body_digest(out / "sweep_metrics.csv", str(tmp_path)) == self.SWEEP

@@ -175,6 +175,115 @@ class TestAgentGradients:
             problem.objectives = tuple(objectives)
 
 
+def _sparse_cycle_quadratics(rng, n=200):
+    """Diagonal quadratics with curvature in [0.5, 2] and minimiser in [-5, 5]^2."""
+    objectives = []
+    for _ in range(n):
+        curvature, minimiser = rng.uniform(0.5, 2.0, 2), rng.uniform(-5.0, 5.0, 2)
+        objectives.append(po.QuadraticObjective(np.diag(curvature), -curvature * minimiser))
+    return objectives
+
+
+TOTALS_CASES = dict(
+    AGENT_GRADIENT_CASES,
+    **{"sparse-cycle-quadratics-200": (_sparse_cycle_quadratics, 2, 10.0),
+       # more than 8 agents: numpy's pairwise summation would reorder these sums
+       "quartic-d1-n9": (lambda rng: (quartic_objectives() * 2)[:9], 1, 30.0),
+       "quartic-d1-n200": (lambda rng: quartic_objectives() * 40, 1, 30.0),
+       "quadratic-d1-n200": (lambda rng: _spd_quadratics(rng, 200, 1), 1, 10.0),
+       # at x = -0.0 every agent's value (first case) or gradient (second) is
+       # -0.0 before the sums over coordinates and agents, which make it +0.0
+       "signed-zero-values": (lambda rng: [po.PolynomialObjective([-0.0, -0.0, -0.0, 1.0])] * 3,
+                              1, 1.0),
+       "signed-zero-gradients": (lambda rng: [po.PolynomialObjective([0.0, -0.0, 1.0])] * 3,
+                                 1, 1.0)})
+
+
+def _identical(got, expected) -> bool:
+    """Equal bit for bit, signed zeros included."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    return (got.shape == expected.shape and np.array_equal(got, expected)
+            and np.array_equal(np.signbit(got), np.signbit(expected)))
+
+
+class TestProblemTotals:
+    """``total_value``, ``total_gradient`` and ``agent_constants`` against the
+    per-objective loop they replace, bit for bit."""
+
+    @staticmethod
+    def _problem(case):
+        make, dim, reach = TOTALS_CASES[case]
+        rng = np.random.default_rng(23)
+        problem = po.GlobalProblem(objectives=make(rng), feasible=po.Box([-reach] * dim, [reach] * dim),
+                                   validate_convexity=False)
+        return problem, rng, reach
+
+    @pytest.mark.parametrize("case", sorted(TOTALS_CASES))
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)], ids=["D", "R-D", "R1-R2-D"])
+    def test_totals_match_per_objective_sums(self, case, lead):
+        problem, rng, reach = self._problem(case)
+        points = rng.uniform(-reach, reach, size=lead + (problem.dim,))
+        if lead:
+            # signed zeros: a total of -0.0 terms is +0.0, as 0 + (-0.0) is
+            points[0] = -0.0
+            points[-1, ..., 0] = 0.0
+        for name in ("value", "gradient"):
+            expected = sum(getattr(obj, name)(points) for obj in problem.objectives)
+            got = getattr(problem, f"total_{name}")(points)
+            assert _identical(got, expected), name
+
+    @pytest.mark.parametrize("case", ["quartic-d1-n9", "quartic-d1-n200", "fs-obfuscated-d2-width9"])
+    @pytest.mark.parametrize("lead", [(4097,), (60, 70), (1, 5000)])
+    def test_large_batches_match_per_objective_sums(self, case, lead):
+        """Batches of more than ``_BLOCK_VALUES`` agent values go in blocks."""
+        problem, rng, reach = self._problem(case)
+        points = rng.uniform(-reach, reach, size=lead + (problem.dim,))
+        expected = sum(obj.value(points) for obj in problem.objectives)
+        assert _identical(problem.total_value(points), expected)
+
+    @pytest.mark.parametrize("case", sorted(TOTALS_CASES))
+    def test_agent_constants_match_estimate_constants(self, case):
+        problem, _, _ = self._problem(case)
+        pairs = [estimate_constants(obj, problem.feasible) for obj in problem.objectives]
+        grad_bounds, smoothness = problem.agent_constants
+        assert _identical(grad_bounds, [p[0] for p in pairs])
+        assert _identical(smoothness, [p[1] for p in pairs])
+        assert problem.constants() == (max(p[0] for p in pairs), max(p[1] for p in pairs))
+
+    @pytest.mark.parametrize("case", ["quartic-widths-3-5", "sparse-cycle-quadratics-200",
+                                      "logistic-d2"])
+    def test_constants_computed_once_and_stacks_built_lazily(self, case, monkeypatch):
+        problem, _, _ = self._problem(case)
+        assert not {"_coefficients", "_derivatives", "_affine", "agent_constants"} & set(vars(problem))
+        calls = []
+        estimate = po.objectives.estimate_constants
+        monkeypatch.setattr(po.objectives, "estimate_constants",
+                            lambda obj, box: calls.append(obj) or estimate(obj, box))
+        first = problem.constants()
+        solve_centralized(problem)
+        assert problem.constants() == first
+        batched = case == "sparse-cycle-quadratics-200"
+        assert len(calls) == (0 if batched else problem.n)
+
+    @pytest.mark.parametrize("case", ["quadratic-d1", "logistic-d1"])
+    def test_fallback_values_are_batch_independent(self, case):
+        """The oracle evaluates both ternary-search probes in one call."""
+        rng = np.random.default_rng(4)
+        objectives = (_spd_quadratics(rng, 6, 1) if case == "quadratic-d1"
+                      else [po.LogisticObjective(s, dim=1) for s in range(4)])
+        problem = po.GlobalProblem(objectives=objectives, feasible=po.Box([-10.0], [10.0]))
+        for _ in range(200):
+            pair = rng.uniform(-10.0, 10.0, size=(2, 1))
+            both = problem.total_value(pair)
+            assert _identical(both, [problem.total_value(pair[0]), problem.total_value(pair[1])])
+
+    def test_wrong_dimension_raises(self):
+        problem, _, _ = self._problem("quartic-widths-3-5")
+        for name in ("total_value", "total_gradient"):
+            with pytest.raises(DimensionMismatchError):
+                getattr(problem, name)(np.zeros((3, 2)))
+
+
 class TestProjection:
     def test_clamp(self, wide_box):
         assert wide_box.project(np.array([40.0]))[0] == 30.0
