@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     runs += [(f"rss_lb d={d:g}", ("rss_lb", d)) for d in (1.0, 15.0)]
 
     os.makedirs(args.out_dir, exist_ok=True)
-    probes = [100, 1000, args.max_iter]
+    probes = list(dict.fromkeys([100, 1000, args.max_iter]))  # in order, each once
     rows = ["label,k,suboptimality,max_disagreement"]
     for label, spec in runs:
         if spec is None:

@@ -129,15 +129,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = SweepConfig.from_file(args.config)
+    base = sweep.base_config()
     cells = sweep.cells()
     os.makedirs(args.out_dir, exist_ok=True)
     tables: list = []
     failures: list = []
     optimum = None
     if cells:
-        base_problem = GlobalProblem.from_spec(
-            {"objectives": sweep.base["objectives"], "feasible": sweep.base["feasible"]})
-        optimum = solve_centralized(base_problem)
+        optimum = solve_centralized(base.build_problem())
     if args.jobs > 1 and len(cells) > 1:
         import multiprocessing
 

@@ -224,6 +224,12 @@ class SweepConfig:
             raise ConfigError(f"cannot read sweep config {path}: {exc}") from exc
         return cls.from_dict(doc)
 
+    def base_config(self) -> RunConfig:
+        """The base, validated as a run config. Every cell shares its
+        topology, problem, schedule and round counts, so a fault there is a
+        ``ConfigError`` of the whole sweep, not a failure of each cell."""
+        return RunConfig.from_dict({**self.base, "algorithm": "dgd", "delta": 0.0, "seed": 0})
+
     def cells(self) -> list:
         """Grid cell documents in deterministic order, seed-paired across
         deltas. Validation happens per cell when it runs, so one bad cell does

@@ -37,6 +37,12 @@ TRACE_VERSION = 4
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb", "fs")
 PERTURBED = ("rss_nb", "rss_lb")  # dgd and fs messages carry no perturbation
 
+# Noise is drawn a block of rounds at a time: at least MIN_BLOCK_ROUNDS rounds,
+# and more while a (rounds, E, D) block stays within BLOCK_ENTRIES float64
+# entries (256 KiB). The values of a round do not depend on the block size.
+MIN_BLOCK_ROUNDS = 32
+BLOCK_ENTRIES = 2 ** 15
+
 
 class ScheduleError(ValueError):
     pass
@@ -526,15 +532,26 @@ def _resolve_weights(weights, k: int, topology: Topology) -> FusionMatrix:
     return matrix
 
 
+def block_rounds(edges: int, dim: int) -> int:
+    """Rounds whose noise is drawn and shaped in one pass: at least
+    ``MIN_BLOCK_ROUNDS``, and more while a (rounds, E, D) block stays within
+    ``BLOCK_ENTRIES`` float64 entries."""
+    return max(MIN_BLOCK_ROUNDS, BLOCK_ENTRIES // max(edges * dim, 1))
+
+
 def _execute(problem: GlobalProblem, topology: Topology, weights,
              schedule: StepSchedule, max_iter: int, init: np.ndarray,
              record_every: int, algorithm: str, delta: float,
              seed: int | None, draw,
              problem_spec: dict | None = None, extras: dict | None = None) -> ExecutionTrace:
+    """Run the rounds in blocks. Per block: the step sizes, the fusion weights
+    of every round (a provider is called once per round, in round order) and
+    one ``draw(first, count, weights)`` of the block's noise; per round: gather,
+    fuse, descend, project and record."""
     n, dim = topology.n, problem.dim
     slots = topology.fuse_slots
     varying = callable(weights)
-    matrix = first = _resolve_weights(weights, 1, topology)
+    first_matrix = _resolve_weights(weights, 1, topology)
     x = np.array(init, dtype=float)
     if x.shape != (n, dim):
         raise ValueError(f"init must have shape ({n}, {dim})")
@@ -546,40 +563,56 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
     keep = recorded_rounds(max_iter, record_every)
     keep_set = set(keep.tolist())
     r_count = keep.size
-    steps_rec = np.zeros(r_count)
+    steps = schedule.steps(max_iter)
     states_rec = np.zeros((r_count, n, dim))
     perturbations_rec = np.zeros((r_count, edges if per_edge else n, dim))
     shares_rec = np.zeros((r_count, edges, dim)) if algorithm == "rss_nb" else None
-    weights_series = np.zeros((r_count,) + first.weights.shape) if varying else None
+    weights_series = np.zeros((r_count,) + first_matrix.weights.shape) if varying else None
 
-    noise_ext = np.zeros((edges + 1, dim)) if per_edge else None  # row E stays 0
+    block = block_rounds(edges, dim)
     row = 0
-    for k in range(1, max_iter + 1):
-        alpha = schedule.step(k)
-        if varying and k > 1:
-            matrix = _resolve_weights(weights, k, topology)
-        noise, shares = draw(k, matrix)  # (E, D) or (n, D) noise; (E, D) nb shares or None
-        if per_edge:
-            noise_ext[:-1] = noise
-            msgs = x[slots.senders] + alpha * noise_ext[slots.edges]
+    for start in range(1, max_iter + 1, block):
+        count = min(block, max_iter + 1 - start)
+        ks = range(start, start + count)
+        alphas = steps[start - 1:start - 1 + count]
+        if varying:
+            block_weights = np.stack([
+                (first_matrix if k == 1 else _resolve_weights(weights, k, topology)).weights
+                for k in ks])
         else:
-            msgs = (x + alpha * noise)[slots.senders]
-        x_next = dgd_step(problem, matrix.weights, msgs, alpha, k)
-        if k in keep_set:
-            steps_rec[row] = alpha
-            states_rec[row] = x
-            perturbations_rec[row] = noise
-            if shares_rec is not None:
-                shares_rec[row] = shares
-            if weights_series is not None:
-                weights_series[row] = matrix.weights
-            row += 1
-        x = x_next
+            block_weights = first_matrix.weights
+        # (count, E, D) or (count, n, D) noise; (count, E, D) nb shares or None
+        noise, shares = draw(start, count, block_weights)
+        lo, hi = np.searchsorted(keep, (start, start + count))
+        taken = keep[lo:hi] - start
+        perturbations_rec[lo:hi] = noise[taken]
+        if shares_rec is not None:
+            shares_rec[lo:hi] = shares[taken]
+        if weights_series is not None:
+            weights_series[lo:hi] = block_weights[taken]
+        if per_edge:  # the noise times the step, and a row E, off the edges, of 0
+            scaled = np.zeros((count, edges + 1, dim))
+            np.multiply(alphas[:, None, None], noise, out=scaled[:, :-1])
+        else:
+            scaled = alphas[:, None, None] * noise
+        del noise, shares  # no two blocks' noise is held at once: it bounds peak memory
+        for r, k in enumerate(ks):
+            if per_edge:
+                msgs = x[slots.senders] + scaled[r][slots.edges]
+            else:
+                msgs = (x + scaled[r])[slots.senders]
+            x_next = dgd_step(problem, block_weights[r] if varying else block_weights,
+                              msgs, alphas[r], k)
+            if k in keep_set:
+                states_rec[row] = x
+                row += 1
+            x = x_next
+        del scaled
 
     return ExecutionTrace(
         algorithm=algorithm,
         topology=topology,
-        weights=first.weights,
+        weights=first_matrix.weights,
         schedule=schedule,
         delta=delta,
         seed=seed,
@@ -587,7 +620,7 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
         record_every=record_every,
         init=np.array(init, dtype=float),
         round_index=keep,
-        steps=steps_rec,
+        steps=steps[keep - 1],
         states=states_rec,
         perturbations=perturbations_rec,
         final_states=x,
@@ -610,10 +643,9 @@ def run_dgd(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
     """
     weights = weights or metropolis_weights(topology)
     init = default_init(problem.feasible, topology.n) if init is None else init
-    zero = np.zeros((topology.n, problem.dim))
 
-    def draw(k, matrix):
-        return zero, None
+    def draw(first, count, weights):
+        return np.zeros((count, topology.n, problem.dim)), None
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
                     _tag, 0.0, None, draw, problem_spec=_spec, extras=_extras)
@@ -630,8 +662,8 @@ def run_rss_nb(problem: GlobalProblem, topology: Topology, schedule: StepSchedul
     dim = problem.dim
     streams = RandomStreams(seed)
 
-    def draw(k, matrix):
-        shares = draw_nb_shares(topology, k, delta, streams, dim)
+    def draw(first, count, weights):
+        shares = draw_nb_shares(topology, first, count, delta, streams, dim)
         return nb_perturbation(shares, topology), shares
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
@@ -649,8 +681,10 @@ def run_rss_lb(problem: GlobalProblem, topology: Topology, schedule: StepSchedul
     dim = problem.dim
     streams = RandomStreams(seed)
 
-    def draw(k, matrix):
-        return draw_lb_perturbation(topology, matrix, delta, k, streams, dim), None
+    def draw(first, count, weights):
+        edge_weights = topology.fuse_slots.edge_weights(weights)
+        return draw_lb_perturbation(topology, edge_weights, delta, first, count, streams,
+                                    dim), None
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
                     "rss_lb", delta, seed, draw)

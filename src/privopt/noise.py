@@ -9,6 +9,14 @@ agent, its degree, the dimension and k alone: changing one agent's draws does
 not shift the others, and runs with different noise magnitudes stay
 seed-paired. The round-addressed layout is the one of trace version 2.
 
+The rss draws take a block of consecutive rounds (``first``, ``count``) and
+return arrays with a leading round axis, drawn with one generator call per
+agent and purpose and shaped in one array pass. Every operation is
+elementwise, along the last axis, or a sum or maximum over one round's edges
+in an order that the leading axis does not change, so row r of a block is bit
+for bit what a block of the single round first + r gives, and how a run is
+cut into blocks changes no value.
+
 Per-edge quantities (nb shares, lb perturbations, function-sharing noise) are
 (E, ...) arrays whose row e belongs to directed edge e of
 ``Topology.sender_edges``.
@@ -18,20 +26,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import FusionMatrix, Topology
+from .graphs import Topology
 from .polynomials import SeparablePolynomial, pad_coeffs
 
 _PURPOSES = {"nb_direction": 1, "lb_raw": 2, "fs_coeff": 3, "alt_extra": 4, "nb_radius": 5}
 
-# Variates of the round-addressed purposes: rng, shape -> array of that shape.
-_VARIATES = {
-    "nb_direction": lambda rng, shape: rng.standard_normal(shape),
-    "nb_radius": lambda rng, shape: rng.random(shape),
-    "lb_raw": lambda rng, shape: rng.uniform(-1.0, 1.0, shape),
+# Round-addressed purposes: the generator method that fills a float64 buffer
+# with the purpose's variates. lb_raw is uniform on [-1, 1) as -1 + 2 * random(),
+# which is how numpy's ``uniform(-1.0, 1.0)`` computes it, bit for bit.
+_FILLS = {
+    "nb_direction": np.random.Generator.standard_normal,
+    "nb_radius": np.random.Generator.random,
+    "lb_raw": np.random.Generator.random,
 }
-
-# Rounds drawn per generator call. The values of a round do not depend on it.
-ROUND_BLOCK = 32
 
 # Noise-polynomial coefficients are snapped to this dyadic grid so that
 # obfuscated coefficient sums stay exactly representable in float64; the
@@ -51,17 +58,17 @@ def _check_bound(value: float, name: str) -> None:
 class RandomStreams:
     """Independent generators per (purpose, agent) under one master seed.
 
-    ``round_draws`` keeps one generator per agent for each round-addressed
-    purpose and draws a block of rounds per call; a request for a round before
-    the current block restarts those streams, so any round can be asked for
-    in any order.
+    ``rounds`` keeps one generator per agent for each round-addressed purpose
+    and draws a whole block of rounds with one call per agent. A request for
+    a round before the streams' position restarts them, and rounds skipped
+    over are drawn and dropped, so any block can be asked for in any order.
     """
 
     def __init__(self, master_seed: int):
         if master_seed < 0:
             raise ValueError("master seed must be non-negative")
         self.master_seed = int(master_seed)
-        self._blocks: dict = {}
+        self._streams: dict = {}  # (purpose, topology, width) -> (generators, next round)
 
     def generator(self, purpose: str, agent: int, index: int = 0) -> np.random.Generator:
         """A fresh generator for one (purpose, agent, index) stream; ``index``
@@ -71,111 +78,124 @@ class RandomStreams:
         )
         return np.random.Generator(np.random.Philox(key))
 
-    def round_draws(self, purpose: str, topology: Topology, width: int,
-                    round_index: int) -> np.ndarray:
-        """Round ``round_index``'s variates of every agent, shape (E, width):
-        row e belongs to directed edge e of ``topology.sender_edges``. The
-        result is a read-only view of the block buffer."""
-        if round_index < 1:
-            raise ValueError("rounds are 1-indexed")
+    def rounds(self, purpose: str, topology: Topology, width: int,
+               first: int, count: int) -> np.ndarray:
+        """Rounds first .. first + count - 1 of a round-addressed purpose's
+        variates, shape (count, E, width): entry [r, e] belongs to round
+        first + r and directed edge e of ``topology.sender_edges``."""
+        _check_rounds(first, count)
         key = (purpose, topology, width)
-        blocks = self._blocks.get(key)
-        if blocks is None or round_index < blocks.first:
+        generators, position = self._streams.get(key, (None, None))
+        if generators is None or first < position:
             generators = [self.generator(purpose, j) for j in range(topology.n)]
-            blocks = self._blocks[key] = _RoundBlocks(generators, _VARIATES[purpose],
-                                                      topology.sender_edges[0], width)
-        return blocks.round(round_index)
+            position = 1
+        senders = topology.sender_edges[0]
+        bounds = np.searchsorted(senders, np.arange(topology.n + 1))
+        degrees = np.diff(bounds)
+        # agent j's (count, degree, width) draws fill flat[starts[j]:starts[j + 1]]
+        starts = count * width * bounds
+        flat = np.empty(starts[-1])
+        fill, skip = _FILLS[purpose], first - position
+        for rng, lo, hi, degree in zip(generators, starts.tolist(), starts[1:].tolist(),
+                                       degrees.tolist()):
+            if skip:
+                fill(rng, out=np.empty(skip * degree * width))
+            fill(rng, out=flat[lo:hi])
+        self._streams[key] = (generators, first + count)
+        # round r of edge e is row r * degree + e - bounds[j] of its sender j's
+        # draws, which start at row count * bounds[j] of flat
+        own = bounds[senders]
+        rows = np.arange(count)[:, None] * degrees[senders] + (np.arange(senders.size)
+                                                               + (count - 1) * own)
+        return flat.reshape(-1, width)[rows]
 
 
-class _RoundBlocks:
-    """Forward-only buffer of one purpose's variates for consecutive rounds,
-    drawn ROUND_BLOCK rounds per generator call."""
-
-    def __init__(self, generators: list, variates, senders: np.ndarray, width: int):
-        self.generators, self.variates = generators, variates
-        self.bounds = np.searchsorted(senders, np.arange(len(generators) + 1))
-        self.first = 1  # round held in row 0 of the buffer
-        self.buffer = np.empty((0, senders.size, width))
-
-    def round(self, k: int) -> np.ndarray:
-        while k >= self.first + len(self.buffer):
-            self.first += len(self.buffer)
-            self.buffer = self._next_block()
-        return self.buffer[k - self.first]
-
-    def _next_block(self) -> np.ndarray:
-        _, edges, width = self.buffer.shape
-        block = np.empty((ROUND_BLOCK, edges, width))
-        for j, rng in enumerate(self.generators):
-            lo, hi = self.bounds[j], self.bounds[j + 1]
-            block[:, lo:hi] = self.variates(rng, (ROUND_BLOCK, hi - lo, width))
-        block.flags.writeable = False
-        return block
+def _check_rounds(first: int, count: int) -> None:
+    if first < 1:
+        raise ValueError("rounds are 1-indexed")
+    if count < 1:
+        raise ValueError(f"a block holds at least one round, got {count}")
 
 
-def draw_nb_shares(topology: Topology, round_index: int, delta: float,
+def draw_nb_shares(topology: Topology, first: int, count: int, delta: float,
                    streams: RandomStreams, dim: int) -> np.ndarray:
-    """One round's (E, dim) shares, drawn uniformly from the ball of radius
-    delta/(2n); the first round and delta == 0 give all-zero shares.
+    """The (count, E, dim) shares of rounds first .. first + count - 1, drawn
+    uniformly from the ball of radius delta/(2n); round 1 and delta == 0 give
+    all-zero shares.
 
     A share's direction comes from the sender's ``nb_direction`` stream and
     its radius from its ``nb_radius`` stream, so shares are linear in delta."""
-    if round_index < 1:
-        raise ValueError("rounds are 1-indexed")
+    _check_rounds(first, count)
     _check_bound(delta, "delta")
-    if round_index == 1 or delta == 0.0:
-        return np.zeros((topology.sender_edges[0].size, dim))
-    direction = streams.round_draws("nb_direction", topology, dim, round_index)
-    uniform = streams.round_draws("nb_radius", topology, 1, round_index)
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    if delta == 0.0:
+        return np.zeros((count, topology.sender_edges[0].size, dim))
+    shares = streams.rounds("nb_direction", topology, dim, first, count)
+    norms = np.linalg.norm(shares, axis=-1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    unit_ball = direction / norms * uniform ** (1.0 / dim)
-    return unit_ball * (delta / (2.0 * topology.n))
+    shares /= norms  # a unit direction, then a point of the unit ball, then scaled
+    shares *= streams.rounds("nb_radius", topology, 1, first, count) ** (1.0 / dim)
+    shares *= delta / (2.0 * topology.n)
+    if first == 1:
+        shares[0] = 0.0
+    return shares
 
 
 def nb_perturbation(shares: np.ndarray, topology: Topology) -> np.ndarray:
-    """Antisymmetric aggregation of (E, D) shares: received shares minus sent
-    shares, per agent. The network sum cancels pairwise and is zero up to
-    rounding."""
+    """Antisymmetric aggregation of (count, E, D) shares: received shares
+    minus sent shares, per round and agent, each sum taken in edge order from
+    zero. The network sum cancels pairwise and is zero up to rounding."""
     senders, receivers = topology.sender_edges
-    if shares.ndim != 2 or shares.shape[0] != senders.size:
-        raise ValueError(f"shares have shape {shares.shape}, expected ({senders.size}, D) "
+    if shares.ndim != 3 or shares.shape[1] != senders.size:
+        raise ValueError(f"shares have shape {shares.shape}, expected (count, {senders.size}, D) "
                          f"for the topology's directed edges")
-    received = np.zeros((topology.n, shares.shape[1]))
-    sent = np.zeros((topology.n, shares.shape[1]))
-    np.add.at(received, receivers, shares)
-    np.add.at(sent, senders, shares)
-    return received - sent
+    count, _, dim = shares.shape
+    rounds = np.arange(count)[:, None] * topology.n
+
+    def per_agent(ends: np.ndarray) -> np.ndarray:
+        # bincount adds its weights in index order from zero, as np.add.at does
+        index = (rounds + ends).ravel()
+        sums = [np.bincount(index, shares[..., d].ravel(), minlength=count * topology.n)
+                for d in range(dim)]
+        return np.stack(sums, axis=-1).reshape(count, topology.n, dim)
+
+    return per_agent(receivers) - per_agent(senders)
 
 
-def draw_lb_perturbation(topology: Topology, weights: FusionMatrix, delta: float,
-                         round_index: int, streams: RandomStreams, dim: int) -> np.ndarray:
-    """Per-neighbor perturbations d[j, i], one (E, dim) row per directed edge
-    (j, i), that cancel under the fusion weights: sum_i B[i, j] d[j, i] = 0,
-    with every norm at most delta.
+def draw_lb_perturbation(topology: Topology, edge_weights: np.ndarray, delta: float,
+                         first: int, count: int, streams: RandomStreams,
+                         dim: int) -> np.ndarray:
+    """Per-neighbor perturbations d[j, i] of rounds first .. first + count - 1,
+    a (count, E, dim) array with one row per directed edge (j, i), that cancel
+    under the fusion weights: sum_i B[i, j] d[j, i] = 0, with every norm at
+    most delta. ``edge_weights`` holds the weights B[i, j] on the edges
+    (``FuseSlots.edge_weights``), (E,) for every round or (count, E) per round.
 
     Raw draws are uniform on [-1, 1]^D per non-self neighbor, recentred by the
-    weighted mean under this round's weights so the constraint holds exactly,
+    weighted mean under the round's weights so the constraint holds exactly,
     then each agent's family is shrunk by min(1, delta / max norm) (factor 1
     when every deviation is zero). An agent sends its own state unperturbed.
     """
+    _check_rounds(first, count)
     _check_bound(delta, "delta")
     senders = topology.sender_edges[0]
+    if edge_weights.shape not in ((senders.size,), (count, senders.size)):
+        raise ValueError(f"edge weights have shape {edge_weights.shape}, expected "
+                         f"({senders.size},) or ({count}, {senders.size})")
     if delta == 0.0:
-        return np.zeros((senders.size, dim))
+        return np.zeros((count, senders.size, dim))
     counts = np.bincount(senders, minlength=topology.n)
     if not counts.all():
         j = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"agent {j} has no non-self neighbor; locally balanced noise undefined")
     starts = np.cumsum(counts) - counts
-    raw = streams.round_draws("lb_raw", topology, dim, round_index)
-    wts = topology.fuse_slots.edge_weights(weights.weights)
-    centre = (np.add.reduceat(wts[:, None] * raw, starts, axis=0)
-              / np.add.reduceat(wts, starts)[:, None])
-    dev = raw - centre[senders]
-    max_norm = np.maximum.reduceat(np.linalg.norm(dev, axis=1), starts)
+    dev = -1.0 + 2.0 * streams.rounds("lb_raw", topology, dim, first, count)  # raw draws
+    centre = (np.add.reduceat(edge_weights[..., None] * dev, starts, axis=1)
+              / np.add.reduceat(edge_weights, starts, axis=-1)[..., None])
+    dev -= centre[:, senders]
+    max_norm = np.maximum.reduceat(np.linalg.norm(dev, axis=-1), starts, axis=1)
     factor = delta / np.maximum(max_norm, delta)
-    return dev * factor[senders, None]
+    dev *= factor[:, senders, None]
+    return dev
 
 
 def draw_noise_functions(topology: Topology, delta_coeff: float, d_max: int,

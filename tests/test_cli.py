@@ -178,6 +178,17 @@ class TestSweep:
         assert report["failed"] and code == 1
         assert any(f["delta"] == -1.0 for f in report["failed"])
 
+    def test_invalid_base_is_a_config_error(self, tmp_path, capsys):
+        # a concave objective fails every cell alike: the sweep stops before any runs
+        doc = self.sweep_doc(algorithm=["dgd", "rss_nb"], seed=[1])
+        doc["base"].update(topology={"family": "cycle", "n": 3}, init=None,
+                           objectives=[{"kind": "polynomial", "coeffs": [0, 0, -1]}] * 3)
+        cfg = write(tmp_path / "sweep.json", doc)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
 
 class TestAudit:
     def test_all_checks_pass(self, tmp_path, run_cfg):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import pathlib
@@ -10,7 +11,7 @@ import privopt as po
 from privopt.configs import RunConfig, execute
 from privopt.analysis import audit_invariants
 from privopt.engine import (ScheduleError, StepSchedule, TraceError, _slot_fuse,
-                            encode_array, recorded_rounds)
+                            block_rounds, dgd_step, encode_array, recorded_rounds)
 from privopt.graphs import GraphError
 from privopt.noise import FsObjectiveError
 
@@ -632,6 +633,110 @@ def _sparse_quadratic_problem(n):
         objectives=[po.QuadraticObjective(np.eye(2) * (1.0 + 0.1 * i), [0.2 * i - 1.0, 0.5])
                     for i in range(n)],
         feasible=po.Box([-4.0, -4.0], [4.0, 4.0]))
+
+
+def _per_round_run(problem, topology, schedule, algorithm, delta, max_iter, init, seed,
+                   provider):
+    """States and final state of an rss run stepped one round at a time, each
+    round's noise drawn alone: the reference for the engine's round blocks."""
+    slots, dim = topology.fuse_slots, problem.dim
+    streams = po.RandomStreams(seed)
+    x, states = np.array(init, dtype=float), []
+    for k in range(1, max_iter + 1):
+        weights, alpha = provider(k).weights, schedule.step(k)
+        if algorithm == "rss_nb":
+            shares = po.draw_nb_shares(topology, k, 1, delta, streams, dim)
+            msgs = (x + alpha * po.nb_perturbation(shares, topology)[0])[slots.senders]
+        else:
+            noise = po.draw_lb_perturbation(topology, slots.edge_weights(weights), delta,
+                                            k, 1, streams, dim)[0]
+            noise = np.concatenate([noise, np.zeros((1, dim))])
+            msgs = x[slots.senders] + alpha * noise[slots.edges]
+        states.append(x)
+        x = dgd_step(problem, weights, msgs, alpha, k)
+    return np.array(states), x
+
+
+class _GradientFailsAt:
+    """A problem whose agent gradients are NaN at one evaluation, the
+    ``round``-th, and the wrapped problem's otherwise."""
+
+    def __init__(self, problem, round_index):
+        self.problem, self.round_index, self.calls = problem, round_index, 0
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def agent_gradients(self, x):
+        self.calls += 1
+        gradients = self.problem.agent_gradients(x)
+        return gradients * np.nan if self.calls == self.round_index else gradients
+
+
+class TestRoundBlocks:
+    """The engine draws noise a block of ``block_rounds`` rounds at a time;
+    nothing a run records or does may show where the blocks begin."""
+
+    RUNNERS = {"rss_nb": po.run_rss_nb, "rss_lb": po.run_rss_lb}
+
+    @pytest.mark.parametrize("algorithm", ["rss_nb", "rss_lb"])
+    def test_recorded_noise_is_each_rounds_own_draw(self, cycle5, inv_sqrt, algorithm):
+        problem = _sparse_quadratic_problem(5)
+        block = block_rounds(10, 2)
+        max_iter = 2 * block + 30  # two interior block boundaries
+        trace = self.RUNNERS[algorithm](problem, cycle5, inv_sqrt, 1.0, max_iter, seed=9,
+                                        record_every=7)
+        assert trace.round_index[-1] == max_iter and trace.round_index.size > 2 * max_iter // 7
+        streams, edge_weights = po.RandomStreams(9), cycle5.fuse_slots.edge_weights(trace.weights)
+        for row, k in enumerate(trace.round_index):
+            if algorithm == "rss_nb":
+                shares = po.draw_nb_shares(cycle5, k, 1, 1.0, streams, 2)
+                assert_bit_equal(trace.shares[row], shares[0])
+                assert_bit_equal(trace.perturbations[row], po.nb_perturbation(shares, cycle5)[0])
+            else:
+                noise = po.draw_lb_perturbation(cycle5, edge_weights, 1.0, k, 1, streams, 2)
+                assert_bit_equal(trace.perturbations[row], noise[0])
+
+    @pytest.mark.parametrize("algorithm", ["rss_nb", "rss_lb"])
+    def test_provider_called_once_per_round_in_order(self, inv_sqrt, algorithm):
+        n, max_iter = 100, 200
+        topology = po.Topology.family("cycle", n)
+        assert block_rounds(2 * n, 2) < max_iter // 2
+        problem = _sparse_quadratic_problem(n)
+        regular = po.metropolis_weights(topology)
+        lazy = po.metropolis_weights(topology, self_inclusive_degree=True)
+        calls = []
+
+        def provider(k):
+            calls.append(k)
+            return regular if k % 3 else lazy
+
+        trace = self.RUNNERS[algorithm](problem, topology, inv_sqrt, 1.0, max_iter, seed=4,
+                                        weights=provider)
+        assert calls == list(range(1, max_iter + 1))
+        expected = np.stack([(regular if k % 3 else lazy).weights
+                             for k in range(1, max_iter + 1)])
+        assert_bit_equal(trace.weights_series, expected)
+        states, final = _per_round_run(problem, topology, inv_sqrt, algorithm, 1.0, max_iter,
+                                       trace.init, 4, provider)
+        assert_bit_equal(trace.states, states)
+        assert_bit_equal(trace.final_states, final)
+        assert trace.state_digest() == po.engine.digest_states(
+            max_iter, trace.round_index, trace.init, states, final)
+
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb"])
+    @pytest.mark.parametrize("bad", [7, 81, 83])
+    def test_non_finite_state_names_its_own_round(self, inv_sqrt, algorithm, bad):
+        n = 100
+        topology = po.Topology.family("cycle", n)
+        assert block_rounds(2 * n, 2) == 81  # round 81 ends the first block, 83 is inside the next
+        problem = _GradientFailsAt(_sparse_quadratic_problem(n), bad)
+        runner = po.run_dgd if algorithm == "dgd" else functools.partial(
+            self.RUNNERS[algorithm], delta=1.0, seed=1)
+        with pytest.raises(po.engine.NonFiniteError, match=f"^round {bad}: "):
+            with np.errstate(invalid="ignore"):
+                runner(problem, topology, inv_sqrt, max_iter=200, record_every=50)
+        assert problem.calls == bad
 
 
 class TestTraceFile:

@@ -16,76 +16,105 @@ def streams():
     return RandomStreams(42)
 
 
+def _nb(topology, k, delta, streams, dim):
+    """Round k's (E, dim) shares, drawn as a block of one round."""
+    return po.draw_nb_shares(topology, k, 1, delta, streams, dim)[0]
+
+
+def _lb(topology, matrix, delta, k, streams, dim):
+    """Round k's (E, dim) lb perturbations under ``matrix``, as a block of one round."""
+    edge_weights = topology.fuse_slots.edge_weights(matrix.weights)
+    return po.draw_lb_perturbation(topology, edge_weights, delta, k, 1, streams, dim)[0]
+
+
 class TestNbShares:
     def test_round_one_is_zero(self, cycle5, streams):
-        shares = po.draw_nb_shares(cycle5, 1, delta=5.0, streams=streams, dim=1)
-        assert shares.shape == (10, 1) and np.all(shares == 0.0)
+        shares = po.draw_nb_shares(cycle5, 1, 3, delta=5.0, streams=streams, dim=1)
+        assert shares.shape == (3, 10, 1) and np.all(shares[0] == 0.0)
+        assert np.all(shares[1:] != 0.0)
 
     def test_zero_delta_is_zero_every_round(self, cycle5, streams):
-        for k in (2, 3, 10):
-            shares = po.draw_nb_shares(cycle5, k, delta=0.0, streams=streams, dim=2)
-            assert shares.shape == (10, 2) and np.all(shares == 0.0)
+        shares = po.draw_nb_shares(cycle5, 2, 9, delta=0.0, streams=streams, dim=2)
+        assert shares.shape == (9, 10, 2) and np.all(shares == 0.0)
 
     def test_norm_bound(self, cycle5, streams):
-        shares = po.draw_nb_shares(cycle5, 7, delta=1.0, streams=streams, dim=1)
-        norms = np.linalg.norm(shares, axis=1)
+        shares = po.draw_nb_shares(cycle5, 7, 20, delta=1.0, streams=streams, dim=1)
+        norms = np.linalg.norm(shares, axis=-1)
         assert norms.max() <= 1.0 / 10.0 + 1e-15  # delta/(2n) with n=5
 
     def test_reproducible(self, cycle5):
-        a = po.draw_nb_shares(cycle5, 5, 2.0, RandomStreams(9), dim=3)
-        b = po.draw_nb_shares(cycle5, 5, 2.0, RandomStreams(9), dim=3)
+        a = _nb(cycle5, 5, 2.0, RandomStreams(9), dim=3)
+        b = _nb(cycle5, 5, 2.0, RandomStreams(9), dim=3)
         np.testing.assert_array_equal(a, b)
 
     def test_scales_linearly_with_delta(self, cycle5):
-        small = po.draw_nb_shares(cycle5, 3, 1.0, RandomStreams(5), dim=1)
-        large = po.draw_nb_shares(cycle5, 3, 15.0, RandomStreams(5), dim=1)
+        small = _nb(cycle5, 3, 1.0, RandomStreams(5), dim=1)
+        large = _nb(cycle5, 3, 15.0, RandomStreams(5), dim=1)
         np.testing.assert_allclose(large, 15.0 * small, rtol=1e-12)
+
+    def test_rejects_empty_or_zeroth_round_blocks(self, cycle5, streams):
+        with pytest.raises(ValueError, match="1-indexed"):
+            po.draw_nb_shares(cycle5, 0, 1, 1.0, streams, dim=1)
+        with pytest.raises(ValueError, match="at least one round"):
+            po.draw_nb_shares(cycle5, 2, 0, 1.0, streams, dim=1)
 
 
 class TestNbPerturbation:
     def test_all_zero_shares(self, cycle5, streams):
-        shares = po.draw_nb_shares(cycle5, 1, 1.0, streams, dim=1)
-        np.testing.assert_array_equal(po.nb_perturbation(shares, cycle5), np.zeros((5, 1)))
+        shares = po.draw_nb_shares(cycle5, 1, 1, 1.0, streams, dim=1)
+        np.testing.assert_array_equal(po.nb_perturbation(shares, cycle5), np.zeros((1, 5, 1)))
 
     def test_two_agent_hand_case(self):
         duo = po.Topology.family("path", 2)
-        shares = np.array([[0.25], [0.0]])  # edges (0, 1) and (1, 0)
+        shares = np.array([[[0.25], [0.0]], [[0.0], [-0.5]]])  # edges (0, 1) and (1, 0)
         d = po.nb_perturbation(shares, duo)
-        np.testing.assert_array_equal(d[0], [-0.25])
-        np.testing.assert_array_equal(d[1], [0.25])
+        np.testing.assert_array_equal(d[0], [[-0.25], [0.25]])
+        np.testing.assert_array_equal(d[1], [[-0.5], [0.5]])
 
     def test_rejects_shares_off_the_edges(self, cycle5):
-        with pytest.raises(ValueError, match=r"shares have shape \(9, 1\)"):
-            po.nb_perturbation(np.zeros((9, 1)), cycle5)
+        with pytest.raises(ValueError, match=r"shares have shape \(1, 9, 1\)"):
+            po.nb_perturbation(np.zeros((1, 9, 1)), cycle5)
         with pytest.raises(ValueError, match="expected"):
-            po.nb_perturbation(np.zeros((5, 5, 1)), cycle5)
+            po.nb_perturbation(np.zeros((10, 1)), cycle5)
+
+    def test_sums_in_edge_order_from_zero(self, complete5):
+        # np.add.at's order: each agent's sums start at +0.0 and add its rows in edge order
+        senders, receivers = complete5.sender_edges
+        shares = RandomStreams(3).generator("nb_direction", 0).standard_normal((4, 20, 2))
+        shares *= 10.0 ** RandomStreams(3).generator("nb_radius", 0).integers(-9, 9, shares.shape)
+        shares[1] = -0.0
+        received, sent = np.zeros((2, 4, 5, 2))
+        np.add.at(received, (slice(None), receivers), shares)
+        np.add.at(sent, (slice(None), senders), shares)
+        assert (po.nb_perturbation(shares, complete5).tobytes()
+                == (received - sent).tobytes())
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 31), st.integers(2, 12))
     def test_network_sum_cancels(self, seed, k):
         topo = po.Topology.family("cycle", 5)
-        shares = po.draw_nb_shares(topo, k, 15.0, RandomStreams(seed), dim=2)
+        shares = po.draw_nb_shares(topo, k, 3, 15.0, RandomStreams(seed), dim=2)
         d = po.nb_perturbation(shares, topo)
-        assert np.abs(d.sum(axis=0)).max() < 1e-12
-        assert np.linalg.norm(d, axis=1).max() <= 15.0 + 1e-12
+        assert np.abs(d.sum(axis=1)).max() < 1e-12
+        assert np.linalg.norm(d, axis=-1).max() <= 15.0 + 1e-12
 
 
 class TestLbPerturbation:
     def test_zero_delta(self, cycle5, streams):
         w = po.metropolis_weights(cycle5)
-        d = po.draw_lb_perturbation(cycle5, w, 0.0, 3, streams, dim=1)
+        d = _lb(cycle5, w, 0.0, 3, streams, dim=1)
         assert np.all(d == 0.0)
 
     def test_single_neighbor_forces_zero(self, streams):
         duo = po.Topology.family("path", 2)
         w = po.metropolis_weights(duo)
-        d = po.draw_lb_perturbation(duo, w, 5.0, 2, streams, dim=1)
+        d = _lb(duo, w, 5.0, 2, streams, dim=1)
         assert np.abs(d).max() < 1e-15
 
     def test_self_entry_zero_and_support(self, complete5, streams):
         # one row per directed edge, none for an agent's message to itself
         w = po.metropolis_weights(complete5)
-        d = po.draw_lb_perturbation(complete5, w, 2.0, 4, streams, dim=2)
+        d = _lb(complete5, w, 2.0, 4, streams, dim=2)
         senders, receivers = complete5.sender_edges
         assert d.shape == (20, 2) and np.all(senders != receivers)
         assert np.all(np.linalg.norm(d, axis=1) > 0.0)
@@ -95,7 +124,7 @@ class TestLbPerturbation:
     def test_weighted_sum_and_bound(self, seed, delta):
         topo = po.Topology.family("complete", 5)
         w = po.metropolis_weights(topo)
-        d = po.draw_lb_perturbation(topo, w, delta, 2, RandomStreams(seed), dim=2)
+        d = _lb(topo, w, delta, 2, RandomStreams(seed), dim=2)
         senders, receivers = topo.sender_edges
         weighted = np.zeros((5, 2))
         b = topo.fuse_slots.entries(w.weights)
@@ -103,15 +132,37 @@ class TestLbPerturbation:
         assert np.abs(weighted).max() < 1e-12
         assert np.linalg.norm(d, axis=1).max() <= delta + 1e-12
 
+    def test_per_round_weights_match_fixed_weights(self, cycle5):
+        # a (count, E) weights block gives each round what its own weights give
+        regular = po.metropolis_weights(cycle5)
+        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
+        matrices = [regular, lazy, lazy, regular, lazy]
+        edge_weights = np.stack([cycle5.fuse_slots.edge_weights(m.weights) for m in matrices])
+        block = po.draw_lb_perturbation(cycle5, edge_weights, 1.0, 4, 5, RandomStreams(6), dim=2)
+        for r, matrix in enumerate(matrices):
+            alone = _lb(cycle5, matrix, 1.0, 4 + r, RandomStreams(6), dim=2)
+            assert block[r].tobytes() == alone.tobytes()
 
-def _nb_rounds(topology, rounds, streams, delta=1.0, dim=2):
-    return np.stack([po.draw_nb_shares(topology, k, delta, streams, dim) for k in rounds])
+    def test_rejects_weights_of_another_shape(self, cycle5, streams):
+        with pytest.raises(ValueError, match=r"edge weights have shape \(3, 10\)"):
+            po.draw_lb_perturbation(cycle5, np.full((3, 10), 0.5), 1.0, 2, 4, streams, dim=1)
 
 
-def _lb_rounds(topology, rounds, streams, delta=1.0, dim=2):
-    w = po.metropolis_weights(topology)
-    return np.stack([po.draw_lb_perturbation(topology, w, delta, k, streams, dim)
-                     for k in rounds])
+def _nb_rounds(topology, rounds, streams, delta=1.0, dim=2, block=1):
+    """Shares of the consecutive ``rounds``, drawn ``block`` rounds at a time."""
+    first, stop = rounds[0], rounds[-1] + 1
+    return np.concatenate([po.draw_nb_shares(topology, k, min(block, stop - k), delta, streams, dim)
+                           for k in range(first, stop, block)])
+
+
+def _lb_rounds(topology, rounds, streams, delta=1.0, dim=2, block=1):
+    """Metropolis lb perturbations of the consecutive ``rounds``, drawn
+    ``block`` rounds at a time."""
+    edge_weights = topology.fuse_slots.edge_weights(po.metropolis_weights(topology).weights)
+    first, stop = rounds[0], rounds[-1] + 1
+    return np.concatenate([po.draw_lb_perturbation(topology, edge_weights, delta, k,
+                                                   min(block, stop - k), streams, dim)
+                           for k in range(first, stop, block)])
 
 
 class TestStreamContract:
@@ -132,11 +183,12 @@ class TestStreamContract:
             np.testing.assert_array_equal(from_path, from_cycle)
 
     @pytest.mark.parametrize("draw", [_nb_rounds, _lb_rounds])
-    def test_block_size_does_not_change_draws(self, complete5, monkeypatch, draw):
-        blocked = draw(complete5, self.ROUNDS, RandomStreams(8))
-        monkeypatch.setattr(noise, "ROUND_BLOCK", 1)
-        single = draw(complete5, self.ROUNDS, RandomStreams(8))
-        np.testing.assert_array_equal(blocked, single)
+    def test_block_size_does_not_change_draws(self, draw):
+        for topology in (po.Topology.family("complete", 5), po.Topology.family("star", 9)):
+            whole = draw(topology, self.ROUNDS, RandomStreams(8), block=len(self.ROUNDS))
+            for block in (1, 7):
+                blocked = draw(topology, self.ROUNDS, RandomStreams(8), block=block)
+                assert blocked.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("draw", [_nb_rounds, _lb_rounds])
     def test_round_drawn_alone_matches_sequential_run(self, cycle5, draw):
@@ -152,8 +204,8 @@ class TestStreamContract:
         w = po.metropolis_weights(complete5)
         # raw draws lie in [-1, 1]^2, so deviations stay below 15 and the
         # delta=15 family is the unshrunk deviation itself
-        wide = po.draw_lb_perturbation(complete5, w, 15.0, 6, RandomStreams(2), dim=2)
-        narrow = po.draw_lb_perturbation(complete5, w, 1.0, 6, RandomStreams(2), dim=2)
+        wide = _lb(complete5, w, 15.0, 6, RandomStreams(2), dim=2)
+        narrow = _lb(complete5, w, 1.0, 6, RandomStreams(2), dim=2)
         senders = complete5.sender_edges[0]
         norms = np.linalg.norm(wide, axis=1)
         max_norm = np.array([norms[senders == j].max() for j in range(5)])
@@ -165,9 +217,9 @@ class TestStreamContract:
     def test_rejects_bad_noise_bound(self, cycle5, streams, bad):
         w = po.metropolis_weights(cycle5)
         with pytest.raises(ValueError):
-            po.draw_nb_shares(cycle5, 2, bad, streams, dim=1)
+            _nb(cycle5, 2, bad, streams, dim=1)
         with pytest.raises(ValueError):
-            po.draw_lb_perturbation(cycle5, w, bad, 2, streams, dim=1)
+            _lb(cycle5, w, bad, 2, streams, dim=1)
         with pytest.raises(ValueError):
             draw_noise_functions(cycle5, bad, 4, streams)
 
@@ -177,20 +229,20 @@ def test_draws_are_rows_of_sender_edges():
     e = (senders[e], receivers[e])."""
     complete4 = po.Topology.family("complete", 4)
     senders, receivers = complete4.sender_edges
-    shares = po.draw_nb_shares(complete4, 3, 2.0, RandomStreams(5), dim=2)
+    shares = _nb(complete4, 3, 2.0, RandomStreams(5), dim=2)
     assert shares.shape == (12, 2)
     expected = np.zeros((4, 2))
     for e, (j, i) in enumerate(zip(senders, receivers)):
         expected[i] += shares[e]
         expected[j] -= shares[e]
-    np.testing.assert_allclose(po.nb_perturbation(shares, complete4), expected,
+    np.testing.assert_allclose(po.nb_perturbation(shares[None], complete4)[0], expected,
                                rtol=0, atol=1e-15)
     # every sender weighs its three receivers differently, so the local balance
     # holds only with each row paired with its own receiver
     shift = [np.roll(np.eye(4), s, axis=0) for s in range(4)]
     entries = 0.4 * shift[0] + 0.3 * shift[1] + 0.2 * shift[2] + 0.1 * shift[3]
     w = po.FusionMatrix.from_entries(entries, complete4)
-    d = po.draw_lb_perturbation(complete4, w, 1.0, 3, RandomStreams(5), dim=2)
+    d = _lb(complete4, w, 1.0, 3, RandomStreams(5), dim=2)
     assert d.shape == (12, 2)
     balance = np.zeros((4, 2))
     for e, (j, i) in enumerate(zip(senders, receivers)):

@@ -36,8 +36,12 @@ def test_poly_cycle_experiment(tmp_path):
     assert len(lines) == 1 + 5 * 121
     label, k, sub, dis = lines[-1].split(",")
     assert (label, k) == ("rss_lb d=15", "121") and float(sub) >= 0.0 and float(dis) >= 0.0
-    # every run prints the probe rounds it reaches
+    # every run prints the probe rounds it reaches, each once
     assert len(re.findall(r"k=100: \S+  k=120: \S+\n", out)) == 5
+    code, out = run_main("poly_cycle_experiment", ["--out-dir", str(tmp_path), "--max-iter", "100"])
+    assert code == 0
+    summaries = [line for line in out.splitlines() if "k=" in line]
+    assert len(summaries) == 5 and all(line.count("k=100:") == 1 for line in summaries)
 
 
 def test_engine_scaling():
