@@ -4,21 +4,32 @@
 Each cell runs one algorithm for ``--rounds`` rounds on a cycle of n diagonal
 quadratics (D=1, box [-10, 10], ``inv_sqrt`` steps, ``record_every`` equal to
 the round count, Metropolis weights built beforehand) and reports the best of
-``--repeats`` untraced runs, divided by the round count. Run from a source
-checkout:
+``--repeats`` untraced runs, divided by the round count. A second table gives
+the paper's quartic 5-cycle (the ``configs/poly_cycle_run.json`` problem) at
+2000 rounds for all four algorithms, with the noise bounds of the benchmark's
+``paper_cycle5`` workload, each run a whole ``execute`` of the config, set-up
+included. Run from a source checkout:
 
     PYTHONPATH=src python3 scripts/engine_scaling.py
     PYTHONPATH=src python3 scripts/engine_scaling.py --sizes 5 100 --rounds 2000
 """
 
 import argparse
+import json
+import pathlib
 import time
 
 import numpy as np
 
 import privopt as po
+from privopt.configs import RunConfig, execute
 
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb")
+QUARTIC_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "poly_cycle_run.json"
+QUARTIC_ROUNDS = 2000
+# the paper_cycle5 noise bounds: none of them throws states against the walls
+QUARTIC_NOISE = {"dgd": {}, "rss_nb": {"delta": 1.0}, "rss_lb": {"delta": 0.25},
+                 "fs": {"delta_coeff": 0.1, "d_max": 8}}
 
 
 def cycle_problem(n: int) -> po.GlobalProblem:
@@ -42,6 +53,18 @@ def us_per_round(algorithm: str, n: int, rounds: int, repeats: int) -> float:
         run = lambda: po.run_rss_nb(problem, topology, schedule, 1.0, rounds, seed=1, **kw)
     else:
         run = lambda: po.run_rss_lb(problem, topology, schedule, 1.0, rounds, seed=1, **kw)
+    return best_us_per_round(run, rounds, repeats)
+
+
+def quartic_us_per_round(algorithm: str, repeats: int) -> float:
+    with open(QUARTIC_CONFIG) as fh:
+        doc = json.load(fh)
+    config = RunConfig.from_dict({**doc, "algorithm": algorithm, "max_iter": QUARTIC_ROUNDS,
+                                  "record_every": QUARTIC_ROUNDS, **QUARTIC_NOISE[algorithm]})
+    return best_us_per_round(lambda: execute(config), QUARTIC_ROUNDS, repeats)
+
+
+def best_us_per_round(run, rounds: int, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -65,6 +88,13 @@ def main(argv=None) -> int:
     for algorithm in ALGORITHMS:
         cells = [f"{us_per_round(algorithm, n, args.rounds, args.repeats):.1f}" for n in args.sizes]
         print(f"| {algorithm:<9} | " + " | ".join(cells) + " |")
+    print()
+    print(f"us/round, best of {args.repeats}, {QUARTIC_ROUNDS} rounds, "
+          f"quartic 5-cycle ({QUARTIC_CONFIG.name}), untraced")
+    print("| algorithm | n=5  |")
+    print("|-----------|------|")
+    for algorithm in QUARTIC_NOISE:
+        print(f"| {algorithm:<9} | {quartic_us_per_round(algorithm, args.repeats):.1f} |")
     return 0
 
 

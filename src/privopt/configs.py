@@ -114,6 +114,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if len(self.objectives) != int(self.topology_n()):
             raise ConfigError("one objective per agent is required")
+        self.build_init(self.build_problem())
 
     def topology_n(self) -> int:
         return int(self.topology["n"])
@@ -140,11 +141,28 @@ class RunConfig:
         return metropolis_weights(topology, self_inclusive_degree=self.metropolis_self_inclusive)
 
     def build_init(self, problem: GlobalProblem) -> np.ndarray | None:
+        """The initial states as an (n, D) array, or None for the default.
+        ``init`` must hold numbers, of shape (n, D) or, when D = 1, (n,), all
+        finite and inside the feasible box; ``ConfigError`` otherwise."""
         if self.init is None:
             return None
-        init = np.asarray(self.init, dtype=float)
-        if init.ndim == 1:
+        try:
+            init = np.asarray(self.init)
+        except ValueError as exc:  # ragged nesting
+            raise ConfigError(f"init is not a numeric array: {exc}") from None
+        if init.dtype.kind not in "iuf":
+            raise ConfigError(f"init must hold only numbers, got {self.init!r}")
+        n, dim = problem.n, problem.dim
+        init = init.astype(float)
+        if init.ndim == 1 and dim == 1:
             init = init[:, None]
+        if init.shape != (n, dim):
+            expected = f"({n}, {dim})" + (f" or ({n},)" if dim == 1 else "")
+            raise ConfigError(f"init must have shape {expected}, got {np.shape(self.init)}")
+        if not np.isfinite(init).all():
+            raise ConfigError("init must be finite")
+        if not problem.feasible.contains(init):
+            raise ConfigError("init must lie in the feasible box")
         return init
 
     def canonical_dict(self) -> dict:

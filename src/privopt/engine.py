@@ -13,6 +13,7 @@ from __future__ import annotations
 import binascii
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -139,18 +140,21 @@ def recorded_rounds(max_iter: int, record_every: int) -> np.ndarray:
     return ks[keep]
 
 
-def _slot_fuse(weights: np.ndarray, messages: np.ndarray) -> np.ndarray:
+def _slot_fuse(weights: np.ndarray, messages: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Fuse slot-major messages, with any leading round axis: weights
     (..., K, n) and messages (..., K, n, D) give (..., n, D) whose row j is
     sum_k weights[k, j] * messages[k, j]. One code path for every algorithm,
-    so zero-noise runs are bit-identical.
+    so zero-noise runs are bit-identical. The weighted messages go to ``out``
+    (``messages`` itself, say) when given.
 
     The sum runs over the slots in ascending order from +0.0. That is the
     order of a dense fuse over all n senders, and the terms it leaves out
     are 0 * message = +-0, which never change such a sum, so the result is
     the dense fuse's bit for bit. Reducing over a leading (not contiguous)
     axis keeps numpy from summing pairwise."""
-    return np.add.reduce(weights[..., None] * messages, axis=-3, initial=0.0)
+    weighted = np.multiply(weights[..., None], messages, out=out)
+    return np.add.reduce(weighted, axis=-3, initial=0.0)
 
 
 def dgd_step(problem: GlobalProblem, weights: np.ndarray, messages: np.ndarray,
@@ -158,15 +162,25 @@ def dgd_step(problem: GlobalProblem, weights: np.ndarray, messages: np.ndarray,
     """One descent step of every agent, with any leading axes: fuse the slot
     messages (..., K, n, D) under the slot weights (..., K, n), step against
     each agent's gradient at its fused point by ``alpha`` (a scalar, or an
-    array that broadcasts against (..., n, D)) and project onto the feasible
-    set. Every operation is elementwise or over the slot axis, so a step of
-    many states at once is bit-identical to stepping each alone.
+    array that broadcasts to (..., n, D)) and project onto the feasible set.
+    Every operation is elementwise or over the slot axis, so a step of many
+    states at once is bit-identical to stepping each alone.
+
+    The step consumes ``messages``: the fuse weighs them in place, so pass a
+    fresh gather. The descent and the projection run in place on the fused
+    array, which becomes the next state.
 
     Raises NonFiniteError when a next state is not finite, naming its round
-    from ``rounds`` (which broadcasts against the leading axes)."""
-    fused = _slot_fuse(weights, messages)
-    x_next = problem.feasible.project(fused - alpha * problem.agent_gradients(fused))
-    if not np.isfinite(x_next).all():
+    from ``rounds`` (which broadcasts against the leading axes). One sum of
+    the next states gates the exact check: NaN or +-inf always makes the sum
+    non-finite, and a finite sum that overflows (states near the float limit,
+    for which numpy warns) falls through to the exact check, which passes."""
+    fused = _slot_fuse(weights, messages, out=messages)
+    gradients = problem.agent_gradients(fused)
+    gradients *= alpha
+    fused -= gradients
+    x_next = problem.feasible.project(fused, out=fused)
+    if not math.isfinite(np.add.reduce(x_next, axis=None)) and not np.isfinite(x_next).all():
         first = np.argwhere(~np.isfinite(x_next).all(axis=-1))[0]
         k = np.broadcast_to(rounds, x_next.shape[:-2])[tuple(first[:-1])]
         raise NonFiniteError(f"round {k}: the next state of agent {first[-1]} is not finite")
@@ -546,10 +560,11 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
              problem_spec: dict | None = None, extras: dict | None = None) -> ExecutionTrace:
     """Run the rounds in blocks. Per block: the step sizes, the fusion weights
     of every round (a provider is called once per round, in round order) and
-    one ``draw(first, count, weights)`` of the block's noise; per round: gather,
-    fuse, descend, project and record."""
+    one ``draw(first, count, weights)`` of the block's noise (None when the
+    algorithm adds none); per round: gather, fuse, descend, project and
+    record."""
     n, dim = topology.n, problem.dim
-    slots = topology.fuse_slots
+    senders, slot_edges = topology.fuse_slots.senders, topology.fuse_slots.edges
     varying = callable(weights)
     first_matrix = _resolve_weights(weights, 1, topology)
     x = np.array(init, dtype=float)
@@ -581,28 +596,36 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
                 for k in ks])
         else:
             block_weights = first_matrix.weights
-        # (count, E, D) or (count, n, D) noise; (count, E, D) nb shares or None
+        # (count, E, D) or (count, n, D) noise, None for dgd and fs;
+        # (count, E, D) nb shares or None
         noise, shares = draw(start, count, block_weights)
         lo, hi = np.searchsorted(keep, (start, start + count))
         taken = keep[lo:hi] - start
-        perturbations_rec[lo:hi] = noise[taken]
+        if noise is not None:
+            perturbations_rec[lo:hi] = noise[taken]
         if shares_rec is not None:
             shares_rec[lo:hi] = shares[taken]
         if weights_series is not None:
             weights_series[lo:hi] = block_weights[taken]
-        if per_edge:  # the noise times the step, and a row E, off the edges, of 0
+        if noise is None:
+            scaled = None
+        elif per_edge:  # the noise times the step, and a row E, off the edges, of 0
             scaled = np.zeros((count, edges + 1, dim))
             np.multiply(alphas[:, None, None], noise, out=scaled[:, :-1])
         else:
             scaled = alphas[:, None, None] * noise
         del noise, shares  # no two blocks' noise is held at once: it bounds peak memory
-        for r, k in enumerate(ks):
-            if per_edge:
-                msgs = x[slots.senders] + scaled[r][slots.edges]
+        for r, (k, alpha) in enumerate(zip(ks, alphas.tolist())):
+            # a fresh gather of the messages, which the step consumes
+            if scaled is None:  # adding zero noise only turns -0.0 into +0.0: same fuse
+                msgs = x[senders]
+            elif per_edge:
+                msgs = x[senders]
+                msgs += scaled[r][slot_edges]
             else:
-                msgs = (x + scaled[r])[slots.senders]
+                msgs = (x + scaled[r])[senders]
             x_next = dgd_step(problem, block_weights[r] if varying else block_weights,
-                              msgs, alphas[r], k)
+                              msgs, alpha, k)
             if k in keep_set:
                 states_rec[row] = x
                 row += 1
@@ -645,7 +668,7 @@ def run_dgd(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
     init = default_init(problem.feasible, topology.n) if init is None else init
 
     def draw(first, count, weights):
-        return np.zeros((count, topology.n, problem.dim)), None
+        return None, None  # no perturbation: the recorded perturbations stay zero
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
                     _tag, 0.0, None, draw, problem_spec=_spec, extras=_extras)

@@ -8,7 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .polynomials import SeparablePolynomial, as_coeff_matrix, horner, pad_coeffs
+from .polynomials import (SeparablePolynomial, as_coeff_matrix, horner, horner_planes,
+                          pad_coeffs)
 
 
 class DimensionMismatchError(ValueError):
@@ -46,12 +47,15 @@ class Box:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def project(self, z) -> np.ndarray:
-        """Componentwise clamp: the unique Euclidean-nearest feasible point."""
+    def project(self, z, out: np.ndarray | None = None) -> np.ndarray:
+        """Componentwise clamp: the unique Euclidean-nearest feasible point,
+        into ``out`` when given (which may be ``z`` itself). The ``ndarray.clip``
+        method gives ``np.clip``'s bits, signed zeros and NaN included, and
+        skips ``np.clip``'s function wrapper."""
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != self.dim:
             raise DimensionMismatchError(f"point dimension {z.shape[-1]} != box dimension {self.dim}")
-        return np.clip(z, self.lower, self.upper)
+        return z.clip(self.lower, self.upper, out=out)
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
@@ -346,10 +350,16 @@ class GlobalProblem:
         return self._stacked_polynomials(lambda poly: poly.coeffs)
 
     @cached_property
-    def _derivatives(self) -> np.ndarray | None:
-        """(n, D, C') first-derivative coefficients of all-polynomial
-        objectives; else None."""
-        return self._stacked_polynomials(lambda poly: poly.first_derivative)
+    def _derivatives(self) -> tuple[np.ndarray, ...] | None:
+        """First-derivative coefficients of all-polynomial objectives as C'
+        contiguous (n, D) planes, constant first, for ``horner_planes``;
+        else None."""
+        stacked = self._stacked_polynomials(lambda poly: poly.first_derivative)
+        if stacked is None:
+            return None
+        planes = np.ascontiguousarray(np.moveaxis(stacked, -1, 0))
+        planes.flags.writeable = False
+        return tuple(planes)
 
     @cached_property
     def _affine(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -405,7 +415,7 @@ class GlobalProblem:
                 f"points of shape {points.shape} do not end in (agents, dimension) "
                 f"= ({self.n}, {self.dim})")
         if self._derivatives is not None:
-            return horner(self._derivatives, points)
+            return horner_planes(self._derivatives, points)
         if self._affine is not None:
             return _affine_rows(points, *self._affine)
         return np.stack([obj.gradient(points[..., j, :]) for j, obj in enumerate(self.objectives)],

@@ -43,7 +43,16 @@ def pad_coeffs(coeffs: np.ndarray, width: int) -> np.ndarray:
 
 def horner(coeffs: np.ndarray, x) -> np.ndarray:
     """Evaluate stacked univariate polynomials, ``coeffs`` of shape (..., C)
-    constant-first, at points x that broadcast against ``coeffs[..., 0]``.
+    constant-first, at points x that broadcast against ``coeffs[..., 0]``:
+    ``horner_planes`` of the coefficient planes ``coeffs[..., i]``."""
+    return horner_planes([coeffs[..., i] for i in range(coeffs.shape[-1])], x)
+
+
+def horner_planes(planes, x) -> np.ndarray:
+    """Horner on coefficient planes, constant first: ``planes[i]`` holds the
+    coefficient of x**i of every polynomial, and x broadcasts against it.
+    A hot caller passes a tuple of contiguous planes built once, so no step
+    builds a strided view.
 
     The operations are those of ``numpy.polynomial.polynomial.polyval``
     (``c = c_top + x*0``, then ``c = c_i + c*x``), so a row zero-padded at the
@@ -51,10 +60,10 @@ def horner(coeffs: np.ndarray, x) -> np.ndarray:
     They run in place on the result (IEEE products and sums commute exactly),
     so a batch needs no temporaries of its size.
     """
-    out = coeffs[..., -1] + x * 0
-    for i in range(coeffs.shape[-1] - 2, -1, -1):
+    out = planes[-1] + x * 0
+    for plane in planes[-2::-1]:
         out *= x
-        out += coeffs[..., i]
+        out += plane
     return out
 
 

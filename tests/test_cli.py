@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,32 @@ class TestRun:
         assert "round 1: the next state of agent 2 is not finite" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("init, message", [
+        ([[-1.0], [-0.5], [0.0], [0.5], [31.0]], "init must lie in the feasible box"),
+        ([[-1.0, 0.0], [-0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+         r"init must have shape \(5, 1\) or \(5,\), got \(5, 2\)"),
+        ([-1.0, 0.0, 1.0], r"init must have shape \(5, 1\) or \(5,\), got \(3,\)"),
+        ([[-1.0], [-0.5], [float("nan")], [0.5], [1.0]], "init must be finite"),
+        ([[-1.0], [-0.5], ["0"], [0.5], [1.0]], "init must hold only numbers"),
+        ([[-1.0], [-0.5, 0.0], [0.0], [0.5], [1.0]], "init is not a numeric array"),
+    ])
+    def test_bad_init_exits_2(self, tmp_path, capsys, init, message):
+        bad = write(tmp_path / "bad.json", quartic_config(init=init))
+        out = tmp_path / "out"
+        assert main(["run", "--config", bad, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and re.search(message, err)
+        assert not out.exists()
+
+    def test_flat_init_is_one_column(self, tmp_path):
+        flat = write(tmp_path / "flat.json",
+                     quartic_config(init=INTERIOR_INIT[:, 0].tolist(), output_basename="flat"))
+        column = write(tmp_path / "column.json", quartic_config(output_basename="column"))
+        for cfg in (flat, column):
+            assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+        docs = [json.load(open(tmp_path / "o" / f"{name}_trace.json")) for name in ("flat", "column")]
+        assert docs[0]["digest"] == docs[1]["digest"]
+
     def test_artifacts_follow_umask(self, tmp_path, run_cfg):
         out = tmp_path / "out"
         previous = os.umask(0o027)
@@ -187,6 +214,15 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_bad_base_init_is_a_config_error(self, tmp_path, capsys):
+        doc = self.sweep_doc(algorithm=["dgd", "rss_nb"], seed=[1])
+        doc["base"]["init"] = [[-1.0], [-0.5], [0.0], [0.5], [-31.0]]
+        cfg = write(tmp_path / "sweep.json", doc)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: init must lie in the feasible box\n"
         assert not out.exists()
 
 

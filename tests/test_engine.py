@@ -636,15 +636,18 @@ def _sparse_quadratic_problem(n):
 
 
 def _per_round_run(problem, topology, schedule, algorithm, delta, max_iter, init, seed,
-                   provider):
-    """States and final state of an rss run stepped one round at a time, each
-    round's noise drawn alone: the reference for the engine's round blocks."""
+                   provider, step=dgd_step):
+    """States and final state of a dgd or rss run stepped one round at a time
+    by ``step``, each round's noise drawn alone: the reference for the
+    engine's round blocks."""
     slots, dim = topology.fuse_slots, problem.dim
     streams = po.RandomStreams(seed)
     x, states = np.array(init, dtype=float), []
     for k in range(1, max_iter + 1):
         weights, alpha = provider(k).weights, schedule.step(k)
-        if algorithm == "rss_nb":
+        if algorithm == "dgd":
+            msgs = x[slots.senders]
+        elif algorithm == "rss_nb":
             shares = po.draw_nb_shares(topology, k, 1, delta, streams, dim)
             msgs = (x + alpha * po.nb_perturbation(shares, topology)[0])[slots.senders]
         else:
@@ -653,8 +656,20 @@ def _per_round_run(problem, topology, schedule, algorithm, delta, max_iter, init
             noise = np.concatenate([noise, np.zeros((1, dim))])
             msgs = x[slots.senders] + alpha * noise[slots.edges]
         states.append(x)
-        x = dgd_step(problem, weights, msgs, alpha, k)
+        x = step(problem, weights, msgs, alpha, k)
     return np.array(states), x
+
+
+def _isfinite_step(problem, weights, messages, alpha, k):
+    """The step with the finiteness check it had before the one-sum gate:
+    fuse, descend and ``np.clip`` into fresh arrays, then ``np.isfinite`` of
+    every entry."""
+    fused = _slot_fuse(weights, messages)
+    box = problem.feasible
+    x_next = np.clip(fused - alpha * problem.agent_gradients(fused), box.lower, box.upper)
+    if not np.isfinite(x_next).all():
+        raise po.engine.NonFiniteError(f"round {k}: a next state is not finite")
+    return x_next
 
 
 class _GradientFailsAt:
@@ -737,6 +752,33 @@ class TestRoundBlocks:
             with np.errstate(invalid="ignore"):
                 runner(problem, topology, inv_sqrt, max_iter=200, record_every=50)
         assert problem.calls == bad
+
+
+class TestFinitenessGate:
+    RUNNERS = {"dgd": po.run_dgd, "rss_nb": functools.partial(po.run_rss_nb, delta=1.0, seed=6),
+               "rss_lb": functools.partial(po.run_rss_lb, delta=1.0, seed=6)}
+
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb"])
+    def test_overflowing_state_sum_is_not_an_error(self, cycle5, inv_sqrt, algorithm):
+        """On a +-1e308 box, descents that push every agent against the upper
+        wall keep the states finite, but their sum overflows to inf every
+        round. The one-sum gate fails, the exact check passes, and the run
+        matches a per-round reference that checks every entry."""
+        init = np.full((5, 1), 1e308)
+        metropolis = po.metropolis_weights(cycle5)
+        with np.errstate(over="ignore", invalid="ignore"):  # the convexity grid overflows too
+            problem = po.GlobalProblem(
+                objectives=[po.PolynomialObjective([0.0, -1.0 - j]) for j in range(5)],
+                feasible=po.Box([-1e308], [1e308]))
+            trace = self.RUNNERS[algorithm](problem, cycle5, inv_sqrt, max_iter=70, init=init,
+                                            weights=metropolis)
+            states, final = _per_round_run(problem, cycle5, inv_sqrt, algorithm, 1.0, 70, init,
+                                           6, lambda k: metropolis, step=_isfinite_step)
+            sums = np.add.reduce(np.concatenate([trace.states, trace.final_states[None]]),
+                                 axis=(1, 2))
+        assert np.isinf(sums).all() and np.isfinite(trace.states).all()
+        assert_bit_equal(trace.states, states)
+        assert_bit_equal(trace.final_states, final)
 
 
 class TestTraceFile:

@@ -307,6 +307,25 @@ class TestProjection:
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-15
         np.testing.assert_array_equal(box.project(px), px)
 
+    def test_bit_identical_to_np_clip(self):
+        """``Box.project`` clamps with the ``ndarray.clip`` method: the bits of
+        ``np.clip`` for signed zeros in points and bounds, NaN and +-inf, with
+        a leading batch axis, and into ``out`` as well."""
+        values = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 5e-324, -5e-324, np.nan, np.inf, -np.inf]
+        bounds = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 1.0), (-0.0, 1.0),
+                  (-1.0, 0.0), (-1.0, -0.0), (-2.0, 2.0)]
+        points = np.array(values)[:, None, None] + np.zeros((1, 3, len(bounds)))  # (11, 3, D)
+        points[:, 1] = -points[:, 1]
+        points[:, 2] = np.roll(points[:, 2], 5, axis=0)
+        box = po.Box([b[0] for b in bounds], [b[1] for b in bounds])
+        expected = np.clip(points, box.lower, box.upper)
+        assert box.project(points).tobytes() == expected.tobytes()
+        for row in points:  # no batch axis
+            assert box.project(row).tobytes() == np.clip(row, box.lower, box.upper).tobytes()
+        out = points.copy()
+        assert box.project(out, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
     def test_thousand_random_pairs(self):
         rng = np.random.default_rng(12)
         box = po.Box([-2.0, 0.5, -7.0], [1.0, 3.0, -1.0])
