@@ -10,7 +10,7 @@ import numpy as np
 
 from .engine import ExecutionTrace, NonFiniteError, ScheduleError
 from .graphs import FusionMatrix, Topology
-from .objectives import GlobalProblem, solve_centralized
+from .objectives import GlobalProblem, PolynomialObjective, solve_centralized
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,23 @@ def _steps_for(trace: ExecutionTrace, indices: np.ndarray) -> np.ndarray:
     return all_steps[indices - 1]
 
 
+def _iterate_coefficients(steps: np.ndarray, max_dis: np.ndarray, bounds: BoundParams,
+                          rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The growth and offset coefficients F_k and H_k of the iterate lemma at
+    the given rounds' steps and max disagreements. Raises NonFiniteError,
+    naming the first round, when one is not finite."""
+    l, nn, dd = bounds.grad_bound, bounds.grad_smoothness, bounds.delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = steps * nn * (max_dis + steps * dd)
+        offset = (2.0 * steps * bounds.n * (l + nn / 2.0 + dd) * max_dis
+                  + np.square(steps) * bounds.n * (nn * dd + np.float64(l + dd) ** 2))
+    overflow = ~(np.isfinite(growth) & np.isfinite(offset))
+    if overflow.any():
+        raise NonFiniteError(f"round {int(rounds[overflow][0])}: the iterate-lemma coefficients "
+                             f"F_k and H_k are not finite (noise bound {dd:g})")
+    return growth, offset
+
+
 def compute_metrics(trace: ExecutionTrace, problem: GlobalProblem,
                     reference_point: np.ndarray | None = None,
                     optimum_value: float | None = None,
@@ -111,15 +128,7 @@ def compute_metrics(trace: ExecutionTrace, problem: GlobalProblem,
     mean, max_dis = _disagreement(states)
     subopt = problem.total_value(mean) - optimum_value
     eta2 = np.sum(np.square(states - reference_point[None, None, :]), axis=(1, 2))
-    l, nn, dd = bounds.grad_bound, bounds.grad_smoothness, bounds.delta
-    with np.errstate(over="ignore", invalid="ignore"):
-        growth = steps * nn * (max_dis + steps * dd)
-        offset = (2.0 * steps * bounds.n * (l + nn / 2.0 + dd) * max_dis
-                  + np.square(steps) * bounds.n * (nn * dd + np.float64(l + dd) ** 2))
-    overflow = ~(np.isfinite(growth) & np.isfinite(offset))
-    if overflow.any():
-        raise NonFiniteError(f"round {int(idx[overflow][0])}: the iterate-lemma coefficients "
-                             f"F_k and H_k are not finite (noise bound {dd:g})")
+    growth, offset = _iterate_coefficients(steps, max_dis, bounds, idx)
     return MetricColumns(round_index=idx, step=steps, mean_state=mean, max_disagreement=max_dis,
                          suboptimality=subopt, eta2=eta2, growth_coeff=growth, offset_term=offset)
 
@@ -215,13 +224,11 @@ def check_lemma2(trace: ExecutionTrace, problem: GlobalProblem, y: np.ndarray,
     eta2 = np.sum(np.square(states - y[None, None, :]), axis=(1, 2))
     f_mean = problem.total_value(mean)
     f_y = float(problem.total_value(y))
-    l, nn, dd, n = bounds.grad_bound, bounds.grad_smoothness, bounds.delta, bounds.n
 
     # every recorded round r whose successor round is recorded too
     r = np.flatnonzero(idx[1:] == idx[:-1] + 1)
-    a, dis = steps[r], max_dis[r]
-    growth = a * nn * (dis + a * dd)
-    offset = 2.0 * a * n * (l + nn / 2.0 + dd) * dis + a * a * n * (nn * dd + (l + dd) ** 2)
+    a = steps[r]
+    growth, offset = _iterate_coefficients(a, max_dis[r], bounds, idx[r])
     rhs = (1.0 + growth) * eta2[r] - 2.0 * a * (f_mean[r] - f_y) + offset
     lhs = eta2[r + 1]
     margins = rhs - lhs
@@ -434,14 +441,12 @@ def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
 
     # Perspective identity: next state equals a projected descent step from the
     # true fused state with the fused noise folded into the gradient.
-    sub = GlobalProblem.from_spec(trace.problem_spec, validate_convexity=False)
     if trace.algorithm == "fs":
-        objective_coeffs = trace.extras.get("obfuscated")
-        if objective_coeffs is not None:
-            from .objectives import PolynomialObjective
-            sub = GlobalProblem(
-                objectives=[PolynomialObjective(c, enforce_convex=False) for c in objective_coeffs],
-                feasible=box, validate_convexity=False)
+        sub = GlobalProblem(
+            objectives=[PolynomialObjective(c, enforce_convex=False) for c in trace.obfuscated],
+            feasible=box, validate_convexity=False)
+    else:
+        sub = GlobalProblem.from_spec(trace.problem_spec, validate_convexity=False)
     pos = {int(r): i for i, r in enumerate(idx)}
     pairs = [(r, pos[int(k) + 1]) for r, k in enumerate(trace.round_index) if int(k) + 1 in pos]
     worst = 0.0

@@ -48,7 +48,6 @@ class RunConfig:
     init: list | None = None
     metropolis_self_inclusive: bool = False
     output_basename: str = "run"
-    raw: dict = field(default_factory=dict, repr=False)
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -79,7 +78,6 @@ class RunConfig:
             init=doc.get("init"),
             metropolis_self_inclusive=bool(doc.get("metropolis_self_inclusive", False)),
             output_basename=str(doc.get("output_basename", "run")),
-            raw=dict(doc),
         )
         cfg.validate()
         return cfg

@@ -14,7 +14,7 @@ import binascii
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,6 @@ from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
                     draw_noise_functions, nb_perturbation,
                     noise_gradient_bounds, obfuscate)
 from .objectives import Box, GlobalProblem
-from .polynomials import pad_coeffs
 
 # Version 2: rss noise streams are one per (purpose, agent) and addressed by
 # round, so a version-1 rss trace's seed no longer reproduces its noise.
@@ -33,10 +32,13 @@ from .polynomials import pad_coeffs
 # Version 4: arrays are base64 float64 bytes, the fusion weights are stored per
 # slot and dgd and fs perturbations, zero by definition, are not stored (same
 # dynamics as version 3).
-TRACE_VERSION = 4
+# Version 5: a trace stores only what the run drew or chose, with one noise
+# array (rss_nb shares, rss_lb perturbations, fs noise functions); the rounds,
+# the steps, rss_nb perturbations and fs obfuscated objectives are derived
+# (same dynamics as version 4).
+TRACE_VERSION = 5
 
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb", "fs")
-PERTURBED = ("rss_nb", "rss_lb")  # dgd and fs messages carry no perturbation
 
 # Noise is drawn a block of rounds at a time: at least MIN_BLOCK_ROUNDS rounds,
 # and more while a (rounds, E, D) block stays within BLOCK_ENTRIES float64
@@ -171,16 +173,16 @@ def dgd_step(problem: GlobalProblem, weights: np.ndarray, messages: np.ndarray,
     array, which becomes the next state.
 
     Raises NonFiniteError when a next state is not finite, naming its round
-    from ``rounds`` (which broadcasts against the leading axes). One sum of
-    the next states gates the exact check: NaN or +-inf always makes the sum
-    non-finite, and a finite sum that overflows (states near the float limit,
-    for which numpy warns) falls through to the exact check, which passes."""
+    from ``rounds`` (which broadcasts against the leading axes). The largest
+    next state gates the search for it: the projection onto the finite box
+    clamps +-inf, so only NaN can be left, and the maximum propagates NaN and,
+    unlike a sum, never overflows."""
     fused = _slot_fuse(weights, messages, out=messages)
     gradients = problem.agent_gradients(fused)
     gradients *= alpha
     fused -= gradients
     x_next = problem.feasible.project(fused, out=fused)
-    if not math.isfinite(np.add.reduce(x_next, axis=None)) and not np.isfinite(x_next).all():
+    if not math.isfinite(np.maximum.reduce(x_next, axis=None)):
         first = np.argwhere(~np.isfinite(x_next).all(axis=-1))[0]
         k = np.broadcast_to(rounds, x_next.shape[:-2])[tuple(first[:-1])]
         raise NonFiniteError(f"round {k}: the next state of agent {first[-1]} is not finite")
@@ -231,7 +233,7 @@ def decode_array(value, name: str, *shape: int) -> np.ndarray:
         data = binascii.a2b_base64(value["base64"], strict_mode=True)
     except binascii.Error as exc:
         raise TraceError(f"{name} is not valid base64: {exc}") from None
-    expected = 8 * int(np.prod(shape))
+    expected = 8 * math.prod(shape)  # Python ints: a huge shape cannot wrap around
     if len(data) != expected:
         raise TraceError(f"{name} holds {len(data)} bytes, expected {expected}")
     out = np.frombuffer(bytearray(data), dtype="<f8").reshape(shape).astype(float, copy=False)
@@ -256,11 +258,12 @@ def _numbers(value, name: str, *shape: int) -> np.ndarray:
 
 @dataclass
 class ExecutionTrace:
-    """Record of one run: the primary per-round arrays (steps, states,
-    perturbations, nb shares and per-round weights), stored with a leading
-    round axis. Messages and fused quantities are derived from them on first
-    use, through the engine's slot fuse, so they match the values the run
-    used bit for bit."""
+    """Record of one run: what it drew or chose, the states (R, n, D) of the
+    recorded rounds and, when a per-round provider ran, the weights of those
+    rounds. Everything else is derived on first use, through the code the run
+    uses, so it matches the values the run used bit for bit: the rounds, the
+    steps, the perturbations, the fs obfuscated objectives, and the messages
+    and fused quantities of the engine's slot fuse."""
 
     algorithm: str
     topology: Topology
@@ -271,16 +274,52 @@ class ExecutionTrace:
     max_iter: int
     record_every: int
     init: np.ndarray
-    round_index: np.ndarray      # (R,)
-    steps: np.ndarray            # (R,)
     states: np.ndarray           # (R, n, D)
-    perturbations: np.ndarray    # (R, n, D); rss_lb (R, E, D) on ``topology.sender_edges``
     final_states: np.ndarray     # (n, D)
     problem_spec: dict
-    shares: np.ndarray | None = None  # (R, E, D) on ``topology.sender_edges``, rss_nb only
+    # the run's random draw, rows of E in ``topology.sender_edges`` order:
+    # rss_nb shares and rss_lb perturbations (R, E, D), fs noise functions
+    # (E, D, d_max + 1); None for dgd
+    noise: np.ndarray | None = None
     weights_series: np.ndarray | None = None  # (R, K, n) when a per-round provider ran
     extras: dict = field(default_factory=dict)
     version: int = TRACE_VERSION
+
+    @cached_property
+    def round_index(self) -> np.ndarray:
+        """(R,) recorded rounds."""
+        return _read_only(recorded_rounds(self.max_iter, self.record_every))
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """(R,) step sizes of the recorded rounds."""
+        return _read_only(self.schedule.steps(self.max_iter)[self.round_index - 1])
+
+    @property
+    def shares(self) -> np.ndarray | None:
+        """(R, E, D) rss_nb shares; None for the other algorithms."""
+        return self.noise if self.algorithm == "rss_nb" else None
+
+    @cached_property
+    def perturbations(self) -> np.ndarray:
+        """(R, n, D) perturbations, zero for dgd and fs; rss_lb (R, E, D) on
+        ``topology.sender_edges``, the noise itself."""
+        if self.algorithm == "rss_lb":
+            return self.noise
+        if self.algorithm == "rss_nb":
+            return _read_only(nb_perturbation(self.noise, self.topology))
+        return _read_only(np.zeros((self.round_index.size, self.n, self.dim)))
+
+    @cached_property
+    def obfuscated(self) -> np.ndarray | None:
+        """(n, D, W) coefficients of the objectives an fs run descends on: the
+        problem's local objectives obfuscated by the noise functions; None for
+        the other algorithms."""
+        if self.algorithm != "fs":
+            return None
+        problem = GlobalProblem.from_spec(self.problem_spec, validate_convexity=False)
+        return _read_only(np.stack([obj.poly.coeffs for obj in
+                                    obfuscate(problem.objectives, self.noise, self.topology)]))
 
     @property
     def n(self) -> int:
@@ -354,13 +393,12 @@ class ExecutionTrace:
         return idx, arr
 
     def to_json_dict(self) -> dict:
-        """The trace document: the primary arrays as ``encode_array`` objects,
-        the fusion weights per slot ((K, n), or (R, K, n) for a provider run),
-        and neither derived arrays nor the zero perturbations of dgd and fs."""
+        """The trace document: the stored arrays as ``encode_array`` objects
+        (null when absent), the fusion weights per slot ((K, n), or (R, K, n)
+        for a provider run), and no derived array."""
         def encoded(a):
             return None if a is None else encode_array(a)
 
-        perturbations = self.perturbations if self.algorithm in PERTURBED else None
         return {
             "version": self.version,
             "algorithm": self.algorithm,
@@ -375,12 +413,9 @@ class ExecutionTrace:
             "weights": encode_array(self.weights),
             "init": encode_array(self.init),
             "problem": self.problem_spec,
+            "noise": encoded(self.noise),
             "rounds": {
-                "index": self.round_index.tolist(),
-                "step": encode_array(self.steps),
                 "states": encode_array(self.states),
-                "perturbations": encoded(perturbations),
-                "shares": encoded(self.shares),
                 "weights_series": encoded(self.weights_series),
             },
             "final_states": encode_array(self.final_states),
@@ -396,8 +431,8 @@ class ExecutionTrace:
     def from_json_dict(cls, doc: dict) -> "ExecutionTrace":
         """Rebuild a trace, checking the header's keys and counts, every
         array's encoding, shape and finiteness, the fusion weights, the noise
-        bounds and function-sharing extras, the recorded rounds and steps
-        against the schedule, and the state digest; any mismatch raises
+        bound and function-sharing extras, the state digest and, for fs, that
+        the problem's objectives can be obfuscated; any mismatch raises
         ``TraceError``."""
         if not isinstance(doc, dict):
             raise TraceError("a trace document must be a JSON object")
@@ -441,8 +476,7 @@ class ExecutionTrace:
         if topology.n != n:
             raise TraceError(f"topology has {topology.n} agents, trace has {n}")
         rounds, extras, problem_spec = mapping("rounds"), mapping("extras"), mapping("problem")
-        index = recorded_rounds(max_iter, record_every)
-        r_count = index.size
+        r_count = recorded_rounds(max_iter, record_every).size
         edges = topology.sender_edges[0].size
 
         def fusion(value, name: str, *rounds_shape: int) -> np.ndarray:
@@ -456,28 +490,15 @@ class ExecutionTrace:
         delta = float(_numbers(doc.get("delta"), "delta"))
         if delta < 0:
             raise TraceError(f"delta must be non-negative, got {delta!r}")
-        if algorithm == "fs":
-            _check_fs_extras(extras, topology, dim)
-
-        stored_index = _numbers(rounds.get("index"), "rounds.index", r_count)
-        if not np.array_equal(stored_index, index):
-            raise TraceError(f"rounds.index is not the rounds recorded for max_iter={max_iter}, "
-                             f"record_every={record_every}")
-        steps = decode_array(rounds.get("step"), "rounds.step", r_count)
-        if steps.tobytes() != schedule.steps(max_iter)[index - 1].tobytes():
-            raise TraceError("rounds.step differs from the schedule's steps")
-        if algorithm in PERTURBED:
-            perturbations = decode_array(rounds.get("perturbations"), "rounds.perturbations",
-                                         r_count, edges if algorithm == "rss_lb" else n, dim)
-        elif rounds.get("perturbations") is not None:
-            raise TraceError(f"{algorithm} perturbations are zero and not stored")
+        if algorithm == "dgd":
+            if doc.get("noise") is not None:
+                raise TraceError("dgd draws no noise, so its trace stores none")
+            noise = None
+        elif algorithm == "fs":
+            noise = decode_array(doc.get("noise"), "noise", edges, dim,
+                                 _check_fs_extras(extras) + 1)
         else:
-            perturbations = np.zeros((r_count, n, dim))
-        shares = None
-        if algorithm == "rss_nb":
-            shares = decode_array(rounds.get("shares"), "rounds.shares", r_count, edges, dim)
-        elif rounds.get("shares") is not None:
-            raise TraceError(f"only rss_nb traces have shares, not {algorithm}")
+            noise = decode_array(doc.get("noise"), "noise", r_count, edges, dim)
         weights_series = rounds.get("weights_series")
         if weights_series is not None:
             weights_series = fusion(weights_series, "rounds.weights_series", r_count)
@@ -491,13 +512,10 @@ class ExecutionTrace:
             max_iter=max_iter,
             record_every=record_every,
             init=decode_array(doc.get("init"), "init", n, dim),
-            round_index=index,
-            steps=steps,
             states=decode_array(rounds.get("states"), "rounds.states", r_count, n, dim),
-            perturbations=perturbations,
             final_states=decode_array(doc.get("final_states"), "final_states", n, dim),
             problem_spec=problem_spec,
-            shares=shares,
+            noise=noise,
             weights_series=weights_series,
             extras=extras,
             version=TRACE_VERSION,
@@ -506,6 +524,13 @@ class ExecutionTrace:
         if digest != doc.get("digest"):
             raise TraceError(f"state digest {digest[:12]} does not match the stored "
                              f"digest {str(doc.get('digest'))[:12]}")
+        if algorithm == "fs":
+            try:
+                obfuscated = trace.obfuscated
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise TraceError(f"problem cannot be obfuscated: {type(exc).__name__}: {exc}") from None
+            if not np.isfinite(obfuscated).all():
+                raise TraceError("the obfuscated objectives hold a non-finite value")
         return trace
 
     @classmethod
@@ -514,28 +539,16 @@ class ExecutionTrace:
             return cls.from_json_dict(json.load(fh))
 
 
-def _check_fs_extras(extras: dict, topology: Topology, dim: int) -> None:
+def _check_fs_extras(extras: dict) -> int:
     """Check the function-sharing extras that the audits and the privacy
-    check read: finite bounds, the obfuscated objectives as a finite
-    (n, dim, width) array, and one finite (dim, width) noise function per
-    directed edge, in ``Topology.sender_edges`` order."""
+    check read, finite bounds and the noise degree ``d_max``; return it."""
     for key in ("obf_grad_bound", "obf_smoothness_bound"):
         if extras.get(key) is not None:
             _numbers(extras[key], f"extras.{key}")
-    width = extras.get("width")
-    if type(width) is not int or width < 1:
-        raise TraceError(f"extras.width must be a positive integer, got {width!r}")
-    _numbers(extras.get("obfuscated"), "extras.obfuscated", topology.n, dim, width)
-    noise = extras.get("noise")
-    senders, receivers = topology.sender_edges
-    if (not isinstance(noise, list)
-            or not all(isinstance(entry, list) and len(entry) == 3 for entry in noise)
-            or [entry[:2] for entry in noise] != [list(e) for e in zip(senders.tolist(),
-                                                                      receivers.tolist())]):
-        raise TraceError("extras.noise must hold one [sender, receiver, coefficients] entry "
-                         "per directed edge, in edge order")
-    for sender, receiver, coeffs in noise:
-        _numbers(coeffs, f"extras.noise of edge ({sender}, {receiver})", dim, width)
+    d_max = extras.get("d_max")
+    if type(d_max) is not int or d_max < 0:
+        raise TraceError(f"extras.d_max must be a non-negative integer, got {d_max!r}")
+    return d_max
 
 
 def _resolve_weights(weights, k: int, topology: Topology) -> FusionMatrix:
@@ -554,19 +567,24 @@ def block_rounds(edges: int, dim: int) -> int:
 
 
 def _execute(problem: GlobalProblem, topology: Topology, weights,
-             schedule: StepSchedule, max_iter: int, init: np.ndarray,
-             record_every: int, algorithm: str, delta: float,
-             seed: int | None, draw,
-             problem_spec: dict | None = None, extras: dict | None = None) -> ExecutionTrace:
+             schedule: StepSchedule, max_iter: int, init: np.ndarray | None,
+             record_every: int, algorithm: str, delta: float, seed: int | None,
+             draw=None, problem_spec: dict | None = None, extras: dict | None = None,
+             noise: np.ndarray | None = None) -> ExecutionTrace:
     """Run the rounds in blocks. Per block: the step sizes, the fusion weights
-    of every round (a provider is called once per round, in round order) and
-    one ``draw(first, count, weights)`` of the block's noise (None when the
-    algorithm adds none); per round: gather, fuse, descend, project and
-    record."""
+    of every round (a provider is called once per round, in round order) and,
+    for rss, one ``draw(first, count, weights)`` of the block's noise, which
+    gives the (count, n, D) or (count, E, D) noise the messages carry and the
+    (count, E, D) draw the trace records; per round: gather, fuse, descend,
+    project and record. Without ``draw`` the messages carry no noise and the
+    trace records ``noise`` as it is (fs noise functions, or None). The
+    defaults are the Metropolis matrix and ``default_init``."""
     n, dim = topology.n, problem.dim
     senders, slot_edges = topology.fuse_slots.senders, topology.fuse_slots.edges
+    weights = weights or metropolis_weights(topology)
     varying = callable(weights)
     first_matrix = _resolve_weights(weights, 1, topology)
+    init = default_init(problem.feasible, n) if init is None else init
     x = np.array(init, dtype=float)
     if x.shape != (n, dim):
         raise ValueError(f"init must have shape ({n}, {dim})")
@@ -580,8 +598,8 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
     r_count = keep.size
     steps = schedule.steps(max_iter)
     states_rec = np.zeros((r_count, n, dim))
-    perturbations_rec = np.zeros((r_count, edges if per_edge else n, dim))
-    shares_rec = np.zeros((r_count, edges, dim)) if algorithm == "rss_nb" else None
+    if draw is not None:
+        noise = np.zeros((r_count, edges, dim))
     weights_series = np.zeros((r_count,) + first_matrix.weights.shape) if varying else None
 
     block = block_rounds(edges, dim)
@@ -596,25 +614,21 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
                 for k in ks])
         else:
             block_weights = first_matrix.weights
-        # (count, E, D) or (count, n, D) noise, None for dgd and fs;
-        # (count, E, D) nb shares or None
-        noise, shares = draw(start, count, block_weights)
         lo, hi = np.searchsorted(keep, (start, start + count))
         taken = keep[lo:hi] - start
-        if noise is not None:
-            perturbations_rec[lo:hi] = noise[taken]
-        if shares_rec is not None:
-            shares_rec[lo:hi] = shares[taken]
         if weights_series is not None:
             weights_series[lo:hi] = block_weights[taken]
-        if noise is None:
+        if draw is None:
             scaled = None
-        elif per_edge:  # the noise times the step, and a row E, off the edges, of 0
-            scaled = np.zeros((count, edges + 1, dim))
-            np.multiply(alphas[:, None, None], noise, out=scaled[:, :-1])
         else:
-            scaled = alphas[:, None, None] * noise
-        del noise, shares  # no two blocks' noise is held at once: it bounds peak memory
+            carried, drawn = draw(start, count, block_weights)
+            noise[lo:hi] = drawn[taken]
+            if per_edge:  # the noise times the step, and a row E, off the edges, of 0
+                scaled = np.zeros((count, edges + 1, dim))
+                np.multiply(alphas[:, None, None], carried, out=scaled[:, :-1])
+            else:
+                scaled = alphas[:, None, None] * carried
+            del carried, drawn  # no two blocks' noise is held at once: it bounds peak memory
         for r, (k, alpha) in enumerate(zip(ks, alphas.tolist())):
             # a fresh gather of the messages, which the step consumes
             if scaled is None:  # adding zero noise only turns -0.0 into +0.0: same fuse
@@ -642,13 +656,10 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
         max_iter=max_iter,
         record_every=record_every,
         init=np.array(init, dtype=float),
-        round_index=keep,
-        steps=steps[keep - 1],
         states=states_rec,
-        perturbations=perturbations_rec,
         final_states=x,
         problem_spec=problem_spec if problem_spec is not None else problem.to_spec(),
-        shares=shares_rec,
+        noise=noise,
         weights_series=weights_series,
         extras=extras or {},
     )
@@ -656,22 +667,15 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
 
 def run_dgd(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
             max_iter: int, init: np.ndarray | None = None,
-            weights=None, record_every: int = 1,
-            _tag: str = "dgd", _spec: dict | None = None, _extras: dict | None = None) -> ExecutionTrace:
+            weights=None, record_every: int = 1) -> ExecutionTrace:
     """Distributed gradient descent: fuse neighbor states, descend along the
     local gradient, project.
 
     ``weights`` may be a FusionMatrix or a per-round provider ``k -> FusionMatrix``
     (every runner accepts the same); the default is the Metropolis matrix.
     """
-    weights = weights or metropolis_weights(topology)
-    init = default_init(problem.feasible, topology.n) if init is None else init
-
-    def draw(first, count, weights):
-        return None, None  # no perturbation: the recorded perturbations stay zero
-
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
-                    _tag, 0.0, None, draw, problem_spec=_spec, extras=_extras)
+                    "dgd", 0.0, None)
 
 
 def run_rss_nb(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
@@ -680,8 +684,6 @@ def run_rss_nb(problem: GlobalProblem, topology: Topology, schedule: StepSchedul
                record_every: int = 1) -> ExecutionTrace:
     """Network-balanced randomized state sharing: per-round pairwise shares
     build perturbations that cancel across the whole network."""
-    weights = weights or metropolis_weights(topology)
-    init = default_init(problem.feasible, topology.n) if init is None else init
     dim = problem.dim
     streams = RandomStreams(seed)
 
@@ -699,15 +701,14 @@ def run_rss_lb(problem: GlobalProblem, topology: Topology, schedule: StepSchedul
                record_every: int = 1) -> ExecutionTrace:
     """Locally balanced randomized state sharing: per-neighbor perturbations
     cancel under the fusion weights at each agent."""
-    weights = weights or metropolis_weights(topology)
-    init = default_init(problem.feasible, topology.n) if init is None else init
     dim = problem.dim
     streams = RandomStreams(seed)
 
     def draw(first, count, weights):
         edge_weights = topology.fuse_slots.edge_weights(weights)
-        return draw_lb_perturbation(topology, edge_weights, delta, first, count, streams,
-                                    dim), None
+        perturbations = draw_lb_perturbation(topology, edge_weights, delta, first, count,
+                                             streams, dim)
+        return perturbations, perturbations
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
                     "rss_lb", delta, seed, draw)
@@ -721,24 +722,16 @@ def run_fs(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
     local objectives, then run plain distributed gradient descent on them."""
     streams = RandomStreams(seed)
     noise = draw_noise_functions(topology, delta_coeff, d_max, streams, problem.dim)
-    obfuscated = obfuscate(problem.objectives, noise, topology)
-    width = obfuscated[0].poly.width
     box = problem.feasible
-    sub_problem = GlobalProblem(objectives=obfuscated, feasible=box, validate_convexity=False)
+    sub_problem = GlobalProblem(objectives=obfuscate(problem.objectives, noise, topology),
+                                feasible=box, validate_convexity=False)
     grad_bound, curv_bound = noise_gradient_bounds(noise, topology, box.lower, box.upper)
     base_l, base_n = problem.constants()
-    senders, receivers = topology.sender_edges
     extras = {
         "delta_coeff": delta_coeff,
         "d_max": d_max,
-        "width": width,
-        "noise": [[j, i, coeffs] for j, i, coeffs in
-                  zip(senders.tolist(), receivers.tolist(), pad_coeffs(noise, width).tolist())],
-        "obfuscated": [obj.poly.coeffs.tolist() for obj in obfuscated],
         "obf_grad_bound": base_l + grad_bound,
         "obf_smoothness_bound": base_n + curv_bound,
     }
-    trace = run_dgd(sub_problem, topology, schedule, max_iter, init=init,
-                    weights=weights, record_every=record_every,
-                    _tag="fs", _spec=problem.to_spec(), _extras=extras)
-    return replace(trace, seed=seed)
+    return _execute(sub_problem, topology, weights, schedule, max_iter, init, record_every,
+                    "fs", 0.0, seed, problem_spec=problem.to_spec(), extras=extras, noise=noise)

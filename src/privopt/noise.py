@@ -245,6 +245,8 @@ def obfuscate(objectives: list, noise: np.ndarray, topology: Topology) -> list:
     for obj in objectives:
         if not isinstance(obj, PolynomialObjective):
             raise FsObjectiveError("function sharing requires polynomial local objectives")
+        if obj.dim != noise.shape[1]:
+            raise ValueError(f"objectives of dimension {obj.dim}, noise of dimension {noise.shape[1]}")
     width = max([obj.poly.width for obj in objectives] + [noise.shape[-1]])
     offsets = noise_offsets(pad_coeffs(noise, width), topology)
     return [PolynomialObjective(pad_coeffs(obj.poly.coeffs, width) + off, enforce_convex=False)

@@ -121,14 +121,12 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
     specs = trace.problem_spec["objectives"]
     if any(spec.get("kind") != "polynomial" for spec in specs):
         raise NonFsTraceError("function-sharing traces require polynomial objectives")
-    width = int(trace.extras["width"])
-    dim = trace.dim
+    width = trace.obfuscated.shape[-1]
     senders, receivers = trace.topology.sender_edges
     member = np.zeros(trace.n, dtype=bool)
     member[list(coalition)] = True
     observed = member[senders] | member[receivers]
-    noise = np.array([c for _, _, c in trace.extras["noise"]], dtype=float)
-    noise = np.where(observed[:, None, None], noise.reshape(senders.size, dim, width), 0.0)
+    noise = np.where(observed[:, None, None], pad_coeffs(trace.noise, width), 0.0)
     recipe = {
         "schedule": trace.schedule.to_spec(),
         "weights": trace.weights.tolist(),
@@ -138,14 +136,14 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
         "record_every": trace.record_every,
         "feasible": trace.problem_spec["feasible"],
         "delta_coeff": trace.extras.get("delta_coeff", 0.0),
-        "d_max": trace.extras.get("d_max", width - 1),
+        "d_max": trace.extras["d_max"],
     }
     return AdversaryView(
         coalition=coalition,
         topology=trace.topology,
-        dim=dim,
+        dim=trace.dim,
         width=width,
-        obfuscated={j: np.asarray(c, dtype=float) for j, c in enumerate(trace.extras["obfuscated"])},
+        obfuscated=dict(enumerate(trace.obfuscated)),
         coalition_objectives={a: pad_coeffs(np.atleast_2d(np.asarray(specs[a]["coeffs"], dtype=float)),
                                             width) for a in coalition},
         observed=observed,

@@ -273,6 +273,17 @@ class TestAudit:
         assert main(["audit", str(path)]) == 2
         assert "unsupported trace version" in capsys.readouterr().err
 
+    def test_huge_noise_bound_exits_2(self, tmp_path, run_cfg, capsys):
+        # (L + delta)^2 overflows in the iterate lemma's offset H_k
+        out = tmp_path / "out"
+        main(["run", "--config", run_cfg, "--out-dir", str(out)])
+        path = out / "run_trace.json"
+        doc = json.load(open(path))
+        doc["delta"] = 1e200  # the digest covers the states, not the bound
+        write(path, doc)
+        assert main(["audit", str(path), "--checks", "lemma2"]) == 2
+        assert "non-finite value: round 1: the iterate-lemma coefficients" in capsys.readouterr().err
+
     def test_theorem3_wrong_schedule_exits_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json",
                     quartic_config(schedule={"kind": "inv_k", "a": 1.0, "b": 1.0}))
@@ -281,12 +292,10 @@ class TestAudit:
         assert main(["audit", str(out / "run_trace.json"), "--checks", "theorem3"]) == 2
 
 
-# Malformed traces whose digest still matches (step and shares are not digested;
-# the index check runs before the digest check)
+# Malformed traces whose digest still matches (the noise is not digested):
+# (key of the array, edit of the array)
 MALFORMED = {
-    "truncated_step": ("step", lambda v: v[:-1]),
-    "wrong_shape_edge_array": ("shares", lambda v: v[:, :-1]),
-    "shifted_index": ("index", lambda v: [k + 1 for k in v]),
+    "wrong_shape_edge_array": ("noise", lambda v: v[:, :-1]),
 }
 
 
@@ -297,7 +306,7 @@ def malformed_trace(request, tmp_path, run_cfg):
     path = out / "run_trace.json"
     doc = json.load(open(path))
     key, change = MALFORMED[request.param]
-    edit_array(doc, ("rounds", key), change)
+    edit_array(doc, (key,), change)
     write(path, doc)
     return str(path), key
 
@@ -306,14 +315,14 @@ class TestMalformedTrace:
     def test_audit_exits_2(self, malformed_trace, capsys):
         path, key = malformed_trace
         assert main(["audit", path, "--checks", "invariants"]) == 2
-        assert f"trace error: rounds.{key}" in capsys.readouterr().err
+        assert f"trace error: {key}" in capsys.readouterr().err
 
     def test_privacy_exits_2(self, malformed_trace, tmp_path, capsys):
         path, key = malformed_trace
         alts = write(tmp_path / "alts.json", {"0": [0, 0, 1]})
         assert main(["privacy", path, "--coalition", "1", "--target", "0",
                      "--alt-objectives", alts]) == 2
-        assert f"trace error: rounds.{key}" in capsys.readouterr().err
+        assert f"trace error: {key}" in capsys.readouterr().err
 
 
 def _set(doc, place, value):
@@ -327,11 +336,9 @@ def _set(doc, place, value):
 # Non-finite or out-of-range values the state digest does not cover:
 # (algorithm, place in the document, value, the name the error gives)
 NON_FINITE = {
-    "nb_perturbation": ("rss_nb", ("rounds", "perturbations", 5, 1, 0), float("nan"),
-                        "rounds.perturbations"),
-    "nb_share": ("rss_nb", ("rounds", "shares", 5, 1, 0), float("nan"), "rounds.shares"),
-    "lb_perturbation": ("rss_lb", ("rounds", "perturbations", 5, 1, 0), float("inf"),
-                        "rounds.perturbations"),
+    "nb_share": ("rss_nb", ("noise", 5, 1, 0), float("nan"), "noise"),
+    "lb_perturbation": ("rss_lb", ("noise", 5, 1, 0), float("inf"), "noise"),
+    "fs_noise_function": ("fs", ("noise", 3, 0, 2), float("nan"), "noise"),
     "weight": ("rss_nb", ("weights", 0, 1), float("nan"), "weights"),
     "nan_delta": ("rss_nb", ("delta",), float("nan"), "delta"),
     "negative_delta": ("rss_nb", ("delta",), -1.0, "delta must be non-negative"),
@@ -370,22 +377,17 @@ class TestNonFiniteTrace:
         assert f"trace error: {name}" in capsys.readouterr().err
 
 
-def _break_nb_sum(trace):
-    trace.perturbations[10, 2] += 1e-6  # agent 2's perturbation no longer cancels
-
-
 def _raise_share(trace):
-    trace.shares[10, 3] = 0.15  # above delta / (2n) = 0.1
+    trace.noise[10, 3] = 0.15  # above delta / (2n) = 0.1
 
 
 def _break_lb_balance(trace):
-    trace.perturbations[10, 3] += 1e-6  # edge (1, 2) breaks agent 1's balance
+    trace.noise[10, 3] += 1e-6  # edge (1, 2) breaks agent 1's balance
 
 
 # In-memory tampering of a loaded trace; save() stamps a matching digest, so
 # the audit, not the loader, must catch it: (algorithm, provider, tamper, invariant)
 TAMPERED = {
-    "nb_sum": ("rss_nb", False, _break_nb_sum, "network_balanced_sum"),
     "nb_share": ("rss_nb", False, _raise_share, "share_bound"),
     "lb_fixed_weights": ("rss_lb", False, _break_lb_balance, "locally_balanced_sum"),
     "lb_provider": ("rss_lb", True, _break_lb_balance, "locally_balanced_sum"),
@@ -417,6 +419,16 @@ class TestInvariantViolations:
         assert f"'invariant': '{invariant}'" in capsys.readouterr().out
         violations = json.load(open(report_path))["report"]["invariants"]["violations"]
         assert violations[0]["invariant"] == invariant
+
+    def test_unbalanced_nb_perturbations_are_named(self, quartic_problem, cycle5, inv_sqrt):
+        """rss_nb perturbations are derived from the shares, and cancel by
+        construction; the audit still checks what the derivation gives."""
+        trace = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 60, init=INTERIOR_INIT,
+                              seed=3)
+        trace.perturbations = with_entry(trace.perturbations, (10, 2), trace.perturbations[10, 2]
+                                         + 1e-6)  # agent 2's perturbation no longer cancels
+        violations = po.audit_invariants(trace, quartic_problem).violations
+        assert violations[0]["invariant"] == "network_balanced_sum"
 
 
 @pytest.fixture
@@ -495,6 +507,7 @@ class TestPrivacy:
 # Header and extras defects of a complete-5 fs trace, each raising TraceError
 # that names the key: (edit of the document, the start of the error message)
 MALFORMED_HEADER = {
+    "version_4": (lambda d: d.update(version=4), "unsupported trace version: 4"),
     "missing_seed": (lambda d: d.pop("seed"), "missing key: seed"),
     "missing_algorithm": (lambda d: d.pop("algorithm"), "missing key: algorithm"),
     "missing_topology": (lambda d: d.pop("topology"), "missing key: topology"),
@@ -506,8 +519,9 @@ MALFORMED_HEADER = {
     "edge_out_of_range": (lambda d: d["topology"]["edges"].append([0, 9]),
                           "topology: GraphError: edge (0, 9) out of range"),
     "extras_not_an_object": (lambda d: d.update(extras=[]), "extras must be a JSON object"),
-    "obfuscated_shape": (lambda d: d["extras"].update(obfuscated=[[1.0]]),
-                         "extras.obfuscated has shape (1, 1), expected (5, 1, 9)"),
+    "unobfuscatable_problem": (lambda d: d["problem"]["objectives"].pop(),
+                               "problem cannot be obfuscated: ValueError: one objective per "
+                               "agent is required"),
 }
 
 

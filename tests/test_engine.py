@@ -3,6 +3,7 @@ import hashlib
 import json
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from test_golden import canonical_traces
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 DERIVED = ("messages", "fused", "fused_true", "fused_noise")
-PRIMARY_KEYS = {"index", "step", "states", "perturbations", "shares", "weights_series"}
+# the keys of a trace document, of its rounds and of an fs trace's extras: only
+# what a run drew or chose, the recorded states and the digest
+DOCUMENT_KEYS = {"version", "algorithm", "n", "dim", "seed", "delta", "max_iter", "record_every",
+                 "schedule", "topology", "weights", "init", "problem", "noise", "rounds",
+                 "final_states", "extras", "digest"}
+PRIMARY_KEYS = {"states", "weights_series"}
+FS_EXTRAS_KEYS = {"delta_coeff", "d_max", "obf_grad_bound", "obf_smoothness_bound"}
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +297,7 @@ class TestFunctionSharing:
 
     def test_obfuscated_sum_matches_original(self, short_runs):
         trace = short_runs["fs"]
-        total = np.sum([np.asarray(c) for c in trace.extras["obfuscated"]], axis=0)
+        total = trace.obfuscated.sum(axis=0)
         expected = np.zeros_like(total)
         expected[0, 2] = 3.5
         expected[0, 4] = 3.5
@@ -318,7 +325,7 @@ class TestFunctionSharing:
         extras = short_runs["fs"].extras
         assert extras["delta_coeff"] == 0.5
         assert extras["d_max"] == 8
-        assert len(extras["noise"]) == 10  # both directions of 5 cycle edges
+        assert short_runs["fs"].noise.shape == (10, 1, 9)  # both directions of 5 cycle edges
         assert extras["obf_grad_bound"] > 0
 
     def test_random_noise_run_converges_to_optimum(self, quartic_problem, cycle5,
@@ -712,6 +719,49 @@ class TestRoundBlocks:
                 noise = po.draw_lb_perturbation(cycle5, edge_weights, 1.0, k, 1, streams, 2)
                 assert_bit_equal(trace.perturbations[row], noise[0])
 
+    @pytest.mark.parametrize("reload", [False, True], ids=["memory", "reloaded"])
+    def test_derived_nb_perturbations_are_the_added_noise(self, cycle5, inv_sqrt, monkeypatch,
+                                                          reload, tmp_path):
+        """A down-sampled rss_nb trace stores the shares; the perturbations it
+        derives from them are the ones the run added, block after block."""
+        added = []
+
+        def spy(shares, topology):
+            added.append(po.nb_perturbation(shares, topology))
+            return added[-1]
+
+        monkeypatch.setattr(po.engine, "nb_perturbation", spy)
+        max_iter = 3 * block_rounds(10, 2) + 5
+        trace = po.run_rss_nb(_sparse_quadratic_problem(5), cycle5, inv_sqrt, 1.0, max_iter,
+                              seed=9, record_every=7)
+        monkeypatch.undo()
+        assert len(added) == 4  # the run's noise blocks
+        if reload:
+            trace.save(tmp_path / "t.json")
+            trace = po.ExecutionTrace.load(tmp_path / "t.json")
+        assert_bit_equal(trace.perturbations, np.concatenate(added)[trace.round_index - 1])
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["memory", "reloaded"])
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_fs_obfuscated_is_the_runs_problem(self, quartic_problem, complete5, inv_sqrt,
+                                               monkeypatch, record_every, reload, tmp_path):
+        """An fs trace derives its obfuscated objectives; they are the
+        coefficients of the sub-problem the run descended on."""
+        obfuscated = []
+
+        def spy(objectives, noise, topology):
+            obfuscated.extend(po.obfuscate(objectives, noise, topology))
+            return obfuscated
+
+        monkeypatch.setattr(po.engine, "obfuscate", spy)
+        trace = po.run_fs(quartic_problem, complete5, inv_sqrt, 0.5, 8, 30, init=INTERIOR_INIT,
+                          seed=4, record_every=record_every)
+        monkeypatch.undo()
+        if reload:
+            trace.save(tmp_path / "t.json")
+            trace = po.ExecutionTrace.load(tmp_path / "t.json")
+        assert_bit_equal(trace.obfuscated, np.stack([obj.poly.coeffs for obj in obfuscated]))
+
     @pytest.mark.parametrize("algorithm", ["rss_nb", "rss_lb"])
     def test_provider_called_once_per_round_in_order(self, inv_sqrt, algorithm):
         n, max_iter = 100, 200
@@ -762,16 +812,19 @@ class TestFinitenessGate:
     def test_overflowing_state_sum_is_not_an_error(self, cycle5, inv_sqrt, algorithm):
         """On a +-1e308 box, descents that push every agent against the upper
         wall keep the states finite, but their sum overflows to inf every
-        round. The one-sum gate fails, the exact check passes, and the run
-        matches a per-round reference that checks every entry."""
+        round. The run neither fails nor warns, and it matches a per-round
+        reference that checks every entry."""
         init = np.full((5, 1), 1e308)
         metropolis = po.metropolis_weights(cycle5)
-        with np.errstate(over="ignore", invalid="ignore"):  # the convexity grid overflows too
+        with np.errstate(over="ignore", invalid="ignore"):  # the convexity grid overflows
             problem = po.GlobalProblem(
                 objectives=[po.PolynomialObjective([0.0, -1.0 - j]) for j in range(5)],
                 feasible=po.Box([-1e308], [1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             trace = self.RUNNERS[algorithm](problem, cycle5, inv_sqrt, max_iter=70, init=init,
                                             weights=metropolis)
+        with np.errstate(over="ignore", invalid="ignore"):
             states, final = _per_round_run(problem, cycle5, inv_sqrt, algorithm, 1.0, 70, init,
                                            6, lambda k: metropolis, step=_isfinite_step)
             sums = np.add.reduce(np.concatenate([trace.states, trace.final_states[None]]),
@@ -783,8 +836,12 @@ class TestFinitenessGate:
 
 class TestTraceFile:
     def test_rounds_hold_only_primary_arrays(self, short_runs):
-        for trace in short_runs.values():
-            assert set(trace.to_json_dict()["rounds"]) == PRIMARY_KEYS
+        for name, trace in short_runs.items():
+            doc = trace.to_json_dict()
+            assert set(doc) == DOCUMENT_KEYS
+            assert set(doc["rounds"]) == PRIMARY_KEYS
+            assert (doc["noise"] is None) == (name == "dgd")
+            assert set(doc["extras"]) == (FS_EXTRAS_KEYS if name == "fs" else set())
 
     def test_edge_arrays_on_sparse_cycle(self, inv_sqrt):
         n = 12
@@ -794,11 +851,11 @@ class TestTraceFile:
         nb = po.run_rss_nb(problem, topology, inv_sqrt, 1.0, 30, seed=2, record_every=10)
         lb = po.run_rss_lb(problem, topology, inv_sqrt, 1.0, 30, seed=2, record_every=10)
         r_count = nb.round_index.size
-        for trace, attr, key in ((nb, "shares", "shares"), (lb, "perturbations", "perturbations")):
-            stored = decoded(trace.to_json_dict()["rounds"][key])
+        for trace, attr in ((nb, "shares"), (lb, "perturbations")):
+            stored = decoded(trace.to_json_dict()["noise"])
             assert stored.shape == (r_count, 2 * n, 2)
             assert_bit_equal(stored, getattr(trace, attr))
-        assert decoded(nb.to_json_dict()["rounds"]["perturbations"]).shape == (r_count, n, 2)
+        assert nb.perturbations.shape == (r_count, n, 2)
 
     def test_version_2_document_raises(self, short_runs):
         doc = short_runs["nb"].to_json_dict()
@@ -814,17 +871,16 @@ class TestTraceFile:
 
     def test_zero_perturbations_are_not_stored(self, short_runs):
         for name, trace in short_runs.items():
-            stored = trace.to_json_dict()["rounds"]["perturbations"]
-            assert (stored is None) == (name in ("dgd", "fs"))
             loaded = po.ExecutionTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
             assert_bit_equal(loaded.perturbations, trace.perturbations)
+            assert (not trace.perturbations.any()) == (name in ("dgd", "fs"))
 
     def test_weights_are_stored_per_slot(self, short_runs, cycle5):
         weights = decoded(short_runs["dgd"].to_json_dict()["weights"])
         assert weights.shape == cycle5.fuse_slots.senders.shape
         assert_bit_equal(weights, short_runs["dgd"].weights)
 
-    # sha256 of json.dumps([index, step, states]) of the "rounds" of each shipped
+    # sha256 of json.dumps([index, step, states]) of the rounds of each shipped
     # config's trace as number lists, taken before the trace dropped its
     # derived arrays
     SHIPPED = {
@@ -834,9 +890,9 @@ class TestTraceFile:
 
     @pytest.mark.parametrize("config", sorted(SHIPPED))
     def test_shipped_config_lists_unchanged(self, config):
-        rounds = execute(RunConfig.from_file(CONFIGS / config)).to_json_dict()["rounds"]
-        text = json.dumps([rounds["index"], decoded(rounds["step"]).tolist(),
-                           decoded(rounds["states"]).tolist()])
+        trace = execute(RunConfig.from_file(CONFIGS / config))
+        states = decoded(trace.to_json_dict()["rounds"]["states"])
+        text = json.dumps([trace.round_index.tolist(), trace.steps.tolist(), states.tolist()])
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHIPPED[config]
 
 
@@ -868,13 +924,6 @@ class TestLoadChecks:
         assert loaded.state_digest() == trace.state_digest()
 
     @pytest.mark.parametrize("algorithm, key, change, match", [
-        ("dgd", "step", lambda v: v[:-1], r"rounds.step has shape \(29,\)"),
-        ("dgd", "step", lambda v: with_entry(v, 0, np.nextafter(v[0], 2.0)), "schedule's steps"),
-        ("rss_nb", "index", lambda v: [k + 1 for k in v], "rounds.index is not"),
-        ("rss_nb", "shares", lambda v: v[:, :-1], r"rounds.shares has shape"),
-        ("rss_nb", "shares", lambda v: None, "rounds.shares is not an encoded array"),
-        ("rss_lb", "perturbations", lambda v: v[:, :-1],
-         r"rounds.perturbations has shape \(\d+, 9, 1\)"),
         ("rss_lb", "states", lambda v: v.tolist(), "rounds.states is not an encoded array"),
         ("rss_lb", "states", lambda v: {**encode_array(v), "base64": "*" + encode_array(v)["base64"][1:]},
          "rounds.states is not valid base64"),
@@ -882,17 +931,27 @@ class TestLoadChecks:
          r"rounds.states holds \d+ bytes, expected \d+"),
         ("dgd", "weights_series", lambda v: np.full((30, 4, 5), 0.2),
          r"rounds.weights_series has shape \(30, 4, 5\)"),
-        ("dgd", "shares", lambda v: np.zeros((1, 1, 1)), "only rss_nb traces have shares, not dgd"),
-        ("dgd", "perturbations", lambda v: np.zeros((30, 5, 1)),
-         "dgd perturbations are zero and not stored"),
-        ("fs", "perturbations", lambda v: np.zeros((13, 5, 1)),
-         "fs perturbations are zero and not stored"),
         ("provider", "weights_series", lambda v: with_entry(v, (3, 0, 0), v[3, 0, 0] + 0.01),
          "rounds.weights_series: rows must sum to 1"),
     ])
     def test_mismatch_raises(self, docs, algorithm, key, change, match):
         doc = self._doc(docs[algorithm])
         edit_array(doc, ("rounds", key), change)
+        with pytest.raises(TraceError, match=match):
+            po.ExecutionTrace.from_json_dict(doc)
+
+    @pytest.mark.parametrize("algorithm, change, match", [
+        ("rss_nb", lambda v: v[:, :-1], r"noise has shape \(13, 9, 1\), expected \(13, 10, 1\)"),
+        ("rss_nb", lambda v: None, "noise is not an encoded array"),
+        ("rss_lb", lambda v: v[:, :-1], r"noise has shape \(13, 9, 1\), expected \(13, 10, 1\)"),
+        ("rss_lb", lambda v: with_entry(v, (2, 3, 0), np.inf), "noise holds a non-finite value"),
+        ("fs", lambda v: v[..., :-1], r"noise has shape \(10, 1, 8\), expected \(10, 1, 9\)"),
+        ("fs", lambda v: with_entry(v, (4, 0, 1), np.nan), "noise holds a non-finite value"),
+        ("dgd", lambda v: np.zeros((30, 10, 1)), "dgd draws no noise, so its trace stores none"),
+    ])
+    def test_noise_checked(self, docs, algorithm, change, match):
+        doc = self._doc(docs[algorithm])
+        edit_array(doc, ("noise",), change)
         with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
 
@@ -932,22 +991,37 @@ class TestLoadChecks:
             po.ExecutionTrace.from_json_dict(doc)
 
     @pytest.mark.parametrize("change, match", [
-        (lambda x: x.update(width=0), "extras.width must be a positive integer, got 0"),
-        (lambda x: x.update(obfuscated=[[1.0]]), r"extras.obfuscated has shape \(1, 1\)"),
-        (lambda x: x["obfuscated"][2][0].__setitem__(3, float("nan")),
-         "extras.obfuscated holds a non-finite value"),
-        (lambda x: x["noise"].pop(), "extras.noise must hold one"),
-        (lambda x: x["noise"].reverse(), "extras.noise must hold one"),
-        (lambda x: x["noise"][4].__setitem__(2, [[0.5]]),
-         r"extras.noise of edge \(2, 1\) has shape \(1, 1\), expected \(1, 9\)"),
-        (lambda x: x["noise"][4][2][0].__setitem__(0, float("inf")),
-         r"extras.noise of edge \(2, 1\) holds a non-finite value"),
+        (lambda x: x.update(d_max=-1), "extras.d_max must be a non-negative integer, got -1"),
+        (lambda x: x.update(d_max=8.0), "extras.d_max must be a non-negative integer, got 8.0"),
+        (lambda x: x.pop("d_max"), "extras.d_max must be a non-negative integer, got None"),
+        (lambda x: x.update(d_max=7), r"noise has shape \(10, 1, 9\), expected \(10, 1, 8\)"),
     ])
     def test_fs_extras_checked(self, docs, change, match):
         doc = self._doc(docs["fs"])
         change(doc["extras"])
         with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda p: p["objectives"].pop(), "ValueError: one objective per agent is required"),
+        (lambda p: p["objectives"][1].update(kind="logistic", seed=1, dim=1),
+         "FsObjectiveError: function sharing requires polynomial local objectives"),
+        (lambda p: p.update(objectives=[{"kind": "polynomial", "coeffs": [[0, 0, 1]] * 2}] * 5,
+                            feasible={"lower": [-30, -30], "upper": [30, 30]}),
+         "ValueError: objectives of dimension 2, noise of dimension 1"),
+        (lambda p: p["objectives"][2].pop("coeffs"), "KeyError: 'coeffs'"),
+    ])
+    def test_fs_problem_must_be_obfuscatable(self, docs, change, match):
+        doc = self._doc(docs["fs"])
+        change(doc["problem"])
+        with pytest.raises(TraceError, match="problem cannot be obfuscated: " + match):
+            po.ExecutionTrace.from_json_dict(doc)
+
+    def test_fs_obfuscated_objectives_must_be_finite(self, docs):
+        doc = self._doc(docs["fs"])
+        doc["problem"]["objectives"][0]["coeffs"] = [0.0, 0.0, float("inf")]
+        with pytest.raises(TraceError, match="the obfuscated objectives hold a non-finite value"):
+            po.ExecutionTrace.from_json_dict(json.loads(json.dumps(doc)))
 
 
 class TestTraceRoundTrip:
@@ -973,7 +1047,7 @@ class TestTraceRoundTrip:
         trace.save(tmp_path / "t.json")
         loaded = po.ExecutionTrace.load(tmp_path / "t.json")
         for attr in ("init", "round_index", "steps", "states", "perturbations", "final_states",
-                     "shares", "weights", "weights_series"):
+                     "noise", "shares", "obfuscated", "weights", "weights_series"):
             if getattr(trace, attr) is None:
                 assert getattr(loaded, attr) is None
             else:

@@ -70,10 +70,6 @@ def truth_coeffs(trace):
             for j, s in enumerate(trace.problem_spec["objectives"])}
 
 
-def original_noise(trace):
-    return np.array([c for _, _, c in trace.extras["noise"]], dtype=float)
-
-
 def edge_rows(topology):
     """Row of each directed edge (sender, receiver) in ``sender_edges``."""
     return {(j, i): e for e, (j, i) in
@@ -163,7 +159,7 @@ class TestExtractView:
         _, trace = fs_trace(cycle5)
         view = po.extract_view(trace, coalition=range(5))
         assert view.observed.all()  # every directed edge
-        np.testing.assert_array_equal(view.noise, original_noise(trace))
+        np.testing.assert_array_equal(view.noise, trace.noise)
         assert len(view.coalition_objectives) == 5
 
     def test_incident_edge_count_on_cycle(self, cycle5):
@@ -176,7 +172,7 @@ class TestExtractView:
                                                      receivers[view.observed].tolist())}
         assert len(undirected) == 4
         np.testing.assert_array_equal(view.noise[view.observed],
-                                      original_noise(trace)[view.observed])
+                                      trace.noise[view.observed])
         assert not view.noise[~view.observed].any()
 
     def test_rejects_non_fs_trace(self, quartic_problem, cycle5, inv_sqrt):
@@ -239,9 +235,9 @@ class TestConstructAlternative:
         problem, trace, view = k5_case
         objectives = po.complete_alternative_objectives(problem, [3, 4], target=[],
                                                         alternatives={}, d_max=8)
-        inst = po.construct_alternative(view, objectives, extras=original_noise(trace))
+        inst = po.construct_alternative(view, objectives, extras=trace.noise)
         assert inst.solve_residual == 0.0
-        np.testing.assert_array_equal(from_exact(inst.noise), original_noise(trace))
+        np.testing.assert_array_equal(from_exact(inst.noise), trace.noise)
 
     def test_alternative_passes_verification(self, k5_case):
         problem, trace, view = k5_case
@@ -362,7 +358,7 @@ class TestGroupStructure:
         problem, trace, view = k5_case
         base_map = po.complete_alternative_objectives(problem, [3, 4], target=[],
                                                       alternatives={}, d_max=8)
-        identity = po.construct_alternative(view, base_map, extras=original_noise(trace))
+        identity = po.construct_alternative(view, base_map, extras=trace.noise)
         truth = truth_coeffs(trace)
 
         def variant(agent, power, scale, seed):
