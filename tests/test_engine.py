@@ -946,6 +946,7 @@ class TestLoadChecks:
         ("rss_lb", lambda v: v[:, :-1], r"noise has shape \(13, 9, 1\), expected \(13, 10, 1\)"),
         ("rss_lb", lambda v: with_entry(v, (2, 3, 0), np.inf), "noise holds a non-finite value"),
         ("fs", lambda v: v[..., :-1], r"noise has shape \(10, 1, 8\), expected \(10, 1, 9\)"),
+        ("fs", lambda v: v[:-1], r"noise has shape \(9, 1, 9\), expected \(10, 1, 9\)"),
         ("fs", lambda v: with_entry(v, (4, 0, 1), np.nan), "noise holds a non-finite value"),
         ("dgd", lambda v: np.zeros((30, 10, 1)), "dgd draws no noise, so its trace stores none"),
     ])
@@ -954,6 +955,16 @@ class TestLoadChecks:
         edit_array(doc, ("noise",), change)
         with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
+
+    def test_fs_noise_in_another_edge_order_fails_the_audit(self, docs, quartic_problem):
+        # The edge order of fs noise is the topology's, so it is not stored and
+        # a reordered array loads; the obfuscated objectives it yields no longer
+        # explain the recorded states.
+        doc = self._doc(docs["fs"])
+        assert audit_invariants(po.ExecutionTrace.from_json_dict(doc), quartic_problem).passed
+        edit_array(doc, ("noise",), lambda v: v[::-1])
+        report = audit_invariants(po.ExecutionTrace.from_json_dict(doc), quartic_problem)
+        assert [v["invariant"] for v in report.violations] == ["gradient_noise_perspective"]
 
     def test_header_arrays_checked(self, docs):
         doc = self._doc(docs["dgd"])
