@@ -446,7 +446,7 @@ def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
             objectives=[PolynomialObjective(c, enforce_convex=False) for c in trace.obfuscated],
             feasible=box, validate_convexity=False)
     else:
-        sub = GlobalProblem.from_spec(trace.problem_spec, validate_convexity=False)
+        sub = trace.problem
     pos = {int(r): i for i, r in enumerate(idx)}
     pairs = [(r, pos[int(k) + 1]) for r, k in enumerate(trace.round_index) if int(k) + 1 in pos]
     worst = 0.0

@@ -181,12 +181,13 @@ def _cmd_audit(args) -> int:
         print(f"unknown checks: {unknown}; available: {list(_AUDIT_CHECKS)}", file=sys.stderr)
         return 2
     trace = ExecutionTrace.load(args.trace)
+    problem = trace.problem
     try:
-        problem = GlobalProblem.from_spec(trace.problem_spec, validate_convexity=False)
         problem.check_critical_points()
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise TraceError(f"problem: {type(exc).__name__}: {exc}") from None
-    optimum = solve_centralized(problem)
+    # the centralized optimum, only for the checks that read it
+    optimum = solve_centralized(problem) if {"lemma2", "theorem3"} & set(checks) else None
     bounds = effective_bounds(trace, problem) if {"lemma1", "lemma2"} & set(checks) else None
     reports = []
     failed = False

@@ -311,15 +311,19 @@ class ExecutionTrace:
         return _read_only(np.zeros((self.round_index.size, self.n, self.dim)))
 
     @cached_property
+    def problem(self) -> GlobalProblem:
+        """The run's problem, without the convexity check."""
+        return GlobalProblem.from_spec(self.problem_spec, validate_convexity=False)
+
+    @cached_property
     def obfuscated(self) -> np.ndarray | None:
         """(n, D, W) coefficients of the objectives an fs run descends on: the
         problem's local objectives obfuscated by the noise functions; None for
         the other algorithms."""
         if self.algorithm != "fs":
             return None
-        problem = GlobalProblem.from_spec(self.problem_spec, validate_convexity=False)
         return _read_only(np.stack([obj.poly.coeffs for obj in
-                                    obfuscate(problem.objectives, self.noise, self.topology)]))
+                                    obfuscate(self.problem.objectives, self.noise, self.topology)]))
 
     @property
     def n(self) -> int:
@@ -431,9 +435,9 @@ class ExecutionTrace:
     def from_json_dict(cls, doc: dict) -> "ExecutionTrace":
         """Rebuild a trace, checking the header's keys and counts, every
         array's encoding, shape and finiteness, the fusion weights, the noise
-        bound and function-sharing extras, the state digest and, for fs, that
-        the problem's objectives can be obfuscated; any mismatch raises
-        ``TraceError``."""
+        bound and function-sharing extras, the state digest, that the problem
+        has the trace's agents and dimension and, for fs, that its objectives
+        can be obfuscated; any mismatch raises ``TraceError``."""
         if not isinstance(doc, dict):
             raise TraceError("a trace document must be a JSON object")
         if doc.get("version") != TRACE_VERSION:
@@ -531,6 +535,13 @@ class ExecutionTrace:
                 raise TraceError(f"problem cannot be obfuscated: {type(exc).__name__}: {exc}") from None
             if not np.isfinite(obfuscated).all():
                 raise TraceError("the obfuscated objectives hold a non-finite value")
+        try:
+            problem = trace.problem
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceError(f"problem: {type(exc).__name__}: {exc}") from None
+        if (problem.n, problem.dim) != (n, dim):
+            raise TraceError(f"problem has {problem.n} agents of dimension {problem.dim}, "
+                             f"trace has {n} of dimension {dim}")
         return trace
 
     @classmethod
@@ -541,10 +552,15 @@ class ExecutionTrace:
 
 def _check_fs_extras(extras: dict) -> int:
     """Check the function-sharing extras that the audits and the privacy
-    check read, finite bounds and the noise degree ``d_max``; return it."""
+    check read, finite bounds, the coefficient bound ``delta_coeff`` and the
+    noise degree ``d_max``; return ``d_max``."""
     for key in ("obf_grad_bound", "obf_smoothness_bound"):
         if extras.get(key) is not None:
             _numbers(extras[key], f"extras.{key}")
+    delta_coeff = extras.get("delta_coeff")
+    if type(delta_coeff) not in (int, float) or not 0 <= delta_coeff < math.inf:
+        raise TraceError(f"extras.delta_coeff must be a finite non-negative number, "
+                         f"got {delta_coeff!r}")
     d_max = extras.get("d_max")
     if type(d_max) is not int or d_max < 0:
         raise TraceError(f"extras.d_max must be a non-negative integer, got {d_max!r}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Topology
-from .polynomials import SeparablePolynomial, pad_coeffs
+from .polynomials import derivative_sups, pad_coeffs
 
 _PURPOSES = {"nb_direction": 1, "lb_raw": 2, "fs_coeff": 3, "alt_extra": 4, "nb_radius": 5}
 
@@ -257,15 +257,13 @@ def noise_gradient_bounds(noise: np.ndarray, topology: Topology,
                           lower, upper) -> tuple[float, float]:
     """Largest gradient sup-norm and curvature sup over all per-agent offsets
     of (E, D, W) edge noise, bounded by summing, in edge order, the bounds of
-    the functions an agent sends or receives; used for the obfuscated
-    gradient constants."""
-    polys = [SeparablePolynomial(coeffs) for coeffs in noise]
+    the functions an agent sends or receives (one ``derivative_sups`` call
+    for all edges); used for the obfuscated gradient constants."""
     ends = np.stack(topology.sender_edges, axis=1).ravel()  # sender, receiver of each edge
 
-    def largest_agent_sum(per_edge: list) -> float:
+    def largest_agent_sum(per_edge: np.ndarray) -> float:
         per_agent = np.zeros(topology.n)
         np.add.at(per_agent, ends, np.repeat(per_edge, 2))
         return float(per_agent.max())
 
-    return (largest_agent_sum([p.gradient_sup_norm(lower, upper) for p in polys]),
-            largest_agent_sum([p.curvature_sup(lower, upper) for p in polys]))
+    return tuple(map(largest_agent_sum, derivative_sups(noise, lower, upper)))

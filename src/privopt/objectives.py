@@ -8,8 +8,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .polynomials import (SeparablePolynomial, as_coeff_matrix, horner, horner_planes,
-                          pad_coeffs)
+from .polynomials import (SeparablePolynomial, as_coeff_matrix, critical_points_overflow,
+                          derivative, derivative_sups, horner, horner_planes, interval_candidates,
+                          interval_extrema, pad_coeffs)
 
 
 class DimensionMismatchError(ValueError):
@@ -109,12 +110,9 @@ class Objective:
     def ensure_convex_on(self, box: Box) -> None:
         raise NotImplementedError
 
-    def gradient_bound(self, box: Box) -> float:
-        """Closed-form upper bound for the gradient norm on the box (L)."""
-        raise NotImplementedError
-
-    def smoothness_bound(self, box: Box) -> float:
-        """Closed-form upper bound for the gradient Lipschitz constant on the box (N)."""
+    def constants(self, box: Box) -> tuple[float, float]:
+        """Closed-form upper bounds on the box for the gradient norm (L) and
+        the gradient Lipschitz constant (N)."""
         raise NotImplementedError
 
     def to_spec(self) -> dict:
@@ -142,23 +140,13 @@ class PolynomialObjective(Objective):
     def curvature_norm(self, x):
         return np.max(np.abs(self.poly.curvature(self.check_dim(x))), axis=-1)
 
-    def curvature_floor(self, box: Box) -> float:
-        return self.poly.curvature_floor(box.lower, box.upper)
-
     def ensure_convex_on(self, box: Box) -> None:
-        if not self.enforce_convex:
-            return
-        floor = self.curvature_floor(box)
-        if floor < -1e-12:
-            raise ConvexityError(
-                f"polynomial objective is non-convex on the feasible set (second derivative reaches {floor:.3e})"
-            )
+        if self.enforce_convex:
+            _require_convex_floor(self.poly.curvature_floor(box.lower, box.upper))
 
-    def gradient_bound(self, box: Box) -> float:
-        return self.poly.gradient_sup_norm(box.lower, box.upper)
-
-    def smoothness_bound(self, box: Box) -> float:
-        return self.poly.curvature_sup(box.lower, box.upper)
+    def constants(self, box: Box) -> tuple[float, float]:
+        grad, curv = derivative_sups(self.poly.coeffs, box.lower, box.upper)
+        return float(grad), float(curv)
 
     def to_spec(self) -> dict:
         return {"kind": "polynomial", "coeffs": self.poly.coeffs.tolist(),
@@ -198,12 +186,10 @@ class QuadraticObjective(Objective):
         if eigs.size and eigs.min() < -1e-10 * scale:
             raise ConvexityError(f"quadratic matrix is not positive semidefinite (min eigenvalue {eigs.min():.3e})")
 
-    def gradient_bound(self, box: Box) -> float:
+    def constants(self, box: Box) -> tuple[float, float]:
         # ||Qx + b|| is convex, so its max over the box sits at a corner.
-        return float(np.max(np.linalg.norm(self.gradient(box.corners()), axis=-1)))
-
-    def smoothness_bound(self, box: Box) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
+        return (float(np.max(np.linalg.norm(self.gradient(box.corners()), axis=-1))),
+                float(np.linalg.norm(self.matrix, 2)))
 
     def to_spec(self) -> dict:
         return {"kind": "quadratic", "matrix": self.matrix.tolist(),
@@ -252,16 +238,14 @@ class LogisticObjective(Objective):
     def ensure_convex_on(self, box: Box) -> None:
         return  # sum of log-convex losses plus a ridge term
 
-    def gradient_bound(self, box: Box) -> float:
-        # sigma <= 1 bounds the loss term by the mean feature norm
+    def constants(self, box: Box) -> tuple[float, float]:
+        # L: sigma <= 1 bounds the loss term by the mean feature norm;
+        # N: p(1 - p) <= 1/4, attained at x = 0
         reach = np.maximum(np.abs(box.lower), np.abs(box.upper))
-        return float(np.mean(np.linalg.norm(self.features, axis=-1))
-                     + self.ridge * np.linalg.norm(reach))
-
-    def smoothness_bound(self, box: Box) -> float:
-        # p(1 - p) <= 1/4, attained at x = 0
         gram = self.features.T @ self.features
-        return float(np.linalg.eigvalsh(gram)[-1]) / (4 * self.samples) + self.ridge
+        return (float(np.mean(np.linalg.norm(self.features, axis=-1))
+                      + self.ridge * np.linalg.norm(reach)),
+                float(np.linalg.eigvalsh(gram)[-1]) / (4 * self.samples) + self.ridge)
 
     def to_spec(self) -> dict:
         return {"kind": "logistic", "seed": self.seed, "dim": self.dim,
@@ -269,9 +253,23 @@ class LogisticObjective(Objective):
 
 
 # A stacked total evaluates every agent at every point at once; large batches
-# (the oracle's 4097-point grid) go in blocks of about this many values, so
-# the temporaries stay as small as the per-objective loop's.
+# go in blocks of about this many values, so the temporaries stay as small as
+# the per-objective loop's.
 _BLOCK_VALUES = 1 << 13
+
+
+def _require_convex_floor(floor: float) -> None:
+    if floor < -1e-12:
+        raise ConvexityError(f"polynomial objective is non-convex on the feasible set "
+                             f"(second derivative reaches {floor:.3e})")
+
+
+def _stack_padded(arrays) -> np.ndarray:
+    """(k, D, C) stack of (D, C_j) coefficient arrays, zero-padded at the high
+    end to the widest. The padding changes no derivative's roots and, at
+    finite points, no value."""
+    width = max(a.shape[-1] for a in arrays)
+    return np.stack([pad_coeffs(a, width) for a in arrays])
 
 
 def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
@@ -329,8 +327,37 @@ class GlobalProblem:
         if dims != {self.feasible.dim}:
             raise DimensionMismatchError("objective dimension must match the feasible set")
         if self.validate_convexity:
-            for obj in self.objectives:
-                obj.ensure_convex_on(self.feasible)
+            self._check_convexity()
+
+    def _polynomial_agents(self, convex_only: bool = False) -> tuple[list, np.ndarray | None]:
+        """Indices of the polynomial objectives (those that enforce convexity,
+        if ``convex_only``) and their ``_stack_padded`` coefficients."""
+        agents = [j for j, obj in enumerate(self.objectives) if isinstance(obj, PolynomialObjective)
+                  and (obj.enforce_convex or not convex_only)]
+        if not agents:
+            return agents, None
+        return agents, _stack_padded([self.objectives[j].poly.coeffs for j in agents])
+
+    def _check_convexity(self) -> None:
+        """Raise ConvexityError naming the first agent whose objective is not
+        convex on the feasible set. One ``interval_extrema`` call gives the
+        curvature floors of every polynomial agent."""
+        agents, coeffs = self._polynomial_agents(convex_only=True)
+        box = self.feasible
+        try:
+            floors = {} if coeffs is None else dict(zip(agents, interval_extrema(
+                derivative(coeffs, 2), box.lower, box.upper)[0].min(axis=-1).tolist()))
+        except np.linalg.LinAlgError:
+            self.check_critical_points()  # names the agent whose roots cannot be located
+            raise
+        for j, obj in enumerate(self.objectives):
+            try:
+                if j in floors:
+                    _require_convex_floor(floors[j])
+                else:
+                    obj.ensure_convex_on(box)
+            except ConvexityError as exc:
+                raise ConvexityError(f"agent {j}: {exc}") from None
 
     def _stacked_polynomials(self, rows) -> np.ndarray | None:
         """(n, D, C) stack of one (D, C_j) coefficient array per objective,
@@ -338,9 +365,7 @@ class GlobalProblem:
         polynomial; else None."""
         if not all(isinstance(obj, PolynomialObjective) for obj in self.objectives):
             return None
-        arrays = [rows(obj.poly) for obj in self.objectives]
-        width = max(a.shape[1] for a in arrays)
-        out = np.stack([pad_coeffs(a, width) for a in arrays])
+        out = _stack_padded([rows(obj.poly) for obj in self.objectives])
         out.flags.writeable = False
         return out
 
@@ -448,13 +473,20 @@ class GlobalProblem:
 
     def check_critical_points(self) -> None:
         """Raise ValueError naming the first agent whose polynomial's critical
-        points cannot be located, so its constants cannot be computed."""
-        for j, obj in enumerate(self.objectives):
-            if isinstance(obj, PolynomialObjective) and obj.poly.critical_points_overflow():
-                raise ValueError(
-                    f"agent {j}: polynomial {obj.poly.coeffs.tolist()} has a leading "
-                    f"coefficient too small against the others (subnormal, say) to locate "
-                    f"its critical points")
+        points cannot be located, so its constants cannot be computed: the
+        ``critical_points_overflow`` of every polynomial agent's first and
+        second derivatives, at once."""
+        agents, coeffs = self._polynomial_agents()
+        if coeffs is None:
+            return
+        bad = (critical_points_overflow(derivative(coeffs))
+               | critical_points_overflow(derivative(coeffs, 2))).any(axis=-1)
+        if bad.any():
+            j = agents[int(np.argmax(bad))]
+            raise ValueError(
+                f"agent {j}: polynomial {self.objectives[j].poly.coeffs.tolist()} has a "
+                f"leading coefficient too small against the others (subnormal, say) to "
+                f"locate its critical points")
 
     def to_spec(self) -> dict:
         return {"objectives": [obj.to_spec() for obj in self.objectives],
@@ -469,15 +501,19 @@ class GlobalProblem:
 
 def estimate_constants(obj: Objective, box: Box) -> tuple[float, float]:
     """Closed-form gradient bound L and gradient Lipschitz bound N on the box."""
-    return obj.gradient_bound(box), obj.smoothness_bound(box)
+    return obj.constants(box)
 
 
 def solve_centralized(problem: GlobalProblem, tolerance: float = 1e-8,
                       max_rounds: int = 500_000) -> tuple[np.ndarray, float]:
     """Optimum oracle: projected gradient descent on the sum objective with
     diminishing steps until the gradient-mapping norm drops below tolerance.
-    One-dimensional problems are additionally refined by grid plus ternary
-    search, so the returned value is a certified upper bound on the infimum.
+
+    An all-polynomial problem is separable: each coordinate takes the best
+    ``interval_candidates`` point (box ends, real critical points, safety
+    grid) of the agents' summed polynomial, and that point replaces the
+    descent's when its ``total_value`` is strictly lower; there is no grid or
+    ternary search. Other problems return the descent's point.
     """
     box = problem.feasible
     smooth_total = sum(problem.agent_constants[1].tolist())
@@ -499,26 +535,11 @@ def solve_centralized(problem: GlobalProblem, tolerance: float = 1e-8,
         )
     best_x = x
     best_f = float(problem.total_value(x))
-    if problem.dim == 1:
-        lo, hi = float(box.lower[0]), float(box.upper[0])
-        grid = np.linspace(lo, hi, 4097)
-        vals = problem.total_value(grid[:, None])
-        idx = int(np.argmin(vals))
-        a = grid[max(idx - 1, 0)]
-        b = grid[min(idx + 1, grid.size - 1)]
-        for _ in range(200):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            f1, f2 = problem.total_value(np.array([[m1], [m2]]))
-            if f1 <= f2:
-                b = m2
-            else:
-                a = m1
-            if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
-                break
-        mid = np.array([0.5 * (a + b)])
-        candidates = [(float(problem.total_value(mid)), mid),
-                      (float(vals[idx]), grid[idx:idx + 1]),
-                      (best_f, best_x)]
-        best_f, best_x = min(candidates, key=lambda t: t[0])
+    if problem._coefficients is not None:
+        summed = problem._coefficients.sum(axis=0)  # (D, C): one polynomial per coordinate
+        points = interval_candidates(summed, box.lower, box.upper)
+        candidate = points[np.arange(problem.dim), horner(summed[:, None], points).argmin(axis=1)]
+        value = float(problem.total_value(candidate))
+        if value < best_f:
+            best_x, best_f = candidate, value
     return np.asarray(best_x, dtype=float), float(best_f)

@@ -67,34 +67,101 @@ def horner_planes(planes, x) -> np.ndarray:
     return out
 
 
-def _interval_candidates(coeffs_1d: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Points where |p| can attain its sup on [lo, hi]: endpoints plus real
-    critical points of p, padded with a coarse grid as a safety net."""
-    pts = [lo, hi]
-    der = npoly.polyder(coeffs_1d)
-    if np.count_nonzero(der) > 0:
-        trimmed = np.trim_zeros(der, trim="b")
-        if trimmed.size >= 2:
-            roots = npoly.polyroots(trimmed)
-            scale = max(1.0, abs(lo), abs(hi))
-            for r in roots:
-                if abs(r.imag) < 1e-9 * scale and lo <= r.real <= hi:
-                    pts.append(float(r.real))
-    pts.extend(np.linspace(lo, hi, 65))
-    return np.asarray(pts)
+def derivative(coeffs, order: int = 1) -> np.ndarray:
+    """``order``-th derivative of stacked polynomials (..., C), bit for bit
+    ``npoly.polyder`` of every row: j * c[j] per pass, and ``c[..., :1] * 0``
+    when the order reaches the width."""
+    out = np.asarray(coeffs, dtype=float)
+    if order >= out.shape[-1]:
+        return out[..., :1] * 0
+    for _ in range(order):
+        out = out[..., 1:] * np.arange(1.0, out.shape[-1])
+    return out
 
 
-def max_abs_on_interval(coeffs_1d: np.ndarray, lo: float, hi: float) -> float:
-    """Sup of |p(x)| over [lo, hi], exact when the extremum sits at an endpoint
-    or a resolvable critical point."""
-    pts = _interval_candidates(coeffs_1d, lo, hi)
-    return float(np.max(np.abs(npoly.polyval(pts, coeffs_1d))))
+def _trimmed_lengths(rows: np.ndarray) -> np.ndarray:
+    """Length of each row of (..., C) without its trailing zeros, as
+    ``np.trim_zeros`` trims them (NaN is not a zero)."""
+    nonzero = rows != 0
+    return np.where(nonzero.any(axis=-1), rows.shape[-1] - nonzero[..., ::-1].argmax(axis=-1), 0)
 
 
-def min_on_interval(coeffs_1d: np.ndarray, lo: float, hi: float) -> float:
-    """Infimum of p(x) over [lo, hi] via endpoints and critical points."""
-    pts = _interval_candidates(coeffs_1d, lo, hi)
-    return float(np.min(npoly.polyval(pts, coeffs_1d)))
+def critical_points_overflow(coeffs) -> np.ndarray:
+    """Per row of (..., C) polynomials p, whether ``interval_candidates``
+    cannot locate the roots of p': the companion matrix divides p' by its
+    leading coefficient, and a quotient overflows when that one is too small
+    against the others (a subnormal one, say)."""
+    der = derivative(coeffs)
+    lengths = _trimmed_lengths(der)
+    lead = np.take_along_axis(der, np.maximum(lengths - 1, 0)[..., None], axis=-1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        overflow = ~np.isfinite(der / lead)
+    return (overflow & (np.arange(der.shape[-1]) < (lengths - 1)[..., None])).any(axis=-1)
+
+
+_GRID_STEPS = np.arange(65.0)  # np.linspace(lo, hi, 65) is lo + i * step, or
+_GRID_FRACTIONS = _GRID_STEPS / 64  # lo + (i / 64) * delta when the step underflows
+
+
+def interval_candidates(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(m, K) points of [lo[i], hi[i]] where row i of the (m, C) polynomials
+    can attain its extrema: the ends, the real roots of p' inside (|imag| <
+    1e-9 * max(1, |lo|, |hi|); a dropped root becomes lo) and the 65-point
+    ``np.linspace`` grid as a safety net. The roots are the eigenvalues of the
+    companion matrices of the trimmed p', built as ``npoly.polyroots`` builds
+    them, one batched ``np.linalg.eigvals`` call per trimmed length, so every
+    point is bit for bit the per-row rule's."""
+    der = derivative(coeffs)
+    lengths = _trimmed_lengths(der)
+    points = np.empty((len(der), der.shape[1] + 66))
+    points[:, 0], points[:, 1:-65] = hi, lo[:, None]
+    grid = points[:, -65:]
+    delta = hi - lo
+    np.multiply(_GRID_STEPS, (delta / 64)[:, None], out=grid)
+    flat = delta / 64 == 0
+    grid[flat] = _GRID_FRACTIONS * delta[flat, None]
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    tolerance = 1e-9 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+    for size in {n for n in lengths.tolist() if n >= 2}:  # a set: np.unique imports numpy.ma
+        rows = (lengths == size).nonzero()[0]
+        c = der[rows, :size]
+        if size == 2:
+            roots = -c[:, :1] / c[:, 1:]
+        else:
+            companion = np.zeros((rows.size, size - 1, size - 1))
+            companion[:, np.arange(1, size - 1), np.arange(size - 2)] = 1
+            with np.errstate(over="ignore"):  # an overflow makes eigvals raise LinAlgError
+                companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            roots = np.linalg.eigvals(companion)
+        real, (lo_rows, hi_rows) = roots.real, (lo[rows, None], hi[rows, None])
+        keep = (np.abs(roots.imag) < tolerance[rows, None]) & (lo_rows <= real) & (real <= hi_rows)
+        points[rows, 2:size + 1] = np.where(keep, real, lo_rows)
+    return points
+
+
+def interval_extrema(coeffs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum of p and the maximum of |p| over [lo, hi] of each
+    polynomial of (..., C) ``coeffs``, two (...) arrays; lo and hi broadcast
+    against ``coeffs[..., 0]``. One Horner pass over ``interval_candidates``;
+    exact when the extremum sits at an end or a resolvable critical point."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    ends = np.empty((2,) + coeffs.shape[:-1])
+    ends[0], ends[1] = lo, hi
+    rows = coeffs.reshape(-1, coeffs.shape[-1])
+    values = horner(rows[:, None], interval_candidates(rows, *ends.reshape(2, -1)))
+    return (values.min(axis=1).reshape(ends.shape[1:]),
+            np.abs(values).max(axis=1).reshape(ends.shape[1:]))
+
+
+def derivative_sups(coeffs, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Sups over the box [lower, upper] of the gradient 2-norm and of the
+    Hessian operator norm (the Hessian is diagonal) of each separable
+    polynomial of (..., D, C) ``coeffs``: one ``interval_extrema`` call."""
+    first = derivative(coeffs)
+    rows = np.stack([first, pad_coeffs(derivative(coeffs, 2), first.shape[-1])])
+    sups = interval_extrema(rows, lower, upper)[1]
+    return np.sqrt(np.sum(np.square(sups[0]), axis=-1)), np.max(sups[1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -111,12 +178,12 @@ class SeparablePolynomial:
     @cached_property
     def first_derivative(self) -> np.ndarray:
         """Per-coordinate first-derivative coefficients, shape (D, max(C - 1, 1))."""
-        return _read_only(np.array([npoly.polyder(row) for row in self.coeffs]))
+        return _read_only(derivative(self.coeffs))
 
     @cached_property
     def second_derivative(self) -> np.ndarray:
         """Per-coordinate second-derivative coefficients, shape (D, max(C - 2, 1))."""
-        return _read_only(np.array([npoly.polyder(row, 2) for row in self.coeffs]))
+        return _read_only(derivative(self.coeffs, 2))
 
     @property
     def dim(self) -> int:
@@ -148,50 +215,10 @@ class SeparablePolynomial:
         """Per-coordinate second derivatives (the Hessian diagonal) at x."""
         return horner(self.second_derivative, np.asarray(x, dtype=float))
 
-    def critical_points_overflow(self) -> bool:
-        """Whether ``_interval_candidates`` cannot locate the critical points
-        of the first or second derivative, so the box sups and floors (the
-        constants and the convexity check) cannot be computed:
-        ``npoly.polyroots`` divides a derivative's coefficients by its
-        leading one, and the quotient overflows when that one is too small
-        against the others (a subnormal one, say)."""
-        with np.errstate(over="ignore"):
-            for row in (*self.first_derivative, *self.second_derivative):
-                trimmed = np.trim_zeros(npoly.polyder(row), trim="b")
-                if trimmed.size >= 2 and not np.all(np.isfinite(trimmed[:-1] / trimmed[-1])):
-                    return True
-        return False
-
-    def gradient_sup_norm(self, lower, upper) -> float:
-        """Sup of the gradient 2-norm over an axis-aligned box."""
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        per_dim = [
-            max_abs_on_interval(der, lower[d], upper[d])
-            for d, der in enumerate(self.first_derivative)
-        ]
-        return float(np.sqrt(np.sum(np.square(per_dim))))
-
-    def curvature_sup(self, lower, upper) -> float:
-        """Sup of the Hessian operator norm over a box (Hessian is diagonal)."""
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        per_dim = [
-            max_abs_on_interval(der, lower[d], upper[d])
-            for d, der in enumerate(self.second_derivative)
-        ]
-        return float(np.max(per_dim)) if per_dim else 0.0
-
     def curvature_floor(self, lower, upper) -> float:
-        """Smallest per-coordinate second derivative over a box. Negative
-        values certify non-convexity somewhere on the box."""
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        per_dim = [
-            min_on_interval(der, lower[d], upper[d])
-            for d, der in enumerate(self.second_derivative)
-        ]
-        return float(np.min(per_dim)) if per_dim else 0.0
+        """Smallest second derivative over the box [lower, upper]; a negative
+        one certifies non-convexity somewhere on the box."""
+        return float(interval_extrema(self.second_derivative, lower, upper)[0].min())
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

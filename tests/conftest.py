@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import privopt as po
 from privopt.engine import decode_array, encode_array
@@ -21,6 +22,37 @@ INTERIOR_INIT = np.linspace(-1.0, 1.0, 5)[:, None]
 
 def quartic_objectives():
     return [po.PolynomialObjective(c) for c in QUARTIC_COEFFS]
+
+
+def reference_candidates(row, lo: float, hi: float) -> np.ndarray:
+    """The per-row rule that ``polynomials.interval_candidates`` batches: the
+    ends, the real roots of p' inside [lo, hi], and a 65-point grid."""
+    pts = [lo, hi]
+    der = npoly.polyder(row)
+    if np.count_nonzero(der) > 0:
+        trimmed = np.trim_zeros(der, trim="b")
+        if trimmed.size >= 2:
+            scale = max(1.0, abs(lo), abs(hi))
+            pts += [float(r.real) for r in npoly.polyroots(trimmed)
+                    if abs(r.imag) < 1e-9 * scale and lo <= r.real <= hi]
+    return np.asarray(pts + list(np.linspace(lo, hi, 65)))
+
+
+def reference_extrema(row, lo: float, hi: float) -> tuple[float, float]:
+    """(min p, max |p|) of one polynomial over [lo, hi]: ``polyval`` at the
+    ``reference_candidates``."""
+    values = npoly.polyval(reference_candidates(row, lo, hi), row)
+    return float(np.min(values)), float(np.max(np.abs(values)))
+
+
+def reference_sups(coeffs, lower, upper) -> tuple[float, float]:
+    """Gradient sup-norm and curvature sup of a (D, C) separable polynomial
+    over a box, from ``reference_extrema`` of each coordinate's derivatives."""
+    grad = [reference_extrema(npoly.polyder(row), lo, hi)[1]
+            for row, lo, hi in zip(coeffs, lower, upper)]
+    curv = [reference_extrema(npoly.polyder(row, 2), lo, hi)[1]
+            for row, lo, hi in zip(coeffs, lower, upper)]
+    return float(np.sqrt(np.sum(np.square(grad)))), float(np.max(curv))
 
 
 def random_connected_topology(rng, n):

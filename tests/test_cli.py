@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import privopt as po
+import privopt.cli as cli_module
 from privopt.cli import main
 from privopt.engine import ExecutionTrace
 
@@ -292,6 +293,71 @@ class TestAudit:
         assert main(["audit", str(out / "run_trace.json"), "--checks", "theorem3"]) == 2
 
 
+class TestAuditOracle:
+    """``audit`` solves the centralized oracle only for the checks that read
+    the optimum, lemma2 and theorem3."""
+
+    # the report of the checks below, as the code that always solved the
+    # oracle wrote it
+    REPORT = "c0c0f0ccee8a3b4ef6a6cf35a5dbc619792572b26adbac4b5390fe67d588da9e"
+
+    def test_other_checks_never_solve_it(self, tmp_path, run_cfg, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["run", "--config", run_cfg, "--out-dir", str(out)]) == 0
+        trace = str(out / "run_trace.json")
+        calls = []
+        solve = cli_module.solve_centralized
+        monkeypatch.setattr(cli_module, "solve_centralized",
+                            lambda problem: calls.append(problem) or solve(problem))
+        report = str(tmp_path / "audit.json")
+        assert main(["audit", trace, "--checks", "invariants,lemma1,consensus",
+                     "--consensus-threshold", "0.02", "--out", report]) == 0
+        assert calls == []
+        assert _body_digest(report, str(tmp_path)) == self.REPORT
+        for checks in ("lemma2", "theorem3"):
+            main(["audit", trace, "--checks", checks])
+        assert len(calls) == 2
+
+
+class TestTraceProblem:
+    """A trace's problem must have the trace's agents and dimension; an edited
+    one is a trace error (exit 2), not a runtime error of a later check."""
+
+    @pytest.mark.parametrize("command", ["audit", "privacy"])
+    def test_problem_of_another_dimension_exits_2(self, tmp_path, run_cfg, command, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", run_cfg, "--out-dir", str(out)]) == 0
+        trace = str(out / "run_trace.json")
+        doc = json.load(open(trace))
+        doc["problem"]["objectives"] = [{"kind": "polynomial", "coeffs": [[0, 0, 1]] * 2}] * 5
+        doc["problem"]["feasible"] = {"lower": [-30, -30], "upper": [30, 30]}
+        write(trace, doc)
+        alts = write(tmp_path / "alts.json", {"0": [0, 0, 1]})
+        argv = {"audit": ["audit", trace],
+                "privacy": ["privacy", trace, "--coalition", "1", "--target", "0",
+                            "--alt-objectives", alts]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert ("trace error: problem has 5 agents of dimension 2, trace has 5 of dimension 1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["audit", "privacy"])
+    @pytest.mark.parametrize("value", ["abc", float("nan"), -1])
+    def test_fs_delta_coeff_must_be_finite_and_non_negative(self, fs_artifacts, command, value,
+                                                             capsys):
+        trace, alts, _ = fs_artifacts
+        doc = json.load(open(trace))
+        doc["extras"]["delta_coeff"] = value
+        write(trace, doc)
+        argv = {"audit": ["audit", trace, "--checks", "invariants"],
+                "privacy": ["privacy", trace, "--coalition", "3,4", "--target", "0",
+                            "--alt-objectives", alts]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert ("trace error: extras.delta_coeff must be a finite non-negative number"
+                in capsys.readouterr().err)
+
+
 # Malformed traces whose digest still matches (the noise is not digested):
 # (key of the array, edit of the array)
 MALFORMED = {
@@ -567,6 +633,17 @@ class TestUnlocatableCriticalPoints:
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert "config error: agent 2: " in capsys.readouterr().err
 
+    def test_third_derivative_roots_are_refused_by_name(self, tmp_path, capsys):
+        """The convexity check locates the roots of the third derivative,
+        here 24x + 6e-309 x^2, whose quotient overflows."""
+        doc = quartic_config(objectives=[{"kind": "polynomial", "coeffs": c} for c in
+                                         ([0, 0, 1], [0, 0, 1], [0, 0, 1],
+                                          [0, 0, 1, 0, 1, 1e-310], [0, 0, 1])])
+        assert main(["run", "--config", write(tmp_path / "c.json", doc),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "config error: agent 3: polynomial [[0.0, 0.0, 1.0, 0.0, 1.0, 1e-310]]" in (
+            capsys.readouterr().err)
+
     def test_audit_exits_2(self, tmp_path, run_cfg, capsys):
         out = tmp_path / "out"
         assert main(["run", "--config", run_cfg, "--out-dir", str(out)]) == 0
@@ -577,6 +654,15 @@ class TestUnlocatableCriticalPoints:
         capsys.readouterr()
         assert main(["audit", trace]) == 2
         assert "trace error: problem: ValueError: agent 1: " in capsys.readouterr().err
+
+
+def test_nonconvex_objective_names_its_agent(tmp_path, capsys):
+    objectives = [{"kind": "polynomial", "coeffs": c} for c in
+                  ([0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1, 0, -0.5], [0, 0, -1])]
+    cfg = write(tmp_path / "c.json", quartic_config(objectives=objectives))
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert ("config error: agent 3: polynomial objective is non-convex on the feasible set"
+            in capsys.readouterr().err)
 
 
 class TestBounds:

@@ -6,9 +6,9 @@ import privopt as po
 import privopt.noise as noise
 from privopt.noise import (FsObjectiveError, RandomStreams, draw_noise_functions,
                            noise_gradient_bounds, noise_offsets, obfuscate)
-from privopt.polynomials import SeparablePolynomial, pad_coeffs
+from privopt.polynomials import derivative_sups, pad_coeffs
 
-from conftest import quartic_objectives, random_connected_topology
+from conftest import quartic_objectives, random_connected_topology, reference_sups
 
 
 @pytest.fixture
@@ -280,23 +280,23 @@ class TestNoiseFunctions:
     def test_gradient_bounds_finite(self, cycle5, streams):
         fns = draw_noise_functions(cycle5, 0.5, 8, streams)
         for coeffs in fns:
-            assert np.isfinite(SeparablePolynomial(coeffs).gradient_sup_norm([-30.0], [30.0]))
+            assert np.isfinite(derivative_sups(coeffs, [-30.0], [30.0])).all()
         grad, curv = noise_gradient_bounds(fns, cycle5, [-30.0], [30.0])
         assert grad > 0.0 and curv > 0.0 and np.isfinite(grad) and np.isfinite(curv)
 
     @pytest.mark.parametrize("family,n,dim", [("cycle", 5, 1), ("star", 6, 2), ("petersen", 10, 1)])
     def test_gradient_bounds_sum_each_agents_functions_in_edge_order(self, family, n, dim):
         """Bit for bit what summing every function's bounds once per endpoint
-        gives, agent by agent in edge order."""
+        gives, agent by agent in edge order, each bound by the per-row rule."""
         topology = po.Topology.family(family, n)
         fns = draw_noise_functions(topology, 0.75, 6, RandomStreams(n), dim)
         lower, upper = [-3.0] * dim, [2.0] * dim
         incident = {}
         for e, ends in enumerate(zip(*[a.tolist() for a in topology.sender_edges])):
             for agent in ends:
-                incident.setdefault(agent, []).append(SeparablePolynomial(fns[e]))
-        grad = max(sum(p.gradient_sup_norm(lower, upper) for p in ps) for ps in incident.values())
-        curv = max(sum(p.curvature_sup(lower, upper) for p in ps) for ps in incident.values())
+                incident.setdefault(agent, []).append(reference_sups(fns[e], lower, upper))
+        grad = max(sum(s[0] for s in sups) for sups in incident.values())
+        curv = max(sum(s[1] for s in sups) for sups in incident.values())
         assert noise_gradient_bounds(fns, topology, lower, upper) == (grad, curv)
 
     def test_coefficient_magnitude(self, cycle5, streams):

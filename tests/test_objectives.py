@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 import privopt as po
 from privopt.objectives import (ConvexityError, DimensionMismatchError,
@@ -267,7 +273,7 @@ class TestProblemTotals:
 
     @pytest.mark.parametrize("case", ["quadratic-d1", "logistic-d1"])
     def test_fallback_values_are_batch_independent(self, case):
-        """The oracle evaluates both ternary-search probes in one call."""
+        """A batch of two points gives each point's own value."""
         rng = np.random.default_rng(4)
         objectives = (_spd_quadratics(rng, 6, 1) if case == "quadratic-d1"
                       else [po.LogisticObjective(s, dim=1) for s in range(4)])
@@ -387,12 +393,80 @@ class TestSolveCentralized:
         grid = np.linspace(-1, 1, 20001)[:, None]
         assert f_star <= float(problem.total_value(grid).min()) + 1e-9
 
+    def test_quartic_family_optimum_is_exact(self, quartic_problem):
+        """The summed quartic's critical point 0 is the optimum, bit for bit."""
+        x_star, f_star = solve_centralized(quartic_problem)
+        assert x_star.tobytes() == np.zeros(1).tobytes()
+        assert f_star == 0.0 and not np.signbit(f_star)
+
+    def test_reaches_the_closed_form_minimum(self):
+        """Two agents of x^4/4 + x^2/2 - 5x/8 on [-2, 1]: the summed
+        derivative 2x^3 + 2x - 5/4 has the one real root 1/2, so f* is
+        2 f(1/2) = -0.34375 exactly, which the descent alone misses by an ulp."""
+        objective = po.PolynomialObjective([0.0, -0.625, 0.5, 0.0, 0.25])
+        problem = po.GlobalProblem(objectives=[objective] * 2, feasible=po.Box([-2.0], [1.0]))
+        x_star, f_star = solve_centralized(problem)
+        assert f_star == -0.34375
+        assert x_star[0] == pytest.approx(0.5, abs=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_at_or_below_the_grid_minimum(self, dim, n, seed):
+        """On random convex separable polynomials (a (x - s)^2 + b (x - t)^4
+        + c x per coordinate) the optimum is at or below the best point of a
+        4097-point grid along each coordinate, where a grid search starts."""
+        rng = np.random.default_rng(seed)
+
+        def convex_row():
+            a, b = rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.0)
+            s, t, c = rng.uniform(-3.0, 3.0, size=3)
+            row = npoly.polyadd(npoly.polyadd(a * npoly.polypow([-s, 1.0], 2),
+                                              b * npoly.polypow([-t, 1.0], 4)), [0.0, c])
+            return np.pad(row, (0, 5 - row.size))
+
+        objectives = [po.PolynomialObjective([convex_row() for _ in range(dim)])
+                      for _ in range(n)]
+        lower = rng.uniform(-4.0, 0.0, size=dim)
+        problem = po.GlobalProblem(objectives=objectives,
+                                   feasible=po.Box(lower, lower + rng.uniform(0.5, 6.0, size=dim)))
+        _, f_star = solve_centralized(problem)
+        best = problem.feasible.midpoint()
+        for d in range(dim):
+            grid = np.linspace(problem.feasible.lower[d], problem.feasible.upper[d], 4097)
+            points = np.tile(problem.feasible.midpoint(), (grid.size, 1))
+            points[:, d] = grid
+            best[d] = grid[np.argmin(problem.total_value(points))]
+        assert f_star <= float(problem.total_value(best))
+
     def test_multivariate_quadratic(self):
         problem = po.GlobalProblem(
             objectives=[po.QuadraticObjective([[2.0, 0.0], [0.0, 4.0]], [-2.0, -4.0])],
             feasible=po.Box([-5.0, -5.0], [5.0, 5.0]))
         x_star, _ = solve_centralized(problem)
         np.testing.assert_allclose(x_star, [1.0, 1.0], atol=1e-6)
+
+
+def test_shipped_configs_never_import_numpy_ma():
+    """``np.unique`` imports ``numpy.ma`` on its first call, about 14 ms of a
+    fresh process: building the shipped configs, with their constants, noise
+    bounds and optima, must not reach it."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "import privopt as po\n"
+            "from privopt.configs import RunConfig, execute\n"
+            "for path in sys.argv[1:]:\n"
+            "    config = RunConfig.from_file(path)\n"
+            "    config.max_iter = 5\n"
+            "    execute(config)\n"
+            "    problem = config.build_problem()\n"
+            "    problem.constants()\n"
+            "    po.solve_centralized(problem)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    configs = sorted(str(p) for p in (root / "configs").glob("*_run.json"))
+    assert len(configs) == 2
+    done = subprocess.run([sys.executable, "-c", code, *configs], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestEstimateConstants:

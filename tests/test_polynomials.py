@@ -4,8 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from numpy.polynomial import polynomial as npoly
 
-from privopt.polynomials import (SeparablePolynomial, as_coeff_matrix, horner,
-                                 max_abs_on_interval, pad_coeffs)
+from privopt.polynomials import (SeparablePolynomial, as_coeff_matrix, derivative,
+                                 derivative_sups, horner, interval_candidates, interval_extrema,
+                                 pad_coeffs)
+
+from conftest import reference_candidates, reference_extrema, reference_sups
 
 
 def test_value_matches_manual_evaluation():
@@ -42,17 +45,46 @@ def test_degree_ignores_trailing_zeros():
     assert SeparablePolynomial([[0, 0, 1, 0]]).degree == 2
 
 
-def test_max_abs_on_interval_hits_interior_extremum():
+def test_interval_extrema_hits_interior_extremum():
     # p(x) = x - x^3 has critical points at +-1/sqrt(3)
-    coeffs = np.array([0.0, 1.0, 0.0, -1.0])
+    coeffs = np.array([[0.0, 1.0, 0.0, -1.0]])
     expected = 2.0 / (3.0 * np.sqrt(3.0))
-    assert max_abs_on_interval(coeffs, -0.9, 0.9) == pytest.approx(expected, rel=1e-12)
+    minimum, sup = interval_extrema(coeffs, -0.9, 0.9)
+    assert sup[0] == pytest.approx(expected, rel=1e-12)
+    assert minimum[0] == pytest.approx(-expected, rel=1e-12)
+
+
+def test_interval_extrema_at_the_ends():
+    # p(x) = x on [-2, 1] and x^2 - x on [2, 3]: monotone, extrema at the ends
+    minimum, sup = interval_extrema(np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0]]),
+                                    [-2.0, 2.0], [1.0, 3.0])
+    np.testing.assert_array_equal(minimum, [-2.0, 2.0])
+    np.testing.assert_array_equal(sup, [2.0, 6.0])
+
+
+def test_candidate_grid_is_numpys_linspace():
+    """Per-row grids, bit for bit, also where the step underflows to 0 and
+    ``np.linspace`` scales i / 64 instead (the second row)."""
+    lo = np.array([-2.0, 0.0, 0.0, 3.0, -1e-300])
+    hi = np.array([1.5, 1e-322, 0.0, 3.0 + 2.0 ** -40, 1e-300])
+    grids = interval_candidates(np.ones((5, 3)), lo, hi)[:, -65:]
+    for grid, a, b in zip(grids, lo, hi):
+        assert grid.tobytes() == np.linspace(a, b, 65).tobytes()
+
+
+def test_complex_critical_points_are_no_candidates():
+    """p' = (x - 1/4)^2 + 1e-14 has the roots 1/4 +- 1e-7 i, whose imaginary
+    part is above the 1e-9 tolerance: only the ends and the grid remain."""
+    p = npoly.polyint(np.array([0.0625 + 1e-14, -0.5, 1.0]))
+    points = interval_candidates(p[None], np.array([0.0]), np.array([0.9]))[0]
+    assert set(points.tolist()) == set(np.linspace(0.0, 0.9, 65).tolist())
+    assert set(points.tolist()) == set(reference_candidates(p, 0.0, 0.9).tolist())
 
 
 def test_gradient_sup_norm_exact_on_quartic():
-    p = SeparablePolynomial([0, 0, 0, 0, 1.0])  # x^4
-    assert p.gradient_sup_norm([-1.0], [1.0]) == pytest.approx(4.0)
-    assert p.curvature_sup([-1.0], [1.0]) == pytest.approx(12.0)
+    grad, curv = derivative_sups(np.array([[0, 0, 0, 0, 1.0]]), [-1.0], [1.0])  # x^4
+    assert grad == pytest.approx(4.0)
+    assert curv == pytest.approx(12.0)
 
 
 def test_curvature_floor_detects_nonconvexity():
@@ -105,3 +137,56 @@ def test_horner_with_high_padding_is_bit_identical_to_polyval(top):
         got = horner(np.concatenate([row, np.zeros(pad)]), x)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
         np.testing.assert_array_equal(got, expected)
+
+
+def _random_rows(rng, rows: int, width: int, kind: int) -> np.ndarray:
+    """Polynomial rows of one of four kinds: uniform coefficients, small
+    integers (exact critical points), sparse ones, and quarter steps with zero
+    rows and negative zeros."""
+    if kind == 0:
+        return rng.uniform(-3.0, 3.0, size=(rows, width))
+    if kind == 1:
+        return rng.integers(-3, 4, size=(rows, width)).astype(float)
+    coeffs = np.round(rng.normal(0.0, 2.0, size=(rows, width)) * 4) / 4
+    coeffs[rng.random((rows, width)) < 0.4] = 0.0
+    if kind == 3:
+        coeffs[rng.random(rows) < 0.3] = 0.0
+        coeffs[rng.random((rows, width)) < 0.3] *= -0.0
+    return coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 8), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_interval_extrema_match_the_per_row_rule(width, rows, kind, seed):
+    """The batched kernel and ``derivative`` against the per-row rule
+    (``npoly.polyder``, ``polyroots`` and ``polyval`` row by row), on rows of
+    widths 1-9 over per-row intervals, some of them a single point, and on
+    D=2 separable polynomials. The candidate points (as sets of bit
+    patterns), max |p| and the derivatives agree bit for bit, the minimum as
+    a number: the sign of a zero minimum follows the order in which numpy's
+    reduction meets +0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    coeffs = _random_rows(rng, rows, width, kind)
+    lo = rng.uniform(-4.0, 1.0, size=rows)
+    hi = lo + np.where(rng.random(rows) < 0.15, 0.0, rng.uniform(0.0, 5.0, size=rows))
+    minimum, sup = interval_extrema(coeffs, lo, hi)
+    points = interval_candidates(coeffs, lo, hi)
+    for i in range(rows):
+        ref_min, ref_sup = reference_extrema(coeffs[i], lo[i], hi[i])
+        assert sup[i].tobytes() == np.float64(ref_sup).tobytes()
+        assert minimum[i] == ref_min
+        expected = reference_candidates(coeffs[i], lo[i], hi[i])
+        assert set(points[i].view(np.uint64).tolist()) == set(expected.view(np.uint64).tolist())
+    for order in (1, 2, 3):
+        expected = np.array([npoly.polyder(row, order) for row in coeffs])
+        got = derivative(coeffs, order)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    pairs = coeffs[: rows - rows % 2].reshape(-1, 2, width)
+    for pair, pair_lo, pair_hi in zip(pairs, lo[::2], hi[::2]):
+        lower, upper = np.array([pair_lo, -1.0]), np.array([pair_hi, 2.0])
+        p = SeparablePolynomial(pair)
+        sups = tuple(map(float, derivative_sups(pair, lower, upper)))
+        assert sups == reference_sups(pair, lower, upper)
+        floor = min(reference_extrema(npoly.polyder(row, 2), a, b)[0]
+                    for row, a, b in zip(pair, lower, upper))
+        assert p.curvature_floor(lower, upper) == floor
