@@ -51,11 +51,8 @@ def bound_params(topology: Topology, weights: FusionMatrix, problem: GlobalProbl
 
 def effective_bounds(trace: ExecutionTrace, problem: GlobalProblem) -> BoundParams:
     """Bound constants appropriate for a trace: function-sharing runs use the
-    recorded obfuscated-gradient bounds and carry no state perturbation. For a
-    per-round matrix provider the smallest positive weight over the whole
-    series drives the contraction constants."""
-    series = trace.weights if trace.weights_series is None else trace.weights_series
-    weights = FusionMatrix(trace.topology, series)
+    recorded obfuscated-gradient bounds and carry no state perturbation."""
+    weights = FusionMatrix(trace.topology, trace.weights)
     if trace.algorithm == "fs":
         return bound_params(trace.topology, weights, problem, delta=0.0,
                             grad_bound=trace.extras.get("obf_grad_bound"),
@@ -397,8 +394,8 @@ def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
     box = problem.feasible
     slots = trace.topology.fuse_slots
 
-    weights = trace.weights_series if trace.weights_series is not None else trace.weights[None]
-    if (np.max(np.abs(weights.sum(axis=1) - 1.0)) > tol
+    weights = trace.weights
+    if (np.max(np.abs(weights.sum(axis=0) - 1.0)) > tol
             or np.max(np.abs(slots.column_sums(weights) - 1.0)) > tol):
         violations.append({"invariant": "doubly_stochastic"})
 
@@ -421,7 +418,7 @@ def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
     if trace.algorithm == "rss_lb" and trace.perturbations.size:
         # sum_i B[i, j] d[j, i] per sender j, over its contiguous edges
         senders = trace.topology.sender_edges[0]
-        terms = slots.edge_weights(weights)[..., None] * trace.perturbations
+        terms = slots.edge_weights(weights)[:, None] * trace.perturbations
         weighted = np.abs(np.add.reduceat(terms, np.searchsorted(senders, np.arange(n)), axis=1))
         if float(weighted.max()) > tol:
             violations.append({"invariant": "locally_balanced_sum", "max": float(weighted.max())})

@@ -89,7 +89,7 @@ def _metrics_table(trace: ExecutionTrace, problem: GlobalProblem, optimum,
     x_star, f_star = optimum
     metrics = compute_metrics(trace, problem, reference_point=x_star, optimum_value=f_star)
     if delta is None:
-        delta = trace.delta if trace.algorithm != "fs" else trace.extras.get("delta_coeff", 0.0)
+        delta = trace.delta if trace.algorithm != "fs" else trace.delta_coeff
     if seed is None:
         seed = trace.seed if trace.seed is not None else ""
     rows = metrics.round_index.size
@@ -118,9 +118,7 @@ def _cmd_run(args) -> int:
     table = _metrics_table(trace, problem, optimum)
     provenance = _provenance(config.canonical_dict(), config.seed)
     base = os.path.join(args.out_dir, config.output_basename)
-    trace_doc = trace.to_json_dict()
-    trace_doc["provenance"] = provenance
-    _atomic_write(base + "_trace.json", json.dumps(trace_doc) + "\n")
+    _atomic_write(base + "_trace.json", json.dumps(trace.to_json_dict()) + "\n")
     write_metrics_csv(base + "_metrics.csv", [table], provenance)
     print(f"wrote {base}_trace.json and {base}_metrics.csv "
           f"(final suboptimality {float(table['suboptimality'][-1]):.3e})")
@@ -182,10 +180,6 @@ def _cmd_audit(args) -> int:
         return 2
     trace = ExecutionTrace.load(args.trace)
     problem = trace.problem
-    try:
-        problem.check_critical_points()
-    except ValueError as exc:
-        raise TraceError(f"problem: {type(exc).__name__}: {exc}") from None
     # the centralized optimum, only for the checks that read it
     optimum = solve_centralized(problem) if {"lemma2", "theorem3"} & set(checks) else None
     bounds = effective_bounds(trace, problem) if {"lemma1", "lemma2"} & set(checks) else None
@@ -235,8 +229,7 @@ def _cmd_privacy(args) -> int:
         with open(args.alt_objectives) as fh:
             alt_doc = json.load(fh)
         alternatives = {int(k): np.asarray(v, dtype=float) for k, v in alt_doc.items()}
-        problem = GlobalProblem.from_spec(trace.problem_spec)
-        objectives = complete_alternative_objectives(problem, coalition, target,
+        objectives = complete_alternative_objectives(trace.problem, coalition, target,
                                                      alternatives, d_max=int(view.recipe["d_max"]))
     except (NonFsTraceError, TargetSetError, ConfigError, KeyError, OSError,
             json.JSONDecodeError, ValueError) as exc:

@@ -9,12 +9,26 @@ import numpy as np
 
 from .engine import (ALGORITHMS, ExecutionTrace, StepSchedule, run_dgd,
                      run_fs, run_rss_lb, run_rss_nb)
-from .graphs import FusionMatrix, GraphError, Topology, metropolis_weights
+from .graphs import FusionMatrix, Topology, metropolis_weights
 from .objectives import Box, GlobalProblem, objective_from_spec
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, name: str) -> float:
+    """A JSON number (not a bool) as a float; ConfigError otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
 _RUN_KEYS = {
@@ -69,14 +83,14 @@ class RunConfig:
             objectives=doc["objectives"],
             feasible=doc["feasible"],
             schedule=doc["schedule"],
-            max_iter=int(doc["max_iter"]),
-            delta=float(doc.get("delta", 0.0)),
-            delta_coeff=float(doc.get("delta_coeff", 0.0)),
-            d_max=int(doc.get("d_max", 8)),
-            seed=int(doc.get("seed", 0)),
-            record_every=int(doc.get("record_every", 1)),
+            max_iter=doc["max_iter"],
+            delta=_number(doc.get("delta", 0.0), "delta"),
+            delta_coeff=_number(doc.get("delta_coeff", 0.0), "delta_coeff"),
+            d_max=doc.get("d_max", 8),
+            seed=doc.get("seed", 0),
+            record_every=doc.get("record_every", 1),
             init=doc.get("init"),
-            metropolis_self_inclusive=bool(doc.get("metropolis_self_inclusive", False)),
+            metropolis_self_inclusive=doc.get("metropolis_self_inclusive", False),
             output_basename=str(doc.get("output_basename", "run")),
         )
         cfg.validate()
@@ -92,30 +106,32 @@ class RunConfig:
         return cls.from_dict(doc)
 
     def validate(self) -> None:
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
+        """Check every value, JSON types included (a bool is not a number),
+        then build the topology, the problem, the schedule and the initial
+        states; ConfigError for the first fault."""
+        for name, least in (("max_iter", 1), ("record_every", 1), ("d_max", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < least:
+                kind = "a positive" if least else "a non-negative"
+                raise ConfigError(f"{name} must be {kind} integer, got {value!r}")
         for name in ("delta", "delta_coeff"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
-        if self.d_max < 0:
-            raise ConfigError("d_max must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be at least 1")
-        try:
-            self.build_topology()
-            self.build_problem()
-            self.build_schedule()
-        except (GraphError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        if len(self.objectives) != int(self.topology_n()):
+        if not isinstance(self.metropolis_self_inclusive, bool):
+            raise ConfigError(f"metropolis_self_inclusive must be a JSON bool, "
+                              f"got {self.metropolis_self_inclusive!r}")
+        for name, build in (("topology", self.build_topology), ("problem", self.build_problem),
+                            ("schedule", self.build_schedule)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            except (AttributeError, KeyError, TypeError) as exc:  # a spec of the wrong form
+                raise ConfigError(f"{name}: {type(exc).__name__}: {exc}") from exc
+        if len(self.objectives) != self.build_topology().n:
             raise ConfigError("one objective per agent is required")
         self.build_init(self.build_problem())
-
-    def topology_n(self) -> int:
-        return int(self.topology["n"])
 
     def build_topology(self) -> Topology:
         if "topology" not in self._built:
@@ -221,14 +237,20 @@ class SweepConfig:
             raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
         if "base" not in doc or "grid" not in doc:
             raise ConfigError("sweep config requires 'base' and 'grid'")
-        grid = doc["grid"]
+        grid, base = doc["grid"], doc["base"]
+        if not (isinstance(base, dict) and isinstance(grid, dict)
+                and all(isinstance(v, list) for v in grid.values())):
+            raise ConfigError("sweep 'base' must be a JSON object and 'grid' an object of lists")
         unknown_grid = set(grid) - _GRID_KEYS
         if unknown_grid:
             raise ConfigError(f"unknown grid keys: {sorted(unknown_grid)}")
-        base = dict(doc["base"])
+        base = dict(base)
         algorithms = [str(a).lower() for a in grid.get("algorithm", [base.get("algorithm", "dgd")])]
-        deltas = [float(d) for d in grid.get("delta", [base.get("delta", 0.0)])]
-        seeds = [int(s) for s in grid.get("seed", [base.get("seed", 0)])]
+        deltas = [_number(d, "grid delta") for d in grid.get("delta", [base.get("delta", 0.0)])]
+        seeds = grid.get("seed", [base.get("seed", 0)])
+        for seed in seeds:
+            if not _is_integer(seed):
+                raise ConfigError(f"grid seed must be a JSON integer, got {seed!r}")
         return cls(base=base, algorithms=algorithms, deltas=deltas, seeds=seeds)
 
     @classmethod

@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import FusionMatrix, GraphError, Topology, metropolis_weights
-from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
-                    draw_noise_functions, nb_perturbation,
+from .noise import (FsObjectiveError, RandomStreams, draw_lb_perturbation,
+                    draw_nb_shares, draw_noise_functions, nb_perturbation,
                     noise_gradient_bounds, obfuscate)
 from .objectives import Box, GlobalProblem
 
@@ -36,7 +36,10 @@ from .objectives import Box, GlobalProblem
 # array (rss_nb shares, rss_lb perturbations, fs noise functions); the rounds,
 # the steps, rss_nb perturbations and fs obfuscated objectives are derived
 # (same dynamics as version 4).
-TRACE_VERSION = 5
+# Version 6: the header is the run's canonical RunConfig dict, validated on
+# load as a config file is, with the initial states in it; no per-round
+# weights (same dynamics as version 5).
+TRACE_VERSION = 6
 
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb", "fs")
 
@@ -52,11 +55,11 @@ class ScheduleError(ValueError):
 
 
 class TraceError(ValueError):
-    """A trace file has an unsupported version, a missing or malformed header
-    value, an array that is not encoded as ``encode_array`` writes it or has
-    the wrong shape, fusion weights that are not doubly stochastic, rounds or
-    steps that its schedule does not give, or a state digest that does not
-    match."""
+    """A trace file has an unsupported version, missing or unknown keys, a
+    config that is not a valid run config, an array that is not encoded as
+    ``encode_array`` writes it or does not fit the config, fusion weights
+    that are not doubly stochastic, malformed fs extras, or a state digest
+    that does not match."""
 
 
 class NonFiniteError(ValueError):
@@ -242,48 +245,79 @@ def decode_array(value, name: str, *shape: int) -> np.ndarray:
     return out
 
 
-def _numbers(value, name: str, *shape: int) -> np.ndarray:
-    """A JSON number, or nested lists of numbers, of the given shape and
-    finite; ``TraceError`` naming ``name`` otherwise."""
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise TraceError(f"{name} is not a numeric array: {exc}") from None
-    if out.shape != shape:
-        raise TraceError(f"{name} has shape {out.shape}, expected {shape}")
-    if not np.isfinite(out).all():
-        raise TraceError(f"{name} holds a non-finite value")
-    return out
+# The keys of a trace document, and the extras of an fs trace: the two bounds
+# on the obfuscated gradients that the audits read.
+DOCUMENT_KEYS = frozenset({"version", "config", "weights", "noise", "states", "final_states",
+                           "extras", "digest"})
+FS_EXTRAS = ("obf_grad_bound", "obf_smoothness_bound")
 
 
 @dataclass
 class ExecutionTrace:
-    """Record of one run: what it drew or chose, the states (R, n, D) of the
-    recorded rounds and, when a per-round provider ran, the weights of those
-    rounds. Everything else is derived on first use, through the code the run
-    uses, so it matches the values the run used bit for bit: the rounds, the
-    steps, the perturbations, the fs obfuscated objectives, and the messages
-    and fused quantities of the engine's slot fuse."""
+    """Record of one run: its config, what it drew or chose, and the states
+    (R, n, D) of the recorded rounds.
 
-    algorithm: str
+    ``config`` is the canonical ``RunConfig`` dict of the run's arguments.
+    The topology, the problem (fs: before obfuscation), the schedule and the
+    initial states are the objects built from it, by the run or, for a
+    loaded trace, through ``RunConfig``. Everything else is derived on first
+    use, through the code the run uses, so it matches the values the run
+    used bit for bit: the rounds, the steps, the perturbations, the fs
+    obfuscated objectives, and the messages and fused quantities of the
+    engine's slot fuse."""
+
+    config: dict
     topology: Topology
-    weights: np.ndarray          # (K, n) slot weights on ``topology.fuse_slots``
+    problem: GlobalProblem
     schedule: StepSchedule
-    delta: float
-    seed: int | None
-    max_iter: int
-    record_every: int
-    init: np.ndarray
+    weights: np.ndarray          # (K, n) slot weights on ``topology.fuse_slots``
+    init: np.ndarray             # (n, D)
     states: np.ndarray           # (R, n, D)
     final_states: np.ndarray     # (n, D)
-    problem_spec: dict
     # the run's random draw, rows of E in ``topology.sender_edges`` order:
     # rss_nb shares and rss_lb perturbations (R, E, D), fs noise functions
     # (E, D, d_max + 1); None for dgd
     noise: np.ndarray | None = None
-    weights_series: np.ndarray | None = None  # (R, K, n) when a per-round provider ran
-    extras: dict = field(default_factory=dict)
+    extras: dict = field(default_factory=dict)  # fs: the ``FS_EXTRAS`` bounds
     version: int = TRACE_VERSION
+    # Not a field: a run has one (K, n) weights array. The benchmark's
+    # perfbench/spans.py ``_trace_nbytes`` still reads this name.
+    weights_series = None
+
+    @property
+    def algorithm(self) -> str:
+        return self.config["algorithm"]
+
+    @property
+    def max_iter(self) -> int:
+        return self.config["max_iter"]
+
+    @property
+    def record_every(self) -> int:
+        return self.config["record_every"]
+
+    @property
+    def seed(self) -> int | None:
+        """The noise seed; None for dgd, which draws nothing."""
+        return None if self.algorithm == "dgd" else self.config["seed"]
+
+    @property
+    def delta(self) -> float:
+        """The bound on the state perturbations; 0.0 for dgd and fs, which
+        perturb no state."""
+        return self.config["delta"] if self.algorithm in ("rss_nb", "rss_lb") else 0.0
+
+    @property
+    def delta_coeff(self) -> float:
+        return self.config["delta_coeff"]
+
+    @property
+    def d_max(self) -> int:
+        return self.config["d_max"]
+
+    @property
+    def problem_spec(self) -> dict:
+        return {"objectives": self.config["objectives"], "feasible": self.config["feasible"]}
 
     @cached_property
     def round_index(self) -> np.ndarray:
@@ -309,11 +343,6 @@ class ExecutionTrace:
         if self.algorithm == "rss_nb":
             return _read_only(nb_perturbation(self.noise, self.topology))
         return _read_only(np.zeros((self.round_index.size, self.n, self.dim)))
-
-    @cached_property
-    def problem(self) -> GlobalProblem:
-        """The run's problem, without the convexity check."""
-        return GlobalProblem.from_spec(self.problem_spec, validate_convexity=False)
 
     @cached_property
     def obfuscated(self) -> np.ndarray | None:
@@ -344,8 +373,7 @@ class ExecutionTrace:
 
     def _fuse_rounds(self, slot_messages: np.ndarray) -> np.ndarray:
         """``_slot_fuse`` of every recorded round's (R, K, n, D) slot messages."""
-        weights = self.weights if self.weights_series is None else self.weights_series
-        return _read_only(_slot_fuse(weights, slot_messages))
+        return _read_only(_slot_fuse(self.weights, slot_messages))
 
     def _slot_noise(self) -> np.ndarray:
         """(R, K, n, D) noise as each slot's sender adds it; zero in the self
@@ -397,31 +425,15 @@ class ExecutionTrace:
         return idx, arr
 
     def to_json_dict(self) -> dict:
-        """The trace document: the stored arrays as ``encode_array`` objects
-        (null when absent), the fusion weights per slot ((K, n), or (R, K, n)
-        for a provider run), and no derived array."""
-        def encoded(a):
-            return None if a is None else encode_array(a)
-
+        """The trace document: the config, the stored arrays as
+        ``encode_array`` objects (the noise null for dgd), the fs extras and
+        the state digest; no derived array."""
         return {
             "version": self.version,
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "dim": self.dim,
-            "seed": self.seed,
-            "delta": self.delta,
-            "max_iter": self.max_iter,
-            "record_every": self.record_every,
-            "schedule": self.schedule.to_spec(),
-            "topology": self.topology.to_spec(),
+            "config": self.config,
             "weights": encode_array(self.weights),
-            "init": encode_array(self.init),
-            "problem": self.problem_spec,
-            "noise": encoded(self.noise),
-            "rounds": {
-                "states": encode_array(self.states),
-                "weights_series": encoded(self.weights_series),
-            },
+            "noise": None if self.noise is None else encode_array(self.noise),
+            "states": encode_array(self.states),
             "final_states": encode_array(self.final_states),
             "extras": self.extras,
             "digest": self.state_digest(),
@@ -433,115 +445,75 @@ class ExecutionTrace:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExecutionTrace":
-        """Rebuild a trace, checking the header's keys and counts, every
-        array's encoding, shape and finiteness, the fusion weights, the noise
-        bound and function-sharing extras, the state digest, that the problem
-        has the trace's agents and dimension and, for fs, that its objectives
-        can be obfuscated; any mismatch raises ``TraceError``."""
+        """Rebuild a trace. Its config is validated as a run config is,
+        through ``RunConfig``; every array is then checked against the
+        config's agents, dimension, edges, recorded rounds and noise degree,
+        for encoding, shape and finiteness; the fusion weights as
+        ``FusionMatrix`` checks them; the fs extras; the state digest; and,
+        for fs, that the objectives can be obfuscated. Any mismatch, a config
+        error included, raises ``TraceError``."""
+        from .configs import ConfigError, RunConfig
+
         if not isinstance(doc, dict):
             raise TraceError("a trace document must be a JSON object")
         if doc.get("version") != TRACE_VERSION:
             raise TraceError(f"unsupported trace version: {doc.get('version')!r}")
-
-        def required(key: str):
-            if key not in doc:
-                raise TraceError(f"missing key: {key}")
-            return doc[key]
-
-        def count(key: str) -> int:
-            value = required(key)
-            if type(value) is not int or value < 1:
-                raise TraceError(f"{key} must be a positive integer, got {value!r}")
-            return value
-
-        def mapping(key: str) -> dict:
-            value = required(key)
-            if not isinstance(value, dict):
-                raise TraceError(f"{key} must be a JSON object, got {type(value).__name__}")
-            return value
-
-        algorithm = required("algorithm")
-        if algorithm not in ALGORITHMS:
-            raise TraceError(f"unknown algorithm: {algorithm!r}")
-        seed = required("seed")
-        if seed is not None and (type(seed) is not int or seed < 0):
-            raise TraceError(f"seed must be null or a non-negative integer, got {seed!r}")
-        n, dim = count("n"), count("dim")
-        max_iter, record_every = count("max_iter"), count("record_every")
-        topology_spec, schedule_spec = required("topology"), required("schedule")
+        if set(doc) != DOCUMENT_KEYS:
+            raise TraceError(f"a trace document holds the keys {sorted(DOCUMENT_KEYS)}, "
+                             f"got {sorted(doc)}")
         try:
-            topology = Topology.from_spec(topology_spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"topology: {type(exc).__name__}: {exc}") from None
-        try:
-            schedule = StepSchedule.from_spec(schedule_spec)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise TraceError(f"schedule: {type(exc).__name__}: {exc}") from None
-        if topology.n != n:
-            raise TraceError(f"topology has {topology.n} agents, trace has {n}")
-        rounds, extras, problem_spec = mapping("rounds"), mapping("extras"), mapping("problem")
-        r_count = recorded_rounds(max_iter, record_every).size
+            config = RunConfig.from_dict(doc["config"])
+        except ConfigError as exc:
+            raise TraceError(f"config: {exc}") from None
+        topology, problem = config.build_topology(), config.build_problem()
+        n, dim, algorithm = topology.n, problem.dim, config.algorithm
+        r_count = recorded_rounds(config.max_iter, config.record_every).size
         edges = topology.sender_edges[0].size
-
-        def fusion(value, name: str, *rounds_shape: int) -> np.ndarray:
-            """Encoded (..., K, n) slot weights, checked as ``FusionMatrix`` checks them."""
-            weights = decode_array(value, name, *rounds_shape, *topology.fuse_slots.senders.shape)
-            try:
-                return FusionMatrix(topology, weights).weights
-            except GraphError as exc:
-                raise TraceError(f"{name}: {exc}") from None
-
-        delta = float(_numbers(doc.get("delta"), "delta"))
-        if delta < 0:
-            raise TraceError(f"delta must be non-negative, got {delta!r}")
+        states = decode_array(doc["states"], "states", r_count, n, dim)
+        final_states = decode_array(doc["final_states"], "final_states", n, dim)
         if algorithm == "dgd":
-            if doc.get("noise") is not None:
+            if doc["noise"] is not None:
                 raise TraceError("dgd draws no noise, so its trace stores none")
             noise = None
         elif algorithm == "fs":
-            noise = decode_array(doc.get("noise"), "noise", edges, dim,
-                                 _check_fs_extras(extras) + 1)
+            noise = decode_array(doc["noise"], "noise", edges, dim, config.d_max + 1)
         else:
-            noise = decode_array(doc.get("noise"), "noise", r_count, edges, dim)
-        weights_series = rounds.get("weights_series")
-        if weights_series is not None:
-            weights_series = fusion(weights_series, "rounds.weights_series", r_count)
+            noise = decode_array(doc["noise"], "noise", r_count, edges, dim)
+        try:
+            weights = FusionMatrix(topology, decode_array(doc["weights"], "weights",
+                                                          *topology.fuse_slots.senders.shape))
+        except GraphError as exc:
+            raise TraceError(f"weights: {exc}") from None
+        extras = doc["extras"]
+        keys = FS_EXTRAS if algorithm == "fs" else ()
+        if not (isinstance(extras, dict) and sorted(extras) == sorted(keys)
+                and all(type(v) in (int, float) and 0 <= v < math.inf for v in extras.values())):
+            raise TraceError(f"extras must map {list(keys)} to finite non-negative numbers, "
+                             f"got {extras!r}")
+        init = config.build_init(problem)
         trace = cls(
-            algorithm=algorithm,
+            config=config.canonical_dict(),
             topology=topology,
-            weights=fusion(doc.get("weights"), "weights"),
-            schedule=schedule,
-            delta=delta,
-            seed=seed,
-            max_iter=max_iter,
-            record_every=record_every,
-            init=decode_array(doc.get("init"), "init", n, dim),
-            states=decode_array(rounds.get("states"), "rounds.states", r_count, n, dim),
-            final_states=decode_array(doc.get("final_states"), "final_states", n, dim),
-            problem_spec=problem_spec,
+            problem=problem,
+            schedule=config.build_schedule(),
+            weights=weights.weights,
+            init=default_init(problem.feasible, n) if init is None else init,
+            states=states,
+            final_states=final_states,
             noise=noise,
-            weights_series=weights_series,
             extras=extras,
-            version=TRACE_VERSION,
         )
         digest = trace.state_digest()
-        if digest != doc.get("digest"):
+        if digest != doc["digest"]:
             raise TraceError(f"state digest {digest[:12]} does not match the stored "
-                             f"digest {str(doc.get('digest'))[:12]}")
+                             f"digest {str(doc['digest'])[:12]}")
         if algorithm == "fs":
             try:
                 obfuscated = trace.obfuscated
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except FsObjectiveError as exc:
                 raise TraceError(f"problem cannot be obfuscated: {type(exc).__name__}: {exc}") from None
             if not np.isfinite(obfuscated).all():
                 raise TraceError("the obfuscated objectives hold a non-finite value")
-        try:
-            problem = trace.problem
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"problem: {type(exc).__name__}: {exc}") from None
-        if (problem.n, problem.dim) != (n, dim):
-            raise TraceError(f"problem has {problem.n} agents of dimension {problem.dim}, "
-                             f"trace has {n} of dimension {dim}")
         return trace
 
     @classmethod
@@ -550,29 +522,12 @@ class ExecutionTrace:
             return cls.from_json_dict(json.load(fh))
 
 
-def _check_fs_extras(extras: dict) -> int:
-    """Check the function-sharing extras that the audits and the privacy
-    check read, finite bounds, the coefficient bound ``delta_coeff`` and the
-    noise degree ``d_max``; return ``d_max``."""
-    for key in ("obf_grad_bound", "obf_smoothness_bound"):
-        if extras.get(key) is not None:
-            _numbers(extras[key], f"extras.{key}")
-    delta_coeff = extras.get("delta_coeff")
-    if type(delta_coeff) not in (int, float) or not 0 <= delta_coeff < math.inf:
-        raise TraceError(f"extras.delta_coeff must be a finite non-negative number, "
-                         f"got {delta_coeff!r}")
-    d_max = extras.get("d_max")
-    if type(d_max) is not int or d_max < 0:
-        raise TraceError(f"extras.d_max must be a non-negative integer, got {d_max!r}")
-    return d_max
-
-
-def _resolve_weights(weights, k: int, topology: Topology) -> FusionMatrix:
-    """Round k's fusion weights: ``weights`` itself, or what a provider gives."""
-    matrix = weights(k) if callable(weights) else weights
-    if matrix.topology != topology:
-        raise GraphError(f"round {k}: the fusion weights are for another topology")
-    return matrix
+def _run_weights(weights: FusionMatrix | None, topology: Topology) -> FusionMatrix:
+    """``weights``, by default the Metropolis matrix, checked to be on ``topology``."""
+    weights = weights or metropolis_weights(topology)
+    if weights.topology != topology:
+        raise GraphError("the fusion weights are for another topology")
+    return weights
 
 
 def block_rounds(edges: int, dim: int) -> int:
@@ -582,70 +537,69 @@ def block_rounds(edges: int, dim: int) -> int:
     return max(MIN_BLOCK_ROUNDS, BLOCK_ENTRIES // max(edges * dim, 1))
 
 
-def _execute(problem: GlobalProblem, topology: Topology, weights,
+def _execute(problem: GlobalProblem, topology: Topology, weights: FusionMatrix | None,
              schedule: StepSchedule, max_iter: int, init: np.ndarray | None,
-             record_every: int, algorithm: str, delta: float, seed: int | None,
-             draw=None, problem_spec: dict | None = None, extras: dict | None = None,
-             noise: np.ndarray | None = None) -> ExecutionTrace:
-    """Run the rounds in blocks. Per block: the step sizes, the fusion weights
-    of every round (a provider is called once per round, in round order) and,
-    for rss, one ``draw(first, count, weights)`` of the block's noise, which
-    gives the (count, n, D) or (count, E, D) noise the messages carry and the
-    (count, E, D) draw the trace records; per round: gather, fuse, descend,
-    project and record. Without ``draw`` the messages carry no noise and the
-    trace records ``noise`` as it is (fs noise functions, or None). The
-    defaults are the Metropolis matrix and ``default_init``."""
+             record_every: int, algorithm: str, options: dict | None = None, draw=None,
+             noise: np.ndarray | None = None, descended: GlobalProblem | None = None,
+             extras: dict | None = None) -> ExecutionTrace:
+    """Run the rounds in blocks. Per block: the step sizes and, for rss, one
+    ``draw(first, count)`` of the block's noise, which gives the (count, n,
+    D) or (count, E, D) noise the messages carry and the (count, E, D) draw
+    the trace records; per round: gather, fuse, descend, project and record.
+    Without ``draw`` the messages carry no noise and the trace records
+    ``noise`` as it is (fs noise functions, or None). The agents descend on
+    ``descended`` (fs: the obfuscated objectives), by default ``problem``.
+    The defaults are the Metropolis matrix and ``default_init``.
+
+    The trace's config is the canonical ``RunConfig`` dict of the arguments:
+    ``options`` holds the algorithm's own values (delta, seed, delta_coeff,
+    d_max), and ``metropolis_self_inclusive`` says whether the weights are
+    the self-inclusive Metropolis matrix."""
+    from .configs import RunConfig
+
     n, dim = topology.n, problem.dim
     senders, slot_edges = topology.fuse_slots.senders, topology.fuse_slots.edges
-    weights = weights or metropolis_weights(topology)
-    varying = callable(weights)
-    first_matrix = _resolve_weights(weights, 1, topology)
-    init = default_init(problem.feasible, n) if init is None else init
-    x = np.array(init, dtype=float)
-    if x.shape != (n, dim):
+    self_inclusive = weights is not None and np.array_equal(
+        weights.weights, metropolis_weights(topology, self_inclusive_degree=True).weights)
+    weights = _run_weights(weights, topology)
+    initial = default_init(problem.feasible, n) if init is None else np.array(init, dtype=float)
+    if initial.shape != (n, dim):
         raise ValueError(f"init must have shape ({n}, {dim})")
-    if not problem.feasible.contains(x):
+    if not problem.feasible.contains(initial):
         raise ValueError("initial states must lie in the feasible set")
+    config = RunConfig(algorithm=algorithm, topology=topology.to_spec(), **problem.to_spec(),
+                       schedule=schedule.to_spec(), max_iter=max_iter, record_every=record_every,
+                       init=None if init is None else initial.tolist(),
+                       metropolis_self_inclusive=self_inclusive, **(options or {}))
+    stepped = problem if descended is None else descended
 
     edges = topology.sender_edges[0].size
     per_edge = algorithm == "rss_lb"
     keep = recorded_rounds(max_iter, record_every)
     keep_set = set(keep.tolist())
-    r_count = keep.size
     steps = schedule.steps(max_iter)
-    states_rec = np.zeros((r_count, n, dim))
+    states_rec = np.zeros((keep.size, n, dim))
     if draw is not None:
-        noise = np.zeros((r_count, edges, dim))
-    weights_series = np.zeros((r_count,) + first_matrix.weights.shape) if varying else None
+        noise = np.zeros((keep.size, edges, dim))
 
     block = block_rounds(edges, dim)
-    row = 0
+    x, row = initial, 0
     for start in range(1, max_iter + 1, block):
         count = min(block, max_iter + 1 - start)
-        ks = range(start, start + count)
         alphas = steps[start - 1:start - 1 + count]
-        if varying:
-            block_weights = np.stack([
-                (first_matrix if k == 1 else _resolve_weights(weights, k, topology)).weights
-                for k in ks])
-        else:
-            block_weights = first_matrix.weights
-        lo, hi = np.searchsorted(keep, (start, start + count))
-        taken = keep[lo:hi] - start
-        if weights_series is not None:
-            weights_series[lo:hi] = block_weights[taken]
         if draw is None:
             scaled = None
         else:
-            carried, drawn = draw(start, count, block_weights)
-            noise[lo:hi] = drawn[taken]
+            lo, hi = np.searchsorted(keep, (start, start + count))
+            carried, drawn = draw(start, count)
+            noise[lo:hi] = drawn[keep[lo:hi] - start]
             if per_edge:  # the noise times the step, and a row E, off the edges, of 0
                 scaled = np.zeros((count, edges + 1, dim))
                 np.multiply(alphas[:, None, None], carried, out=scaled[:, :-1])
             else:
                 scaled = alphas[:, None, None] * carried
             del carried, drawn  # no two blocks' noise is held at once: it bounds peak memory
-        for r, (k, alpha) in enumerate(zip(ks, alphas.tolist())):
+        for r, (k, alpha) in enumerate(zip(range(start, start + count), alphas.tolist())):
             # a fresh gather of the messages, which the step consumes
             if scaled is None:  # adding zero noise only turns -0.0 into +0.0: same fuse
                 msgs = x[senders]
@@ -654,100 +608,81 @@ def _execute(problem: GlobalProblem, topology: Topology, weights,
                 msgs += scaled[r][slot_edges]
             else:
                 msgs = (x + scaled[r])[senders]
-            x_next = dgd_step(problem, block_weights[r] if varying else block_weights,
-                              msgs, alpha, k)
+            x_next = dgd_step(stepped, weights.weights, msgs, alpha, k)
             if k in keep_set:
                 states_rec[row] = x
                 row += 1
             x = x_next
         del scaled
 
-    return ExecutionTrace(
-        algorithm=algorithm,
-        topology=topology,
-        weights=first_matrix.weights,
-        schedule=schedule,
-        delta=delta,
-        seed=seed,
-        max_iter=max_iter,
-        record_every=record_every,
-        init=np.array(init, dtype=float),
-        states=states_rec,
-        final_states=x,
-        problem_spec=problem_spec if problem_spec is not None else problem.to_spec(),
-        noise=noise,
-        weights_series=weights_series,
-        extras=extras or {},
-    )
+    return ExecutionTrace(config=config.canonical_dict(), topology=topology, problem=problem,
+                          schedule=schedule, weights=weights.weights, init=initial,
+                          states=states_rec, final_states=x, noise=noise, extras=extras or {})
 
 
 def run_dgd(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
             max_iter: int, init: np.ndarray | None = None,
-            weights=None, record_every: int = 1) -> ExecutionTrace:
+            weights: FusionMatrix | None = None, record_every: int = 1) -> ExecutionTrace:
     """Distributed gradient descent: fuse neighbor states, descend along the
     local gradient, project.
 
-    ``weights`` may be a FusionMatrix or a per-round provider ``k -> FusionMatrix``
-    (every runner accepts the same); the default is the Metropolis matrix.
+    ``weights`` is the run's FusionMatrix (every runner accepts the same); the
+    default is the Metropolis matrix.
     """
-    return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
-                    "dgd", 0.0, None)
+    return _execute(problem, topology, weights, schedule, max_iter, init, record_every, "dgd")
 
 
 def run_rss_nb(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
                delta: float, max_iter: int, init: np.ndarray | None = None,
-               seed: int = 0, weights=None,
+               seed: int = 0, weights: FusionMatrix | None = None,
                record_every: int = 1) -> ExecutionTrace:
     """Network-balanced randomized state sharing: per-round pairwise shares
     build perturbations that cancel across the whole network."""
     dim = problem.dim
     streams = RandomStreams(seed)
 
-    def draw(first, count, weights):
+    def draw(first, count):
         shares = draw_nb_shares(topology, first, count, delta, streams, dim)
         return nb_perturbation(shares, topology), shares
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
-                    "rss_nb", delta, seed, draw)
+                    "rss_nb", {"delta": float(delta), "seed": int(seed)}, draw)
 
 
 def run_rss_lb(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
                delta: float, max_iter: int, init: np.ndarray | None = None,
-               seed: int = 0, weights=None,
+               seed: int = 0, weights: FusionMatrix | None = None,
                record_every: int = 1) -> ExecutionTrace:
     """Locally balanced randomized state sharing: per-neighbor perturbations
     cancel under the fusion weights at each agent."""
     dim = problem.dim
     streams = RandomStreams(seed)
+    weights = _run_weights(weights, topology)
+    edge_weights = topology.fuse_slots.edge_weights(weights.weights)
 
-    def draw(first, count, weights):
-        edge_weights = topology.fuse_slots.edge_weights(weights)
+    def draw(first, count):
         perturbations = draw_lb_perturbation(topology, edge_weights, delta, first, count,
                                              streams, dim)
         return perturbations, perturbations
 
     return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
-                    "rss_lb", delta, seed, draw)
+                    "rss_lb", {"delta": float(delta), "seed": int(seed)}, draw)
 
 
 def run_fs(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
            delta_coeff: float, d_max: int, max_iter: int,
            init: np.ndarray | None = None, seed: int = 0,
-           weights=None, record_every: int = 1) -> ExecutionTrace:
+           weights: FusionMatrix | None = None, record_every: int = 1) -> ExecutionTrace:
     """Function sharing: exchange polynomial noise functions once, obfuscate the
     local objectives, then run plain distributed gradient descent on them."""
     streams = RandomStreams(seed)
     noise = draw_noise_functions(topology, delta_coeff, d_max, streams, problem.dim)
     box = problem.feasible
-    sub_problem = GlobalProblem(objectives=obfuscate(problem.objectives, noise, topology),
-                                feasible=box, validate_convexity=False)
+    obfuscated = GlobalProblem(objectives=obfuscate(problem.objectives, noise, topology),
+                               feasible=box, validate_convexity=False)
     grad_bound, curv_bound = noise_gradient_bounds(noise, topology, box.lower, box.upper)
     base_l, base_n = problem.constants()
-    extras = {
-        "delta_coeff": delta_coeff,
-        "d_max": d_max,
-        "obf_grad_bound": base_l + grad_bound,
-        "obf_smoothness_bound": base_n + curv_bound,
-    }
-    return _execute(sub_problem, topology, weights, schedule, max_iter, init, record_every,
-                    "fs", 0.0, seed, problem_spec=problem.to_spec(), extras=extras, noise=noise)
+    extras = {"obf_grad_bound": base_l + grad_bound, "obf_smoothness_bound": base_n + curv_bound}
+    options = {"delta_coeff": float(delta_coeff), "d_max": int(d_max), "seed": int(seed)}
+    return _execute(problem, topology, weights, schedule, max_iter, init, record_every, "fs",
+                    options, noise=noise, descended=obfuscated, extras=extras)

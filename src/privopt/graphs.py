@@ -146,9 +146,12 @@ class Topology:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "Topology":
+        n = spec["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise GraphError(f"topology n must be an integer, got {n!r}")
         if "family" in spec:
-            return cls.family(spec["family"], int(spec["n"]))
-        return cls.from_edges(int(spec["n"]), spec["edges"])
+            return cls.family(spec["family"], n)
+        return cls.from_edges(n, spec["edges"])
 
 
 @dataclass(frozen=True)
@@ -169,27 +172,23 @@ class FuseSlots:
     edge_slots: np.ndarray  # (E,) flat slot of each directed edge
 
     def edge_weights(self, weights: np.ndarray) -> np.ndarray:
-        """(..., E) weight that the receiver of each directed edge (j, i)
-        gives it, B[i, j], in ``Topology.sender_edges`` order, of (..., K, n)
-        slot weights."""
-        return weights.reshape(weights.shape[:-2] + (-1,))[..., self.edge_slots]
+        """(E,) weight that the receiver of each directed edge (j, i) gives
+        it, B[i, j], in ``Topology.sender_edges`` order, of (K, n) slot
+        weights."""
+        return weights.ravel()[self.edge_slots]
 
     def column_sums(self, weights: np.ndarray) -> np.ndarray:
-        """(..., n) column sums of the matrices that (..., K, n) slot weights
-        hold: each agent's weight summed over the slots it sends in."""
-        k_slots, n = self.senders.shape
-        flat = weights.reshape(-1, k_slots * n)
-        index = np.arange(flat.shape[0])[:, None] * n + self.senders.ravel()
-        sums = np.bincount(index.ravel(), flat.ravel(), minlength=flat.shape[0] * n)
-        return sums.reshape(weights.shape[:-2] + (n,))
+        """(n,) column sums of the matrix that (K, n) slot weights hold:
+        each agent's weight summed over the slots it sends in."""
+        return np.bincount(self.senders.ravel(), weights.ravel(), minlength=self.senders.shape[1])
 
     def entries(self, weights: np.ndarray) -> np.ndarray:
-        """(..., n, n) matrices B of (..., K, n) slot weights, with
+        """(n, n) matrix B of (K, n) slot weights, with
         B[j, senders[k, j]] = weights[k, j]: only the live slots are
         scattered, since a pad points at its agent's own column."""
         slot, agent = np.nonzero(self.live)
-        entries = np.zeros(weights.shape[:-2] + (self.senders.shape[1],) * 2)
-        entries[..., agent, self.senders[slot, agent]] = weights[..., slot, agent]
+        entries = np.zeros((self.senders.shape[1],) * 2)
+        entries[agent, self.senders[slot, agent]] = weights[slot, agent]
         return entries
 
 
@@ -198,14 +197,14 @@ class FusionMatrix:
     """Doubly stochastic fusion weights on the self-inclusive neighbourhoods
     of a topology, held per fusion slot: ``weights[k, j]`` is the weight agent
     j gives the sender in its slot k of ``topology.fuse_slots``, +0.0 on the
-    pads. A (R, K, n) stack holds R rounds of a per-round provider run.
+    pads.
 
     Checked once, when built, and held as a read-only copy: GraphError for a
     shape other than the topology's slots, a nonzero pad weight, a weight
     outside [0, 1], or a row or column sum more than 1e-12 away from 1."""
 
     topology: Topology
-    weights: np.ndarray  # (K, n), or (R, K, n)
+    weights: np.ndarray  # (K, n)
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float)
@@ -213,22 +212,22 @@ class FusionMatrix:
         object.__setattr__(self, "weights", weights)
         slots = self.topology.fuse_slots
         tol = 1e-12
-        if weights.shape[-2:] != slots.senders.shape:
+        if weights.shape != slots.senders.shape:
             raise GraphError(f"fusion weights have shape {weights.shape}, expected "
                              f"{slots.senders.shape} slots")
-        if np.any(weights[..., ~slots.live]):
+        if np.any(weights[~slots.live]):
             raise GraphError("nonzero weight in a pad slot, off the self-inclusive "
                              "neighbourhoods")
         if not np.all((weights >= -tol) & (weights <= 1 + tol)):
             raise GraphError("fusion entries must lie in [0, 1]")
-        if np.max(np.abs(weights.sum(axis=-2) - 1.0)) > tol:
+        if np.max(np.abs(weights.sum(axis=0) - 1.0)) > tol:
             raise GraphError("rows must sum to 1")
         if np.max(np.abs(slots.column_sums(weights) - 1.0)) > tol:
             raise GraphError("columns must sum to 1")
 
     @property
     def rho(self) -> float:
-        """The smallest positive weight, over every round of a stack."""
+        """The smallest positive weight."""
         return float(self.weights[self.weights > 0].min())
 
     @classmethod

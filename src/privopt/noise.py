@@ -167,20 +167,20 @@ def draw_lb_perturbation(topology: Topology, edge_weights: np.ndarray, delta: fl
     """Per-neighbor perturbations d[j, i] of rounds first .. first + count - 1,
     a (count, E, dim) array with one row per directed edge (j, i), that cancel
     under the fusion weights: sum_i B[i, j] d[j, i] = 0, with every norm at
-    most delta. ``edge_weights`` holds the weights B[i, j] on the edges
-    (``FuseSlots.edge_weights``), (E,) for every round or (count, E) per round.
+    most delta. ``edge_weights`` holds the run's weights B[i, j] on the
+    edges, (E,) from ``FuseSlots.edge_weights``.
 
     Raw draws are uniform on [-1, 1]^D per non-self neighbor, recentred by the
-    weighted mean under the round's weights so the constraint holds exactly,
+    weighted mean under the fusion weights so the constraint holds exactly,
     then each agent's family is shrunk by min(1, delta / max norm) (factor 1
     when every deviation is zero). An agent sends its own state unperturbed.
     """
     _check_rounds(first, count)
     _check_bound(delta, "delta")
     senders = topology.sender_edges[0]
-    if edge_weights.shape not in ((senders.size,), (count, senders.size)):
+    if edge_weights.shape != senders.shape:
         raise ValueError(f"edge weights have shape {edge_weights.shape}, expected "
-                         f"({senders.size},) or ({count}, {senders.size})")
+                         f"({senders.size},)")
     if delta == 0.0:
         return np.zeros((count, senders.size, dim))
     counts = np.bincount(senders, minlength=topology.n)
@@ -189,8 +189,8 @@ def draw_lb_perturbation(topology: Topology, edge_weights: np.ndarray, delta: fl
         raise ValueError(f"agent {j} has no non-self neighbor; locally balanced noise undefined")
     starts = np.cumsum(counts) - counts
     dev = -1.0 + 2.0 * streams.rounds("lb_raw", topology, dim, first, count)  # raw draws
-    centre = (np.add.reduceat(edge_weights[..., None] * dev, starts, axis=1)
-              / np.add.reduceat(edge_weights, starts, axis=-1)[..., None])
+    centre = (np.add.reduceat(edge_weights[:, None] * dev, starts, axis=1)
+              / np.add.reduceat(edge_weights, starts)[:, None])
     dev -= centre[:, senders]
     max_norm = np.maximum.reduceat(np.linalg.norm(dev, axis=-1), starts, axis=1)
     factor = delta / np.maximum(max_norm, delta)

@@ -3,6 +3,7 @@ global sum objective with a centralized optimum oracle."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -181,10 +182,7 @@ class QuadraticObjective(Objective):
         return np.full(x.shape[:-1], norm)
 
     def ensure_convex_on(self, box: Box) -> None:
-        eigs = np.linalg.eigvalsh(self.matrix)
-        scale = max(1.0, float(np.max(np.abs(eigs)))) if eigs.size else 1.0
-        if eigs.size and eigs.min() < -1e-10 * scale:
-            raise ConvexityError(f"quadratic matrix is not positive semidefinite (min eigenvalue {eigs.min():.3e})")
+        _require_psd(np.linalg.eigvalsh(self.matrix))
 
     def constants(self, box: Box) -> tuple[float, float]:
         # ||Qx + b|| is convex, so its max over the box sits at a corner.
@@ -258,10 +256,29 @@ class LogisticObjective(Objective):
 _BLOCK_VALUES = 1 << 13
 
 
+# A polynomial counts as convex on the box when its second derivative does
+# not fall below this.
+_CURVATURE_FLOOR = -1e-12
+
+
 def _require_convex_floor(floor: float) -> None:
-    if floor < -1e-12:
+    if floor < _CURVATURE_FLOOR:
         raise ConvexityError(f"polynomial objective is non-convex on the feasible set "
                              f"(second derivative reaches {floor:.3e})")
+
+
+def _not_psd(spectra: np.ndarray) -> np.ndarray:
+    """Whether each symmetric matrix, given by its eigenvalues (..., D), is
+    not positive semidefinite: its smallest eigenvalue is below -1e-10 times
+    the larger of 1 and its largest magnitude."""
+    scale = np.maximum(1.0, np.abs(spectra).max(axis=-1, initial=0.0))
+    return spectra.min(axis=-1, initial=np.inf) < -1e-10 * scale
+
+
+def _require_psd(eigs: np.ndarray) -> None:
+    if _not_psd(eigs):
+        raise ConvexityError(f"quadratic matrix is not positive semidefinite "
+                             f"(min eigenvalue {eigs.min():.3e})")
 
 
 def _stack_padded(arrays) -> np.ndarray:
@@ -341,21 +358,36 @@ class GlobalProblem:
     def _check_convexity(self) -> None:
         """Raise ConvexityError naming the first agent whose objective is not
         convex on the feasible set. One ``interval_extrema`` call gives the
-        curvature floors of every polynomial agent."""
+        curvature floors of every polynomial agent and one stacked
+        ``eigvalsh`` call the spectra of every quadratic agent; the other
+        objectives check themselves."""
         agents, coeffs = self._polynomial_agents(convex_only=True)
         box = self.feasible
-        try:
-            floors = {} if coeffs is None else dict(zip(agents, interval_extrema(
-                derivative(coeffs, 2), box.lower, box.upper)[0].min(axis=-1).tolist()))
-        except np.linalg.LinAlgError:
-            self.check_critical_points()  # names the agent whose roots cannot be located
-            raise
-        for j, obj in enumerate(self.objectives):
+        checks = []  # (agent, a call that raises its ConvexityError)
+        if coeffs is not None:
             try:
-                if j in floors:
-                    _require_convex_floor(floors[j])
-                else:
-                    obj.ensure_convex_on(box)
+                floors = interval_extrema(derivative(coeffs, 2), box.lower,
+                                          box.upper)[0].min(axis=-1)
+            except np.linalg.LinAlgError:
+                self.check_critical_points()  # names the agent whose roots cannot be located
+                raise
+            bad = np.flatnonzero(floors < _CURVATURE_FLOOR)
+            if bad.size:
+                checks.append((agents[bad[0]], functools.partial(_require_convex_floor,
+                                                                 float(floors[bad[0]]))))
+        quadratic = [j for j, obj in enumerate(self.objectives)
+                     if isinstance(obj, QuadraticObjective)]
+        if quadratic:
+            spectra = np.linalg.eigvalsh(np.stack([self.objectives[j].matrix for j in quadratic]))
+            bad = np.flatnonzero(_not_psd(spectra))
+            if bad.size:
+                checks.append((quadratic[bad[0]], functools.partial(_require_psd, spectra[bad[0]])))
+        checks += [(j, functools.partial(obj.ensure_convex_on, box))
+                   for j, obj in enumerate(self.objectives)
+                   if not isinstance(obj, (PolynomialObjective, QuadraticObjective))]
+        for j, check in sorted(checks, key=lambda item: item[0]):
+            try:
+                check()
             except ConvexityError as exc:
                 raise ConvexityError(f"agent {j}: {exc}") from None
 

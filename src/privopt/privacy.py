@@ -97,23 +97,16 @@ class AdversaryView:
     coalition_objectives: dict  # agent in coalition -> float coeffs (dim, width)
     observed: np.ndarray      # (E,) bool: the coalition-incident directed edges
     noise: np.ndarray         # (E, dim, width) float noise, zero off the observed edges
-    recipe: dict              # JSON values; fusion weights as (K, n) or (R, K, n) slot lists
+    recipe: dict              # JSON values; fusion weights as (K, n) slot lists
     trace_digest: str
     states: np.ndarray
     final_states: np.ndarray
 
 
 def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
-    """Assemble the adversary's observations from a function-sharing trace.
-
-    A down-sampled trace of a run with per-round weights is refused with a
-    ValueError: it holds no weights for its unrecorded rounds, so its public
-    dynamics cannot be replayed."""
+    """Assemble the adversary's observations from a function-sharing trace."""
     if trace.algorithm != "fs":
         raise NonFsTraceError(f"privacy analysis requires a function-sharing trace, got {trace.algorithm!r}")
-    if trace.weights_series is not None and not trace.complete:
-        raise ValueError("a down-sampled trace of a run with per-round weights does not "
-                         "record the weights of its unrecorded rounds, so it cannot be replayed")
     coalition = tuple(sorted(set(int(a) for a in coalition)))
     for a in coalition:
         if not 0 <= a < trace.n:
@@ -130,13 +123,12 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
     recipe = {
         "schedule": trace.schedule.to_spec(),
         "weights": trace.weights.tolist(),
-        "weights_series": None if trace.weights_series is None else trace.weights_series.tolist(),
         "init": trace.init.tolist(),
         "max_iter": trace.max_iter,
         "record_every": trace.record_every,
         "feasible": trace.problem_spec["feasible"],
-        "delta_coeff": trace.extras.get("delta_coeff", 0.0),
-        "d_max": trace.extras["d_max"],
+        "delta_coeff": trace.delta_coeff,
+        "d_max": trace.d_max,
     }
     return AdversaryView(
         coalition=coalition,
@@ -379,9 +371,7 @@ def replay_digest(view: AdversaryView) -> str:
         raise ValueError("initial states must lie in the feasible set")
     max_iter = int(recipe["max_iter"])
     rounds = recorded_rounds(max_iter, int(recipe["record_every"]))
-    varying = recipe["weights_series"] is not None
-    weights = FusionMatrix(topology, recipe["weights_series"] if varying
-                           else recipe["weights"]).weights
+    weights = FusionMatrix(topology, recipe["weights"]).weights
     alphas = StepSchedule.from_spec(recipe["schedule"]).steps(max_iter)
     senders = topology.fuse_slots.senders
 
@@ -390,8 +380,7 @@ def replay_digest(view: AdversaryView) -> str:
     for t in range(int(gaps.max())):
         live = np.flatnonzero(gaps > t)
         k = rounds[live] + t
-        x[live] = dgd_step(problem, weights[live] if varying else weights,
-                           x[live][:, senders], alphas[k - 1][:, None, None], k)
+        x[live] = dgd_step(problem, weights, x[live][:, senders], alphas[k - 1][:, None, None], k)
     return digest_states(max_iter, rounds, init, np.concatenate([init[None], x[:-1]]), x[-1])
 
 

@@ -82,6 +82,30 @@ class TestRun:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("delta", "abc", "delta must be a JSON number, got 'abc'"),
+        ("delta", None, "delta must be a JSON number, got None"),
+        ("delta", [1], "delta must be a JSON number, got [1]"),
+        ("delta", True, "delta must be a JSON number, got True"),
+        ("delta", 10 ** 400, f"delta must be finite, got {10 ** 400!r}"),
+        ("delta_coeff", "0.5", "delta_coeff must be a JSON number, got '0.5'"),
+        ("max_iter", 2.5, "max_iter must be a positive integer, got 2.5"),
+        ("max_iter", True, "max_iter must be a positive integer, got True"),
+        ("max_iter", "5", "max_iter must be a positive integer, got '5'"),
+        ("seed", 1.0, "seed must be a non-negative integer, got 1.0"),
+        ("d_max", None, "d_max must be a non-negative integer, got None"),
+        ("record_every", False, "record_every must be a positive integer, got False"),
+        ("metropolis_self_inclusive", "false",
+         "metropolis_self_inclusive must be a JSON bool, got 'false'"),
+        ("metropolis_self_inclusive", 0, "metropolis_self_inclusive must be a JSON bool, got 0"),
+    ])
+    def test_value_of_another_json_type_exits_2(self, tmp_path, capsys, key, value, message):
+        bad = write(tmp_path / "bad.json", quartic_config(algorithm="rss_nb", **{key: value}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", bad, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_overflowing_bound_terms_exit_2(self, tmp_path, capsys):
         # states stay finite (the box clips them), but (L + delta)^2 overflows
         bad = write(tmp_path / "bad.json",
@@ -217,6 +241,29 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"seed": ["1"]}, "grid seed must be a JSON integer, got '1'"),
+        ({"seed": [1.5]}, "grid seed must be a JSON integer, got 1.5"),
+        ({"seed": [True]}, "grid seed must be a JSON integer, got True"),
+        ({"delta": ["abc"]}, "grid delta must be a JSON number, got 'abc'"),
+        ({"delta": [None]}, "grid delta must be a JSON number, got None"),
+        ({"delta": 1.0}, "sweep 'base' must be a JSON object and 'grid' an object of lists"),
+    ])
+    def test_grid_value_of_another_json_type_exits_2(self, tmp_path, capsys, grid, message):
+        cfg = write(tmp_path / "sweep.json", self.sweep_doc(algorithm=["rss_nb"], **grid))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_base_value_of_another_json_type_exits_2(self, tmp_path, capsys):
+        doc = self.sweep_doc(algorithm=["rss_nb"], seed=[1])
+        doc["base"]["max_iter"] = 2.5
+        cfg = write(tmp_path / "sweep.json", doc)
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert (capsys.readouterr().err
+                == "config error: max_iter must be a positive integer, got 2.5\n")
+
     def test_bad_base_init_is_a_config_error(self, tmp_path, capsys):
         doc = self.sweep_doc(algorithm=["dgd", "rss_nb"], seed=[1])
         doc["base"]["init"] = [[-1.0], [-0.5], [0.0], [0.5], [-31.0]]
@@ -259,7 +306,7 @@ class TestAudit:
         path = out / "run_trace.json"
         doc = json.load(open(path))
         # digest left as written
-        edit_array(doc, ("rounds", "states"), lambda a: with_entry(a, (50, 2, 0), a[50, 2, 0] + 1e-9))
+        edit_array(doc, ("states",), lambda a: with_entry(a, (50, 2, 0), a[50, 2, 0] + 1e-9))
         write(path, doc)
         assert main(["audit", str(path), "--checks", "invariants"]) == 2
         assert "trace error" in capsys.readouterr().err
@@ -280,7 +327,7 @@ class TestAudit:
         main(["run", "--config", run_cfg, "--out-dir", str(out)])
         path = out / "run_trace.json"
         doc = json.load(open(path))
-        doc["delta"] = 1e200  # the digest covers the states, not the bound
+        doc["config"]["delta"] = 1e200  # the digest covers the states, not the bound
         write(path, doc)
         assert main(["audit", str(path), "--checks", "lemma2"]) == 2
         assert "non-finite value: round 1: the iterate-lemma coefficients" in capsys.readouterr().err
@@ -320,8 +367,9 @@ class TestAuditOracle:
 
 
 class TestTraceProblem:
-    """A trace's problem must have the trace's agents and dimension; an edited
-    one is a trace error (exit 2), not a runtime error of a later check."""
+    """A trace's config is checked as a config file is, and its arrays
+    against the config; an edited one is a trace error (exit 2), not a
+    runtime error of a later check."""
 
     @pytest.mark.parametrize("command", ["audit", "privacy"])
     def test_problem_of_another_dimension_exits_2(self, tmp_path, run_cfg, command, capsys):
@@ -329,8 +377,8 @@ class TestTraceProblem:
         assert main(["run", "--config", run_cfg, "--out-dir", str(out)]) == 0
         trace = str(out / "run_trace.json")
         doc = json.load(open(trace))
-        doc["problem"]["objectives"] = [{"kind": "polynomial", "coeffs": [[0, 0, 1]] * 2}] * 5
-        doc["problem"]["feasible"] = {"lower": [-30, -30], "upper": [30, 30]}
+        doc["config"]["objectives"] = [{"kind": "polynomial", "coeffs": [[0, 0, 1]] * 2}] * 5
+        doc["config"]["feasible"] = {"lower": [-30, -30], "upper": [30, 30]}
         write(trace, doc)
         alts = write(tmp_path / "alts.json", {"0": [0, 0, 1]})
         argv = {"audit": ["audit", trace],
@@ -338,7 +386,7 @@ class TestTraceProblem:
                             "--alt-objectives", alts]}[command]
         capsys.readouterr()
         assert main(argv) == 2
-        assert ("trace error: problem has 5 agents of dimension 2, trace has 5 of dimension 1"
+        assert (r"trace error: config: init must have shape (5, 2), got (5, 1)"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["audit", "privacy"])
@@ -347,15 +395,16 @@ class TestTraceProblem:
                                                              capsys):
         trace, alts, _ = fs_artifacts
         doc = json.load(open(trace))
-        doc["extras"]["delta_coeff"] = value
+        doc["config"]["delta_coeff"] = value
         write(trace, doc)
         argv = {"audit": ["audit", trace, "--checks", "invariants"],
                 "privacy": ["privacy", trace, "--coalition", "3,4", "--target", "0",
                             "--alt-objectives", alts]}[command]
         capsys.readouterr()
         assert main(argv) == 2
-        assert ("trace error: extras.delta_coeff must be a finite non-negative number"
-                in capsys.readouterr().err)
+        message = ("delta_coeff must be a JSON number, got 'abc'" if value == "abc" else
+                   f"delta_coeff must be finite and non-negative, got {float(value)!r}")
+        assert f"trace error: config: {message}" in capsys.readouterr().err
 
 
 # Malformed traces whose digest still matches (the noise is not digested):
@@ -406,12 +455,13 @@ NON_FINITE = {
     "lb_perturbation": ("rss_lb", ("noise", 5, 1, 0), float("inf"), "noise"),
     "fs_noise_function": ("fs", ("noise", 3, 0, 2), float("nan"), "noise"),
     "weight": ("rss_nb", ("weights", 0, 1), float("nan"), "weights"),
-    "nan_delta": ("rss_nb", ("delta",), float("nan"), "delta"),
-    "negative_delta": ("rss_nb", ("delta",), -1.0, "delta must be non-negative"),
-    "obf_grad_bound": ("fs", ("extras", "obf_grad_bound"), float("nan"),
-                       "extras.obf_grad_bound"),
+    "nan_delta": ("rss_nb", ("config", "delta"), float("nan"),
+                  "config: delta must be finite and non-negative, got nan"),
+    "negative_delta": ("rss_nb", ("config", "delta"), -1.0,
+                       "config: delta must be finite and non-negative, got -1.0"),
+    "obf_grad_bound": ("fs", ("extras", "obf_grad_bound"), float("nan"), "extras must map"),
     "obf_smoothness_bound": ("fs", ("extras", "obf_smoothness_bound"), float("inf"),
-                             "extras.obf_smoothness_bound"),
+                             "extras must map"),
 }
 
 
@@ -452,11 +502,10 @@ def _break_lb_balance(trace):
 
 
 # In-memory tampering of a loaded trace; save() stamps a matching digest, so
-# the audit, not the loader, must catch it: (algorithm, provider, tamper, invariant)
+# the audit, not the loader, must catch it: (algorithm, tamper, invariant)
 TAMPERED = {
-    "nb_share": ("rss_nb", False, _raise_share, "share_bound"),
-    "lb_fixed_weights": ("rss_lb", False, _break_lb_balance, "locally_balanced_sum"),
-    "lb_provider": ("rss_lb", True, _break_lb_balance, "locally_balanced_sum"),
+    "nb_share": ("rss_nb", _raise_share, "share_bound"),
+    "lb_fixed_weights": ("rss_lb", _break_lb_balance, "locally_balanced_sum"),
 }
 
 
@@ -464,18 +513,13 @@ class TestInvariantViolations:
     @pytest.mark.parametrize("case", sorted(TAMPERED))
     def test_audit_names_the_broken_invariant(self, case, quartic_problem, cycle5,
                                               inv_sqrt, tmp_path, capsys):
-        algorithm, provider, tamper, invariant = TAMPERED[case]
+        algorithm, tamper, invariant = TAMPERED[case]
         runner = po.run_rss_nb if algorithm == "rss_nb" else po.run_rss_lb
-        regular = po.metropolis_weights(cycle5)
-        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
-        weights = (lambda k: regular if k % 2 else lazy) if provider else None
-        trace = runner(quartic_problem, cycle5, inv_sqrt, 1.0, 60, init=INTERIOR_INIT,
-                       seed=3, weights=weights)
+        trace = runner(quartic_problem, cycle5, inv_sqrt, 1.0, 60, init=INTERIOR_INIT, seed=3)
         path = tmp_path / "t.json"
         trace.save(path)
         assert main(["audit", str(path), "--checks", "invariants"]) == 0
         loaded = ExecutionTrace.load(path)
-        assert (loaded.weights_series is not None) == provider
         tamper(loaded)
         loaded.save(path)
         report_path = tmp_path / "audit.json"
@@ -542,25 +586,11 @@ class TestPrivacy:
         trace, alts, _ = fs_artifacts
         doc = json.load(open(trace))
         # digest left as written
-        edit_array(doc, ("rounds", "states"), lambda a: with_entry(a, (10, 0, 0), a[10, 0, 0] + 1e-9))
+        edit_array(doc, ("states",), lambda a: with_entry(a, (10, 0, 0), a[10, 0, 0] + 1e-9))
         write(trace, doc)
         assert main(["privacy", trace, "--coalition", "3,4", "--target", "0",
                      "--alt-objectives", alts]) == 2
         assert "trace error" in capsys.readouterr().err
-
-    def test_down_sampled_provider_trace_exits_2(self, quartic_problem, cycle5, inv_sqrt,
-                                                 tmp_path, capsys):
-        # its unrecorded rounds' weights are not in the trace, so there is no replay
-        regular = po.metropolis_weights(cycle5)
-        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
-        trace = po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, 60, init=INTERIOR_INIT,
-                          seed=3, weights=lambda k: regular if k % 2 else lazy, record_every=4)
-        path = tmp_path / "t.json"
-        trace.save(path)
-        alts = write(tmp_path / "alts.json", {"0": [0, 0, 1]})
-        assert main(["privacy", str(path), "--coalition", "2", "--target", "0",
-                     "--alt-objectives", alts]) == 2
-        assert "privacy check not applicable" in capsys.readouterr().err
 
     def test_non_fs_trace_exits_2(self, tmp_path, run_cfg):
         out = tmp_path / "out"
@@ -570,24 +600,54 @@ class TestPrivacy:
                      "--target", "0", "--alt-objectives", alts]) == 2
 
 
-# Header and extras defects of a complete-5 fs trace, each raising TraceError
-# that names the key: (edit of the document, the start of the error message)
+def _add_an_agent(doc):
+    """Make the config of a complete-5 trace one of six agents."""
+    config = doc["config"]
+    config.update(topology={"family": "complete", "n": 6},
+                  objectives=config["objectives"] + config["objectives"][:1],
+                  init=config["init"] + [[0.0]])
+
+
+# Header, config and extras defects of a complete-5 fs trace, each raising
+# TraceError that names the fault: (edit of the document, the start of the
+# error message)
 MALFORMED_HEADER = {
     "version_4": (lambda d: d.update(version=4), "unsupported trace version: 4"),
-    "missing_seed": (lambda d: d.pop("seed"), "missing key: seed"),
-    "missing_algorithm": (lambda d: d.pop("algorithm"), "missing key: algorithm"),
-    "missing_topology": (lambda d: d.pop("topology"), "missing key: topology"),
-    "missing_rounds": (lambda d: d.pop("rounds"), "missing key: rounds"),
-    "missing_problem": (lambda d: d.pop("problem"), "missing key: problem"),
-    "n_not_an_integer": (lambda d: d.update(n="five"), "n must be a positive integer"),
-    "topology_n_not_an_integer": (lambda d: d["topology"].update(n="x"),
-                                  "topology: ValueError"),
-    "edge_out_of_range": (lambda d: d["topology"]["edges"].append([0, 9]),
-                          "topology: GraphError: edge (0, 9) out of range"),
-    "extras_not_an_object": (lambda d: d.update(extras=[]), "extras must be a JSON object"),
-    "unobfuscatable_problem": (lambda d: d["problem"]["objectives"].pop(),
-                               "problem cannot be obfuscated: ValueError: one objective per "
-                               "agent is required"),
+    "missing_states": (lambda d: d.pop("states"), "a trace document holds the keys"),
+    "unknown_key": (lambda d: d.update(provenance={}), "a trace document holds the keys"),
+    "null_seed": (lambda d: d["config"].update(seed=None),
+                  "config: seed must be a non-negative integer, got None"),
+    "missing_algorithm": (lambda d: d["config"].pop("algorithm"),
+                          "config: missing required config key: algorithm"),
+    "missing_topology": (lambda d: d["config"].pop("topology"),
+                         "config: missing required config key: topology"),
+    "missing_problem": (lambda d: d["config"].pop("objectives"),
+                        "config: missing required config key: objectives"),
+    "unknown_config_key": (lambda d: d["config"].update(bogus=1),
+                           "config: unknown config keys: ['bogus']"),
+    "max_iter_fraction": (lambda d: d["config"].update(max_iter=2.5),
+                          "config: max_iter must be a positive integer, got 2.5"),
+    "max_iter_bool": (lambda d: d["config"].update(max_iter=True),
+                      "config: max_iter must be a positive integer, got True"),
+    "max_iter_string": (lambda d: d["config"].update(max_iter="5"),
+                        "config: max_iter must be a positive integer, got '5'"),
+    "nonconvex_objective": (lambda d: d["config"]["objectives"][2].update(coeffs=[[0, 0, -1]]),
+                            "config: agent 2: polynomial objective is non-convex"),
+    "init_outside_the_box": (lambda d: d["config"]["init"][0].__setitem__(0, 31.0),
+                             "config: init must lie in the feasible box"),
+    "agents_differ_from_states": (_add_an_agent,
+                                  "states has shape (150, 5, 1), expected (150, 6, 1)"),
+    "n_not_an_integer": (lambda d: d["config"]["topology"].update(n=5.0),
+                         "config: topology n must be an integer, got 5.0"),
+    "topology_n_not_an_integer": (lambda d: d["config"]["topology"].update(n="x"),
+                                  "config: topology n must be an integer, got 'x'"),
+    "edge_out_of_range": (lambda d: d["config"]["topology"]["edges"].append([0, 9]),
+                          "config: edge (0, 9) out of range"),
+    "extras_not_an_object": (lambda d: d.update(extras=[]), "extras must map"),
+    "unobfuscatable_problem": (lambda d: d["config"]["objectives"][1].update(kind="logistic",
+                                                                            seed=1, dim=1),
+                               "problem cannot be obfuscated: FsObjectiveError: function "
+                               "sharing requires polynomial local objectives"),
 }
 
 
@@ -649,11 +709,11 @@ class TestUnlocatableCriticalPoints:
         assert main(["run", "--config", run_cfg, "--out-dir", str(out)]) == 0
         trace = str(out / "run_trace.json")
         doc = json.load(open(trace))
-        doc["problem"]["objectives"][1]["coeffs"] = self.COEFFS
+        doc["config"]["objectives"][1]["coeffs"] = self.COEFFS
         write(trace, doc)
         capsys.readouterr()
         assert main(["audit", trace]) == 2
-        assert "trace error: problem: ValueError: agent 1: " in capsys.readouterr().err
+        assert "trace error: config: agent 1: polynomial" in capsys.readouterr().err
 
 
 def test_nonconvex_objective_names_its_agent(tmp_path, capsys):

@@ -21,13 +21,11 @@ from test_golden import canonical_traces
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 DERIVED = ("messages", "fused", "fused_true", "fused_noise")
-# the keys of a trace document, of its rounds and of an fs trace's extras: only
-# what a run drew or chose, the recorded states and the digest
-DOCUMENT_KEYS = {"version", "algorithm", "n", "dim", "seed", "delta", "max_iter", "record_every",
-                 "schedule", "topology", "weights", "init", "problem", "noise", "rounds",
-                 "final_states", "extras", "digest"}
-PRIMARY_KEYS = {"states", "weights_series"}
-FS_EXTRAS_KEYS = {"delta_coeff", "d_max", "obf_grad_bound", "obf_smoothness_bound"}
+# the keys of a trace document and of an fs trace's extras: the run config,
+# what the run drew or chose, the recorded states and the digest
+DOCUMENT_KEYS = {"version", "config", "weights", "noise", "states", "final_states", "extras",
+                 "digest"}
+FS_EXTRAS_KEYS = {"obf_grad_bound", "obf_smoothness_bound"}
 
 
 @pytest.fixture(scope="module")
@@ -251,40 +249,25 @@ class TestMultivariateRuns:
         assert float(final) - f_star < 1e-2
 
 
-class TestPerRoundWeightsProvider:
-    def test_alternating_matrices_keep_invariants(self, quartic_problem, cycle5, inv_sqrt,
-                                                  quartic_optimum):
+class TestSelfInclusiveWeights:
+    def test_lazy_matrix_keeps_invariants(self, quartic_problem, cycle5, inv_sqrt,
+                                          quartic_optimum, tmp_path):
         from privopt.analysis import audit_invariants, check_lemma1, check_lemma2, effective_bounds
 
-        regular = po.metropolis_weights(cycle5)
         lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
-        provider = lambda k: regular if k % 2 else lazy
         trace = po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 300,
-                              init=INTERIOR_INIT, seed=6, weights=provider)
-        assert trace.weights_series is not None
-        assert trace.weights_series.shape == (300, 3, 5)  # (R, K, n) slot weights
+                              init=INTERIOR_INIT, seed=6, weights=lazy)
+        assert trace.config["metropolis_self_inclusive"]
         report = audit_invariants(trace, quartic_problem)
         assert report.passed, report.violations
         bounds = effective_bounds(trace, quartic_problem)
-        assert bounds.rho == pytest.approx(0.25)  # smallest weight over the series
+        assert bounds.rho == pytest.approx(0.25)
         assert check_lemma1(trace, bounds).passed
         assert check_lemma2(trace, quartic_problem, quartic_optimum[0]).passed
-
-    def test_constant_provider_matches_fixed_matrix(self, quartic_problem, cycle5, inv_sqrt):
-        fixed = po.metropolis_weights(cycle5)
-        a = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 100, init=INTERIOR_INIT,
-                       weights=fixed)
-        b = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 100, init=INTERIOR_INIT,
-                       weights=lambda k: fixed)
-        assert a.state_digest() == b.state_digest()
-
-    def test_series_survives_json_round_trip(self, quartic_problem, cycle5, inv_sqrt, tmp_path):
-        provider = lambda k: po.metropolis_weights(cycle5)
-        trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 20, init=INTERIOR_INIT,
-                           weights=provider)
         trace.save(tmp_path / "t.json")
         loaded = po.ExecutionTrace.load(tmp_path / "t.json")
-        np.testing.assert_array_equal(loaded.weights_series, trace.weights_series)
+        assert_bit_equal(loaded.weights, lazy.weights)
+        assert loaded.config == trace.config
 
 
 class TestFunctionSharing:
@@ -322,11 +305,11 @@ class TestFunctionSharing:
         assert final < 1e-3
 
     def test_trace_records_noise_and_bounds(self, short_runs):
-        extras = short_runs["fs"].extras
-        assert extras["delta_coeff"] == 0.5
-        assert extras["d_max"] == 8
-        assert short_runs["fs"].noise.shape == (10, 1, 9)  # both directions of 5 cycle edges
-        assert extras["obf_grad_bound"] > 0
+        trace = short_runs["fs"]
+        assert (trace.delta_coeff, trace.d_max, trace.delta) == (0.5, 8, 0.0)
+        assert trace.noise.shape == (10, 1, 9)  # both directions of 5 cycle edges
+        assert set(trace.extras) == FS_EXTRAS_KEYS
+        assert trace.extras["obf_grad_bound"] > 0
 
     def test_random_noise_run_converges_to_optimum(self, quartic_problem, cycle5,
                                                    inv_sqrt, quartic_optimum):
@@ -355,8 +338,7 @@ def per_round_reference(trace) -> dict:
     out = {name: [] for name in DERIVED}
     for r in range(trace.round_index.size):
         x, alpha = trace.states[r], trace.steps[r]
-        b = trace.topology.fuse_slots.entries(
-            trace.weights if trace.weights_series is None else trace.weights_series[r])
+        b = trace.topology.fuse_slots.entries(trace.weights)
         d = trace.perturbations[r]
         if per_edge:
             noise = np.zeros((n, n, dim))
@@ -380,18 +362,16 @@ def assert_bit_equal(actual, expected):
 
 
 def _derived_cases(quartic_problem, quad_problem, cycle5, inv_sqrt):
-    regular = po.metropolis_weights(cycle5)
     lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
-    provider = lambda k: regular if k % 2 else lazy
     init2 = np.stack([np.linspace(-1, 1, 5), np.linspace(1, -1, 5)], axis=1)
     cases = dict(canonical_traces())
     for name, runner in (("rss_nb", po.run_rss_nb), ("rss_lb", po.run_rss_lb)):
-        cases[f"{name}/provider"] = runner(quartic_problem, cycle5, inv_sqrt, 1.0, 60,
-                                           init=INTERIOR_INIT, seed=6, weights=provider)
+        cases[f"{name}/lazy"] = runner(quartic_problem, cycle5, inv_sqrt, 1.0, 60,
+                                       init=INTERIOR_INIT, seed=6, weights=lazy)
         cases[f"{name}/record_every"] = runner(quad_problem, cycle5, inv_sqrt, 2.0, 90,
                                                init=init2, seed=14, record_every=7)
-    cases["dgd/provider"] = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 60,
-                                       init=INTERIOR_INIT, weights=provider)
+    cases["dgd/lazy"] = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 60,
+                                   init=INTERIOR_INIT, weights=lazy)
     cases["fs/record_every"] = po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.1, 4, 90,
                                          init=INTERIOR_INIT, seed=5, record_every=7)
     return cases
@@ -405,8 +385,8 @@ class TestDerivedArrays:
     def cases(self, quartic_problem, quad_problem, cycle5, inv_sqrt):
         return _derived_cases(quartic_problem, quad_problem, cycle5, inv_sqrt)
 
-    def test_cases_cover_providers_and_downsampling(self, cases):
-        assert sum(t.weights_series is not None for t in cases.values()) == 3
+    def test_cases_cover_lazy_weights_and_downsampling(self, cases):
+        assert sum(t.config["metropolis_self_inclusive"] for t in cases.values()) == 3
         assert sum(not t.complete for t in cases.values()) == 3
 
     @pytest.mark.parametrize("reload", [False, True], ids=["memory", "reloaded"])
@@ -423,13 +403,13 @@ class TestDerivedArrays:
         for trace in cases.values():
             trace.save(tmp_path / "t.json")
             loaded = po.ExecutionTrace.load(tmp_path / "t.json")
-            for attr in ("round_index", "steps", "states", "perturbations", "final_states"):
+            for attr in ("round_index", "steps", "states", "perturbations", "final_states",
+                         "weights"):
                 assert_bit_equal(getattr(loaded, attr), getattr(trace, attr))
-            for attr in ("shares", "weights_series"):
-                if getattr(trace, attr) is None:
-                    assert getattr(loaded, attr) is None
-                else:
-                    assert_bit_equal(getattr(loaded, attr), getattr(trace, attr))
+            if trace.shares is None:
+                assert loaded.shares is None
+            else:
+                assert_bit_equal(loaded.shares, trace.shares)
 
     def test_derived_arrays_are_cached_and_read_only(self, short_runs):
         trace = short_runs["lb"]
@@ -507,8 +487,8 @@ class TestSlotFuse:
         series = self._slot_weights(topology, rng, (rounds,))
         dense = _signed_zeros(rng, (rounds, n, n, dim))
         fused = _slot_fuse(series, self._slot_messages(topology, dense))
-        matrices = topology.fuse_slots.entries(series)
-        expected = np.array([_fuse_reference(matrices[r], dense[r]) for r in range(rounds)])
+        expected = np.array([_fuse_reference(topology.fuse_slots.entries(series[r]), dense[r])
+                             for r in range(rounds)])
         assert_bit_equal(fused, expected)
 
     @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
@@ -520,9 +500,9 @@ class TestSlotFuse:
         series = self._slot_weights(topology, rng, (3,))
         slots = topology.fuse_slots
         n = topology.n
-        for weights in (series, series[0]):
+        for weights in series:
             dense = slots.entries(weights)
-            gathered = np.where(slots.live, dense[..., np.arange(n), slots.senders], 0.0)
+            gathered = np.where(slots.live, dense[np.arange(n), slots.senders], 0.0)
             assert_bit_equal(gathered, weights)
             assert np.count_nonzero(dense) == np.count_nonzero(weights)
         metropolis = po.metropolis_weights(topology).weights
@@ -563,22 +543,12 @@ class TestSupportGuard:
         with pytest.raises(GraphError, match="pad slot, off the self-inclusive neighbourhoods"):
             po.FusionMatrix(path5, weights)
 
-    def test_provider_matrix_off_support_raises(self, quartic_problem, cycle5, inv_sqrt):
-        regular = po.metropolis_weights(cycle5)
-        stray = self._off_support(cycle5, 0.1)
-        provider = lambda k: po.FusionMatrix.from_entries(stray, cycle5) if k == 3 else regular
-        with pytest.raises(ValueError, match="off the self-inclusive neighbourhoods"):
-            po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 5, init=INTERIOR_INIT,
-                          seed=1, weights=provider)
-
     def test_weights_of_another_topology_raise(self, quartic_problem, cycle5, inv_sqrt):
-        regular = po.metropolis_weights(cycle5)
         other = po.metropolis_weights(po.Topology.family("path", 5))  # same slot shape
-        for weights, k in ((other, 1), (lambda k: other if k == 3 else regular, 3)):
-            with pytest.raises(GraphError, match=f"round {k}: the fusion weights are for "
-                                                 "another topology"):
-                po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5, init=INTERIOR_INIT,
-                           weights=weights)
+        for runner in (po.run_dgd, functools.partial(po.run_rss_lb, delta=1.0)):
+            with pytest.raises(GraphError, match="the fusion weights are for another topology"):
+                runner(quartic_problem, cycle5, inv_sqrt, max_iter=5, init=INTERIOR_INIT,
+                       weights=other)
         # an equal topology built apart is the same topology
         rebuilt = po.metropolis_weights(po.Topology.family("cycle", 5))
         same = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5, init=INTERIOR_INIT,
@@ -643,15 +613,16 @@ def _sparse_quadratic_problem(n):
 
 
 def _per_round_run(problem, topology, schedule, algorithm, delta, max_iter, init, seed,
-                   provider, step=dgd_step):
+                   matrix, step=dgd_step):
     """States and final state of a dgd or rss run stepped one round at a time
     by ``step``, each round's noise drawn alone: the reference for the
     engine's round blocks."""
     slots, dim = topology.fuse_slots, problem.dim
     streams = po.RandomStreams(seed)
     x, states = np.array(init, dtype=float), []
+    weights = matrix.weights
     for k in range(1, max_iter + 1):
-        weights, alpha = provider(k).weights, schedule.step(k)
+        alpha = schedule.step(k)
         if algorithm == "dgd":
             msgs = x[slots.senders]
         elif algorithm == "rss_nb":
@@ -763,27 +734,16 @@ class TestRoundBlocks:
         assert_bit_equal(trace.obfuscated, np.stack([obj.poly.coeffs for obj in obfuscated]))
 
     @pytest.mark.parametrize("algorithm", ["rss_nb", "rss_lb"])
-    def test_provider_called_once_per_round_in_order(self, inv_sqrt, algorithm):
+    def test_blocks_match_a_per_round_run(self, inv_sqrt, algorithm):
         n, max_iter = 100, 200
         topology = po.Topology.family("cycle", n)
         assert block_rounds(2 * n, 2) < max_iter // 2
         problem = _sparse_quadratic_problem(n)
-        regular = po.metropolis_weights(topology)
         lazy = po.metropolis_weights(topology, self_inclusive_degree=True)
-        calls = []
-
-        def provider(k):
-            calls.append(k)
-            return regular if k % 3 else lazy
-
         trace = self.RUNNERS[algorithm](problem, topology, inv_sqrt, 1.0, max_iter, seed=4,
-                                        weights=provider)
-        assert calls == list(range(1, max_iter + 1))
-        expected = np.stack([(regular if k % 3 else lazy).weights
-                             for k in range(1, max_iter + 1)])
-        assert_bit_equal(trace.weights_series, expected)
+                                        weights=lazy)
         states, final = _per_round_run(problem, topology, inv_sqrt, algorithm, 1.0, max_iter,
-                                       trace.init, 4, provider)
+                                       trace.init, 4, lazy)
         assert_bit_equal(trace.states, states)
         assert_bit_equal(trace.final_states, final)
         assert trace.state_digest() == po.engine.digest_states(
@@ -826,7 +786,7 @@ class TestFinitenessGate:
                                             weights=metropolis)
         with np.errstate(over="ignore", invalid="ignore"):
             states, final = _per_round_run(problem, cycle5, inv_sqrt, algorithm, 1.0, 70, init,
-                                           6, lambda k: metropolis, step=_isfinite_step)
+                                           6, metropolis, step=_isfinite_step)
             sums = np.add.reduce(np.concatenate([trace.states, trace.final_states[None]]),
                                  axis=(1, 2))
         assert np.isinf(sums).all() and np.isfinite(trace.states).all()
@@ -839,9 +799,41 @@ class TestTraceFile:
         for name, trace in short_runs.items():
             doc = trace.to_json_dict()
             assert set(doc) == DOCUMENT_KEYS
-            assert set(doc["rounds"]) == PRIMARY_KEYS
             assert (doc["noise"] is None) == (name == "dgd")
             assert set(doc["extras"]) == (FS_EXTRAS_KEYS if name == "fs" else set())
+
+    def test_config_round_trips(self, short_runs):
+        """An API-built trace's config is the canonical dict of its run
+        arguments: loading it through ``RunConfig`` gives it back, with the
+        digest."""
+        for name, trace in short_runs.items():
+            doc = json.loads(json.dumps(trace.to_json_dict()))
+            assert RunConfig.from_dict(doc["config"]).canonical_dict() == trace.config
+            loaded = po.ExecutionTrace.from_json_dict(doc)
+            assert loaded.config == trace.config
+            assert loaded.state_digest() == trace.state_digest()
+            assert (loaded.seed, loaded.delta) == ({"dgd": (None, 0.0), "nb": (3, 1.0),
+                                                    "lb": (3, 1.0), "fs": (3, 0.0)}[name])
+            assert loaded.init.tolist() == INTERIOR_INIT.tolist()
+
+    def test_default_init_is_not_stored(self, quartic_problem, cycle5, inv_sqrt):
+        trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5)
+        assert "init" not in trace.config
+        loaded = po.ExecutionTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
+        assert_bit_equal(loaded.init, po.default_init(quartic_problem.feasible, 5))
+        assert loaded.state_digest() == trace.state_digest()
+
+    def test_config_from_a_config_file(self):
+        """A run of a config file records the config of its arguments: the
+        objectives as the problem writes them, the topology as its edges."""
+        config = RunConfig.from_file(CONFIGS / "poly_cycle_run.json")
+        trace = execute(config)
+        problem = config.build_problem()
+        assert trace.problem is problem
+        assert trace.problem_spec == problem.to_spec()
+        assert trace.config["topology"] == config.build_topology().to_spec()
+        assert {k: trace.config[k] for k in ("algorithm", "max_iter", "delta", "seed")} == {
+            k: getattr(config, k) for k in ("algorithm", "max_iter", "delta", "seed")}
 
     def test_edge_arrays_on_sparse_cycle(self, inv_sqrt):
         n = 12
@@ -891,7 +883,7 @@ class TestTraceFile:
     @pytest.mark.parametrize("config", sorted(SHIPPED))
     def test_shipped_config_lists_unchanged(self, config):
         trace = execute(RunConfig.from_file(CONFIGS / config))
-        states = decoded(trace.to_json_dict()["rounds"]["states"])
+        states = decoded(trace.to_json_dict()["states"])
         text = json.dumps([trace.round_index.tolist(), trace.steps.tolist(), states.tolist()])
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHIPPED[config]
 
@@ -902,41 +894,33 @@ class TestLoadChecks:
     @pytest.fixture(scope="class")
     def docs(self, quartic_problem, cycle5, inv_sqrt):
         kw = dict(init=INTERIOR_INIT, seed=4, record_every=5)
-        regular = po.metropolis_weights(cycle5)
-        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
         return {
             "dgd": po.run_dgd(quartic_problem, cycle5, inv_sqrt, 30, init=INTERIOR_INIT),
             "rss_nb": po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, **kw),
             "rss_lb": po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, **kw),
             "fs": po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, 30, **kw),
-            "provider": po.run_dgd(quartic_problem, cycle5, inv_sqrt, 30, init=INTERIOR_INIT,
-                                   weights=lambda k: regular if k % 2 else lazy),
         }
 
     @staticmethod
     def _doc(trace):
         return json.loads(json.dumps(trace.to_json_dict()))
 
-    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs", "provider"])
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs"])
     def test_untouched_documents_load(self, docs, algorithm):
         trace = docs[algorithm]
         loaded = po.ExecutionTrace.from_json_dict(self._doc(trace))
         assert loaded.state_digest() == trace.state_digest()
 
     @pytest.mark.parametrize("algorithm, key, change, match", [
-        ("rss_lb", "states", lambda v: v.tolist(), "rounds.states is not an encoded array"),
+        ("rss_lb", "states", lambda v: v.tolist(), "states is not an encoded array"),
         ("rss_lb", "states", lambda v: {**encode_array(v), "base64": "*" + encode_array(v)["base64"][1:]},
-         "rounds.states is not valid base64"),
+         "states is not valid base64"),
         ("rss_lb", "states", lambda v: {**encode_array(v[:-1]), "shape": list(v.shape)},
-         r"rounds.states holds \d+ bytes, expected \d+"),
-        ("dgd", "weights_series", lambda v: np.full((30, 4, 5), 0.2),
-         r"rounds.weights_series has shape \(30, 4, 5\)"),
-        ("provider", "weights_series", lambda v: with_entry(v, (3, 0, 0), v[3, 0, 0] + 0.01),
-         "rounds.weights_series: rows must sum to 1"),
+         r"states holds \d+ bytes, expected \d+"),
     ])
     def test_mismatch_raises(self, docs, algorithm, key, change, match):
         doc = self._doc(docs[algorithm])
-        edit_array(doc, ("rounds", key), change)
+        edit_array(doc, (key,), change)
         with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
 
@@ -988,49 +972,108 @@ class TestLoadChecks:
         ("record_every", 1.0, "record_every must be a positive integer, got 1.0"),
         ("max_iter", 0, "max_iter must be a positive integer, got 0"),
         ("max_iter", "30", "max_iter must be a positive integer"),
-        ("seed", "abc", "seed must be null or a non-negative integer, got 'abc'"),
-        ("seed", -1.5, "seed must be null or a non-negative integer, got -1.5"),
-        ("seed", -1, "seed must be null or a non-negative integer, got -1"),
-        ("dim", True, "dim must be a positive integer, got True"),
+        ("seed", "abc", "seed must be a non-negative integer, got 'abc'"),
+        ("seed", -1.5, "seed must be a non-negative integer, got -1.5"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("d_max", True, "d_max must be a non-negative integer, got True"),
         ("schedule", [], "schedule: AttributeError"),
-        ("rounds", [], "rounds must be a JSON object, got list"),
+        ("algorithm", "sgd", "unknown algorithm 'sgd'"),
     ])
     def test_header_values_checked(self, docs, key, value, match):
         doc = self._doc(docs["rss_nb"])
-        doc[key] = value
+        doc["config"][key] = value
+        with pytest.raises(TraceError, match="config: " + match):
+            po.ExecutionTrace.from_json_dict(doc)
+
+    CONFIG_CASES = {
+        "missing_states": (lambda d: d.pop("states"), "a trace document holds the keys"),
+        "unknown_key": (lambda d: d.update(provenance={}), "a trace document holds the keys"),
+        "config_not_an_object": (lambda d: d.update(config=[]),
+                                 "config: run config must be a JSON object"),
+        "delta_coeff_string": (lambda d: d["config"].update(delta_coeff="abc"),
+                               "config: delta_coeff must be a JSON number, got 'abc'"),
+        "self_inclusive_string": (
+            lambda d: d["config"].update(metropolis_self_inclusive="false"),
+            "config: metropolis_self_inclusive must be a JSON bool, got 'false'"),
+        "init_outside_the_box": (lambda d: d["config"].update(init=[[0.0]] * 4 + [[31.0]]),
+                                 "config: init must lie in the feasible box"),
+        "missing_objective": (lambda d: d["config"]["objectives"].pop(),
+                              "config: one objective per agent is required"),
+        "nonconvex_objective": (lambda d: d["config"]["objectives"][2].update(coeffs=[0, 0, -1]),
+                                "config: agent 2: polynomial objective is non-convex"),
+        "objective_without_coeffs": (lambda d: d["config"]["objectives"][2].pop("coeffs"),
+                                     "config: problem: KeyError: 'coeffs'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+    def test_config_checked(self, docs, case):
+        change, match = self.CONFIG_CASES[case]
+        doc = self._doc(docs["fs"])
+        change(doc)
         with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
 
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs"])
+    def test_arrays_checked_against_the_config(self, docs, algorithm):
+        """A config of another dimension, or of another agent count, does
+        not fit the stored arrays."""
+        doc = self._doc(docs[algorithm])
+        config = doc["config"]
+        config.update(objectives=[{"kind": "polynomial", "coeffs": [[0, 0, 1]] * 2}] * 5,
+                      feasible={"lower": [-30, -30], "upper": [30, 30]},
+                      init=np.repeat(INTERIOR_INIT, 2, axis=1).tolist())
+        with pytest.raises(TraceError, match=r"states has shape \(\d+, 5, 1\), expected "
+                                             r"\(\d+, 5, 2\)"):
+            po.ExecutionTrace.from_json_dict(doc)
+        doc = self._doc(docs[algorithm])
+        config = doc["config"]
+        config.update(topology=po.Topology.family("cycle", 6).to_spec(),
+                      objectives=config["objectives"] + config["objectives"][:1],
+                      init=config["init"] + [[0.0]])
+        with pytest.raises(TraceError, match=r"states has shape \(\d+, 5, 1\), expected "
+                                             r"\(\d+, 6, 1\)"):
+            po.ExecutionTrace.from_json_dict(doc)
+
     @pytest.mark.parametrize("change, match", [
-        (lambda x: x.update(d_max=-1), "extras.d_max must be a non-negative integer, got -1"),
-        (lambda x: x.update(d_max=8.0), "extras.d_max must be a non-negative integer, got 8.0"),
-        (lambda x: x.pop("d_max"), "extras.d_max must be a non-negative integer, got None"),
-        (lambda x: x.update(d_max=7), r"noise has shape \(10, 1, 9\), expected \(10, 1, 8\)"),
+        (lambda x: x.update(obf_grad_bound=-1.0), "extras must map"),
+        (lambda x: x.update(obf_grad_bound="abc"), "extras must map"),
+        (lambda x: x.pop("obf_smoothness_bound"), "extras must map"),
+        (lambda x: x.update(d_max=8), "extras must map"),
     ])
-    def test_fs_extras_checked(self, docs, change, match):
+    def test_fs_extras_hold_only_the_bounds(self, docs, change, match):
         doc = self._doc(docs["fs"])
         change(doc["extras"])
         with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
 
+    def test_other_extras_are_empty(self, docs):
+        doc = self._doc(docs["rss_nb"])
+        doc["extras"] = {"obf_grad_bound": 1.0, "obf_smoothness_bound": 1.0}
+        with pytest.raises(TraceError, match=r"extras must map \[\] to"):
+            po.ExecutionTrace.from_json_dict(doc)
+
     @pytest.mark.parametrize("change, match", [
-        (lambda p: p["objectives"].pop(), "ValueError: one objective per agent is required"),
+        (lambda c: c.update(d_max=7), r"noise has shape \(10, 1, 9\), expected \(10, 1, 8\)"),
+    ])
+    def test_fs_extras_checked(self, docs, change, match):
+        doc = self._doc(docs["fs"])
+        change(doc["config"])
+        with pytest.raises(TraceError, match=match):
+            po.ExecutionTrace.from_json_dict(doc)
+
+    @pytest.mark.parametrize("change, match", [
         (lambda p: p["objectives"][1].update(kind="logistic", seed=1, dim=1),
          "FsObjectiveError: function sharing requires polynomial local objectives"),
-        (lambda p: p.update(objectives=[{"kind": "polynomial", "coeffs": [[0, 0, 1]] * 2}] * 5,
-                            feasible={"lower": [-30, -30], "upper": [30, 30]}),
-         "ValueError: objectives of dimension 2, noise of dimension 1"),
-        (lambda p: p["objectives"][2].pop("coeffs"), "KeyError: 'coeffs'"),
     ])
     def test_fs_problem_must_be_obfuscatable(self, docs, change, match):
         doc = self._doc(docs["fs"])
-        change(doc["problem"])
+        change(doc["config"])
         with pytest.raises(TraceError, match="problem cannot be obfuscated: " + match):
             po.ExecutionTrace.from_json_dict(doc)
 
     def test_fs_obfuscated_objectives_must_be_finite(self, docs):
         doc = self._doc(docs["fs"])
-        doc["problem"]["objectives"][0]["coeffs"] = [0.0, 0.0, float("inf")]
+        doc["config"]["objectives"][0]["coeffs"] = [0.0, 0.0, float("inf")]
         with pytest.raises(TraceError, match="the obfuscated objectives hold a non-finite value"):
             po.ExecutionTrace.from_json_dict(json.loads(json.dumps(doc)))
 
@@ -1039,13 +1082,11 @@ class TestTraceRoundTrip:
     """Saving and loading gives back every array bit for bit."""
 
     @pytest.mark.parametrize("record_every", [1, 7])
-    @pytest.mark.parametrize("provider", [False, True], ids=["fixed", "provider"])
+    @pytest.mark.parametrize("lazy", [False, True], ids=["fixed", "lazy"])
     @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs"])
-    def test_arrays_bit_identical(self, algorithm, provider, record_every, quartic_problem,
+    def test_arrays_bit_identical(self, algorithm, lazy, record_every, quartic_problem,
                                   cycle5, inv_sqrt, tmp_path):
-        regular = po.metropolis_weights(cycle5)
-        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
-        weights = (lambda k: regular if k % 2 else lazy) if provider else regular
+        weights = po.metropolis_weights(cycle5, self_inclusive_degree=lazy)
         init = with_entry(INTERIOR_INIT, (2, 0), -0.0)
         kw = dict(init=init, weights=weights, record_every=record_every)
         trace = {
@@ -1058,10 +1099,11 @@ class TestTraceRoundTrip:
         trace.save(tmp_path / "t.json")
         loaded = po.ExecutionTrace.load(tmp_path / "t.json")
         for attr in ("init", "round_index", "steps", "states", "perturbations", "final_states",
-                     "noise", "shares", "obfuscated", "weights", "weights_series"):
+                     "noise", "shares", "obfuscated", "weights"):
             if getattr(trace, attr) is None:
                 assert getattr(loaded, attr) is None
             else:
                 assert getattr(loaded, attr).tobytes() == getattr(trace, attr).tobytes(), attr
-        assert (loaded.weights_series is not None) == provider
+        assert loaded.config == trace.config
+        assert loaded.config["metropolis_self_inclusive"] == lazy
         assert loaded.state_digest() == trace.state_digest()

@@ -132,20 +132,11 @@ class TestLbPerturbation:
         assert np.abs(weighted).max() < 1e-12
         assert np.linalg.norm(d, axis=1).max() <= delta + 1e-12
 
-    def test_per_round_weights_match_fixed_weights(self, cycle5):
-        # a (count, E) weights block gives each round what its own weights give
-        regular = po.metropolis_weights(cycle5)
-        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
-        matrices = [regular, lazy, lazy, regular, lazy]
-        edge_weights = np.stack([cycle5.fuse_slots.edge_weights(m.weights) for m in matrices])
-        block = po.draw_lb_perturbation(cycle5, edge_weights, 1.0, 4, 5, RandomStreams(6), dim=2)
-        for r, matrix in enumerate(matrices):
-            alone = _lb(cycle5, matrix, 1.0, 4 + r, RandomStreams(6), dim=2)
-            assert block[r].tobytes() == alone.tobytes()
-
     def test_rejects_weights_of_another_shape(self, cycle5, streams):
-        with pytest.raises(ValueError, match=r"edge weights have shape \(3, 10\)"):
-            po.draw_lb_perturbation(cycle5, np.full((3, 10), 0.5), 1.0, 2, 4, streams, dim=1)
+        # one weights row for the whole run: a (count, E) block of per-round rows is refused
+        for shape in ((4, 10), (3, 10), (9,)):
+            with pytest.raises(ValueError, match=rf"edge weights have shape \({shape[0]},"):
+                po.draw_lb_perturbation(cycle5, np.full(shape, 0.5), 1.0, 2, 4, streams, dim=1)
 
 
 def _nb_rounds(topology, rounds, streams, delta=1.0, dim=2, block=1):

@@ -355,6 +355,26 @@ class TestConvexity:
             po.GlobalProblem(objectives=[po.QuadraticObjective([[1, 0], [0, -1]], [0, 0])],
                              feasible=box)
 
+    def test_names_the_first_indefinite_quadratic(self):
+        # one stacked eigvalsh checks every quadratic; the error names the
+        # first non-convex agent, of whichever kind, and a quadratic's
+        # smallest eigenvalue, as the per-agent check does
+        box = po.Box([-1.0, -1.0], [1.0, 1.0])
+        objectives = [po.QuadraticObjective(np.eye(2) * (1 + j), [0, 0]) for j in range(6)]
+        objectives[2] = po.QuadraticObjective([[1, 2], [2, 1]], [0, 0])  # eigenvalues -1, 3
+        objectives[4] = po.QuadraticObjective([[-2, 0], [0, 1]], [0, 0])
+        objectives[5] = po.PolynomialObjective([[0, 0, -1]] * 2)
+        with pytest.raises(ConvexityError) as raised:
+            po.GlobalProblem(objectives=objectives, feasible=box)
+        message = "quadratic matrix is not positive semidefinite (min eigenvalue -1.000e+00)"
+        assert str(raised.value) == f"agent 2: {message}"
+        with pytest.raises(ConvexityError) as alone:
+            objectives[2].ensure_convex_on(box)
+        assert str(alone.value) == message
+        objectives[1] = objectives[5]
+        with pytest.raises(ConvexityError, match="^agent 1: polynomial objective is non-convex"):
+            po.GlobalProblem(objectives=objectives, feasible=box)
+
     def test_enforce_convex_false_is_allowed(self, wide_box):
         obj = po.PolynomialObjective([0, 0, 1, 0, -0.1], enforce_convex=False)
         po.GlobalProblem(objectives=[obj], feasible=wide_box, validate_convexity=False)

@@ -30,13 +30,6 @@ def fs_trace(topology, seed=11, delta_coeff=0.5, max_iter=200, **options):
                               init=init, seed=seed, **options)
 
 
-def alternating_weights(topology):
-    """Per-round provider: the two Metropolis matrices, alternating by round."""
-    regular = po.metropolis_weights(topology)
-    lazy = po.metropolis_weights(topology, self_inclusive_degree=True)
-    return lambda k: regular if k % 2 else lazy
-
-
 def sequential_replay_digest(view):
     """Reference for ``replay_digest``: re-run DGD round by round on the
     obfuscated objectives from the view's recipe."""
@@ -45,13 +38,7 @@ def sequential_replay_digest(view):
         objectives=[po.PolynomialObjective(view.obfuscated[j], enforce_convex=False)
                     for j in range(view.topology.n)],
         feasible=po.Box.from_spec(recipe["feasible"]), validate_convexity=False)
-    if recipe["weights_series"] is None:
-        weights = po.FusionMatrix(view.topology, recipe["weights"])
-    else:
-        matrices = [po.FusionMatrix(view.topology, w) for w in recipe["weights_series"]]
-
-        def weights(k):
-            return matrices[k - 1]
+    weights = po.FusionMatrix(view.topology, recipe["weights"])
     trace = po.run_dgd(problem, view.topology, po.StepSchedule.from_spec(recipe["schedule"]),
                        max_iter=recipe["max_iter"], init=np.asarray(recipe["init"], dtype=float),
                        weights=weights, record_every=recipe["record_every"])
@@ -548,32 +535,32 @@ class TestReplay:
                     replay(blown)
 
 
-class TestProviderTraces:
-    def test_complete_provider_trace_passes(self, cycle5):
-        problem, trace = fs_trace(cycle5, weights=alternating_weights(cycle5))
-        view = po.extract_view(trace, coalition=[2])
-        assert replay_digest(view) == sequential_replay_digest(view) == view.trace_digest
-        alt = np.pad(truth_coeffs(trace)[0], ((0, 0), (0, 6))) + np.eye(1, 9, 4) * 0.5
-        objectives = po.complete_alternative_objectives(problem, [2], target=[0],
-                                                        alternatives={0: alt}, d_max=8)
-        inst = po.construct_alternative(view, objectives, extras_seed=1)
-        report = po.verify_indistinguishable(view, inst)
-        assert report.passed and report.max_residual == 0.0 and report.digest_ok is True
+class TestSelfInclusiveWeights:
+    """A run fused by the self-inclusive Metropolis matrix: the recipe holds
+    those weights, and the replay uses them."""
 
-    def test_every_round_weights_are_validated(self, cycle5):
-        _, trace = fs_trace(cycle5, weights=alternating_weights(cycle5))
+    def test_lazy_weights_trace_passes(self, cycle5):
+        lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
+        for record_every in (1, 3):
+            problem, trace = fs_trace(cycle5, weights=lazy, record_every=record_every)
+            view = po.extract_view(trace, coalition=[2])
+            assert view.recipe["weights"] == lazy.weights.tolist()
+            assert replay_digest(view) == sequential_replay_digest(view) == view.trace_digest
+            alt = np.pad(truth_coeffs(trace)[0], ((0, 0), (0, 6))) + np.eye(1, 9, 4) * 0.5
+            objectives = po.complete_alternative_objectives(problem, [2], target=[0],
+                                                            alternatives={0: alt}, d_max=8)
+            inst = po.construct_alternative(view, objectives, extras_seed=1)
+            report = po.verify_indistinguishable(view, inst)
+            assert report.passed and report.max_residual == 0.0 and report.digest_ok is True
+
+    def test_recipe_weights_are_validated(self, cycle5):
+        _, trace = fs_trace(cycle5, weights=po.metropolis_weights(cycle5, True))
         view = po.extract_view(trace, coalition=[2])
-        series = np.array(view.recipe["weights_series"])
-        series[7, 0, 0] += 0.1  # row 0 of round 8 no longer sums to 1
-        bad = dataclasses.replace(view, recipe={**view.recipe,
-                                                "weights_series": series.tolist()})
+        weights = np.array(view.recipe["weights"])
+        weights[0, 0] += 0.1  # row 0 no longer sums to 1
+        bad = dataclasses.replace(view, recipe={**view.recipe, "weights": weights.tolist()})
         with pytest.raises(GraphError, match="sum to 1"):
             replay_digest(bad)
-
-    def test_down_sampled_provider_trace_is_refused(self, cycle5):
-        _, trace = fs_trace(cycle5, weights=alternating_weights(cycle5), record_every=3)
-        with pytest.raises(ValueError, match="unrecorded rounds"):
-            po.extract_view(trace, coalition=[2])
 
 
 def _connected(topology, agents):
