@@ -56,7 +56,7 @@ def main(argv=None) -> int:
         else:
             trace = po.run_rss_lb(problem, topology, schedule, spec[1], args.max_iter,
                                   init=init, seed=args.seed)
-        metrics = po.compute_metrics(trace, problem, x_star, f_star)
+        metrics = po.compute_metrics(trace, x_star, f_star)
         columns = (metrics.round_index.tolist(), metrics.suboptimality.tolist(),
                    metrics.max_disagreement.tolist())
         rows.extend(f"{label},{k},{sub!r},{dis!r}" for k, sub, dis in zip(*columns))

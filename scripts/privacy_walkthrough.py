@@ -58,7 +58,7 @@ def main() -> int:
     coalition = [0, 2]
     print(f"cycle graph, cut coalition {coalition}")
     view = po.extract_view(trace, coalition)
-    truth = {j: spec["coeffs"] for j, spec in enumerate(trace.problem_spec["objectives"])}
+    truth = {j: spec["coeffs"] for j, spec in enumerate(trace.config["objectives"])}
     report = necessity_demo(view, truth)
     for comp in report.components:
         print(f"  isolated component {comp['members']}: objective sum recovered "

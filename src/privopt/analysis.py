@@ -49,15 +49,15 @@ def bound_params(topology: Topology, weights: FusionMatrix, problem: GlobalProbl
                        grad_bound=grad_bound, grad_smoothness=grad_smoothness, delta=delta)
 
 
-def effective_bounds(trace: ExecutionTrace, problem: GlobalProblem) -> BoundParams:
+def effective_bounds(trace: ExecutionTrace) -> BoundParams:
     """Bound constants appropriate for a trace: function-sharing runs use the
     recorded obfuscated-gradient bounds and carry no state perturbation."""
     weights = FusionMatrix(trace.topology, trace.weights)
     if trace.algorithm == "fs":
-        return bound_params(trace.topology, weights, problem, delta=0.0,
+        return bound_params(trace.topology, weights, trace.problem, delta=0.0,
                             grad_bound=trace.extras.get("obf_grad_bound"),
                             grad_smoothness=trace.extras.get("obf_smoothness_bound"))
-    return bound_params(trace.topology, weights, problem, delta=trace.delta)
+    return bound_params(trace.topology, weights, trace.problem, delta=trace.delta)
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ def _iterate_coefficients(steps: np.ndarray, max_dis: np.ndarray, bounds: BoundP
     return growth, offset
 
 
-def compute_metrics(trace: ExecutionTrace, problem: GlobalProblem,
-                    reference_point: np.ndarray | None = None,
+def compute_metrics(trace: ExecutionTrace, reference_point: np.ndarray | None = None,
                     optimum_value: float | None = None,
                     bounds: BoundParams | None = None) -> MetricColumns:
     """Per-round metrics over all recorded rounds plus the post-run state.
@@ -113,12 +112,13 @@ def compute_metrics(trace: ExecutionTrace, problem: GlobalProblem,
     The reference point defaults to the centralized optimum, which also
     supplies the suboptimality baseline.
     """
+    problem = trace.problem
     if reference_point is None or optimum_value is None:
         x_star, f_star = solve_centralized(problem)
         reference_point = x_star if reference_point is None else reference_point
         optimum_value = f_star if optimum_value is None else optimum_value
     reference_point = np.asarray(reference_point, dtype=float)
-    bounds = bounds or effective_bounds(trace, problem)
+    bounds = bounds or effective_bounds(trace)
 
     idx, states = trace.states_with_final()
     steps = _steps_for(trace, idx)
@@ -207,14 +207,15 @@ def check_lemma1(trace: ExecutionTrace, bounds: BoundParams, slack: float = 1e-9
                        summary=f"min margin {np.min(margins):.3e}" if margins.size else "")
 
 
-def check_lemma2(trace: ExecutionTrace, problem: GlobalProblem, y: np.ndarray,
+def check_lemma2(trace: ExecutionTrace, y: np.ndarray,
                  bounds: BoundParams | None = None, slack: float = 1e-9) -> CheckReport:
     """Iterate relation: squared distances to any feasible reference point
     contract up to the growth and offset terms, at every audited round pair."""
+    problem = trace.problem
     y = np.asarray(y, dtype=float)
     if not problem.feasible.contains(y, tol=1e-12):
         raise ValueError("reference point must lie in the feasible set")
-    bounds = bounds or effective_bounds(trace, problem)
+    bounds = bounds or effective_bounds(trace)
     idx, states = trace.states_with_final()
     steps = _steps_for(trace, idx)
     mean, max_dis = _disagreement(states)
@@ -263,8 +264,8 @@ def check_consensus(trace: ExecutionTrace, tail_fraction: float = 0.1,
                        summary=f"tail {tail:.3e} vs head {head:.3e} [{status}]")
 
 
-def weighted_average_suboptimality(trace: ExecutionTrace, problem: GlobalProblem,
-                                   optimum_value: float, horizons: np.ndarray) -> np.ndarray:
+def weighted_average_suboptimality(trace: ExecutionTrace, optimum_value: float,
+                                   horizons: np.ndarray) -> np.ndarray:
     """Worst-agent suboptimality of the step-weighted running state average at
     the requested horizons. Requires a complete (undownsampled) trace."""
     if not trace.complete:
@@ -276,7 +277,7 @@ def weighted_average_suboptimality(trace: ExecutionTrace, problem: GlobalProblem
     out = np.empty(len(horizons))
     for i, t in enumerate(horizons):
         avg = cum_states[t - 1] / cum_steps[t - 1]  # (n, D), feasible by convexity
-        out[i] = float(np.max(problem.total_value(avg)) - optimum_value)
+        out[i] = float(np.max(trace.problem.total_value(avg)) - optimum_value)
     return out
 
 
@@ -302,25 +303,32 @@ class EnvelopeFit:
                        "ratios": self.ratios, "trend_ok": self.trend_ok})
 
 
-def check_theorem3(runs: list, problem: GlobalProblem,
-                   optimum_value: float | None = None,
+def check_theorem3(traces: list, optimum_value: float | None = None,
                    horizons: np.ndarray | None = None) -> CheckReport:
-    """Finite-time envelope check on a family of runs.
+    """Finite-time envelope check on a family of runs of one problem.
 
-    ``runs`` is a list of (delta, trace) pairs produced with the inverse-sqrt
-    schedule. For each run the weighted-average suboptimality is measured at
-    logarithmic horizons, an envelope constant c for c*log(T)/sqrt(T) is fitted
-    on the tail, the normalized residual trend must be non-increasing, and the
-    fitted constants must be non-decreasing in delta.
+    ``traces`` are runs with the inverse-sqrt schedule. For each run the
+    weighted-average suboptimality is measured at logarithmic horizons, an
+    envelope constant c for c*log(T)/sqrt(T) is fitted on the tail, the
+    normalized residual trend must be non-increasing, and the fitted
+    constants must be non-decreasing in the runs' delta. ValueError when
+    there is no trace or the traces' problems differ, as the constants are
+    only comparable on one problem.
     """
+    if not traces:
+        raise ValueError("the finite-time envelope needs at least one trace")
+    spec = traces[0].problem.to_spec()
+    if any(trace.problem.to_spec() != spec for trace in traces[1:]):
+        raise ValueError("the finite-time envelope compares runs of one problem; "
+                         "the traces' problems differ")
     if optimum_value is None:
-        _, optimum_value = solve_centralized(problem)
+        _, optimum_value = solve_centralized(traces[0].problem)
     fits = []
-    for delta, trace in runs:
+    for trace in traces:
         if trace.schedule.kind != "inv_sqrt":
             raise ScheduleError("the finite-time envelope requires the inverse-sqrt schedule")
         hs = theorem3_horizons(trace.max_iter) if horizons is None else horizons
-        sub = weighted_average_suboptimality(trace, problem, optimum_value, hs)
+        sub = weighted_average_suboptimality(trace, optimum_value, hs)
         basis = np.log(hs) / np.sqrt(hs)
         ratios = sub / basis
         tail = slice(hs.size // 2, None)
@@ -329,7 +337,7 @@ def check_theorem3(runs: list, problem: GlobalProblem,
         head_max = float(np.max(ratios[: max(1, hs.size // 2)]))
         tail_max = float(np.max(ratios[hs.size // 2:]))
         trend_ok = tail_max <= head_max + 1e-12
-        fits.append(EnvelopeFit(delta=float(delta), fitted_constant=fitted,
+        fits.append(EnvelopeFit(delta=trace.delta, fitted_constant=fitted,
                                 envelope_constant=env, horizons=hs, suboptimality=sub,
                                 ratios=ratios, trend_ok=trend_ok))
     violations = []
@@ -384,14 +392,13 @@ def check_transition_matrix(weights: FusionMatrix, horizon: int,
                        summary=f"final deviation {deviations[-1]:.3e}")
 
 
-def audit_invariants(trace: ExecutionTrace, problem: GlobalProblem,
-                     tol: float = 1e-12) -> CheckReport:
+def audit_invariants(trace: ExecutionTrace, tol: float = 1e-12) -> CheckReport:
     """Exact per-round invariants: doubly stochastic weights, feasible states,
     cancelling perturbation sums, average preservation under fusion, and the
     gradient-noise perspective identity."""
     violations = []
     n = trace.n
-    box = problem.feasible
+    box = trace.problem.feasible
     slots = trace.topology.fuse_slots
 
     weights = trace.weights

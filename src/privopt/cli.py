@@ -23,7 +23,7 @@ from .analysis import (audit_invariants, bound_params, check_consensus,
 from .configs import ConfigError, RunConfig, SweepConfig, execute
 from .engine import ExecutionTrace, NonFiniteError, ScheduleError, TraceError
 from .graphs import DisconnectedError
-from .objectives import GlobalProblem, solve_centralized
+from .objectives import solve_centralized
 from .privacy import (NonFsTraceError, NotACutError, TargetSetError,
                       complete_alternative_objectives, construct_alternative,
                       extract_view, necessity_demo, verify_indistinguishable)
@@ -82,12 +82,11 @@ def write_report_json(path: str | None, report: dict, provenance: dict) -> None:
         _atomic_write(path, payload + "\n")
 
 
-def _metrics_table(trace: ExecutionTrace, problem: GlobalProblem, optimum,
-                   delta=None, seed=None) -> dict:
+def _metrics_table(trace: ExecutionTrace, optimum, delta=None, seed=None) -> dict:
     """A trace's metrics table: each of ``METRIC_COLUMNS`` as a list of
     cells, formatted column by column as ``_fmt`` formats one cell."""
     x_star, f_star = optimum
-    metrics = compute_metrics(trace, problem, reference_point=x_star, optimum_value=f_star)
+    metrics = compute_metrics(trace, reference_point=x_star, optimum_value=f_star)
     if delta is None:
         delta = trace.delta if trace.algorithm != "fs" else trace.delta_coeff
     if seed is None:
@@ -108,14 +107,10 @@ def _metrics_table(trace: ExecutionTrace, problem: GlobalProblem, optimum,
 
 def _cmd_run(args) -> int:
     config = RunConfig.from_file(args.config)
-    if args.record_every is not None:
-        config.record_every = int(args.record_every)
-        config.validate()
     os.makedirs(args.out_dir, exist_ok=True)
     trace = execute(config)
-    problem = config.build_problem()
-    optimum = solve_centralized(problem)
-    table = _metrics_table(trace, problem, optimum)
+    optimum = solve_centralized(trace.problem)
+    table = _metrics_table(trace, optimum)
     provenance = _provenance(config.canonical_dict(), config.seed)
     base = os.path.join(args.out_dir, config.output_basename)
     _atomic_write(base + "_trace.json", json.dumps(trace.to_json_dict()) + "\n")
@@ -164,10 +159,7 @@ def _sweep_cell_safe(doc: dict, optimum):
     """Run one grid cell; failures are recorded and the sweep continues."""
     try:
         config = RunConfig.from_dict(doc)
-        trace = execute(config)
-        problem = config.build_problem()
-        return True, _metrics_table(trace, problem, optimum,
-                                    delta=config.delta, seed=config.seed)
+        return True, _metrics_table(execute(config), optimum, delta=config.delta, seed=config.seed)
     except Exception as exc:
         return False, f"{type(exc).__name__}: {exc}"
 
@@ -179,25 +171,24 @@ def _cmd_audit(args) -> int:
         print(f"unknown checks: {unknown}; available: {list(_AUDIT_CHECKS)}", file=sys.stderr)
         return 2
     trace = ExecutionTrace.load(args.trace)
-    problem = trace.problem
     # the centralized optimum, only for the checks that read it
-    optimum = solve_centralized(problem) if {"lemma2", "theorem3"} & set(checks) else None
-    bounds = effective_bounds(trace, problem) if {"lemma1", "lemma2"} & set(checks) else None
+    optimum = solve_centralized(trace.problem) if {"lemma2", "theorem3"} & set(checks) else None
+    bounds = effective_bounds(trace) if {"lemma1", "lemma2"} & set(checks) else None
     reports = []
     failed = False
     for check in checks:
         if check == "invariants":
-            rep = audit_invariants(trace, problem)
+            rep = audit_invariants(trace)
         elif check == "lemma1":
             rep = check_lemma1(trace, bounds)
         elif check == "lemma2":
-            rep = check_lemma2(trace, problem, optimum[0], bounds)
+            rep = check_lemma2(trace, optimum[0], bounds)
         elif check == "consensus":
             rep = check_consensus(trace, tail_fraction=args.tail_fraction,
                                   threshold=args.consensus_threshold)
         elif check == "theorem3":
             try:
-                rep = check_theorem3([(trace.delta, trace)], problem, optimum_value=optimum[1])
+                rep = check_theorem3([trace], optimum_value=optimum[1])
             except (ScheduleError, ValueError) as exc:
                 # wrong schedule or a down-sampled trace: a usage problem
                 print(f"theorem3: {exc}", file=sys.stderr)
@@ -242,7 +233,7 @@ def _cmd_privacy(args) -> int:
     except DisconnectedError as exc:
         report = {"passed": False, "error": f"connectivity precondition violated: {exc}"}
         try:
-            truth = {j: spec["coeffs"] for j, spec in enumerate(trace.problem_spec["objectives"])}
+            truth = {j: obj.poly.coeffs for j, obj in enumerate(trace.problem.objectives)}
             report["necessity_demo"] = necessity_demo(view, truth).to_dict()
         except NotACutError:
             pass
@@ -275,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one configured run")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out-dir", default=".")
-    p_run.add_argument("--record-every", type=int, default=None)
 
     p_sweep = sub.add_parser("sweep", help="execute a parameter grid")
     p_sweep.add_argument("--config", required=True)

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .engine import (ALGORITHMS, ExecutionTrace, StepSchedule, run_dgd,
                      run_fs, run_rss_lb, run_rss_nb)
 from .graphs import FusionMatrix, Topology, metropolis_weights
-from .objectives import Box, GlobalProblem, objective_from_spec
+from .objectives import Box, GlobalProblem, PolynomialObjective, objective_from_spec
 
 
 class ConfigError(ValueError):
@@ -31,22 +31,18 @@ def _number(value, name: str) -> float:
         raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
-_RUN_KEYS = {
-    "algorithm", "topology", "objectives", "feasible", "schedule",
-    "delta", "delta_coeff", "d_max", "max_iter", "seed", "record_every",
-    "init", "metropolis_self_inclusive", "output_basename",
-}
-
 _SWEEP_KEYS = {"base", "grid"}
 _GRID_KEYS = {"algorithm", "delta", "seed"}
 
 
 @dataclass
 class RunConfig:
-    """A validated run configuration. The topology and the problem are built
-    once, by ``validate``, and every later ``build_topology`` or
-    ``build_problem`` returns the same objects; the spec fields they come
-    from are not to be changed after construction."""
+    """A validated run configuration. Its fields are the config keys, in the
+    order a trace stores them; a field without a default is a required key.
+    The topology and the problem are built once, by ``validate``, and every
+    later ``build_topology`` or ``build_problem`` returns the same objects;
+    the spec fields they come from are not to be changed after
+    construction."""
 
     algorithm: str
     topology: dict
@@ -59,8 +55,8 @@ class RunConfig:
     d_max: int = 8
     seed: int = 0
     record_every: int = 1
-    init: list | None = None
     metropolis_self_inclusive: bool = False
+    init: list | None = None
     output_basename: str = "run"
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -68,31 +64,20 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError("run config must be a JSON object")
-        unknown = set(doc) - _RUN_KEYS
+        keys = [f for f in fields(cls) if f.init]
+        unknown = set(doc) - {f.name for f in keys}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("algorithm", "topology", "objectives", "feasible", "schedule", "max_iter"):
-            if key not in doc:
-                raise ConfigError(f"missing required config key: {key}")
-        algorithm = str(doc["algorithm"]).lower()
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-        cfg = cls(
-            algorithm=algorithm,
-            topology=doc["topology"],
-            objectives=doc["objectives"],
-            feasible=doc["feasible"],
-            schedule=doc["schedule"],
-            max_iter=doc["max_iter"],
-            delta=_number(doc.get("delta", 0.0), "delta"),
-            delta_coeff=_number(doc.get("delta_coeff", 0.0), "delta_coeff"),
-            d_max=doc.get("d_max", 8),
-            seed=doc.get("seed", 0),
-            record_every=doc.get("record_every", 1),
-            init=doc.get("init"),
-            metropolis_self_inclusive=doc.get("metropolis_self_inclusive", False),
-            output_basename=str(doc.get("output_basename", "run")),
-        )
+        for f in keys:
+            if f.default is MISSING and f.name not in doc:
+                raise ConfigError(f"missing required config key: {f.name}")
+        cfg = cls(**doc)
+        cfg.algorithm = str(cfg.algorithm).lower()
+        if cfg.algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {cfg.algorithm!r}; expected one of {ALGORITHMS}")
+        cfg.delta = _number(cfg.delta, "delta")
+        cfg.delta_coeff = _number(cfg.delta_coeff, "delta_coeff")
+        cfg.output_basename = str(cfg.output_basename)
         cfg.validate()
         return cfg
 
@@ -131,6 +116,11 @@ class RunConfig:
                 raise ConfigError(f"{name}: {type(exc).__name__}: {exc}") from exc
         if len(self.objectives) != self.build_topology().n:
             raise ConfigError("one objective per agent is required")
+        if self.algorithm == "fs":
+            for j, objective in enumerate(self.build_problem().objectives):
+                if not isinstance(objective, PolynomialObjective):
+                    raise ConfigError(f"agent {j}: function sharing requires polynomial local "
+                                      f"objectives, got {self.objectives[j]['kind']!r}")
         self.build_init(self.build_problem())
 
     def build_topology(self) -> Topology:
@@ -180,23 +170,11 @@ class RunConfig:
         return init
 
     def canonical_dict(self) -> dict:
-        doc = {
-            "algorithm": self.algorithm,
-            "topology": self.topology,
-            "objectives": self.objectives,
-            "feasible": self.feasible,
-            "schedule": self.schedule,
-            "max_iter": self.max_iter,
-            "delta": self.delta,
-            "delta_coeff": self.delta_coeff,
-            "d_max": self.d_max,
-            "seed": self.seed,
-            "record_every": self.record_every,
-            "metropolis_self_inclusive": self.metropolis_self_inclusive,
-        }
-        if self.init is not None:
-            doc["init"] = self.init
-        return doc
+        """The config keys a trace stores, in field order: all but
+        ``output_basename``, and ``init`` only when it is set."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.init and f.name != "output_basename"
+                and not (f.name == "init" and self.init is None)}
 
 
 def execute(config: RunConfig) -> ExecutionTrace:

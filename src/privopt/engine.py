@@ -20,9 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import FusionMatrix, GraphError, Topology, metropolis_weights
-from .noise import (FsObjectiveError, RandomStreams, draw_lb_perturbation,
-                    draw_nb_shares, draw_noise_functions, nb_perturbation,
-                    noise_gradient_bounds, obfuscate)
+from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
+                    draw_noise_functions, nb_perturbation, noise_gradient_bounds, obfuscate)
 from .objectives import Box, GlobalProblem
 
 # Version 2: rss noise streams are one per (purpose, agent) and addressed by
@@ -315,10 +314,6 @@ class ExecutionTrace:
     def d_max(self) -> int:
         return self.config["d_max"]
 
-    @property
-    def problem_spec(self) -> dict:
-        return {"objectives": self.config["objectives"], "feasible": self.config["feasible"]}
-
     @cached_property
     def round_index(self) -> np.ndarray:
         """(R,) recorded rounds."""
@@ -439,10 +434,6 @@ class ExecutionTrace:
             "digest": self.state_digest(),
         }
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExecutionTrace":
         """Rebuild a trace. Its config is validated as a run config is,
@@ -450,8 +441,8 @@ class ExecutionTrace:
         config's agents, dimension, edges, recorded rounds and noise degree,
         for encoding, shape and finiteness; the fusion weights as
         ``FusionMatrix`` checks them; the fs extras; the state digest; and,
-        for fs, that the objectives can be obfuscated. Any mismatch, a config
-        error included, raises ``TraceError``."""
+        for fs, that the obfuscated objectives are finite. Any mismatch, a
+        config error included, raises ``TraceError``."""
         from .configs import ConfigError, RunConfig
 
         if not isinstance(doc, dict):
@@ -507,13 +498,8 @@ class ExecutionTrace:
         if digest != doc["digest"]:
             raise TraceError(f"state digest {digest[:12]} does not match the stored "
                              f"digest {str(doc['digest'])[:12]}")
-        if algorithm == "fs":
-            try:
-                obfuscated = trace.obfuscated
-            except FsObjectiveError as exc:
-                raise TraceError(f"problem cannot be obfuscated: {type(exc).__name__}: {exc}") from None
-            if not np.isfinite(obfuscated).all():
-                raise TraceError("the obfuscated objectives hold a non-finite value")
+        if algorithm == "fs" and not np.isfinite(trace.obfuscated).all():
+            raise TraceError("the obfuscated objectives hold a non-finite value")
         return trace
 
     @classmethod

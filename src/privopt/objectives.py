@@ -94,10 +94,6 @@ class Objective:
     def gradient(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def curvature_norm(self, x) -> np.ndarray:
-        """Operator norm of the Hessian at points x (batched)."""
-        raise NotImplementedError
-
     def check_dim(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
@@ -138,9 +134,6 @@ class PolynomialObjective(Objective):
     def gradient(self, x):
         return self.poly.gradient(self.check_dim(x))
 
-    def curvature_norm(self, x):
-        return np.max(np.abs(self.poly.curvature(self.check_dim(x))), axis=-1)
-
     def ensure_convex_on(self, box: Box) -> None:
         if self.enforce_convex:
             _require_convex_floor(self.poly.curvature_floor(box.lower, box.upper))
@@ -175,11 +168,6 @@ class QuadraticObjective(Objective):
 
     def gradient(self, x):
         return _affine_rows(self.check_dim(x), self.matrix.T, self.vector)
-
-    def curvature_norm(self, x):
-        x = self.check_dim(x)
-        norm = float(np.linalg.norm(self.matrix, 2))
-        return np.full(x.shape[:-1], norm)
 
     def ensure_convex_on(self, box: Box) -> None:
         _require_psd(np.linalg.eigvalsh(self.matrix))
@@ -225,13 +213,6 @@ class LogisticObjective(Objective):
         if grad.shape != x.shape:
             grad = -np.einsum("...s,sd->...d", sig * self.labels, self.features) / self.samples
         return grad + self.ridge * x
-
-    def curvature_norm(self, x):
-        m, _ = self._margins(x)
-        p = 1.0 / (1.0 + np.exp(-m))
-        w = p * (1.0 - p) / self.samples  # (..., samples)
-        h = np.einsum("...s,sd,se->...de", w, self.features, self.features, optimize=True)
-        return np.linalg.eigvalsh(h + self.ridge * np.eye(self.dim))[..., -1]  # H is symmetric PSD
 
     def ensure_convex_on(self, box: Box) -> None:
         return  # sum of log-convex losses plus a ridge term

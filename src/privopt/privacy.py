@@ -111,8 +111,8 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
     for a in coalition:
         if not 0 <= a < trace.n:
             raise ValueError(f"coalition member {a} out of range")
-    specs = trace.problem_spec["objectives"]
-    if any(spec.get("kind") != "polynomial" for spec in specs):
+    objectives = trace.problem.objectives
+    if not all(isinstance(obj, PolynomialObjective) for obj in objectives):
         raise NonFsTraceError("function-sharing traces require polynomial objectives")
     width = trace.obfuscated.shape[-1]
     senders, receivers = trace.topology.sender_edges
@@ -126,7 +126,7 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
         "init": trace.init.tolist(),
         "max_iter": trace.max_iter,
         "record_every": trace.record_every,
-        "feasible": trace.problem_spec["feasible"],
+        "feasible": trace.config["feasible"],
         "delta_coeff": trace.delta_coeff,
         "d_max": trace.d_max,
     }
@@ -136,8 +136,7 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
         dim=trace.dim,
         width=width,
         obfuscated=dict(enumerate(trace.obfuscated)),
-        coalition_objectives={a: pad_coeffs(np.atleast_2d(np.asarray(specs[a]["coeffs"], dtype=float)),
-                                            width) for a in coalition},
+        coalition_objectives={a: pad_coeffs(objectives[a].poly.coeffs, width) for a in coalition},
         observed=observed,
         noise=noise,
         recipe=recipe,

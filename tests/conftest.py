@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -137,3 +139,9 @@ def edit_array(doc, path, change):
         value = decoded(value)
     new = change(value)
     doc[last] = encode_array(new) if isinstance(new, np.ndarray) else new
+
+
+def save_trace(trace, path):
+    """Write a trace's document to ``path``, as ``privopt run`` writes it."""
+    with open(path, "w") as fh:
+        json.dump(trace.to_json_dict(), fh)

@@ -109,10 +109,10 @@ def matrix(quartic_problem, quartic_optimum):
                                                   MAX_ITER, init=INTERIOR_INIT,
                                                   seed=seed, weights=weights)
                         runtime = time.perf_counter() - start
-                        bounds = effective_bounds(trace, quartic_problem)
+                        bounds = effective_bounds(trace)
                         lem1 = check_lemma1(trace, bounds)
-                        lem2 = check_lemma2(trace, quartic_problem, x_star)
-                        inv = audit_invariants(trace, quartic_problem)
+                        lem2 = check_lemma2(trace, x_star)
+                        inv = audit_invariants(trace)
                         unique[ukey] = CompactRun(
                             topology=name, algorithm=algorithm, delta=delta, seed=seed,
                             runtime=runtime, digest=trace.state_digest(),
@@ -178,9 +178,9 @@ def test_criterion_4_finite_time_envelope(quartic_problem, quartic_optimum):
     ok = True
     details = []
     for algorithm, runner in (("rss_nb", po.run_rss_nb), ("rss_lb", po.run_rss_lb)):
-        runs = [(d, runner(quartic_problem, topo, sched, d, MAX_ITER,
-                           init=zero_init, seed=SEEDS[0])) for d in DELTAS]
-        rep = check_theorem3(runs, quartic_problem, optimum_value=f_star)
+        runs = [runner(quartic_problem, topo, sched, d, MAX_ITER, init=zero_init, seed=SEEDS[0])
+                for d in DELTAS]
+        rep = check_theorem3(runs, optimum_value=f_star)
         ok &= rep.passed
         cs = [f"{f['fitted_constant']:.2e}" for f in rep.details["fits"]]
         details.append(f"{algorithm} c={cs}")
@@ -269,7 +269,7 @@ def test_criterion_6_privacy_trials():
         trace = po.run_fs(problem, topo, sched, 0.5, 8, 200,
                           init=INTERIOR_INIT, seed=77)
         view = po.extract_view(trace, coalition)
-        truth = {j: s["coeffs"] for j, s in enumerate(trace.problem_spec["objectives"])}
+        truth = {j: s["coeffs"] for j, s in enumerate(trace.config["objectives"])}
         rep = necessity_demo(view, truth)
         assert rep.passed and len(rep.components) == expected_components
         cut_residual = max(cut_residual, max(c["residual"] for c in rep.components))

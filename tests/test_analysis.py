@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,48 @@ def nb_run(quartic_problem, cycle5, inv_sqrt):
 @pytest.fixture(scope="module")
 def dgd_run(quartic_problem, cycle5, inv_sqrt):
     return po.run_dgd(quartic_problem, cycle5, inv_sqrt, 2000, init=INTERIOR_INIT)
+
+
+@pytest.fixture(scope="module")
+def each_algorithm(quartic_problem, cycle5, inv_sqrt):
+    kw = dict(max_iter=200, init=INTERIOR_INIT)
+    return {"dgd": po.run_dgd(quartic_problem, cycle5, inv_sqrt, **kw),
+            "rss_nb": po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=5, **kw),
+            "rss_lb": po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=5, **kw),
+            "fs": po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, seed=5, **kw)}
+
+
+class TestReadersTakeTheTrace:
+    """Every reader takes a trace alone, so a trace read back from its
+    document gives the results of the run's own trace."""
+
+    @staticmethod
+    def reports(trace, x_star):
+        reports = [audit_invariants(trace), check_lemma1(trace, effective_bounds(trace)),
+                   check_lemma2(trace, x_star), check_consensus(trace)]
+        if trace.algorithm == "rss_nb":
+            reports.append(check_theorem3([trace]))
+        return [rep.to_dict() for rep in reports]
+
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs"])
+    def test_reloaded_trace_reads_the_same(self, each_algorithm, algorithm, quartic_optimum):
+        trace = each_algorithm[algorithm]
+        loaded = po.ExecutionTrace.from_json_dict(trace.to_json_dict())
+        x_star = quartic_optimum[0]
+        assert self.reports(loaded, x_star) == self.reports(trace, x_star)
+        ours, theirs = compute_metrics(trace), compute_metrics(loaded)
+        for column in dataclasses.fields(ours):
+            assert np.array_equal(getattr(theirs, column.name), getattr(ours, column.name))
+
+    def test_theorem3_compares_runs_of_one_problem(self, dgd_run, wide_box, cycle5, inv_sqrt):
+        # the problem is compared by value: a reloaded trace's is another object
+        reloaded = po.ExecutionTrace.from_json_dict(dgd_run.to_json_dict())
+        assert check_theorem3([dgd_run, reloaded], optimum_value=0.0).checked == 2
+        other = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])] * 5,
+                                 feasible=wide_box)
+        trace = po.run_dgd(other, cycle5, inv_sqrt, 50, init=INTERIOR_INIT)
+        with pytest.raises(ValueError, match="problems differ"):
+            check_theorem3([dgd_run, trace], optimum_value=0.0)
 
 
 class TestBoundParams:
@@ -58,22 +102,21 @@ class TestComputeMetrics:
                                       quartic_optimum):
         trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 20, init=np.zeros((5, 1)))
         x_star, f_star = quartic_optimum
-        metrics = compute_metrics(trace, quartic_problem, x_star, f_star)
+        metrics = compute_metrics(trace, x_star, f_star)
         assert metrics.max_disagreement.size == 21 and np.all(metrics.max_disagreement == 0.0)
 
-    def test_growth_coeff_specializes_at_zero_delta(self, dgd_run, quartic_problem,
-                                                    quartic_optimum):
+    def test_growth_coeff_specializes_at_zero_delta(self, dgd_run, quartic_optimum):
         x_star, f_star = quartic_optimum
-        metrics = compute_metrics(dgd_run, quartic_problem, x_star, f_star)
-        bounds = effective_bounds(dgd_run, quartic_problem)
+        metrics = compute_metrics(dgd_run, x_star, f_star)
+        bounds = effective_bounds(dgd_run)
         np.testing.assert_allclose(
             metrics.growth_coeff[:50],
             metrics.step[:50] * bounds.grad_smoothness * metrics.max_disagreement[:50],
             rtol=1e-6, atol=1e-12)
 
-    def test_suboptimality_trends_down(self, nb_run, quartic_problem, quartic_optimum):
+    def test_suboptimality_trends_down(self, nb_run, quartic_optimum):
         x_star, f_star = quartic_optimum
-        subopt = compute_metrics(nb_run, quartic_problem, x_star, f_star).suboptimality
+        subopt = compute_metrics(nb_run, x_star, f_star).suboptimality
         early = subopt[1:20].max()
         late = subopt[-1]
         assert late < 1e-4 and late < early
@@ -86,7 +129,7 @@ class TestComputeMetrics:
         for trace in (po.run_dgd(quartic_problem, cycle5, inv_sqrt, **kw),
                       po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 0.0, seed=1, **kw),
                       po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 0.0, seed=2, **kw)):
-            metrics = compute_metrics(trace, quartic_problem, x_star, f_star)
+            metrics = compute_metrics(trace, x_star, f_star)
             series.append(np.stack([metrics.suboptimality, metrics.max_disagreement,
                                     metrics.eta2]))
         assert np.array_equal(series[0], series[1]) and np.array_equal(series[0], series[2])
@@ -98,18 +141,18 @@ class TestLemma1:
                                    feasible=wide_box)
         solo = po.Topology.from_edges(1, [])
         trace = po.run_dgd(problem, solo, inv_sqrt, 100, init=np.array([[5.0]]))
-        report = check_lemma1(trace, effective_bounds(trace, problem))
+        report = check_lemma1(trace, effective_bounds(trace))
         assert report.passed and report.checked == 100
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, 15.0])
     def test_zero_violations_on_cycle(self, quartic_problem, cycle5, inv_sqrt, delta):
         trace = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, delta, 1500,
                               init=INTERIOR_INIT, seed=1)
-        report = check_lemma1(trace, effective_bounds(trace, quartic_problem))
+        report = check_lemma1(trace, effective_bounds(trace))
         assert report.passed, report.violations[:3]
 
-    def test_detects_fabricated_violation(self, nb_run, quartic_problem):
-        bounds = effective_bounds(nb_run, quartic_problem)
+    def test_detects_fabricated_violation(self, nb_run):
+        bounds = effective_bounds(nb_run)
         shrunk = po.BoundParams(n=bounds.n, rho=bounds.rho, contraction=1e-9,
                                 envelope=1.0, grad_bound=0.0, grad_smoothness=0.0,
                                 delta=0.0)
@@ -118,25 +161,25 @@ class TestLemma1:
 
 
 class TestLemma2:
-    def test_zero_violations(self, nb_run, quartic_problem, quartic_optimum):
-        report = check_lemma2(nb_run, quartic_problem, quartic_optimum[0])
+    def test_zero_violations(self, nb_run, quartic_optimum):
+        report = check_lemma2(nb_run, quartic_optimum[0])
         assert report.passed, report.violations[:3]
         assert report.checked == 2000
 
-    def test_dgd_specialization(self, dgd_run, quartic_problem, quartic_optimum):
-        report = check_lemma2(dgd_run, quartic_problem, quartic_optimum[0])
+    def test_dgd_specialization(self, dgd_run, quartic_optimum):
+        report = check_lemma2(dgd_run, quartic_optimum[0])
         assert report.passed
 
     def test_stationary_run(self, wide_box, cycle5, inv_sqrt):
         problem = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])] * 5,
                                    feasible=wide_box)
         trace = po.run_dgd(problem, cycle5, inv_sqrt, 200, init=np.zeros((5, 1)))
-        report = check_lemma2(trace, problem, np.zeros(1))
+        report = check_lemma2(trace, np.zeros(1))
         assert report.passed
 
-    def test_reference_point_must_be_feasible(self, nb_run, quartic_problem):
+    def test_reference_point_must_be_feasible(self, nb_run):
         with pytest.raises(ValueError):
-            check_lemma2(nb_run, quartic_problem, np.array([99.0]))
+            check_lemma2(nb_run, np.array([99.0]))
 
 
 class TestConsensus:
@@ -167,10 +210,10 @@ class TestTheorem3:
                                             quartic_optimum):
         # optimum-started runs isolate the noise-driven term of the envelope;
         # from a generic start the noise-independent transient dominates it
-        runs = [(d, po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, d, 3000,
-                                  init=np.zeros((5, 1)), seed=4))
+        runs = [po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, d, 3000,
+                              init=np.zeros((5, 1)), seed=4)
                 for d in (0.0, 1.0, 15.0)]
-        report = check_theorem3(runs, quartic_problem, optimum_value=quartic_optimum[1])
+        report = check_theorem3(runs, optimum_value=quartic_optimum[1])
         assert report.passed, report.violations
         fits = report.details["fits"]
         cs = [f["fitted_constant"] for f in fits]
@@ -181,7 +224,7 @@ class TestTheorem3:
                                    feasible=wide_box)
         solo = po.Topology.from_edges(1, [])
         trace = po.run_dgd(problem, solo, inv_sqrt, 2000, init=np.array([[1.0]]))
-        report = check_theorem3([(0.0, trace)], problem, optimum_value=0.0)
+        report = check_theorem3([trace], optimum_value=0.0)
         assert report.passed
         assert report.details["fits"][0]["envelope_constant"] < 10.0
 
@@ -189,7 +232,7 @@ class TestTheorem3:
         sched = po.StepSchedule(kind="inv_k", a=1.0, b=1.0)
         trace = po.run_dgd(quartic_problem, cycle5, sched, 200, init=INTERIOR_INIT)
         with pytest.raises(ScheduleError):
-            check_theorem3([(0.0, trace)], quartic_problem, optimum_value=0.0)
+            check_theorem3([trace], optimum_value=0.0)
 
     def test_weighted_average_is_convex_combination(self, dgd_run, quartic_problem):
         horizons = theorem3_horizons(dgd_run.max_iter)
@@ -204,7 +247,7 @@ class TestTheorem3:
         trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 200,
                            init=INTERIOR_INIT, record_every=10)
         with pytest.raises(ValueError):
-            weighted_average_suboptimality(trace, quartic_problem, 0.0, np.array([50]))
+            weighted_average_suboptimality(trace, 0.0, np.array([50]))
 
 
 class TestTransitionMatrix:
@@ -238,14 +281,14 @@ class TestInvariantAudit:
             po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, seed=5, **kw),
         ]
         for trace in traces:
-            report = audit_invariants(trace, quartic_problem)
+            report = audit_invariants(trace)
             assert report.passed, (trace.algorithm, report.violations)
             assert report.details["perspective_worst_gap"] < 1e-12
 
-    def test_detects_corrupted_state(self, nb_run, quartic_problem):
+    def test_detects_corrupted_state(self, nb_run):
         import copy
         bad = copy.deepcopy(nb_run)
         bad.states[100, 2, 0] = 99.0  # outside the box
-        report = audit_invariants(bad, quartic_problem)
+        report = audit_invariants(bad)
         assert not report.passed
         assert any(v["invariant"] == "states_feasible" for v in report.violations)

@@ -11,7 +11,7 @@ import privopt.cli as cli_module
 from privopt.cli import main
 from privopt.engine import ExecutionTrace
 
-from conftest import INTERIOR_INIT, edit_array, quartic_config, with_entry
+from conftest import INTERIOR_INIT, edit_array, quartic_config, save_trace, with_entry
 
 
 def write(path, doc):
@@ -164,7 +164,18 @@ class TestRun:
         for name in ("run_trace.json", "run_metrics.csv"):
             assert (out / name).stat().st_mode & 0o777 == 0o640
 
-    def test_builds_problem_and_topology_once(self, tmp_path, run_cfg, monkeypatch):
+    def test_fs_with_a_non_polynomial_objective_exits_2(self, tmp_path, capsys):
+        with open(os.path.join(CONFIGS, "fs_complete_run.json")) as fh:
+            doc = json.load(fh)
+        doc["objectives"][1] = {"kind": "logistic", "seed": 1, "dim": 1}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write(tmp_path / "fs.json", doc),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == ("config error: agent 1: function sharing requires "
+                                           "polynomial local objectives, got 'logistic'\n")
+        assert not out.exists()
+
+    def test_builds_problem_and_topology_once(self, tmp_path, monkeypatch):
         from privopt import configs
 
         built = {"objectives": 0, "topologies": 0}
@@ -180,8 +191,9 @@ class TestRun:
 
         monkeypatch.setattr(configs, "objective_from_spec", count_objective)
         monkeypatch.setattr(po.Topology, "from_spec", staticmethod(count_topology))
-        argv = ["run", "--config", run_cfg, "--out-dir", str(tmp_path / "o"), "--record-every", "5"]
-        assert main(argv) == 0
+        cfg = write(tmp_path / "run5.json", quartic_config(algorithm="rss_nb", delta=1.0, seed=3,
+                                                           record_every=5))
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
         assert built == {"objectives": 5, "topologies": 1}
 
     def test_rerun_is_byte_identical_modulo_timestamp(self, tmp_path, run_cfg):
@@ -297,7 +309,7 @@ class TestAudit:
         path = out / "run_trace.json"
         trace = ExecutionTrace.load(path)
         trace.states[50, 2, 0] = 99.0  # outside the feasible box
-        trace.save(path)  # stamps a digest that matches the tampered states
+        save_trace(trace, path)  # stamps a digest that matches the tampered states
         assert main(["audit", str(path), "--checks", "invariants"]) == 1
 
     def test_tampered_trace_exits_2(self, tmp_path, run_cfg, capsys):
@@ -501,7 +513,7 @@ def _break_lb_balance(trace):
     trace.noise[10, 3] += 1e-6  # edge (1, 2) breaks agent 1's balance
 
 
-# In-memory tampering of a loaded trace; save() stamps a matching digest, so
+# In-memory tampering of a loaded trace; writing it stamps a matching digest, so
 # the audit, not the loader, must catch it: (algorithm, tamper, invariant)
 TAMPERED = {
     "nb_share": ("rss_nb", _raise_share, "share_bound"),
@@ -517,11 +529,11 @@ class TestInvariantViolations:
         runner = po.run_rss_nb if algorithm == "rss_nb" else po.run_rss_lb
         trace = runner(quartic_problem, cycle5, inv_sqrt, 1.0, 60, init=INTERIOR_INIT, seed=3)
         path = tmp_path / "t.json"
-        trace.save(path)
+        save_trace(trace, path)
         assert main(["audit", str(path), "--checks", "invariants"]) == 0
         loaded = ExecutionTrace.load(path)
         tamper(loaded)
-        loaded.save(path)
+        save_trace(loaded, path)
         report_path = tmp_path / "audit.json"
         capsys.readouterr()
         assert main(["audit", str(path), "--checks", "invariants",
@@ -537,7 +549,7 @@ class TestInvariantViolations:
                               seed=3)
         trace.perturbations = with_entry(trace.perturbations, (10, 2), trace.perturbations[10, 2]
                                          + 1e-6)  # agent 2's perturbation no longer cancels
-        violations = po.audit_invariants(trace, quartic_problem).violations
+        violations = po.audit_invariants(trace).violations
         assert violations[0]["invariant"] == "network_balanced_sum"
 
 
@@ -646,8 +658,8 @@ MALFORMED_HEADER = {
     "extras_not_an_object": (lambda d: d.update(extras=[]), "extras must map"),
     "unobfuscatable_problem": (lambda d: d["config"]["objectives"][1].update(kind="logistic",
                                                                             seed=1, dim=1),
-                               "problem cannot be obfuscated: FsObjectiveError: function "
-                               "sharing requires polynomial local objectives"),
+                               "config: agent 1: function sharing requires polynomial "
+                               "local objectives, got 'logistic'"),
 }
 
 
@@ -768,10 +780,9 @@ class TestRandomizedConfigs:
         )
         config = RunConfig.from_dict(doc)
         trace = execute(config)
-        problem = config.build_problem()
-        assert audit_invariants(trace, problem).passed
+        assert audit_invariants(trace).passed
         path = tmp_path / f"t{trial}.json"
-        trace.save(path)
+        save_trace(trace, path)
         assert ExecutionTrace.load(path).state_digest() == trace.state_digest()
 
 

@@ -16,7 +16,7 @@ from privopt.engine import (ScheduleError, StepSchedule, TraceError, _slot_fuse,
 from privopt.graphs import GraphError
 from privopt.noise import FsObjectiveError
 
-from conftest import INTERIOR_INIT, decoded, edit_array, with_entry
+from conftest import INTERIOR_INIT, decoded, edit_array, save_trace, with_entry
 from test_golden import canonical_traces
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -195,7 +195,7 @@ class TestTraceStructure:
     def test_json_round_trip_preserves_digest(self, short_runs, tmp_path):
         for name, trace in short_runs.items():
             path = tmp_path / f"{name}.json"
-            trace.save(path)
+            save_trace(trace, path)
             loaded = po.ExecutionTrace.load(path)
             assert loaded.state_digest() == trace.state_digest()
             assert loaded.algorithm == trace.algorithm
@@ -239,11 +239,11 @@ class TestMultivariateRuns:
         runner = po.run_rss_nb if algorithm == "rss_nb" else po.run_rss_lb
         init = np.stack([np.linspace(-1, 1, 5), np.linspace(1, -1, 5)], axis=1)
         trace = runner(quad_problem, cycle5, inv_sqrt, 2.0, 500, init=init, seed=14)
-        assert audit_invariants(trace, quad_problem).passed
-        bounds = effective_bounds(trace, quad_problem)
+        assert audit_invariants(trace).passed
+        bounds = effective_bounds(trace)
         assert check_lemma1(trace, bounds).passed
         x_star, _ = po.solve_centralized(quad_problem)
-        assert check_lemma2(trace, quad_problem, x_star).passed
+        assert check_lemma2(trace, x_star).passed
         final = quad_problem.total_value(trace.final_states.mean(axis=0))
         _, f_star = po.solve_centralized(quad_problem)
         assert float(final) - f_star < 1e-2
@@ -258,13 +258,13 @@ class TestSelfInclusiveWeights:
         trace = po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 300,
                               init=INTERIOR_INIT, seed=6, weights=lazy)
         assert trace.config["metropolis_self_inclusive"]
-        report = audit_invariants(trace, quartic_problem)
+        report = audit_invariants(trace)
         assert report.passed, report.violations
-        bounds = effective_bounds(trace, quartic_problem)
+        bounds = effective_bounds(trace)
         assert bounds.rho == pytest.approx(0.25)
         assert check_lemma1(trace, bounds).passed
-        assert check_lemma2(trace, quartic_problem, quartic_optimum[0]).passed
-        trace.save(tmp_path / "t.json")
+        assert check_lemma2(trace, quartic_optimum[0]).passed
+        save_trace(trace, tmp_path / "t.json")
         loaded = po.ExecutionTrace.load(tmp_path / "t.json")
         assert_bit_equal(loaded.weights, lazy.weights)
         assert loaded.config == trace.config
@@ -393,7 +393,7 @@ class TestDerivedArrays:
     def test_bit_identical_to_per_round_formulas(self, cases, reload, tmp_path):
         for name, trace in cases.items():
             if reload:
-                trace.save(tmp_path / "t.json")
+                save_trace(trace, tmp_path / "t.json")
                 trace = po.ExecutionTrace.load(tmp_path / "t.json")
             expected = per_round_reference(trace)
             for attr in DERIVED:
@@ -401,7 +401,7 @@ class TestDerivedArrays:
 
     def test_reload_keeps_primary_arrays(self, cases, tmp_path):
         for trace in cases.values():
-            trace.save(tmp_path / "t.json")
+            save_trace(trace, tmp_path / "t.json")
             loaded = po.ExecutionTrace.load(tmp_path / "t.json")
             for attr in ("round_index", "steps", "states", "perturbations", "final_states",
                          "weights"):
@@ -602,7 +602,7 @@ def test_fuse_memory_grows_with_edges_not_agent_pairs(inv_sqrt):
         trace = traced(name, run)
         traced(f"{name} round trip",
                lambda: po.ExecutionTrace.from_json_dict(trace.to_json_dict()))
-        assert traced(f"{name} audit", lambda: audit_invariants(trace, problem)).passed
+        assert traced(f"{name} audit", lambda: audit_invariants(trace)).passed
 
 
 def _sparse_quadratic_problem(n):
@@ -708,7 +708,7 @@ class TestRoundBlocks:
         monkeypatch.undo()
         assert len(added) == 4  # the run's noise blocks
         if reload:
-            trace.save(tmp_path / "t.json")
+            save_trace(trace, tmp_path / "t.json")
             trace = po.ExecutionTrace.load(tmp_path / "t.json")
         assert_bit_equal(trace.perturbations, np.concatenate(added)[trace.round_index - 1])
 
@@ -729,7 +729,7 @@ class TestRoundBlocks:
                           seed=4, record_every=record_every)
         monkeypatch.undo()
         if reload:
-            trace.save(tmp_path / "t.json")
+            save_trace(trace, tmp_path / "t.json")
             trace = po.ExecutionTrace.load(tmp_path / "t.json")
         assert_bit_equal(trace.obfuscated, np.stack([obj.poly.coeffs for obj in obfuscated]))
 
@@ -816,6 +816,18 @@ class TestTraceFile:
                                                     "lb": (3, 1.0), "fs": (3, 0.0)}[name])
             assert loaded.init.tolist() == INTERIOR_INIT.tolist()
 
+    def test_canonical_dict_of_the_required_keys_pins_every_default(self):
+        required = {"algorithm": "dgd", "topology": {"family": "cycle", "n": 3},
+                    "objectives": [{"kind": "polynomial", "coeffs": [0, 0, 1]}] * 3,
+                    "feasible": {"lower": [-1], "upper": [1]},
+                    "schedule": {"kind": "inv_sqrt"}, "max_iter": 10}
+        config = RunConfig.from_dict(required)
+        # the key order is the one every trace file stores
+        assert list(config.canonical_dict().items()) == list({
+            **required, "delta": 0.0, "delta_coeff": 0.0, "d_max": 8, "seed": 0,
+            "record_every": 1, "metropolis_self_inclusive": False}.items())
+        assert config.init is None and config.output_basename == "run"
+
     def test_default_init_is_not_stored(self, quartic_problem, cycle5, inv_sqrt):
         trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5)
         assert "init" not in trace.config
@@ -830,7 +842,7 @@ class TestTraceFile:
         trace = execute(config)
         problem = config.build_problem()
         assert trace.problem is problem
-        assert trace.problem_spec == problem.to_spec()
+        assert {k: trace.config[k] for k in ("objectives", "feasible")} == problem.to_spec()
         assert trace.config["topology"] == config.build_topology().to_spec()
         assert {k: trace.config[k] for k in ("algorithm", "max_iter", "delta", "seed")} == {
             k: getattr(config, k) for k in ("algorithm", "max_iter", "delta", "seed")}
@@ -940,14 +952,14 @@ class TestLoadChecks:
         with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
 
-    def test_fs_noise_in_another_edge_order_fails_the_audit(self, docs, quartic_problem):
+    def test_fs_noise_in_another_edge_order_fails_the_audit(self, docs):
         # The edge order of fs noise is the topology's, so it is not stored and
         # a reordered array loads; the obfuscated objectives it yields no longer
         # explain the recorded states.
         doc = self._doc(docs["fs"])
-        assert audit_invariants(po.ExecutionTrace.from_json_dict(doc), quartic_problem).passed
+        assert audit_invariants(po.ExecutionTrace.from_json_dict(doc)).passed
         edit_array(doc, ("noise",), lambda v: v[::-1])
-        report = audit_invariants(po.ExecutionTrace.from_json_dict(doc), quartic_problem)
+        report = audit_invariants(po.ExecutionTrace.from_json_dict(doc))
         assert [v["invariant"] for v in report.violations] == ["gradient_noise_perspective"]
 
     def test_header_arrays_checked(self, docs):
@@ -1061,14 +1073,12 @@ class TestLoadChecks:
         with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
 
-    @pytest.mark.parametrize("change, match", [
-        (lambda p: p["objectives"][1].update(kind="logistic", seed=1, dim=1),
-         "FsObjectiveError: function sharing requires polynomial local objectives"),
-    ])
-    def test_fs_problem_must_be_obfuscatable(self, docs, change, match):
+    def test_fs_problem_must_be_polynomial(self, docs):
+        # refused by the config's validation, before the arrays and the digest
         doc = self._doc(docs["fs"])
-        change(doc["config"])
-        with pytest.raises(TraceError, match="problem cannot be obfuscated: " + match):
+        doc["config"]["objectives"][1].update(kind="logistic", seed=1, dim=1)
+        with pytest.raises(TraceError, match="^config: agent 1: function sharing requires "
+                                             "polynomial local objectives, got 'logistic'$"):
             po.ExecutionTrace.from_json_dict(doc)
 
     def test_fs_obfuscated_objectives_must_be_finite(self, docs):
@@ -1096,7 +1106,7 @@ class TestTraceRoundTrip:
             "fs": lambda: po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, 30, seed=2, **kw),
         }[algorithm]()
         assert np.signbit(trace.states[0, 2, 0]) and trace.states[0, 2, 0] == 0
-        trace.save(tmp_path / "t.json")
+        save_trace(trace, tmp_path / "t.json")
         loaded = po.ExecutionTrace.load(tmp_path / "t.json")
         for attr in ("init", "round_index", "steps", "states", "perturbations", "final_states",
                      "noise", "shares", "obfuscated", "weights"):

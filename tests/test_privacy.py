@@ -54,7 +54,7 @@ def replay_verdicts(view):
 
 def truth_coeffs(trace):
     return {j: np.atleast_2d(np.asarray(s["coeffs"], dtype=float))
-            for j, s in enumerate(trace.problem_spec["objectives"])}
+            for j, s in enumerate(trace.config["objectives"])}
 
 
 def edge_rows(topology):
