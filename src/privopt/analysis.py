@@ -447,7 +447,7 @@ def audit_invariants(trace: ExecutionTrace, tol: float = 1e-12) -> CheckReport:
     # true fused state with the fused noise folded into the gradient.
     if trace.algorithm == "fs":
         sub = GlobalProblem(
-            objectives=[PolynomialObjective(c, enforce_convex=False) for c in trace.obfuscated],
+            objectives=[PolynomialObjective(c) for c in trace.obfuscated],
             feasible=box, validate_convexity=False)
     else:
         sub = trace.problem

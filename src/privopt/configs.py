@@ -10,7 +10,7 @@ import numpy as np
 from .engine import (ALGORITHMS, ExecutionTrace, StepSchedule, run_dgd,
                      run_fs, run_rss_lb, run_rss_nb)
 from .graphs import FusionMatrix, Topology, metropolis_weights
-from .objectives import Box, GlobalProblem, PolynomialObjective, objective_from_spec
+from .objectives import GlobalProblem, PolynomialObjective
 
 
 class ConfigError(ValueError):
@@ -130,10 +130,8 @@ class RunConfig:
 
     def build_problem(self) -> GlobalProblem:
         if "problem" not in self._built:
-            problem = GlobalProblem(
-                objectives=[objective_from_spec(s) for s in self.objectives],
-                feasible=Box.from_spec(self.feasible),
-            )
+            problem = GlobalProblem.from_spec({"objectives": self.objectives,
+                                               "feasible": self.feasible})
             problem.check_critical_points()
             self._built["problem"] = problem
         return self._built["problem"]

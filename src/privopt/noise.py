@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Topology
+from .objectives import PolynomialObjective
 from .polynomials import derivative_sups, pad_coeffs
 
 _PURPOSES = {"nb_direction": 1, "lb_raw": 2, "fs_coeff": 3, "alt_extra": 4, "nb_radius": 5}
@@ -238,8 +239,6 @@ def obfuscate(objectives: list, noise: np.ndarray, topology: Topology) -> list:
     """Obfuscated objectives: each local polynomial plus its zero-sum offset
     of the (E, D, W) edge noise, padded to a common width. Requires a
     polynomial objective family."""
-    from .objectives import PolynomialObjective
-
     if len(objectives) != topology.n:
         raise ValueError("one objective per agent is required")
     for obj in objectives:
@@ -249,7 +248,7 @@ def obfuscate(objectives: list, noise: np.ndarray, topology: Topology) -> list:
             raise ValueError(f"objectives of dimension {obj.dim}, noise of dimension {noise.shape[1]}")
     width = max([obj.poly.width for obj in objectives] + [noise.shape[-1]])
     offsets = noise_offsets(pad_coeffs(noise, width), topology)
-    return [PolynomialObjective(pad_coeffs(obj.poly.coeffs, width) + off, enforce_convex=False)
+    return [PolynomialObjective(pad_coeffs(obj.poly.coeffs, width) + off)
             for obj, off in zip(objectives, offsets)]
 
 

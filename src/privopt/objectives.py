@@ -3,7 +3,6 @@ global sum objective with a centralized optimum oracle."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,9 +103,6 @@ class Objective:
             )
         return x
 
-    def ensure_convex_on(self, box: Box) -> None:
-        raise NotImplementedError
-
     def constants(self, box: Box) -> tuple[float, float]:
         """Closed-form upper bounds on the box for the gradient norm (L) and
         the gradient Lipschitz constant (N)."""
@@ -117,16 +113,14 @@ class Objective:
 
 
 class PolynomialObjective(Objective):
-    """Separable polynomial objective with optional convexity enforcement.
+    """Separable polynomial objective. ``GlobalProblem`` checks its convexity
+    on the box; obfuscated objectives, which may lose convexity while their
+    network sum stays convex, go into a problem built with
+    ``validate_convexity=False``."""
 
-    ``enforce_convex=False`` is used for obfuscated objectives, which may lose
-    convexity while their network sum stays convex.
-    """
-
-    def __init__(self, coeffs, enforce_convex: bool = True):
+    def __init__(self, coeffs):
         self.poly = SeparablePolynomial(as_coeff_matrix(coeffs))
         self.dim = self.poly.dim
-        self.enforce_convex = enforce_convex
 
     def value(self, x):
         return self.poly.value(self.check_dim(x))
@@ -134,17 +128,12 @@ class PolynomialObjective(Objective):
     def gradient(self, x):
         return self.poly.gradient(self.check_dim(x))
 
-    def ensure_convex_on(self, box: Box) -> None:
-        if self.enforce_convex:
-            _require_convex_floor(self.poly.curvature_floor(box.lower, box.upper))
-
     def constants(self, box: Box) -> tuple[float, float]:
         grad, curv = derivative_sups(self.poly.coeffs, box.lower, box.upper)
         return float(grad), float(curv)
 
     def to_spec(self) -> dict:
-        return {"kind": "polynomial", "coeffs": self.poly.coeffs.tolist(),
-                "enforce_convex": self.enforce_convex}
+        return {"kind": "polynomial", "coeffs": self.poly.coeffs.tolist()}
 
 
 class QuadraticObjective(Objective):
@@ -168,9 +157,6 @@ class QuadraticObjective(Objective):
 
     def gradient(self, x):
         return _affine_rows(self.check_dim(x), self.matrix.T, self.vector)
-
-    def ensure_convex_on(self, box: Box) -> None:
-        _require_psd(np.linalg.eigvalsh(self.matrix))
 
     def constants(self, box: Box) -> tuple[float, float]:
         # ||Qx + b|| is convex, so its max over the box sits at a corner.
@@ -214,9 +200,6 @@ class LogisticObjective(Objective):
             grad = -np.einsum("...s,sd->...d", sig * self.labels, self.features) / self.samples
         return grad + self.ridge * x
 
-    def ensure_convex_on(self, box: Box) -> None:
-        return  # sum of log-convex losses plus a ridge term
-
     def constants(self, box: Box) -> tuple[float, float]:
         # L: sigma <= 1 bounds the loss term by the mean feature norm;
         # N: p(1 - p) <= 1/4, attained at x = 0
@@ -242,24 +225,12 @@ _BLOCK_VALUES = 1 << 13
 _CURVATURE_FLOOR = -1e-12
 
 
-def _require_convex_floor(floor: float) -> None:
-    if floor < _CURVATURE_FLOOR:
-        raise ConvexityError(f"polynomial objective is non-convex on the feasible set "
-                             f"(second derivative reaches {floor:.3e})")
-
-
 def _not_psd(spectra: np.ndarray) -> np.ndarray:
     """Whether each symmetric matrix, given by its eigenvalues (..., D), is
     not positive semidefinite: its smallest eigenvalue is below -1e-10 times
     the larger of 1 and its largest magnitude."""
     scale = np.maximum(1.0, np.abs(spectra).max(axis=-1, initial=0.0))
     return spectra.min(axis=-1, initial=np.inf) < -1e-10 * scale
-
-
-def _require_psd(eigs: np.ndarray) -> None:
-    if _not_psd(eigs):
-        raise ConvexityError(f"quadratic matrix is not positive semidefinite "
-                             f"(min eigenvalue {eigs.min():.3e})")
 
 
 def _stack_padded(arrays) -> np.ndarray:
@@ -290,7 +261,7 @@ def _affine_rows(x, matrix_t, vector):
 def objective_from_spec(spec: dict) -> Objective:
     kind = spec.get("kind")
     if kind == "polynomial":
-        return PolynomialObjective(spec["coeffs"], enforce_convex=spec.get("enforce_convex", True))
+        return PolynomialObjective(spec["coeffs"])
     if kind == "quadratic":
         return QuadraticObjective(spec["matrix"], spec["vector"], spec.get("scalar", 0.0))
     if kind == "logistic":
@@ -311,6 +282,11 @@ class GlobalProblem:
     Totals add the agents left to right, as the per-objective loop does, so
     every value is bit-identical to it. Other problems evaluate agent by
     agent. The per-agent constants are likewise computed once per instance.
+
+    Every objective must be convex on the feasible set, which construction
+    checks. Only function sharing's obfuscated objectives may lose convexity,
+    because their sum is unchanged; their problem is built with
+    ``validate_convexity=False``.
     """
 
     objectives: tuple
@@ -327,11 +303,10 @@ class GlobalProblem:
         if self.validate_convexity:
             self._check_convexity()
 
-    def _polynomial_agents(self, convex_only: bool = False) -> tuple[list, np.ndarray | None]:
-        """Indices of the polynomial objectives (those that enforce convexity,
-        if ``convex_only``) and their ``_stack_padded`` coefficients."""
-        agents = [j for j, obj in enumerate(self.objectives) if isinstance(obj, PolynomialObjective)
-                  and (obj.enforce_convex or not convex_only)]
+    def _polynomial_agents(self) -> tuple[list, np.ndarray | None]:
+        """Indices of the polynomial objectives and their ``_stack_padded``
+        coefficients."""
+        agents = [j for j, obj in enumerate(self.objectives) if isinstance(obj, PolynomialObjective)]
         if not agents:
             return agents, None
         return agents, _stack_padded([self.objectives[j].poly.coeffs for j in agents])
@@ -340,11 +315,11 @@ class GlobalProblem:
         """Raise ConvexityError naming the first agent whose objective is not
         convex on the feasible set. One ``interval_extrema`` call gives the
         curvature floors of every polynomial agent and one stacked
-        ``eigvalsh`` call the spectra of every quadratic agent; the other
-        objectives check themselves."""
-        agents, coeffs = self._polynomial_agents(convex_only=True)
+        ``eigvalsh`` call the spectra of every quadratic agent; logistic
+        objectives are convex by construction."""
         box = self.feasible
-        checks = []  # (agent, a call that raises its ConvexityError)
+        faults = []  # (agent, what is wrong with its objective)
+        agents, coeffs = self._polynomial_agents()
         if coeffs is not None:
             try:
                 floors = interval_extrema(derivative(coeffs, 2), box.lower,
@@ -354,23 +329,19 @@ class GlobalProblem:
                 raise
             bad = np.flatnonzero(floors < _CURVATURE_FLOOR)
             if bad.size:
-                checks.append((agents[bad[0]], functools.partial(_require_convex_floor,
-                                                                 float(floors[bad[0]]))))
+                faults.append((agents[bad[0]], f"polynomial objective is non-convex on the "
+                               f"feasible set (second derivative reaches {floors[bad[0]]:.3e})"))
         quadratic = [j for j, obj in enumerate(self.objectives)
                      if isinstance(obj, QuadraticObjective)]
         if quadratic:
             spectra = np.linalg.eigvalsh(np.stack([self.objectives[j].matrix for j in quadratic]))
             bad = np.flatnonzero(_not_psd(spectra))
             if bad.size:
-                checks.append((quadratic[bad[0]], functools.partial(_require_psd, spectra[bad[0]])))
-        checks += [(j, functools.partial(obj.ensure_convex_on, box))
-                   for j, obj in enumerate(self.objectives)
-                   if not isinstance(obj, (PolynomialObjective, QuadraticObjective))]
-        for j, check in sorted(checks, key=lambda item: item[0]):
-            try:
-                check()
-            except ConvexityError as exc:
-                raise ConvexityError(f"agent {j}: {exc}") from None
+                faults.append((quadratic[bad[0]], f"quadratic matrix is not positive semidefinite "
+                               f"(min eigenvalue {spectra[bad[0]].min():.3e})"))
+        if faults:
+            agent, fault = min(faults)
+            raise ConvexityError(f"agent {agent}: {fault}")
 
     def _stacked_polynomials(self, rows) -> np.ndarray | None:
         """(n, D, C) stack of one (D, C_j) coefficient array per objective,
@@ -506,10 +477,9 @@ class GlobalProblem:
                 "feasible": self.feasible.to_spec()}
 
     @classmethod
-    def from_spec(cls, spec: dict, validate_convexity: bool = True) -> "GlobalProblem":
+    def from_spec(cls, spec: dict) -> "GlobalProblem":
         return cls(objectives=[objective_from_spec(s) for s in spec["objectives"]],
-                   feasible=Box.from_spec(spec["feasible"]),
-                   validate_convexity=validate_convexity)
+                   feasible=Box.from_spec(spec["feasible"]))
 
 
 def estimate_constants(obj: Objective, box: Box) -> tuple[float, float]:

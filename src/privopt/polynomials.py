@@ -167,8 +167,8 @@ def derivative_sups(coeffs, lower, upper) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class SeparablePolynomial:
     """Sum of independent univariate polynomials, one per coordinate.
-    The coefficient array is read-only, so derivative coefficients are
-    computed once (read-only too)."""
+    The coefficient array is read-only, so the first-derivative coefficients
+    are computed once (read-only too)."""
 
     coeffs: np.ndarray  # (D, C), constant-first
 
@@ -179,11 +179,6 @@ class SeparablePolynomial:
     def first_derivative(self) -> np.ndarray:
         """Per-coordinate first-derivative coefficients, shape (D, max(C - 1, 1))."""
         return _read_only(derivative(self.coeffs))
-
-    @cached_property
-    def second_derivative(self) -> np.ndarray:
-        """Per-coordinate second-derivative coefficients, shape (D, max(C - 2, 1))."""
-        return _read_only(derivative(self.coeffs, 2))
 
     @property
     def dim(self) -> int:
@@ -210,15 +205,6 @@ class SeparablePolynomial:
     def gradient(self, x) -> np.ndarray:
         """Gradient at points x of shape (..., D); returns shape (..., D)."""
         return horner(self.first_derivative, np.asarray(x, dtype=float))
-
-    def curvature(self, x) -> np.ndarray:
-        """Per-coordinate second derivatives (the Hessian diagonal) at x."""
-        return horner(self.second_derivative, np.asarray(x, dtype=float))
-
-    def curvature_floor(self, lower, upper) -> float:
-        """Smallest second derivative over the box [lower, upper]; a negative
-        one certifies non-convexity somewhere on the box."""
-        return float(interval_extrema(self.second_derivative, lower, upper)[0].min())
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -112,8 +112,6 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
         if not 0 <= a < trace.n:
             raise ValueError(f"coalition member {a} out of range")
     objectives = trace.problem.objectives
-    if not all(isinstance(obj, PolynomialObjective) for obj in objectives):
-        raise NonFsTraceError("function-sharing traces require polynomial objectives")
     width = trace.obfuscated.shape[-1]
     senders, receivers = trace.topology.sender_edges
     member = np.zeros(trace.n, dtype=bool)
@@ -360,8 +358,7 @@ def replay_digest(view: AdversaryView) -> str:
     topology, recipe = view.topology, view.recipe
     box = Box.from_spec(recipe["feasible"])
     problem = GlobalProblem(
-        objectives=[PolynomialObjective(view.obfuscated[j], enforce_convex=False)
-                    for j in range(topology.n)],
+        objectives=[PolynomialObjective(view.obfuscated[j]) for j in range(topology.n)],
         feasible=box, validate_convexity=False)
     init = np.asarray(recipe["init"], dtype=float)
     if init.shape != (topology.n, view.dim):

@@ -175,11 +175,24 @@ class TestRun:
                                            "polynomial local objectives, got 'logistic'\n")
         assert not out.exists()
 
+    def test_nonconvex_objective_exits_2_despite_an_opt_out(self, tmp_path, capsys):
+        # every local objective must be convex on the box; a spec cannot opt out
+        doc = quartic_config()
+        doc["objectives"][0] = {"kind": "polynomial", "coeffs": [0, 0, 1, 0, -0.1],
+                                "enforce_convex": False}  # 2 - 1.2 x^2 < 0 where |x| > 1.29
+        out = tmp_path / "out"
+        assert main(["run", "--config", write(tmp_path / "c.json", doc),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: agent 0: polynomial objective is non-convex on the feasible set "
+            "(second derivative reaches -1.078e+03)\n")
+        assert not out.exists()
+
     def test_builds_problem_and_topology_once(self, tmp_path, monkeypatch):
-        from privopt import configs
+        from privopt import objectives
 
         built = {"objectives": 0, "topologies": 0}
-        objective_from_spec, topology_from_spec = configs.objective_from_spec, po.Topology.from_spec
+        objective_from_spec, topology_from_spec = objectives.objective_from_spec, po.Topology.from_spec
 
         def count_objective(spec):
             built["objectives"] += 1
@@ -189,7 +202,7 @@ class TestRun:
             built["topologies"] += 1
             return topology_from_spec(spec)
 
-        monkeypatch.setattr(configs, "objective_from_spec", count_objective)
+        monkeypatch.setattr(objectives, "objective_from_spec", count_objective)
         monkeypatch.setattr(po.Topology, "from_spec", staticmethod(count_topology))
         cfg = write(tmp_path / "run5.json", quartic_config(algorithm="rss_nb", delta=1.0, seed=3,
                                                            record_every=5))
@@ -645,6 +658,9 @@ MALFORMED_HEADER = {
                         "config: max_iter must be a positive integer, got '5'"),
     "nonconvex_objective": (lambda d: d["config"]["objectives"][2].update(coeffs=[[0, 0, -1]]),
                             "config: agent 2: polynomial objective is non-convex"),
+    "nonconvex_objective_opted_out": (
+        lambda d: d["config"]["objectives"][2].update(coeffs=[[0, 0, -1]], enforce_convex=False),
+        "config: agent 2: polynomial objective is non-convex"),
     "init_outside_the_box": (lambda d: d["config"]["init"][0].__setitem__(0, 31.0),
                              "config: init must lie in the feasible box"),
     "agents_differ_from_states": (_add_an_agent,

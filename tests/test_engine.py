@@ -15,6 +15,7 @@ from privopt.engine import (ScheduleError, StepSchedule, TraceError, _slot_fuse,
                             block_rounds, dgd_step, encode_array, recorded_rounds)
 from privopt.graphs import GraphError
 from privopt.noise import FsObjectiveError
+from privopt.polynomials import derivative, interval_extrema
 
 from conftest import INTERIOR_INIT, decoded, edit_array, save_trace, with_entry
 from test_golden import canonical_traces
@@ -295,7 +296,7 @@ class TestFunctionSharing:
         fns = np.zeros((10, 1, 9))  # one row per directed edge; edge 0 is (0, 1)
         fns[0, 0, 4] = 2.0  # agent 0 sheds +2x^4
         obfuscated = obfuscate(quartic_problem.objectives, fns, cycle5)
-        floor = obfuscated[0].poly.curvature_floor([-30.0], [30.0])
+        floor = interval_extrema(derivative(obfuscated[0].poly.coeffs, 2), -30.0, 30.0)[0].min()
         assert floor < 0  # genuinely non-convex on the box
         sub = po.GlobalProblem(objectives=obfuscated, feasible=quartic_problem.feasible,
                                validate_convexity=False)
@@ -815,6 +816,19 @@ class TestTraceFile:
             assert (loaded.seed, loaded.delta) == ({"dgd": (None, 0.0), "nb": (3, 1.0),
                                                     "lb": (3, 1.0), "fs": (3, 0.0)}[name])
             assert loaded.init.tolist() == INTERIOR_INIT.tolist()
+
+    def test_specs_with_an_enforce_convex_member_still_load(self, short_runs):
+        """Trace files of earlier releases carry ``"enforce_convex": true`` in
+        every polynomial objective spec. Such a member is ignored: the trace
+        loads with the same problem and state digest."""
+        for trace in short_runs.values():
+            doc = json.loads(json.dumps(trace.to_json_dict()))
+            for spec in doc["config"]["objectives"]:
+                assert set(spec) == {"kind", "coeffs"}
+                spec["enforce_convex"] = True
+            loaded = po.ExecutionTrace.from_json_dict(doc)
+            assert loaded.problem.to_spec() == trace.problem.to_spec()
+            assert loaded.state_digest() == trace.state_digest()
 
     def test_canonical_dict_of_the_required_keys_pins_every_default(self):
         required = {"algorithm": "dgd", "topology": {"family": "cycle", "n": 3},

@@ -28,7 +28,7 @@ def test_batched_evaluation_shapes():
     pts = np.random.default_rng(0).normal(size=(7, 4, 2))
     assert p.value(pts).shape == (7, 4)
     assert p.gradient(pts).shape == (7, 4, 2)
-    assert p.curvature(pts).shape == (7, 4, 2)
+    assert horner(derivative(p.coeffs, 2), pts).shape == (7, 4, 2)
 
 
 def test_pad_coeffs_keeps_the_dtype_and_never_shrinks():
@@ -88,10 +88,11 @@ def test_gradient_sup_norm_exact_on_quartic():
 
 
 def test_curvature_floor_detects_nonconvexity():
-    convex = SeparablePolynomial([0, 0, 1.0])
-    bumpy = SeparablePolynomial([0, 0, 1.0, 0, -0.5])  # x^2 - 0.5x^4
-    assert convex.curvature_floor([-5.0], [5.0]) == pytest.approx(2.0)
-    assert bumpy.curvature_floor([-2.0], [2.0]) < 0
+    def curvature_floor(coeffs, lower, upper):
+        return interval_extrema(derivative(as_coeff_matrix(coeffs), 2), lower, upper)[0].min()
+
+    assert curvature_floor([0, 0, 1.0], [-5.0], [5.0]) == pytest.approx(2.0)
+    assert curvature_floor([0, 0, 1.0, 0, -0.5], [-2.0], [2.0]) < 0  # x^2 - 0.5x^4
 
 
 def test_coeff_matrix_validation():
@@ -121,10 +122,9 @@ def test_cached_derivatives_are_bit_identical_to_polyder():
     grad = np.stack([npoly.polyval(x[:, d], npoly.polyder(coeffs[d])) for d in range(3)], axis=-1)
     curv = np.stack([npoly.polyval(x[:, d], npoly.polyder(coeffs[d], 2)) for d in range(3)], axis=-1)
     np.testing.assert_array_equal(p.gradient(x), grad)
-    np.testing.assert_array_equal(p.curvature(x), curv)
+    np.testing.assert_array_equal(horner(derivative(coeffs, 2), x), curv)
     assert not p.coeffs.flags.writeable
     assert not p.first_derivative.flags.writeable
-    assert not p.second_derivative.flags.writeable
 
 
 @pytest.mark.parametrize("top", [2.5, 0.0, -0.0])
@@ -184,9 +184,8 @@ def test_interval_extrema_match_the_per_row_rule(width, rows, kind, seed):
     pairs = coeffs[: rows - rows % 2].reshape(-1, 2, width)
     for pair, pair_lo, pair_hi in zip(pairs, lo[::2], hi[::2]):
         lower, upper = np.array([pair_lo, -1.0]), np.array([pair_hi, 2.0])
-        p = SeparablePolynomial(pair)
         sups = tuple(map(float, derivative_sups(pair, lower, upper)))
         assert sups == reference_sups(pair, lower, upper)
         floor = min(reference_extrema(npoly.polyder(row, 2), a, b)[0]
                     for row, a, b in zip(pair, lower, upper))
-        assert p.curvature_floor(lower, upper) == floor
+        assert interval_extrema(derivative(pair, 2), lower, upper)[0].min() == floor

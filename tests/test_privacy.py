@@ -35,8 +35,7 @@ def sequential_replay_digest(view):
     obfuscated objectives from the view's recipe."""
     recipe = view.recipe
     problem = po.GlobalProblem(
-        objectives=[po.PolynomialObjective(view.obfuscated[j], enforce_convex=False)
-                    for j in range(view.topology.n)],
+        objectives=[po.PolynomialObjective(view.obfuscated[j]) for j in range(view.topology.n)],
         feasible=po.Box.from_spec(recipe["feasible"]), validate_convexity=False)
     weights = po.FusionMatrix(view.topology, recipe["weights"])
     trace = po.run_dgd(problem, view.topology, po.StepSchedule.from_spec(recipe["schedule"]),
