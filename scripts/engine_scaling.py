@@ -3,8 +3,10 @@
 
 Each cell runs one algorithm for ``--rounds`` rounds on a cycle of n diagonal
 quadratics (D=1, box [-10, 10], ``inv_sqrt`` steps, ``record_every`` equal to
-the round count, Metropolis weights built beforehand) and reports the best of
-``--repeats`` untraced runs, divided by the round count. A second table gives
+the round count) and reports the best of ``--repeats`` untraced runs, divided
+by the round count. Each run is a ``privopt.execute`` of a config validated,
+with its topology, problem and Metropolis weights built, beforehand. A second
+table gives
 the paper's quartic 5-cycle (the ``configs/poly_cycle_run.json`` problem) at
 2000 rounds for all four algorithms, with the noise bounds of the benchmark's
 ``paper_cycle5`` workload, each run a whole ``execute`` of the config, set-up
@@ -22,7 +24,6 @@ import time
 import numpy as np
 
 import privopt as po
-from privopt.configs import RunConfig, execute
 
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb")
 QUARTIC_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "poly_cycle_run.json"
@@ -32,36 +33,31 @@ QUARTIC_NOISE = {"dgd": {}, "rss_nb": {"delta": 1.0}, "rss_lb": {"delta": 0.25},
                  "fs": {"delta_coeff": 0.1, "d_max": 8}}
 
 
-def cycle_problem(n: int) -> po.GlobalProblem:
+def cycle_config(algorithm: str, n: int, rounds: int) -> po.RunConfig:
     rng = np.random.default_rng(n)
     curvatures = rng.uniform(0.5, 2.0, n)
     minimisers = rng.uniform(-5.0, 5.0, n)
-    return po.GlobalProblem(
-        objectives=[po.QuadraticObjective([[c]], [-c * m]) for c, m in zip(curvatures, minimisers)],
-        feasible=po.Box([-10.0], [10.0]))
+    noise = {} if algorithm == "dgd" else {"delta": 1.0, "seed": 1}
+    return po.RunConfig.from_dict({
+        "algorithm": algorithm, "topology": {"family": "cycle", "n": n},
+        "objectives": [{"kind": "quadratic", "matrix": [[c]], "vector": [-c * m]}
+                       for c, m in zip(curvatures.tolist(), minimisers.tolist())],
+        "feasible": {"lower": [-10.0], "upper": [10.0]}, "schedule": {"kind": "inv_sqrt"},
+        "max_iter": rounds, "record_every": rounds, **noise})
 
 
 def us_per_round(algorithm: str, n: int, rounds: int, repeats: int) -> float:
-    topology = po.Topology.family("cycle", n)
-    problem = cycle_problem(n)
-    weights = po.metropolis_weights(topology)
-    schedule = po.StepSchedule(kind="inv_sqrt")
-    kw = dict(weights=weights, record_every=rounds)
-    if algorithm == "dgd":
-        run = lambda: po.run_dgd(problem, topology, schedule, rounds, **kw)
-    elif algorithm == "rss_nb":
-        run = lambda: po.run_rss_nb(problem, topology, schedule, 1.0, rounds, seed=1, **kw)
-    else:
-        run = lambda: po.run_rss_lb(problem, topology, schedule, 1.0, rounds, seed=1, **kw)
-    return best_us_per_round(run, rounds, repeats)
+    config = cycle_config(algorithm, n, rounds)
+    config.build_weights(config.build_topology())
+    return best_us_per_round(lambda: po.execute(config), rounds, repeats)
 
 
 def quartic_us_per_round(algorithm: str, repeats: int) -> float:
     with open(QUARTIC_CONFIG) as fh:
         doc = json.load(fh)
-    config = RunConfig.from_dict({**doc, "algorithm": algorithm, "max_iter": QUARTIC_ROUNDS,
-                                  "record_every": QUARTIC_ROUNDS, **QUARTIC_NOISE[algorithm]})
-    return best_us_per_round(lambda: execute(config), QUARTIC_ROUNDS, repeats)
+    config = po.RunConfig.from_dict({**doc, "algorithm": algorithm, "max_iter": QUARTIC_ROUNDS,
+                                     "record_every": QUARTIC_ROUNDS, **QUARTIC_NOISE[algorithm]})
+    return best_us_per_round(lambda: po.execute(config), QUARTIC_ROUNDS, repeats)
 
 
 def best_us_per_round(run, rounds: int, repeats: int) -> float:

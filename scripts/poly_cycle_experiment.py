@@ -11,8 +11,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 import privopt as po
 
 OBJECTIVES = [
@@ -31,31 +29,22 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=101)
     args = parser.parse_args(argv)
 
-    problem = po.GlobalProblem(
-        objectives=[po.PolynomialObjective(c) for c in OBJECTIVES],
-        feasible=po.Box([-30.0], [30.0]))
-    topology = po.Topology.family("cycle", 5)
-    schedule = po.StepSchedule(kind="inv_sqrt")
-    init = np.linspace(-1.0, 1.0, 5)[:, None]
-    x_star, f_star = po.solve_centralized(problem)
+    base = {"topology": {"family": "cycle", "n": 5},
+            "objectives": [{"kind": "polynomial", "coeffs": c} for c in OBJECTIVES],
+            "feasible": {"lower": [-30.0], "upper": [30.0]}, "schedule": {"kind": "inv_sqrt"},
+            "max_iter": args.max_iter, "init": [[-1.0], [-0.5], [0.0], [0.5], [1.0]]}
+    runs = [("dgd", {"algorithm": "dgd"})]
+    runs += [(f"{algorithm} d={d:g}", {"algorithm": algorithm, "delta": d, "seed": args.seed})
+             for algorithm in ("rss_nb", "rss_lb") for d in (1.0, 15.0)]
+    x_star, f_star = po.solve_centralized(po.RunConfig.from_dict({**base, **runs[0][1]})
+                                          .build_problem())
     print(f"centralized oracle: x* = {x_star[0]:.2e}, f* = {f_star:.2e}")
-
-    runs = [("dgd", None)]
-    runs += [(f"rss_nb d={d:g}", ("rss_nb", d)) for d in (1.0, 15.0)]
-    runs += [(f"rss_lb d={d:g}", ("rss_lb", d)) for d in (1.0, 15.0)]
 
     os.makedirs(args.out_dir, exist_ok=True)
     probes = list(dict.fromkeys([100, 1000, args.max_iter]))  # in order, each once
     rows = ["label,k,suboptimality,max_disagreement"]
-    for label, spec in runs:
-        if spec is None:
-            trace = po.run_dgd(problem, topology, schedule, args.max_iter, init=init)
-        elif spec[0] == "rss_nb":
-            trace = po.run_rss_nb(problem, topology, schedule, spec[1], args.max_iter,
-                                  init=init, seed=args.seed)
-        else:
-            trace = po.run_rss_lb(problem, topology, schedule, spec[1], args.max_iter,
-                                  init=init, seed=args.seed)
+    for label, keys in runs:
+        trace = po.execute(po.RunConfig.from_dict({**base, **keys}))
         metrics = po.compute_metrics(trace, x_star, f_star)
         columns = (metrics.round_index.tolist(), metrics.suboptimality.tolist(),
                    metrics.max_disagreement.tolist())

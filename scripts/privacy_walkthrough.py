@@ -25,14 +25,13 @@ OBJECTIVES = [
 
 
 def build(topology_family):
-    problem = po.GlobalProblem(
-        objectives=[po.PolynomialObjective(c) for c in OBJECTIVES],
-        feasible=po.Box([-30.0], [30.0]))
-    topology = po.Topology.family(topology_family, 5)
-    init = np.linspace(-1.0, 1.0, 5)[:, None]
-    trace = po.run_fs(problem, topology, po.StepSchedule(kind="inv_sqrt"),
-                      delta_coeff=0.5, d_max=8, max_iter=1000, init=init, seed=11)
-    return problem, trace
+    config = po.RunConfig.from_dict({
+        "algorithm": "fs", "topology": {"family": topology_family, "n": 5},
+        "objectives": [{"kind": "polynomial", "coeffs": c} for c in OBJECTIVES],
+        "feasible": {"lower": [-30.0], "upper": [30.0]}, "schedule": {"kind": "inv_sqrt"},
+        "delta_coeff": 0.5, "d_max": 8, "max_iter": 1000, "seed": 11,
+        "init": [[-1.0], [-0.5], [0.0], [0.5], [1.0]]})
+    return config.build_problem(), po.execute(config)
 
 
 def main() -> int:

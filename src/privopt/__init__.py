@@ -7,8 +7,8 @@ from .analysis import (BoundParams, audit_invariants, bound_params,
                        check_consensus, check_lemma1, check_lemma2,
                        check_theorem3, check_transition_matrix, compute_metrics,
                        effective_bounds)
-from .engine import (ExecutionTrace, StepSchedule, default_init, run_dgd,
-                     run_fs, run_rss_lb, run_rss_nb)
+from .configs import ConfigError, RunConfig, execute
+from .engine import ExecutionTrace, StepSchedule, default_init
 from .graphs import (FusionMatrix, Topology, metropolis_weights,
                      spanning_tree_split, vertex_connectivity)
 from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,

@@ -130,20 +130,14 @@ def _cmd_sweep(args) -> int:
     optimum = None
     if cells:
         optimum = solve_centralized(base.build_problem())
-    if args.jobs > 1 and len(cells) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.starmap(_sweep_cell_safe, [(c, optimum) for c in cells])
-    else:
-        results = [_sweep_cell_safe(c, optimum) for c in cells]
-    for doc, outcome in zip(cells, results):
-        ok, payload = outcome
-        if ok:
-            tables.append(payload)
-        else:
+    for doc in cells:
+        try:  # a failed cell is recorded and the sweep goes on
+            config = RunConfig.from_dict(doc)
+            tables.append(_metrics_table(execute(config), optimum, delta=config.delta,
+                                         seed=config.seed))
+        except Exception as exc:
             failures.append({"algorithm": doc.get("algorithm"), "delta": doc.get("delta"),
-                             "seed": doc.get("seed"), "error": payload})
+                             "seed": doc.get("seed"), "error": f"{type(exc).__name__}: {exc}"})
     provenance = _provenance({"base": sweep.base,
                               "grid": {"algorithm": sweep.algorithms,
                                        "delta": sweep.deltas, "seed": sweep.seeds}},
@@ -153,15 +147,6 @@ def _cmd_sweep(args) -> int:
                       {"cells": len(cells), "failed": failures}, provenance)
     print(f"swept {len(cells)} cells, {len(failures)} failed")
     return 0 if not failures else 1
-
-
-def _sweep_cell_safe(doc: dict, optimum):
-    """Run one grid cell; failures are recorded and the sweep continues."""
-    try:
-        config = RunConfig.from_dict(doc)
-        return True, _metrics_table(execute(config), optimum, delta=config.delta, seed=config.seed)
-    except Exception as exc:
-        return False, f"{type(exc).__name__}: {exc}"
 
 
 def _cmd_audit(args) -> int:
@@ -270,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="execute a parameter grid")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out-dir", default=".")
-    p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_audit = sub.add_parser("audit", help="run checks against a trace file")
     p_audit.add_argument("trace")

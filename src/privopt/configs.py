@@ -40,9 +40,9 @@ class RunConfig:
     """A validated run configuration. Its fields are the config keys, in the
     order a trace stores them; a field without a default is a required key.
     The topology and the problem are built once, by ``validate``, and every
-    later ``build_topology`` or ``build_problem`` returns the same objects;
-    the spec fields they come from are not to be changed after
-    construction."""
+    later ``build_topology`` or ``build_problem`` returns the same objects,
+    as ``build_weights`` does for the same topology; the fields they come
+    from are not to be changed after construction."""
 
     algorithm: str
     topology: dict
@@ -140,7 +140,13 @@ class RunConfig:
         return StepSchedule.from_spec(self.schedule)
 
     def build_weights(self, topology: Topology) -> FusionMatrix:
-        return metropolis_weights(topology, self_inclusive_degree=self.metropolis_self_inclusive)
+        """The Metropolis matrix of ``topology``. It is kept until a call for
+        another topology object, so a run's runner and engine share one."""
+        weights = self._built.get("weights")
+        if weights is None or weights.topology is not topology:
+            weights = self._built["weights"] = metropolis_weights(
+                topology, self_inclusive_degree=self.metropolis_self_inclusive)
+        return weights
 
     def build_init(self, problem: GlobalProblem) -> np.ndarray | None:
         """The initial states as an (n, D) array, or None for the default.
@@ -176,25 +182,12 @@ class RunConfig:
 
 
 def execute(config: RunConfig) -> ExecutionTrace:
-    """Run the configured algorithm and return its trace."""
-    topology = config.build_topology()
-    problem = config.build_problem()
-    schedule = config.build_schedule()
-    weights = config.build_weights(topology)
-    init = config.build_init(problem)
-    common = dict(init=init, weights=weights, record_every=config.record_every)
-    if config.algorithm == "dgd":
-        return run_dgd(problem, topology, schedule, config.max_iter, **common)
-    if config.algorithm == "rss_nb":
-        return run_rss_nb(problem, topology, schedule, config.delta, config.max_iter,
-                          seed=config.seed, **common)
-    if config.algorithm == "rss_lb":
-        return run_rss_lb(problem, topology, schedule, config.delta, config.max_iter,
-                          seed=config.seed, **common)
-    if config.algorithm == "fs":
-        return run_fs(problem, topology, schedule, config.delta_coeff, config.d_max,
-                      config.max_iter, seed=config.seed, **common)
-    raise ConfigError(f"unknown algorithm {config.algorithm!r}")
+    """Run the configured algorithm and return its trace. The runners are
+    read from this module's names on each call, not from a table built at
+    import, so a wrapper bound to one of those names (the benchmark's spans,
+    say) is the one that runs."""
+    runners = {"dgd": run_dgd, "rss_nb": run_rss_nb, "rss_lb": run_rss_lb, "fs": run_fs}
+    return runners[config.algorithm](config)
 
 
 @dataclass

@@ -16,13 +16,17 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import FusionMatrix, GraphError, Topology, metropolis_weights
+from .graphs import Topology
 from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
                     draw_noise_functions, nb_perturbation, noise_gradient_bounds, obfuscate)
 from .objectives import Box, GlobalProblem
+
+if TYPE_CHECKING:  # configs imports this module
+    from .configs import RunConfig
 
 # Version 2: rss noise streams are one per (purpose, agent) and addressed by
 # round, so a version-1 rss trace's seed no longer reproduces its noise.
@@ -38,7 +42,9 @@ from .objectives import Box, GlobalProblem
 # Version 6: the header is the run's canonical RunConfig dict, validated on
 # load as a config file is, with the initial states in it; no per-round
 # weights (same dynamics as version 5).
-TRACE_VERSION = 6
+# Version 7: the fusion weights are not stored; they are the config's
+# Metropolis matrix, derived on load (same dynamics as version 6).
+TRACE_VERSION = 7
 
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb", "fs")
 
@@ -56,9 +62,8 @@ class ScheduleError(ValueError):
 class TraceError(ValueError):
     """A trace file has an unsupported version, missing or unknown keys, a
     config that is not a valid run config, an array that is not encoded as
-    ``encode_array`` writes it or does not fit the config, fusion weights
-    that are not doubly stochastic, malformed fs extras, or a state digest
-    that does not match."""
+    ``encode_array`` writes it or does not fit the config, malformed fs
+    extras, or a state digest that does not match."""
 
 
 class NonFiniteError(ValueError):
@@ -76,12 +81,13 @@ class StepSchedule:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("inv_sqrt", "inv_k", "constant"):
+        if self.kind not in _SCHEDULE_KEYS:
             raise ScheduleError(f"unknown schedule kind: {self.kind!r}")
-        if self.a <= 0:
-            raise ScheduleError("schedule parameter a must be positive")
-        if self.kind == "inv_k" and self.b < 0:
-            raise ScheduleError("schedule parameter b must be non-negative")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ScheduleError(f"schedule parameter a must be finite and positive, got {self.a!r}")
+        if not (math.isfinite(self.b) and self.b >= 0):
+            raise ScheduleError(f"schedule parameter b must be finite and non-negative, "
+                                f"got {self.b!r}")
 
     @property
     def convergent(self) -> bool:
@@ -113,14 +119,30 @@ class StepSchedule:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "StepSchedule":
+        """The schedule of a ``to_spec`` dict, whose numbers may be left out
+        for their defaults. ScheduleError for an unknown kind or key, or a
+        value that is not a JSON number."""
         kind = spec.get("kind")
-        if kind == "inv_sqrt":
-            return cls(kind="inv_sqrt")
-        if kind == "inv_k":
-            return cls(kind="inv_k", a=float(spec.get("a", 1.0)), b=float(spec.get("b", 0.0)))
-        if kind == "constant":
-            return cls(kind="constant", a=float(spec.get("value", 0.1)))
-        raise ScheduleError(f"unknown schedule kind: {kind!r}")
+        if kind not in _SCHEDULE_KEYS:
+            raise ScheduleError(f"unknown schedule kind: {kind!r}")
+        unknown = set(spec) - {"kind", *_SCHEDULE_KEYS[kind]}
+        if unknown:
+            raise ScheduleError(f"unknown {kind} schedule keys: {sorted(unknown)}")
+        params = {}
+        for key, (name, default) in _SCHEDULE_KEYS[kind].items():
+            value = spec.get(key, default)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ScheduleError(f"schedule {key} must be a JSON number, got {value!r}")
+            try:
+                params[name] = float(value)
+            except OverflowError:  # an integer past the float range
+                raise ScheduleError(f"schedule {key} must be finite, got {value!r}") from None
+        return cls(kind=kind, **params)
+
+
+# The spec keys of each schedule kind: key -> (parameter, default).
+_SCHEDULE_KEYS = {"inv_sqrt": {}, "inv_k": {"a": ("a", 1.0), "b": ("b", 0.0)},
+                  "constant": {"value": ("a", 0.1)}}
 
 
 def default_init(box: Box, n: int) -> np.ndarray:
@@ -246,8 +268,8 @@ def decode_array(value, name: str, *shape: int) -> np.ndarray:
 
 # The keys of a trace document, and the extras of an fs trace: the two bounds
 # on the obfuscated gradients that the audits read.
-DOCUMENT_KEYS = frozenset({"version", "config", "weights", "noise", "states", "final_states",
-                           "extras", "digest"})
+DOCUMENT_KEYS = frozenset({"version", "config", "noise", "states", "final_states", "extras",
+                           "digest"})
 FS_EXTRAS = ("obf_grad_bound", "obf_smoothness_bound")
 
 
@@ -256,20 +278,20 @@ class ExecutionTrace:
     """Record of one run: its config, what it drew or chose, and the states
     (R, n, D) of the recorded rounds.
 
-    ``config`` is the canonical ``RunConfig`` dict of the run's arguments.
-    The topology, the problem (fs: before obfuscation), the schedule and the
-    initial states are the objects built from it, by the run or, for a
-    loaded trace, through ``RunConfig``. Everything else is derived on first
-    use, through the code the run uses, so it matches the values the run
-    used bit for bit: the rounds, the steps, the perturbations, the fs
-    obfuscated objectives, and the messages and fused quantities of the
-    engine's slot fuse."""
+    ``config`` is the canonical ``RunConfig`` dict of the run, its specs as
+    the built objects write them. The topology, the problem (fs: before
+    obfuscation), the schedule, the fusion weights and the initial states
+    are the objects ``RunConfig`` builds from it, for the run and for a
+    loaded trace alike. Everything else is derived on first use, through the
+    code the run uses, so it matches the values the run used bit for bit:
+    the rounds, the steps, the perturbations, the fs obfuscated objectives,
+    and the messages and fused quantities of the engine's slot fuse."""
 
     config: dict
     topology: Topology
     problem: GlobalProblem
     schedule: StepSchedule
-    weights: np.ndarray          # (K, n) slot weights on ``topology.fuse_slots``
+    weights: np.ndarray          # (K, n) slot weights on ``topology.fuse_slots``, not stored
     init: np.ndarray             # (n, D)
     states: np.ndarray           # (R, n, D)
     final_states: np.ndarray     # (n, D)
@@ -422,11 +444,11 @@ class ExecutionTrace:
     def to_json_dict(self) -> dict:
         """The trace document: the config, the stored arrays as
         ``encode_array`` objects (the noise null for dgd), the fs extras and
-        the state digest; no derived array."""
+        the state digest; no derived array, and no fusion weights, which the
+        config defines."""
         return {
             "version": self.version,
             "config": self.config,
-            "weights": encode_array(self.weights),
             "noise": None if self.noise is None else encode_array(self.noise),
             "states": encode_array(self.states),
             "final_states": encode_array(self.final_states),
@@ -437,12 +459,12 @@ class ExecutionTrace:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExecutionTrace":
         """Rebuild a trace. Its config is validated as a run config is,
-        through ``RunConfig``; every array is then checked against the
-        config's agents, dimension, edges, recorded rounds and noise degree,
-        for encoding, shape and finiteness; the fusion weights as
-        ``FusionMatrix`` checks them; the fs extras; the state digest; and,
-        for fs, that the obfuscated objectives are finite. Any mismatch, a
-        config error included, raises ``TraceError``."""
+        through ``RunConfig``, which also builds the fusion weights; every
+        array is then checked against the config's agents, dimension, edges,
+        recorded rounds and noise degree, for encoding, shape and finiteness;
+        the fs extras; the state digest; and, for fs, that the obfuscated
+        objectives are finite. Any mismatch, a config error included, raises
+        ``TraceError``."""
         from .configs import ConfigError, RunConfig
 
         if not isinstance(doc, dict):
@@ -470,11 +492,6 @@ class ExecutionTrace:
             noise = decode_array(doc["noise"], "noise", edges, dim, config.d_max + 1)
         else:
             noise = decode_array(doc["noise"], "noise", r_count, edges, dim)
-        try:
-            weights = FusionMatrix(topology, decode_array(doc["weights"], "weights",
-                                                          *topology.fuse_slots.senders.shape))
-        except GraphError as exc:
-            raise TraceError(f"weights: {exc}") from None
         extras = doc["extras"]
         keys = FS_EXTRAS if algorithm == "fs" else ()
         if not (isinstance(extras, dict) and sorted(extras) == sorted(keys)
@@ -487,7 +504,7 @@ class ExecutionTrace:
             topology=topology,
             problem=problem,
             schedule=config.build_schedule(),
-            weights=weights.weights,
+            weights=config.build_weights(topology).weights,
             init=default_init(problem.feasible, n) if init is None else init,
             states=states,
             final_states=final_states,
@@ -508,14 +525,6 @@ class ExecutionTrace:
             return cls.from_json_dict(json.load(fh))
 
 
-def _run_weights(weights: FusionMatrix | None, topology: Topology) -> FusionMatrix:
-    """``weights``, by default the Metropolis matrix, checked to be on ``topology``."""
-    weights = weights or metropolis_weights(topology)
-    if weights.topology != topology:
-        raise GraphError("the fusion weights are for another topology")
-    return weights
-
-
 def block_rounds(edges: int, dim: int) -> int:
     """Rounds whose noise is drawn and shaped in one pass: at least
     ``MIN_BLOCK_ROUNDS``, and more while a (rounds, E, D) block stays within
@@ -523,45 +532,37 @@ def block_rounds(edges: int, dim: int) -> int:
     return max(MIN_BLOCK_ROUNDS, BLOCK_ENTRIES // max(edges * dim, 1))
 
 
-def _execute(problem: GlobalProblem, topology: Topology, weights: FusionMatrix | None,
-             schedule: StepSchedule, max_iter: int, init: np.ndarray | None,
-             record_every: int, algorithm: str, options: dict | None = None, draw=None,
-             noise: np.ndarray | None = None, descended: GlobalProblem | None = None,
-             extras: dict | None = None) -> ExecutionTrace:
-    """Run the rounds in blocks. Per block: the step sizes and, for rss, one
-    ``draw(first, count)`` of the block's noise, which gives the (count, n,
-    D) or (count, E, D) noise the messages carry and the (count, E, D) draw
-    the trace records; per round: gather, fuse, descend, project and record.
-    Without ``draw`` the messages carry no noise and the trace records
-    ``noise`` as it is (fs noise functions, or None). The agents descend on
-    ``descended`` (fs: the obfuscated objectives), by default ``problem``.
-    The defaults are the Metropolis matrix and ``default_init``.
+def _execute(config: RunConfig, draw=None, noise: np.ndarray | None = None,
+             descended: GlobalProblem | None = None, extras: dict | None = None) -> ExecutionTrace:
+    """Run the rounds of a validated ``RunConfig`` in blocks. Per block: the
+    step sizes and, for rss, one ``draw(first, count)`` of the block's noise,
+    which gives the (count, n, D) or (count, E, D) noise the messages carry
+    and the (count, E, D) draw the trace records; per round: gather, fuse,
+    descend, project and record. Without ``draw`` the messages carry no
+    noise and the trace records ``noise`` as it is (fs noise functions, or
+    None). The agents descend on ``descended`` (fs: the obfuscated
+    objectives), by default the config's problem.
 
-    The trace's config is the canonical ``RunConfig`` dict of the arguments:
-    ``options`` holds the algorithm's own values (delta, seed, delta_coeff,
-    d_max), and ``metropolis_self_inclusive`` says whether the weights are
-    the self-inclusive Metropolis matrix."""
-    from .configs import RunConfig
-
-    n, dim = topology.n, problem.dim
+    The topology, the problem, the schedule, the weights and the initial
+    states are built once, through the config. The trace's config is its
+    canonical dict with the specs as those objects write them: the topology
+    as its edges, and the coefficients, box and initial states as floats."""
+    topology, problem = config.build_topology(), config.build_problem()
+    schedule, weights = config.build_schedule(), config.build_weights(topology).weights
+    initial = config.build_init(problem)
+    header = {**config.canonical_dict(), "topology": topology.to_spec(), **problem.to_spec(),
+              "schedule": schedule.to_spec()}
+    if initial is None:
+        initial = default_init(problem.feasible, topology.n)
+    else:
+        header["init"] = initial.tolist()
+    n, dim, max_iter = topology.n, problem.dim, config.max_iter
     senders, slot_edges = topology.fuse_slots.senders, topology.fuse_slots.edges
-    self_inclusive = weights is not None and np.array_equal(
-        weights.weights, metropolis_weights(topology, self_inclusive_degree=True).weights)
-    weights = _run_weights(weights, topology)
-    initial = default_init(problem.feasible, n) if init is None else np.array(init, dtype=float)
-    if initial.shape != (n, dim):
-        raise ValueError(f"init must have shape ({n}, {dim})")
-    if not problem.feasible.contains(initial):
-        raise ValueError("initial states must lie in the feasible set")
-    config = RunConfig(algorithm=algorithm, topology=topology.to_spec(), **problem.to_spec(),
-                       schedule=schedule.to_spec(), max_iter=max_iter, record_every=record_every,
-                       init=None if init is None else initial.tolist(),
-                       metropolis_self_inclusive=self_inclusive, **(options or {}))
     stepped = problem if descended is None else descended
 
     edges = topology.sender_edges[0].size
-    per_edge = algorithm == "rss_lb"
-    keep = recorded_rounds(max_iter, record_every)
+    per_edge = config.algorithm == "rss_lb"
+    keep = recorded_rounds(max_iter, config.record_every)
     keep_set = set(keep.tolist())
     steps = schedule.steps(max_iter)
     states_rec = np.zeros((keep.size, n, dim))
@@ -594,81 +595,62 @@ def _execute(problem: GlobalProblem, topology: Topology, weights: FusionMatrix |
                 msgs += scaled[r][slot_edges]
             else:
                 msgs = (x + scaled[r])[senders]
-            x_next = dgd_step(stepped, weights.weights, msgs, alpha, k)
+            x_next = dgd_step(stepped, weights, msgs, alpha, k)
             if k in keep_set:
                 states_rec[row] = x
                 row += 1
             x = x_next
         del scaled
 
-    return ExecutionTrace(config=config.canonical_dict(), topology=topology, problem=problem,
-                          schedule=schedule, weights=weights.weights, init=initial,
-                          states=states_rec, final_states=x, noise=noise, extras=extras or {})
+    return ExecutionTrace(config=header, topology=topology, problem=problem, schedule=schedule,
+                          weights=weights, init=initial, states=states_rec, final_states=x,
+                          noise=noise, extras=extras or {})
 
 
-def run_dgd(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
-            max_iter: int, init: np.ndarray | None = None,
-            weights: FusionMatrix | None = None, record_every: int = 1) -> ExecutionTrace:
+def run_dgd(config: RunConfig) -> ExecutionTrace:
     """Distributed gradient descent: fuse neighbor states, descend along the
-    local gradient, project.
-
-    ``weights`` is the run's FusionMatrix (every runner accepts the same); the
-    default is the Metropolis matrix.
-    """
-    return _execute(problem, topology, weights, schedule, max_iter, init, record_every, "dgd")
+    local gradient, project."""
+    return _execute(config)
 
 
-def run_rss_nb(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
-               delta: float, max_iter: int, init: np.ndarray | None = None,
-               seed: int = 0, weights: FusionMatrix | None = None,
-               record_every: int = 1) -> ExecutionTrace:
+def run_rss_nb(config: RunConfig) -> ExecutionTrace:
     """Network-balanced randomized state sharing: per-round pairwise shares
     build perturbations that cancel across the whole network."""
-    dim = problem.dim
-    streams = RandomStreams(seed)
+    topology, dim = config.build_topology(), config.build_problem().dim
+    streams = RandomStreams(config.seed)
 
     def draw(first, count):
-        shares = draw_nb_shares(topology, first, count, delta, streams, dim)
+        shares = draw_nb_shares(topology, first, count, config.delta, streams, dim)
         return nb_perturbation(shares, topology), shares
 
-    return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
-                    "rss_nb", {"delta": float(delta), "seed": int(seed)}, draw)
+    return _execute(config, draw)
 
 
-def run_rss_lb(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
-               delta: float, max_iter: int, init: np.ndarray | None = None,
-               seed: int = 0, weights: FusionMatrix | None = None,
-               record_every: int = 1) -> ExecutionTrace:
+def run_rss_lb(config: RunConfig) -> ExecutionTrace:
     """Locally balanced randomized state sharing: per-neighbor perturbations
     cancel under the fusion weights at each agent."""
-    dim = problem.dim
-    streams = RandomStreams(seed)
-    weights = _run_weights(weights, topology)
-    edge_weights = topology.fuse_slots.edge_weights(weights.weights)
+    topology, dim = config.build_topology(), config.build_problem().dim
+    streams = RandomStreams(config.seed)
+    edge_weights = topology.fuse_slots.edge_weights(config.build_weights(topology).weights)
 
     def draw(first, count):
-        perturbations = draw_lb_perturbation(topology, edge_weights, delta, first, count,
+        perturbations = draw_lb_perturbation(topology, edge_weights, config.delta, first, count,
                                              streams, dim)
         return perturbations, perturbations
 
-    return _execute(problem, topology, weights, schedule, max_iter, init, record_every,
-                    "rss_lb", {"delta": float(delta), "seed": int(seed)}, draw)
+    return _execute(config, draw)
 
 
-def run_fs(problem: GlobalProblem, topology: Topology, schedule: StepSchedule,
-           delta_coeff: float, d_max: int, max_iter: int,
-           init: np.ndarray | None = None, seed: int = 0,
-           weights: FusionMatrix | None = None, record_every: int = 1) -> ExecutionTrace:
+def run_fs(config: RunConfig) -> ExecutionTrace:
     """Function sharing: exchange polynomial noise functions once, obfuscate the
     local objectives, then run plain distributed gradient descent on them."""
-    streams = RandomStreams(seed)
-    noise = draw_noise_functions(topology, delta_coeff, d_max, streams, problem.dim)
+    topology, problem = config.build_topology(), config.build_problem()
+    streams = RandomStreams(config.seed)
+    noise = draw_noise_functions(topology, config.delta_coeff, config.d_max, streams, problem.dim)
     box = problem.feasible
     obfuscated = GlobalProblem(objectives=obfuscate(problem.objectives, noise, topology),
                                feasible=box, validate_convexity=False)
     grad_bound, curv_bound = noise_gradient_bounds(noise, topology, box.lower, box.upper)
     base_l, base_n = problem.constants()
     extras = {"obf_grad_bound": base_l + grad_bound, "obf_smoothness_bound": base_n + curv_bound}
-    options = {"delta_coeff": float(delta_coeff), "d_max": int(d_max), "seed": int(seed)}
-    return _execute(problem, topology, weights, schedule, max_iter, init, record_every, "fs",
-                    options, noise=noise, descended=obfuscated, extras=extras)
+    return _execute(config, noise=noise, descended=obfuscated, extras=extras)

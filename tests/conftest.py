@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import privopt as po
-from privopt.engine import decode_array, encode_array
+from privopt.engine import decode_array, dgd_step, digest_states, encode_array, recorded_rounds
 
 # Local objective family used throughout: x^2, x^4, x^2+x^4, x^2+0.5x^4, 0.5x^2+x^4
 QUARTIC_COEFFS = [
@@ -112,6 +112,39 @@ def quartic_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def run_doc(algorithm, problem, topology, schedule, max_iter, init=None, **keys) -> dict:
+    """The run config document of these objects, as their ``to_spec`` writes
+    them; ``keys`` are the other config keys (delta, seed, d_max, ...)."""
+    doc = {"algorithm": algorithm, "topology": topology.to_spec(), **problem.to_spec(),
+           "schedule": schedule.to_spec(), "max_iter": max_iter, **keys}
+    if init is not None:
+        doc["init"] = np.asarray(init, dtype=float).tolist()
+    return doc
+
+
+def run(*args, **keys):
+    """The trace of ``privopt.execute`` on the validated ``run_doc``."""
+    return po.execute(po.RunConfig.from_dict(run_doc(*args, **keys)))
+
+
+def reference_dgd(problem, weights, schedule, max_iter, init, record_every=1):
+    """Plain distributed gradient descent, one ``dgd_step`` a round, under the
+    ``FusionMatrix`` ``weights``: the ``digest_states`` of the run and its
+    final states. It runs problems that a run config refuses, such as
+    non-convex obfuscated objectives."""
+    init = np.asarray(init, dtype=float)
+    if not problem.feasible.contains(init):
+        raise ValueError("initial states must lie in the feasible set")
+    rounds = recorded_rounds(max_iter, record_every)
+    recorded, senders = set(rounds.tolist()), weights.topology.fuse_slots.senders
+    x, states = init, []
+    for k, alpha in enumerate(schedule.steps(max_iter).tolist(), start=1):
+        if k in recorded:
+            states.append(x)
+        x = dgd_step(problem, weights.weights, x[senders], alpha, k)
+    return digest_states(max_iter, rounds, init, np.array(states), x), x
 
 
 def decoded(value):

@@ -25,7 +25,7 @@ from privopt.analysis import (audit_invariants, check_lemma1, check_lemma2,
                               effective_bounds)
 from privopt.privacy import AlternativeInstance, necessity_demo, to_exact
 
-from conftest import INTERIOR_INIT, QUARTIC_COEFFS, quartic_objectives
+from conftest import INTERIOR_INIT, QUARTIC_COEFFS, quartic_objectives, run
 
 MAX_ITER = 10_000
 SEEDS = (101, 202, 303)
@@ -90,24 +90,15 @@ def matrix(quartic_problem, quartic_optimum):
     unique = {}
     for name in TOPOLOGY_NAMES:
         topo = po.Topology.family(name, 5)
-        weights = po.metropolis_weights(topo)
         for algorithm in ALGORITHMS:
             for delta in DELTAS:
                 for seed in SEEDS:
                     ukey = _unique_key(name, algorithm, delta, seed)
                     if ukey not in unique:
                         start = time.perf_counter()
-                        if algorithm == "dgd":
-                            trace = po.run_dgd(quartic_problem, topo, sched, MAX_ITER,
-                                               init=INTERIOR_INIT, weights=weights)
-                        elif algorithm == "rss_nb":
-                            trace = po.run_rss_nb(quartic_problem, topo, sched, delta,
-                                                  MAX_ITER, init=INTERIOR_INIT,
-                                                  seed=seed, weights=weights)
-                        else:
-                            trace = po.run_rss_lb(quartic_problem, topo, sched, delta,
-                                                  MAX_ITER, init=INTERIOR_INIT,
-                                                  seed=seed, weights=weights)
+                        noise = {} if algorithm == "dgd" else {"delta": delta, "seed": seed}
+                        trace = run(algorithm, quartic_problem, topo, sched, MAX_ITER,
+                                    init=INTERIOR_INIT, **noise)
                         runtime = time.perf_counter() - start
                         bounds = effective_bounds(trace)
                         lem1 = check_lemma1(trace, bounds)
@@ -177,9 +168,9 @@ def test_criterion_4_finite_time_envelope(quartic_problem, quartic_optimum):
     zero_init = np.zeros((5, 1))
     ok = True
     details = []
-    for algorithm, runner in (("rss_nb", po.run_rss_nb), ("rss_lb", po.run_rss_lb)):
-        runs = [runner(quartic_problem, topo, sched, d, MAX_ITER, init=zero_init, seed=SEEDS[0])
-                for d in DELTAS]
+    for algorithm in ("rss_nb", "rss_lb"):
+        runs = [run(algorithm, quartic_problem, topo, sched, MAX_ITER, delta=d, init=zero_init,
+                    seed=SEEDS[0]) for d in DELTAS]
         rep = check_theorem3(runs, optimum_value=f_star)
         ok &= rep.passed
         cs = [f"{f['fitted_constant']:.2e}" for f in rep.details["fits"]]
@@ -251,7 +242,8 @@ def test_criterion_6_privacy_trials():
         topo = po.Topology.family(family, n)
         problem = _fs_problem(n)
         init = np.linspace(-1.0, 1.0, n)[:, None]
-        trace = po.run_fs(problem, topo, sched, 0.5, 8, 200, init=init, seed=1000 + n)
+        trace = run("fs", problem, topo, sched, 200, delta_coeff=0.5, d_max=8, init=init,
+                    seed=1000 + n)
         rng = np.random.default_rng(555 + n)
         views = {}
         for t in range(count):
@@ -266,8 +258,8 @@ def test_criterion_6_privacy_trials():
     for family, coalition, expected_components in (("cycle", [0, 2], 2), ("star", [0], 4)):
         topo = po.Topology.family(family, 5)
         problem = _fs_problem(5)
-        trace = po.run_fs(problem, topo, sched, 0.5, 8, 200,
-                          init=INTERIOR_INIT, seed=77)
+        trace = run("fs", problem, topo, sched, 200, delta_coeff=0.5, d_max=8,
+                    init=INTERIOR_INIT, seed=77)
         view = po.extract_view(trace, coalition)
         truth = {j: s["coeffs"] for j, s in enumerate(trace.config["objectives"])}
         rep = necessity_demo(view, truth)
@@ -291,8 +283,8 @@ def test_criterion_7_reduction_identities_and_logistic(matrix, quartic_problem):
                 digest_ok &= matrix[(name, algorithm, 0.0, seed)].digest == base
     topo = po.Topology.family("cycle", 5)
     sched = po.StepSchedule(kind="inv_sqrt")
-    fs_zero = po.run_fs(quartic_problem, topo, sched, 0.0, 8, MAX_ITER,
-                        init=INTERIOR_INIT, seed=SEEDS[0])
+    fs_zero = run("fs", quartic_problem, topo, sched, MAX_ITER, delta_coeff=0.0, d_max=8,
+                  init=INTERIOR_INIT, seed=SEEDS[0])
     digest_ok &= fs_zero.state_digest() == matrix[("cycle", "dgd", 0.0, SEEDS[0])].digest
 
     # image/text-classification accuracies are out of scope; the embedded
@@ -302,7 +294,7 @@ def test_criterion_7_reduction_identities_and_logistic(matrix, quartic_problem):
         feasible=po.Box([-5.0, -5.0], [5.0, 5.0]))
     x_star, f_star = po.solve_centralized(logistic)
     init = np.stack([np.linspace(-1, 1, 5), np.linspace(1, -1, 5)], axis=1)
-    trace = po.run_dgd(logistic, topo, sched, MAX_ITER, init=init)
+    trace = run("dgd", logistic, topo, sched, MAX_ITER, init=init)
     sub = float(logistic.total_value(trace.final_states.mean(axis=0))) - f_star
     report("criterion-7 (zero-noise reductions and logistic convergence)",
            digest_ok and sub < 1e-3,

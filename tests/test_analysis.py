@@ -11,27 +11,28 @@ from privopt.analysis import (audit_invariants, bound_params, check_consensus,
                               weighted_average_suboptimality)
 from privopt.engine import ScheduleError
 
-from conftest import INTERIOR_INIT
+from conftest import INTERIOR_INIT, run
 
 
 @pytest.fixture(scope="module")
 def nb_run(quartic_problem, cycle5, inv_sqrt):
-    return po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 2000,
-                         init=INTERIOR_INIT, seed=3)
+    return run("rss_nb", quartic_problem, cycle5, inv_sqrt, 2000, delta=1.0, init=INTERIOR_INIT,
+               seed=3)
 
 
 @pytest.fixture(scope="module")
 def dgd_run(quartic_problem, cycle5, inv_sqrt):
-    return po.run_dgd(quartic_problem, cycle5, inv_sqrt, 2000, init=INTERIOR_INIT)
+    return run("dgd", quartic_problem, cycle5, inv_sqrt, 2000, init=INTERIOR_INIT)
 
 
 @pytest.fixture(scope="module")
 def each_algorithm(quartic_problem, cycle5, inv_sqrt):
     kw = dict(max_iter=200, init=INTERIOR_INIT)
-    return {"dgd": po.run_dgd(quartic_problem, cycle5, inv_sqrt, **kw),
-            "rss_nb": po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=5, **kw),
-            "rss_lb": po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=5, **kw),
-            "fs": po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, seed=5, **kw)}
+    return {"dgd": run("dgd", quartic_problem, cycle5, inv_sqrt, **kw),
+            "rss_nb": run("rss_nb", quartic_problem, cycle5, inv_sqrt, delta=1.0, seed=5, **kw),
+            "rss_lb": run("rss_lb", quartic_problem, cycle5, inv_sqrt, delta=1.0, seed=5, **kw),
+            "fs": run("fs", quartic_problem, cycle5, inv_sqrt, delta_coeff=0.5, d_max=8, seed=5,
+                      **kw)}
 
 
 class TestReadersTakeTheTrace:
@@ -62,7 +63,7 @@ class TestReadersTakeTheTrace:
         assert check_theorem3([dgd_run, reloaded], optimum_value=0.0).checked == 2
         other = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])] * 5,
                                  feasible=wide_box)
-        trace = po.run_dgd(other, cycle5, inv_sqrt, 50, init=INTERIOR_INIT)
+        trace = run("dgd", other, cycle5, inv_sqrt, 50, init=INTERIOR_INIT)
         with pytest.raises(ValueError, match="problems differ"):
             check_theorem3([dgd_run, trace], optimum_value=0.0)
 
@@ -100,7 +101,7 @@ class TestBoundParams:
 class TestComputeMetrics:
     def test_all_agents_at_same_point(self, quartic_problem, cycle5, inv_sqrt,
                                       quartic_optimum):
-        trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 20, init=np.zeros((5, 1)))
+        trace = run("dgd", quartic_problem, cycle5, inv_sqrt, 20, init=np.zeros((5, 1)))
         x_star, f_star = quartic_optimum
         metrics = compute_metrics(trace, x_star, f_star)
         assert metrics.max_disagreement.size == 21 and np.all(metrics.max_disagreement == 0.0)
@@ -126,9 +127,9 @@ class TestComputeMetrics:
         x_star, f_star = quartic_optimum
         kw = dict(max_iter=150, init=INTERIOR_INIT)
         series = []
-        for trace in (po.run_dgd(quartic_problem, cycle5, inv_sqrt, **kw),
-                      po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 0.0, seed=1, **kw),
-                      po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 0.0, seed=2, **kw)):
+        for trace in (run("dgd", quartic_problem, cycle5, inv_sqrt, **kw),
+                      run("rss_nb", quartic_problem, cycle5, inv_sqrt, delta=0.0, seed=1, **kw),
+                      run("rss_lb", quartic_problem, cycle5, inv_sqrt, delta=0.0, seed=2, **kw)):
             metrics = compute_metrics(trace, x_star, f_star)
             series.append(np.stack([metrics.suboptimality, metrics.max_disagreement,
                                     metrics.eta2]))
@@ -140,14 +141,14 @@ class TestLemma1:
         problem = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])],
                                    feasible=wide_box)
         solo = po.Topology.from_edges(1, [])
-        trace = po.run_dgd(problem, solo, inv_sqrt, 100, init=np.array([[5.0]]))
+        trace = run("dgd", problem, solo, inv_sqrt, 100, init=np.array([[5.0]]))
         report = check_lemma1(trace, effective_bounds(trace))
         assert report.passed and report.checked == 100
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, 15.0])
     def test_zero_violations_on_cycle(self, quartic_problem, cycle5, inv_sqrt, delta):
-        trace = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, delta, 1500,
-                              init=INTERIOR_INIT, seed=1)
+        trace = run("rss_nb", quartic_problem, cycle5, inv_sqrt, 1500, delta=delta,
+                    init=INTERIOR_INIT, seed=1)
         report = check_lemma1(trace, effective_bounds(trace))
         assert report.passed, report.violations[:3]
 
@@ -173,7 +174,7 @@ class TestLemma2:
     def test_stationary_run(self, wide_box, cycle5, inv_sqrt):
         problem = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])] * 5,
                                    feasible=wide_box)
-        trace = po.run_dgd(problem, cycle5, inv_sqrt, 200, init=np.zeros((5, 1)))
+        trace = run("dgd", problem, cycle5, inv_sqrt, 200, init=np.zeros((5, 1)))
         report = check_lemma2(trace, np.zeros(1))
         assert report.passed
 
@@ -192,14 +193,14 @@ class TestConsensus:
         problem = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])],
                                    feasible=wide_box)
         solo = po.Topology.from_edges(1, [])
-        trace = po.run_dgd(problem, solo, inv_sqrt, 50, init=np.array([[5.0]]))
+        trace = run("dgd", problem, solo, inv_sqrt, 50, init=np.array([[5.0]]))
         report = check_consensus(trace)
         assert report.details["tail_max"] == 0.0
 
     def test_constant_schedule_reported_not_failed(self, quartic_problem, cycle5):
         sched = po.StepSchedule(kind="constant", a=0.002)
-        trace = po.run_rss_nb(quartic_problem, cycle5, sched, 10.0, 400,
-                              init=INTERIOR_INIT, seed=2)
+        trace = run("rss_nb", quartic_problem, cycle5, sched, 400, delta=10.0, init=INTERIOR_INIT,
+                    seed=2)
         report = check_consensus(trace, threshold=1e-9)
         assert report.details["status"] in ("schedule-non-convergent", "passed")
         assert report.passed  # non-convergent schedule is not an error
@@ -210,8 +211,8 @@ class TestTheorem3:
                                             quartic_optimum):
         # optimum-started runs isolate the noise-driven term of the envelope;
         # from a generic start the noise-independent transient dominates it
-        runs = [po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, d, 3000,
-                              init=np.zeros((5, 1)), seed=4)
+        runs = [run("rss_nb", quartic_problem, cycle5, inv_sqrt, 3000, delta=d,
+                    init=np.zeros((5, 1)), seed=4)
                 for d in (0.0, 1.0, 15.0)]
         report = check_theorem3(runs, optimum_value=quartic_optimum[1])
         assert report.passed, report.violations
@@ -223,14 +224,14 @@ class TestTheorem3:
         problem = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])],
                                    feasible=wide_box)
         solo = po.Topology.from_edges(1, [])
-        trace = po.run_dgd(problem, solo, inv_sqrt, 2000, init=np.array([[1.0]]))
+        trace = run("dgd", problem, solo, inv_sqrt, 2000, init=np.array([[1.0]]))
         report = check_theorem3([trace], optimum_value=0.0)
         assert report.passed
         assert report.details["fits"][0]["envelope_constant"] < 10.0
 
     def test_wrong_schedule_raises(self, quartic_problem, cycle5):
         sched = po.StepSchedule(kind="inv_k", a=1.0, b=1.0)
-        trace = po.run_dgd(quartic_problem, cycle5, sched, 200, init=INTERIOR_INIT)
+        trace = run("dgd", quartic_problem, cycle5, sched, 200, init=INTERIOR_INIT)
         with pytest.raises(ScheduleError):
             check_theorem3([trace], optimum_value=0.0)
 
@@ -244,8 +245,8 @@ class TestTheorem3:
             assert quartic_problem.feasible.contains(avg, tol=1e-12)
 
     def test_requires_complete_trace(self, quartic_problem, cycle5, inv_sqrt):
-        trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 200,
-                           init=INTERIOR_INIT, record_every=10)
+        trace = run("dgd", quartic_problem, cycle5, inv_sqrt, 200, init=INTERIOR_INIT,
+                    record_every=10)
         with pytest.raises(ValueError):
             weighted_average_suboptimality(trace, 0.0, np.array([50]))
 
@@ -275,10 +276,10 @@ class TestInvariantAudit:
     def test_passes_on_all_algorithms(self, quartic_problem, cycle5, inv_sqrt):
         kw = dict(max_iter=300, init=INTERIOR_INIT)
         traces = [
-            po.run_dgd(quartic_problem, cycle5, inv_sqrt, **kw),
-            po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=5, **kw),
-            po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=5, **kw),
-            po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, seed=5, **kw),
+            run("dgd", quartic_problem, cycle5, inv_sqrt, **kw),
+            run("rss_nb", quartic_problem, cycle5, inv_sqrt, delta=1.0, seed=5, **kw),
+            run("rss_lb", quartic_problem, cycle5, inv_sqrt, delta=1.0, seed=5, **kw),
+            run("fs", quartic_problem, cycle5, inv_sqrt, delta_coeff=0.5, d_max=8, seed=5, **kw),
         ]
         for trace in traces:
             report = audit_invariants(trace)

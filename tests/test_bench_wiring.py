@@ -12,7 +12,7 @@ import pytest
 
 import privopt as po
 
-from conftest import INTERIOR_INIT
+from conftest import INTERIOR_INIT, run
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,15 +37,30 @@ def test_install_wraps_and_restore_unwraps_every_site(spans):
     assert spans.wiring_problems(tracer, False) == []
 
 
+def test_execute_reaches_the_wrapped_runners(spans, quartic_problem, cycle5, inv_sqrt):
+    """``privopt.execute`` looks its runner up when called, so each run is
+    recorded under its algorithm while the wrappers are installed."""
+    noise = {"dgd": {}, "rss_nb": {"delta": 1.0}, "rss_lb": {"delta": 1.0},
+             "fs": {"delta_coeff": 0.5, "d_max": 8}}
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for algorithm, keys in noise.items():
+            run(algorithm, quartic_problem, cycle5, inv_sqrt, 5, init=INTERIOR_INIT, **keys)
+    finally:
+        tracer.restore()
+    assert [r["algorithm"] for r in tracer.engine_runs] == list(noise)
+
 
 def test_readers_take_real_objects(spans, quartic_problem, cycle5, inv_sqrt):
     """The traced benchmark's own readers of privopt objects: a renamed trace
     attribute or view field fails here, not only in a traced run."""
     kw = dict(max_iter=20, init=INTERIOR_INIT)
-    traces = [po.run_dgd(quartic_problem, cycle5, inv_sqrt, **kw),
-              po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=1, **kw),
-              po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=1, **kw),
-              po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, seed=1, **kw)]
+    traces = [run("dgd", quartic_problem, cycle5, inv_sqrt, **kw),
+              run("rss_nb", quartic_problem, cycle5, inv_sqrt, delta=1.0, seed=1, **kw),
+              run("rss_lb", quartic_problem, cycle5, inv_sqrt, delta=1.0, seed=1, **kw),
+              run("fs", quartic_problem, cycle5, inv_sqrt, delta_coeff=0.5, d_max=8, seed=1,
+                  **kw)]
     for trace in traces:
         assert spans._trace_nbytes(trace) >= trace.states.nbytes + trace.final_states.nbytes
     # a view's replay key is the public dynamics', whatever the coalition

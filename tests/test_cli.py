@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import pytest
 import privopt as po
 import privopt.cli as cli_module
 from privopt.cli import main
-from privopt.engine import ExecutionTrace
+from privopt.engine import ExecutionTrace, encode_array
 
-from conftest import INTERIOR_INIT, edit_array, quartic_config, save_trace, with_entry
+from conftest import INTERIOR_INIT, edit_array, quartic_config, run, save_trace, with_entry
 
 
 def write(path, doc):
@@ -209,6 +210,40 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
         assert built == {"objectives": 5, "topologies": 1}
 
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs"])
+    def test_builds_the_weights_once(self, tmp_path, monkeypatch, algorithm):
+        built, metropolis_weights = [], po.graphs.metropolis_weights
+
+        def count(*args, **kwargs):
+            built.append(args)
+            return metropolis_weights(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("privopt") and vars(module).get("metropolis_weights") is \
+                    metropolis_weights:
+                monkeypatch.setattr(module, "metropolis_weights", count)
+        cfg = write(tmp_path / "run.json", quartic_config(algorithm=algorithm, delta=1.0, seed=3,
+                                                          max_iter=50))
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("schedule, message", [
+        ({"kind": "constant", "a": 3}, "unknown constant schedule keys: ['a']"),
+        ({"kind": "inv_sqrt", "a": 5, "zzz": 1}, "unknown inv_sqrt schedule keys: ['a', 'zzz']"),
+        ({"kind": "inv_k", "a": True}, "schedule a must be a JSON number, got True"),
+        ({"kind": "constant", "value": "0.1"}, "schedule value must be a JSON number, got '0.1'"),
+        ({"kind": "inv_k", "a": float("nan")}, "schedule parameter a must be finite and positive"),
+        ({"kind": "inv_k", "b": float("inf")}, "schedule parameter b must be finite and non-neg"),
+        ({"kind": "constant", "value": float("-inf")}, "schedule parameter a must be finite"),
+        ({"kind": "inv_k", "a": 10 ** 400}, "schedule a must be finite, got 1000"),
+    ])
+    def test_strict_schedule_spec_exits_2(self, tmp_path, capsys, schedule, message):
+        bad = write(tmp_path / "bad.json", quartic_config(schedule=schedule))
+        out = tmp_path / "out"
+        assert main(["run", "--config", bad, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     def test_rerun_is_byte_identical_modulo_timestamp(self, tmp_path, run_cfg):
         main(["run", "--config", run_cfg, "--out-dir", str(tmp_path / "a")])
         main(["run", "--config", run_cfg, "--out-dir", str(tmp_path / "b")])
@@ -221,6 +256,14 @@ class TestSweep:
         base = quartic_config(max_iter=120, record_every=40)
         base.pop("algorithm")
         return {"base": base, "grid": grid}
+
+    def test_jobs_option_is_gone(self, tmp_path, capsys):
+        cfg = write(tmp_path / "sweep.json", self.sweep_doc(seed=[1, 2]))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_grid_rows_and_pairing(self, tmp_path):
         cfg = write(tmp_path / "sweep.json",
@@ -479,7 +522,6 @@ NON_FINITE = {
     "nb_share": ("rss_nb", ("noise", 5, 1, 0), float("nan"), "noise"),
     "lb_perturbation": ("rss_lb", ("noise", 5, 1, 0), float("inf"), "noise"),
     "fs_noise_function": ("fs", ("noise", 3, 0, 2), float("nan"), "noise"),
-    "weight": ("rss_nb", ("weights", 0, 1), float("nan"), "weights"),
     "nan_delta": ("rss_nb", ("config", "delta"), float("nan"),
                   "config: delta must be finite and non-negative, got nan"),
     "negative_delta": ("rss_nb", ("config", "delta"), -1.0,
@@ -539,8 +581,8 @@ class TestInvariantViolations:
     def test_audit_names_the_broken_invariant(self, case, quartic_problem, cycle5,
                                               inv_sqrt, tmp_path, capsys):
         algorithm, tamper, invariant = TAMPERED[case]
-        runner = po.run_rss_nb if algorithm == "rss_nb" else po.run_rss_lb
-        trace = runner(quartic_problem, cycle5, inv_sqrt, 1.0, 60, init=INTERIOR_INIT, seed=3)
+        trace = run(algorithm, quartic_problem, cycle5, inv_sqrt, 60, delta=1.0,
+                    init=INTERIOR_INIT, seed=3)
         path = tmp_path / "t.json"
         save_trace(trace, path)
         assert main(["audit", str(path), "--checks", "invariants"]) == 0
@@ -558,8 +600,8 @@ class TestInvariantViolations:
     def test_unbalanced_nb_perturbations_are_named(self, quartic_problem, cycle5, inv_sqrt):
         """rss_nb perturbations are derived from the shares, and cancel by
         construction; the audit still checks what the derivation gives."""
-        trace = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 60, init=INTERIOR_INIT,
-                              seed=3)
+        trace = run("rss_nb", quartic_problem, cycle5, inv_sqrt, 60, delta=1.0,
+                    init=INTERIOR_INIT, seed=3)
         trace.perturbations = with_entry(trace.perturbations, (10, 2), trace.perturbations[10, 2]
                                          + 1e-6)  # agent 2's perturbation no longer cancels
         violations = po.audit_invariants(trace).violations
@@ -638,6 +680,9 @@ def _add_an_agent(doc):
 # error message)
 MALFORMED_HEADER = {
     "version_4": (lambda d: d.update(version=4), "unsupported trace version: 4"),
+    "version_6": (lambda d: d.update(version=6), "unsupported trace version: 6"),
+    "stored_weights": (lambda d: d.update(weights=encode_array(np.full((5, 5), 0.2))),
+                       "a trace document holds the keys"),
     "missing_states": (lambda d: d.pop("states"), "a trace document holds the keys"),
     "unknown_key": (lambda d: d.update(provenance={}), "a trace document holds the keys"),
     "null_seed": (lambda d: d["config"].update(seed=None),

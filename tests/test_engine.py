@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import pathlib
@@ -14,18 +13,17 @@ from privopt.analysis import audit_invariants
 from privopt.engine import (ScheduleError, StepSchedule, TraceError, _slot_fuse,
                             block_rounds, dgd_step, encode_array, recorded_rounds)
 from privopt.graphs import GraphError
-from privopt.noise import FsObjectiveError
 from privopt.polynomials import derivative, interval_extrema
 
-from conftest import INTERIOR_INIT, decoded, edit_array, save_trace, with_entry
+from conftest import (INTERIOR_INIT, decoded, edit_array, reference_dgd, run, run_doc,
+                      save_trace, with_entry)
 from test_golden import canonical_traces
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 DERIVED = ("messages", "fused", "fused_true", "fused_noise")
 # the keys of a trace document and of an fs trace's extras: the run config,
 # what the run drew or chose, the recorded states and the digest
-DOCUMENT_KEYS = {"version", "config", "weights", "noise", "states", "final_states", "extras",
-                 "digest"}
+DOCUMENT_KEYS = {"version", "config", "noise", "states", "final_states", "extras", "digest"}
 FS_EXTRAS_KEYS = {"obf_grad_bound", "obf_smoothness_bound"}
 
 
@@ -34,10 +32,11 @@ def short_runs(quartic_problem, cycle5, inv_sqrt):
     """One short run per algorithm, shared across tests in this module."""
     kw = dict(max_iter=400, init=INTERIOR_INIT)
     return {
-        "dgd": po.run_dgd(quartic_problem, cycle5, inv_sqrt, **kw),
-        "nb": po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=3, **kw),
-        "lb": po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, seed=3, **kw),
-        "fs": po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, seed=3, **kw),
+        "dgd": run("dgd", quartic_problem, cycle5, inv_sqrt, **kw),
+        "nb": run("rss_nb", quartic_problem, cycle5, inv_sqrt, delta=1.0, seed=3, **kw),
+        "lb": run("rss_lb", quartic_problem, cycle5, inv_sqrt, delta=1.0, seed=3, **kw),
+        "fs": run("fs", quartic_problem, cycle5, inv_sqrt, delta_coeff=0.5, d_max=8, seed=3,
+                  **kw),
     }
 
 
@@ -85,7 +84,7 @@ class TestDgd:
         problem = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])],
                                    feasible=wide_box)
         solo = po.Topology.from_edges(1, [])
-        trace = po.run_dgd(problem, solo, inv_sqrt, max_iter=60, init=np.array([[10.0]]))
+        trace = run("dgd", problem, solo, inv_sqrt, max_iter=60, init=np.array([[10.0]]))
         # independent scalar recursion: x <- clip(x - a*2x)
         x = 10.0
         for k in range(1, 61):
@@ -98,7 +97,7 @@ class TestDgd:
         problem = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])] * 5,
                                    feasible=wide_box)
         init = np.zeros((5, 1))
-        trace = po.run_dgd(problem, cycle5, inv_sqrt, max_iter=50, init=init)
+        trace = run("dgd", problem, cycle5, inv_sqrt, max_iter=50, init=init)
         assert np.all(trace.states == 0.0)
         assert np.all(trace.final_states == 0.0)
 
@@ -121,31 +120,35 @@ class TestDgd:
 
 class TestReductionIdentities:
     def test_zero_delta_nb_equals_dgd(self, quartic_problem, cycle5, inv_sqrt):
-        a = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 300, init=INTERIOR_INIT)
-        b = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 0.0, 300, init=INTERIOR_INIT, seed=9)
+        a = run("dgd", quartic_problem, cycle5, inv_sqrt, 300, init=INTERIOR_INIT)
+        b = run("rss_nb", quartic_problem, cycle5, inv_sqrt, 300, delta=0.0, init=INTERIOR_INIT,
+                seed=9)
         assert a.state_digest() == b.state_digest()
 
     def test_zero_delta_lb_equals_dgd(self, quartic_problem, cycle5, inv_sqrt):
-        a = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 300, init=INTERIOR_INIT)
-        b = po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 0.0, 300, init=INTERIOR_INIT, seed=9)
+        a = run("dgd", quartic_problem, cycle5, inv_sqrt, 300, init=INTERIOR_INIT)
+        b = run("rss_lb", quartic_problem, cycle5, inv_sqrt, 300, delta=0.0, init=INTERIOR_INIT,
+                seed=9)
         assert a.state_digest() == b.state_digest()
 
     def test_zero_noise_fs_equals_dgd(self, quartic_problem, cycle5, inv_sqrt):
-        a = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 300, init=INTERIOR_INIT)
-        b = po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.0, 8, 300, init=INTERIOR_INIT, seed=9)
+        a = run("dgd", quartic_problem, cycle5, inv_sqrt, 300, init=INTERIOR_INIT)
+        b = run("fs", quartic_problem, cycle5, inv_sqrt, 300, delta_coeff=0.0, d_max=8,
+                init=INTERIOR_INIT, seed=9)
         assert a.state_digest() == b.state_digest()
 
 
 class TestDeterminism:
     def test_same_seed_same_digest(self, quartic_problem, cycle5, inv_sqrt):
-        a = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 200, init=INTERIOR_INIT, seed=7)
-        b = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 200, init=INTERIOR_INIT, seed=7)
+        kw = dict(delta=1.0, init=INTERIOR_INIT, seed=7)
+        a = run("rss_nb", quartic_problem, cycle5, inv_sqrt, 200, **kw)
+        b = run("rss_nb", quartic_problem, cycle5, inv_sqrt, 200, **kw)
         assert a.state_digest() == b.state_digest()
         np.testing.assert_array_equal(a.perturbations, b.perturbations)
 
     def test_different_seed_differs(self, quartic_problem, cycle5, inv_sqrt):
-        a = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 200, init=INTERIOR_INIT, seed=7)
-        b = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 200, init=INTERIOR_INIT, seed=8)
+        a, b = (run("rss_nb", quartic_problem, cycle5, inv_sqrt, 200, delta=1.0,
+                    init=INTERIOR_INIT, seed=seed) for seed in (7, 8))
         assert a.state_digest() != b.state_digest()
 
 
@@ -203,8 +206,8 @@ class TestTraceStructure:
             np.testing.assert_array_equal(loaded.final_states, trace.final_states)
 
     def test_downsampled_trace_has_audit_pairs(self, quartic_problem, cycle5, inv_sqrt):
-        trace = po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 200,
-                              init=INTERIOR_INIT, seed=1, record_every=25)
+        trace = run("rss_nb", quartic_problem, cycle5, inv_sqrt, 200, delta=1.0,
+                    init=INTERIOR_INIT, seed=1, record_every=25)
         idx = set(trace.round_index.tolist())
         assert 1 in idx and 200 in idx
         audited = [k for k in idx if k + 1 in idx or k == 200]
@@ -225,8 +228,7 @@ def test_locally_balanced_needs_a_neighbor(wide_box, inv_sqrt):
                                feasible=wide_box)
     solo = po.Topology.from_edges(1, [])
     with pytest.raises(ValueError):
-        po.run_rss_lb(problem, solo, inv_sqrt, delta=1.0, max_iter=5,
-                      init=np.array([[1.0]]), seed=0)
+        run("rss_lb", problem, solo, inv_sqrt, 5, delta=1.0, init=np.array([[1.0]]), seed=0)
 
 
 class TestMultivariateRuns:
@@ -237,9 +239,8 @@ class TestMultivariateRuns:
         from privopt.analysis import (audit_invariants, check_lemma1, check_lemma2,
                                       effective_bounds)
 
-        runner = po.run_rss_nb if algorithm == "rss_nb" else po.run_rss_lb
         init = np.stack([np.linspace(-1, 1, 5), np.linspace(1, -1, 5)], axis=1)
-        trace = runner(quad_problem, cycle5, inv_sqrt, 2.0, 500, init=init, seed=14)
+        trace = run(algorithm, quad_problem, cycle5, inv_sqrt, 500, delta=2.0, init=init, seed=14)
         assert audit_invariants(trace).passed
         bounds = effective_bounds(trace)
         assert check_lemma1(trace, bounds).passed
@@ -256,8 +257,8 @@ class TestSelfInclusiveWeights:
         from privopt.analysis import audit_invariants, check_lemma1, check_lemma2, effective_bounds
 
         lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
-        trace = po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 300,
-                              init=INTERIOR_INIT, seed=6, weights=lazy)
+        trace = run("rss_lb", quartic_problem, cycle5, inv_sqrt, 300, delta=1.0,
+                    init=INTERIOR_INIT, seed=6, metropolis_self_inclusive=True)
         assert trace.config["metropolis_self_inclusive"]
         report = audit_invariants(trace)
         assert report.passed, report.violations
@@ -276,8 +277,8 @@ class TestFunctionSharing:
         problem = po.GlobalProblem(
             objectives=[po.LogisticObjective(seed=i, dim=1) for i in range(5)],
             feasible=po.Box([-5.0], [5.0]))
-        with pytest.raises(FsObjectiveError):
-            po.run_fs(problem, cycle5, inv_sqrt, 0.5, 8, 10)
+        with pytest.raises(po.ConfigError, match="function sharing requires polynomial"):
+            run("fs", problem, cycle5, inv_sqrt, 10, delta_coeff=0.5, d_max=8)
 
     def test_obfuscated_sum_matches_original(self, short_runs):
         trace = short_runs["fs"]
@@ -300,9 +301,10 @@ class TestFunctionSharing:
         assert floor < 0  # genuinely non-convex on the box
         sub = po.GlobalProblem(objectives=obfuscated, feasible=quartic_problem.feasible,
                                validate_convexity=False)
-        trace = po.run_dgd(sub, cycle5, inv_sqrt, 3000, init=INTERIOR_INIT)
+        _, final_states = reference_dgd(sub, po.metropolis_weights(cycle5), inv_sqrt, 3000,
+                                        INTERIOR_INIT)
         _, f_star = quartic_optimum
-        final = float(quartic_problem.total_value(trace.final_states.mean(axis=0))) - f_star
+        final = float(quartic_problem.total_value(final_states.mean(axis=0))) - f_star
         assert final < 1e-3
 
     def test_trace_records_noise_and_bounds(self, short_runs):
@@ -314,8 +316,8 @@ class TestFunctionSharing:
 
     def test_random_noise_run_converges_to_optimum(self, quartic_problem, cycle5,
                                                    inv_sqrt, quartic_optimum):
-        trace = po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.1, 4, 3000,
-                          init=INTERIOR_INIT, seed=13)
+        trace = run("fs", quartic_problem, cycle5, inv_sqrt, 3000, delta_coeff=0.1, d_max=4,
+                    init=INTERIOR_INIT, seed=13)
         _, f_star = quartic_optimum
         final = float(quartic_problem.total_value(trace.final_states.mean(axis=0))) - f_star
         assert final < 1e-3
@@ -363,18 +365,17 @@ def assert_bit_equal(actual, expected):
 
 
 def _derived_cases(quartic_problem, quad_problem, cycle5, inv_sqrt):
-    lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
+    lazy = dict(init=INTERIOR_INIT, metropolis_self_inclusive=True)
     init2 = np.stack([np.linspace(-1, 1, 5), np.linspace(1, -1, 5)], axis=1)
     cases = dict(canonical_traces())
-    for name, runner in (("rss_nb", po.run_rss_nb), ("rss_lb", po.run_rss_lb)):
-        cases[f"{name}/lazy"] = runner(quartic_problem, cycle5, inv_sqrt, 1.0, 60,
-                                       init=INTERIOR_INIT, seed=6, weights=lazy)
-        cases[f"{name}/record_every"] = runner(quad_problem, cycle5, inv_sqrt, 2.0, 90,
-                                               init=init2, seed=14, record_every=7)
-    cases["dgd/lazy"] = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 60,
-                                   init=INTERIOR_INIT, weights=lazy)
-    cases["fs/record_every"] = po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.1, 4, 90,
-                                         init=INTERIOR_INIT, seed=5, record_every=7)
+    for name in ("rss_nb", "rss_lb"):
+        cases[f"{name}/lazy"] = run(name, quartic_problem, cycle5, inv_sqrt, 60, delta=1.0,
+                                    seed=6, **lazy)
+        cases[f"{name}/record_every"] = run(name, quad_problem, cycle5, inv_sqrt, 90, delta=2.0,
+                                            init=init2, seed=14, record_every=7)
+    cases["dgd/lazy"] = run("dgd", quartic_problem, cycle5, inv_sqrt, 60, **lazy)
+    cases["fs/record_every"] = run("fs", quartic_problem, cycle5, inv_sqrt, 90, delta_coeff=0.1,
+                                   d_max=4, init=INTERIOR_INIT, seed=5, record_every=7)
     return cases
 
 
@@ -522,8 +523,7 @@ class TestSlotFuse:
 
 class TestSupportGuard:
     """The slots hold only the self-inclusive neighbourhoods, so a fusion
-    matrix with a weight off them is refused when it is built, and a trace
-    with a nonzero pad weight does not load."""
+    matrix with a weight off them is refused when it is built."""
 
     @staticmethod
     def _off_support(cycle5, eps=1e-13):
@@ -544,28 +544,6 @@ class TestSupportGuard:
         with pytest.raises(GraphError, match="pad slot, off the self-inclusive neighbourhoods"):
             po.FusionMatrix(path5, weights)
 
-    def test_weights_of_another_topology_raise(self, quartic_problem, cycle5, inv_sqrt):
-        other = po.metropolis_weights(po.Topology.family("path", 5))  # same slot shape
-        for runner in (po.run_dgd, functools.partial(po.run_rss_lb, delta=1.0)):
-            with pytest.raises(GraphError, match="the fusion weights are for another topology"):
-                runner(quartic_problem, cycle5, inv_sqrt, max_iter=5, init=INTERIOR_INIT,
-                       weights=other)
-        # an equal topology built apart is the same topology
-        rebuilt = po.metropolis_weights(po.Topology.family("cycle", 5))
-        same = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5, init=INTERIOR_INIT,
-                          weights=rebuilt)
-        assert same.state_digest() == po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5,
-                                                 init=INTERIOR_INIT).state_digest()
-
-    def test_trace_with_off_support_weights_does_not_load(self, quartic_problem, inv_sqrt):
-        # slots hold only the neighbourhoods; an off-support weight can sit
-        # only in a pad slot, which the end agents of a path have
-        path5 = po.Topology.family("path", 5)
-        doc = po.run_dgd(quartic_problem, path5, inv_sqrt, 5, init=INTERIOR_INIT).to_json_dict()
-        pad = tuple(np.argwhere(~path5.fuse_slots.live)[0])
-        edit_array(doc, ("weights",), lambda w: with_entry(w, pad, 1e-13))
-        with pytest.raises(TraceError, match="weights: .*off the self-inclusive"):
-            po.ExecutionTrace.from_json_dict(doc)
 
 
 def test_fuse_memory_grows_with_edges_not_agent_pairs(inv_sqrt):
@@ -591,16 +569,10 @@ def test_fuse_memory_grows_with_edges_not_agent_pairs(inv_sqrt):
         assert peak < limit, f"{what} peaked at {peak / 2**20:.1f} MB"
         return result
 
-    weights = traced("metropolis_weights", lambda: po.metropolis_weights(topology))
-    runs = {
-        "dgd": lambda: po.run_dgd(problem, topology, inv_sqrt, 4, weights=weights),
-        "rss_nb": lambda: po.run_rss_nb(problem, topology, inv_sqrt, 1.0, 4, seed=1,
-                                        weights=weights),
-        "rss_lb": lambda: po.run_rss_lb(problem, topology, inv_sqrt, 1.0, 4, seed=1,
-                                        weights=weights),
-    }
-    for name, run in runs.items():
-        trace = traced(name, run)
+    traced("metropolis_weights", lambda: po.metropolis_weights(topology))
+    for name, keys in (("dgd", {}), ("rss_nb", {"delta": 1.0, "seed": 1}),
+                       ("rss_lb", {"delta": 1.0, "seed": 1})):
+        trace = traced(name, lambda: run(name, problem, topology, inv_sqrt, 4, **keys))
         traced(f"{name} round trip",
                lambda: po.ExecutionTrace.from_json_dict(trace.to_json_dict()))
         assert traced(f"{name} audit", lambda: audit_invariants(trace)).passed
@@ -651,35 +623,17 @@ def _isfinite_step(problem, weights, messages, alpha, k):
     return x_next
 
 
-class _GradientFailsAt:
-    """A problem whose agent gradients are NaN at one evaluation, the
-    ``round``-th, and the wrapped problem's otherwise."""
-
-    def __init__(self, problem, round_index):
-        self.problem, self.round_index, self.calls = problem, round_index, 0
-
-    def __getattr__(self, name):
-        return getattr(self.problem, name)
-
-    def agent_gradients(self, x):
-        self.calls += 1
-        gradients = self.problem.agent_gradients(x)
-        return gradients * np.nan if self.calls == self.round_index else gradients
-
-
 class TestRoundBlocks:
     """The engine draws noise a block of ``block_rounds`` rounds at a time;
     nothing a run records or does may show where the blocks begin."""
-
-    RUNNERS = {"rss_nb": po.run_rss_nb, "rss_lb": po.run_rss_lb}
 
     @pytest.mark.parametrize("algorithm", ["rss_nb", "rss_lb"])
     def test_recorded_noise_is_each_rounds_own_draw(self, cycle5, inv_sqrt, algorithm):
         problem = _sparse_quadratic_problem(5)
         block = block_rounds(10, 2)
         max_iter = 2 * block + 30  # two interior block boundaries
-        trace = self.RUNNERS[algorithm](problem, cycle5, inv_sqrt, 1.0, max_iter, seed=9,
-                                        record_every=7)
+        trace = run(algorithm, problem, cycle5, inv_sqrt, max_iter, delta=1.0, seed=9,
+                    record_every=7)
         assert trace.round_index[-1] == max_iter and trace.round_index.size > 2 * max_iter // 7
         streams, edge_weights = po.RandomStreams(9), cycle5.fuse_slots.edge_weights(trace.weights)
         for row, k in enumerate(trace.round_index):
@@ -704,8 +658,8 @@ class TestRoundBlocks:
 
         monkeypatch.setattr(po.engine, "nb_perturbation", spy)
         max_iter = 3 * block_rounds(10, 2) + 5
-        trace = po.run_rss_nb(_sparse_quadratic_problem(5), cycle5, inv_sqrt, 1.0, max_iter,
-                              seed=9, record_every=7)
+        trace = run("rss_nb", _sparse_quadratic_problem(5), cycle5, inv_sqrt, max_iter,
+                    delta=1.0, seed=9, record_every=7)
         monkeypatch.undo()
         assert len(added) == 4  # the run's noise blocks
         if reload:
@@ -726,8 +680,8 @@ class TestRoundBlocks:
             return obfuscated
 
         monkeypatch.setattr(po.engine, "obfuscate", spy)
-        trace = po.run_fs(quartic_problem, complete5, inv_sqrt, 0.5, 8, 30, init=INTERIOR_INIT,
-                          seed=4, record_every=record_every)
+        trace = run("fs", quartic_problem, complete5, inv_sqrt, 30, delta_coeff=0.5, d_max=8,
+                    init=INTERIOR_INIT, seed=4, record_every=record_every)
         monkeypatch.undo()
         if reload:
             save_trace(trace, tmp_path / "t.json")
@@ -741,8 +695,8 @@ class TestRoundBlocks:
         assert block_rounds(2 * n, 2) < max_iter // 2
         problem = _sparse_quadratic_problem(n)
         lazy = po.metropolis_weights(topology, self_inclusive_degree=True)
-        trace = self.RUNNERS[algorithm](problem, topology, inv_sqrt, 1.0, max_iter, seed=4,
-                                        weights=lazy)
+        trace = run(algorithm, problem, topology, inv_sqrt, max_iter, delta=1.0, seed=4,
+                    metropolis_self_inclusive=True)
         states, final = _per_round_run(problem, topology, inv_sqrt, algorithm, 1.0, max_iter,
                                        trace.init, 4, lazy)
         assert_bit_equal(trace.states, states)
@@ -752,23 +706,29 @@ class TestRoundBlocks:
 
     @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb"])
     @pytest.mark.parametrize("bad", [7, 81, 83])
-    def test_non_finite_state_names_its_own_round(self, inv_sqrt, algorithm, bad):
+    def test_non_finite_state_names_its_own_round(self, inv_sqrt, algorithm, bad, monkeypatch):
         n = 100
         topology = po.Topology.family("cycle", n)
         assert block_rounds(2 * n, 2) == 81  # round 81 ends the first block, 83 is inside the next
-        problem = _GradientFailsAt(_sparse_quadratic_problem(n), bad)
-        runner = po.run_dgd if algorithm == "dgd" else functools.partial(
-            self.RUNNERS[algorithm], delta=1.0, seed=1)
+        keys = {} if algorithm == "dgd" else {"delta": 1.0, "seed": 1}
+        config = RunConfig.from_dict(run_doc(algorithm, _sparse_quadratic_problem(n), topology,
+                                             inv_sqrt, 200, record_every=50, **keys))
+        # the agent gradients are NaN at one evaluation, the bad-th
+        calls, gradients = [], po.GlobalProblem.agent_gradients
+
+        def failing(problem, x):
+            calls.append(None)
+            out = gradients(problem, x)
+            return out * np.nan if len(calls) == bad else out
+
+        monkeypatch.setattr(po.GlobalProblem, "agent_gradients", failing)
         with pytest.raises(po.engine.NonFiniteError, match=f"^round {bad}: "):
             with np.errstate(invalid="ignore"):
-                runner(problem, topology, inv_sqrt, max_iter=200, record_every=50)
-        assert problem.calls == bad
+                execute(config)
+        assert len(calls) == bad
 
 
 class TestFinitenessGate:
-    RUNNERS = {"dgd": po.run_dgd, "rss_nb": functools.partial(po.run_rss_nb, delta=1.0, seed=6),
-               "rss_lb": functools.partial(po.run_rss_lb, delta=1.0, seed=6)}
-
     @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb"])
     def test_overflowing_state_sum_is_not_an_error(self, cycle5, inv_sqrt, algorithm):
         """On a +-1e308 box, descents that push every agent against the upper
@@ -777,14 +737,16 @@ class TestFinitenessGate:
         reference that checks every entry."""
         init = np.full((5, 1), 1e308)
         metropolis = po.metropolis_weights(cycle5)
+        keys = {} if algorithm == "dgd" else {"delta": 1.0, "seed": 6}
         with np.errstate(over="ignore", invalid="ignore"):  # the convexity grid overflows
             problem = po.GlobalProblem(
                 objectives=[po.PolynomialObjective([0.0, -1.0 - j]) for j in range(5)],
                 feasible=po.Box([-1e308], [1e308]))
+            config = RunConfig.from_dict(run_doc(algorithm, problem, cycle5, inv_sqrt, 70,
+                                                 init=init, **keys))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = self.RUNNERS[algorithm](problem, cycle5, inv_sqrt, max_iter=70, init=init,
-                                            weights=metropolis)
+            trace = execute(config)
         with np.errstate(over="ignore", invalid="ignore"):
             states, final = _per_round_run(problem, cycle5, inv_sqrt, algorithm, 1.0, 70, init,
                                            6, metropolis, step=_isfinite_step)
@@ -843,7 +805,7 @@ class TestTraceFile:
         assert config.init is None and config.output_basename == "run"
 
     def test_default_init_is_not_stored(self, quartic_problem, cycle5, inv_sqrt):
-        trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 5)
+        trace = run("dgd", quartic_problem, cycle5, inv_sqrt, 5)
         assert "init" not in trace.config
         loaded = po.ExecutionTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
         assert_bit_equal(loaded.init, po.default_init(quartic_problem.feasible, 5))
@@ -866,8 +828,8 @@ class TestTraceFile:
         topology = po.Topology.family("cycle", n)
         problem = _sparse_quadratic_problem(n)
         assert topology.sender_edges[0].size == 2 * n
-        nb = po.run_rss_nb(problem, topology, inv_sqrt, 1.0, 30, seed=2, record_every=10)
-        lb = po.run_rss_lb(problem, topology, inv_sqrt, 1.0, 30, seed=2, record_every=10)
+        nb = run("rss_nb", problem, topology, inv_sqrt, 30, delta=1.0, seed=2, record_every=10)
+        lb = run("rss_lb", problem, topology, inv_sqrt, 30, delta=1.0, seed=2, record_every=10)
         r_count = nb.round_index.size
         for trace, attr in ((nb, "shares"), (lb, "perturbations")):
             stored = decoded(trace.to_json_dict()["noise"])
@@ -893,10 +855,20 @@ class TestTraceFile:
             assert_bit_equal(loaded.perturbations, trace.perturbations)
             assert (not trace.perturbations.any()) == (name in ("dgd", "fs"))
 
-    def test_weights_are_stored_per_slot(self, short_runs, cycle5):
-        weights = decoded(short_runs["dgd"].to_json_dict()["weights"])
-        assert weights.shape == cycle5.fuse_slots.senders.shape
-        assert_bit_equal(weights, short_runs["dgd"].weights)
+    def test_weights_are_derived_from_the_config(self, quartic_problem, cycle5, inv_sqrt):
+        """A trace stores no weights: loading derives the config's Metropolis
+        matrix, of either kind, and the audit accepts the trace with it."""
+        for algorithm in ("rss_nb", "rss_lb"):
+            for self_inclusive in (False, True):
+                trace = run(algorithm, quartic_problem, cycle5, inv_sqrt, 60, delta=1.0,
+                            init=INTERIOR_INIT, seed=5, metropolis_self_inclusive=self_inclusive)
+                doc = json.loads(json.dumps(trace.to_json_dict()))
+                assert "weights" not in doc
+                loaded = po.ExecutionTrace.from_json_dict(doc)
+                assert_bit_equal(loaded.weights,
+                                 po.metropolis_weights(cycle5, self_inclusive).weights)
+                report = audit_invariants(loaded)
+                assert report.passed, report.violations
 
     # sha256 of json.dumps([index, step, states]) of the rounds of each shipped
     # config's trace as number lists, taken before the trace dropped its
@@ -921,10 +893,10 @@ class TestLoadChecks:
     def docs(self, quartic_problem, cycle5, inv_sqrt):
         kw = dict(init=INTERIOR_INIT, seed=4, record_every=5)
         return {
-            "dgd": po.run_dgd(quartic_problem, cycle5, inv_sqrt, 30, init=INTERIOR_INIT),
-            "rss_nb": po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, **kw),
-            "rss_lb": po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, **kw),
-            "fs": po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, 30, **kw),
+            "dgd": run("dgd", quartic_problem, cycle5, inv_sqrt, 30, init=INTERIOR_INIT),
+            "rss_nb": run("rss_nb", quartic_problem, cycle5, inv_sqrt, 30, delta=1.0, **kw),
+            "rss_lb": run("rss_lb", quartic_problem, cycle5, inv_sqrt, 30, delta=1.0, **kw),
+            "fs": run("fs", quartic_problem, cycle5, inv_sqrt, 30, delta_coeff=0.5, d_max=8, **kw),
         }
 
     @staticmethod
@@ -980,16 +952,6 @@ class TestLoadChecks:
         doc = self._doc(docs["dgd"])
         edit_array(doc, ("final_states",), lambda v: v[:-1])
         with pytest.raises(TraceError, match=r"final_states has shape \(4, 1\)"):
-            po.ExecutionTrace.from_json_dict(doc)
-
-    @pytest.mark.parametrize("change, match", [
-        (lambda v: with_entry(v, (0, 0), v[0, 0] + 0.01), "weights: rows must sum to 1"),
-        (lambda v: with_entry(v, (1, 2), 1.5), r"weights: fusion entries must lie in \[0, 1\]"),
-    ])
-    def test_fusion_weights_validated(self, docs, change, match):
-        doc = self._doc(docs["dgd"])
-        edit_array(doc, ("weights",), change)
-        with pytest.raises(TraceError, match=match):
             po.ExecutionTrace.from_json_dict(doc)
 
     @pytest.mark.parametrize("key, value, match", [
@@ -1110,15 +1072,11 @@ class TestTraceRoundTrip:
     @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs"])
     def test_arrays_bit_identical(self, algorithm, lazy, record_every, quartic_problem,
                                   cycle5, inv_sqrt, tmp_path):
-        weights = po.metropolis_weights(cycle5, self_inclusive_degree=lazy)
         init = with_entry(INTERIOR_INIT, (2, 0), -0.0)
-        kw = dict(init=init, weights=weights, record_every=record_every)
-        trace = {
-            "dgd": lambda: po.run_dgd(quartic_problem, cycle5, inv_sqrt, 30, **kw),
-            "rss_nb": lambda: po.run_rss_nb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, seed=2, **kw),
-            "rss_lb": lambda: po.run_rss_lb(quartic_problem, cycle5, inv_sqrt, 1.0, 30, seed=2, **kw),
-            "fs": lambda: po.run_fs(quartic_problem, cycle5, inv_sqrt, 0.5, 8, 30, seed=2, **kw),
-        }[algorithm]()
+        keys = {"dgd": {}, "rss_nb": {"delta": 1.0, "seed": 2}, "rss_lb": {"delta": 1.0, "seed": 2},
+                "fs": {"delta_coeff": 0.5, "d_max": 8, "seed": 2}}[algorithm]
+        trace = run(algorithm, quartic_problem, cycle5, inv_sqrt, 30, init=init,
+                    metropolis_self_inclusive=lazy, record_every=record_every, **keys)
         assert np.signbit(trace.states[0, 2, 0]) and trace.states[0, 2, 0] == 0
         save_trace(trace, tmp_path / "t.json")
         loaded = po.ExecutionTrace.load(tmp_path / "t.json")

@@ -23,7 +23,7 @@ import pytest
 
 import privopt as po
 
-from conftest import INTERIOR_INIT, QUARTIC_COEFFS, quartic_objectives
+from conftest import INTERIOR_INIT, QUARTIC_COEFFS, quartic_objectives, run
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_digests.json")
 ROUNDS = 40
@@ -98,17 +98,12 @@ def canonical_traces() -> dict:
     out = {}
     for case, algorithms in CASES.items():
         problem, topology, init = _case(case)
-        runs = {
-            "dgd": lambda: po.run_dgd(problem, topology, schedule, ROUNDS, init=init),
-            "rss_nb": lambda: po.run_rss_nb(problem, topology, schedule, 1.0, ROUNDS,
-                                            init=init, seed=SEED),
-            "rss_lb": lambda: po.run_rss_lb(problem, topology, schedule, 1.0, ROUNDS,
-                                            init=init, seed=SEED),
-            "fs": lambda: po.run_fs(problem, topology, schedule, 0.1, 4, ROUNDS,
-                                    init=init, seed=SEED),
-        }
+        keys = {"dgd": {}, "rss_nb": {"delta": 1.0, "seed": SEED},
+                "rss_lb": {"delta": 1.0, "seed": SEED},
+                "fs": {"delta_coeff": 0.1, "d_max": 4, "seed": SEED}}
         for algorithm in algorithms:
-            out[f"{algorithm}/{case}"] = runs[algorithm]()
+            out[f"{algorithm}/{case}"] = run(algorithm, problem, topology, schedule, ROUNDS,
+                                             init=init, **keys[algorithm])
     return out
 
 

@@ -13,7 +13,7 @@ from privopt.privacy import (AlternativeInstance, NonFsTraceError, NotACutError,
                              exact_sub, from_exact, necessity_demo, replay_digest,
                              to_exact)
 
-from conftest import INTERIOR_INIT, quartic_objectives
+from conftest import INTERIOR_INIT, quartic_objectives, reference_dgd, run
 
 
 def make_problem(n=5, box=None):
@@ -26,8 +26,8 @@ def fs_trace(topology, seed=11, delta_coeff=0.5, max_iter=200, **options):
     sched = po.StepSchedule(kind="inv_sqrt")
     n = topology.n
     init = np.linspace(-1.0, 1.0, n)[:, None]
-    return problem, po.run_fs(problem, topology, sched, delta_coeff, 8, max_iter,
-                              init=init, seed=seed, **options)
+    return problem, run("fs", problem, topology, sched, max_iter, delta_coeff=delta_coeff,
+                        d_max=8, init=init, seed=seed, **options)
 
 
 def sequential_replay_digest(view):
@@ -38,10 +38,8 @@ def sequential_replay_digest(view):
         objectives=[po.PolynomialObjective(view.obfuscated[j]) for j in range(view.topology.n)],
         feasible=po.Box.from_spec(recipe["feasible"]), validate_convexity=False)
     weights = po.FusionMatrix(view.topology, recipe["weights"])
-    trace = po.run_dgd(problem, view.topology, po.StepSchedule.from_spec(recipe["schedule"]),
-                       max_iter=recipe["max_iter"], init=np.asarray(recipe["init"], dtype=float),
-                       weights=weights, record_every=recipe["record_every"])
-    return trace.state_digest()
+    return reference_dgd(problem, weights, po.StepSchedule.from_spec(recipe["schedule"]),
+                         recipe["max_iter"], recipe["init"], recipe["record_every"])[0]
 
 
 def replay_verdicts(view):
@@ -118,8 +116,9 @@ class TestExactLayer:
                 [3e-310, 1 / 3, 0.5, 0.0, 1 / 3], [0.0, 0.0, 1 / 3]]
         problem = po.GlobalProblem(objectives=[po.PolynomialObjective(r) for r in rows],
                                    feasible=po.Box([-30.0], [30.0]))
-        trace = po.run_fs(problem, po.Topology.family(family, 5), po.StepSchedule(kind="inv_sqrt"),
-                          0.5, 8, 200, init=np.linspace(-1, 1, 5)[:, None], seed=11)
+        trace = run("fs", problem, po.Topology.family(family, 5),
+                    po.StepSchedule(kind="inv_sqrt"), 200, delta_coeff=0.5, d_max=8,
+                    init=np.linspace(-1, 1, 5)[:, None], seed=11)
         view = po.extract_view(trace, [3])
         alt = np.zeros((1, 9))
         alt[0, :3] = rows[0]
@@ -162,7 +161,7 @@ class TestExtractView:
         assert not view.noise[~view.observed].any()
 
     def test_rejects_non_fs_trace(self, quartic_problem, cycle5, inv_sqrt):
-        trace = po.run_dgd(quartic_problem, cycle5, inv_sqrt, 50, init=INTERIOR_INIT)
+        trace = run("dgd", quartic_problem, cycle5, inv_sqrt, 50, init=INTERIOR_INIT)
         with pytest.raises(NonFsTraceError):
             po.extract_view(trace, coalition=[0])
 
@@ -433,8 +432,8 @@ def test_separable_multivariate_instance(complete5):
         objectives=[po.PolynomialObjective(r) for r in rows],
         feasible=po.Box([-10.0, -10.0], [10.0, 10.0]))
     init = np.stack([np.linspace(-1, 1, 5), np.linspace(1, -1, 5)], axis=1)
-    trace = po.run_fs(problem, complete5, po.StepSchedule(kind="inv_sqrt"),
-                      0.25, 6, 150, init=init, seed=41)
+    trace = run("fs", problem, complete5, po.StepSchedule(kind="inv_sqrt"), 150, delta_coeff=0.25,
+                d_max=6, init=init, seed=41)
     view = po.extract_view(trace, coalition=[4])
     bump = np.zeros((2, 7))
     bump[1, 2] = 0.5  # alternative differs in the second coordinate
@@ -453,8 +452,8 @@ def test_fs_trace_on_n10_runs(quartic_problem):
     objs = quartic_objectives() + quartic_objectives()
     problem = po.GlobalProblem(objectives=objs, feasible=po.Box([-30.0], [30.0]))
     init = np.linspace(-1.0, 1.0, 10)[:, None]
-    trace = po.run_fs(problem, topology, po.StepSchedule(kind="inv_sqrt"),
-                      0.5, 8, 100, init=init, seed=77)
+    trace = run("fs", problem, topology, po.StepSchedule(kind="inv_sqrt"), 100, delta_coeff=0.5,
+                d_max=8, init=init, seed=77)
     view = po.extract_view(trace, coalition=[1, 6])
     objectives = po.complete_alternative_objectives(problem, [1, 6], target=[],
                                                     alternatives={}, d_max=8)
@@ -541,7 +540,8 @@ class TestSelfInclusiveWeights:
     def test_lazy_weights_trace_passes(self, cycle5):
         lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
         for record_every in (1, 3):
-            problem, trace = fs_trace(cycle5, weights=lazy, record_every=record_every)
+            problem, trace = fs_trace(cycle5, metropolis_self_inclusive=True,
+                                      record_every=record_every)
             view = po.extract_view(trace, coalition=[2])
             assert view.recipe["weights"] == lazy.weights.tolist()
             assert replay_digest(view) == sequential_replay_digest(view) == view.trace_digest
@@ -553,7 +553,7 @@ class TestSelfInclusiveWeights:
             assert report.passed and report.max_residual == 0.0 and report.digest_ok is True
 
     def test_recipe_weights_are_validated(self, cycle5):
-        _, trace = fs_trace(cycle5, weights=po.metropolis_weights(cycle5, True))
+        _, trace = fs_trace(cycle5, metropolis_self_inclusive=True)
         view = po.extract_view(trace, coalition=[2])
         weights = np.array(view.recipe["weights"])
         weights[0, 0] += 0.1  # row 0 no longer sums to 1
