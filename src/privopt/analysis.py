@@ -52,12 +52,11 @@ def bound_params(topology: Topology, weights: FusionMatrix, problem: GlobalProbl
 def effective_bounds(trace: ExecutionTrace) -> BoundParams:
     """Bound constants appropriate for a trace: function-sharing runs use the
     recorded obfuscated-gradient bounds and carry no state perturbation."""
-    weights = FusionMatrix(trace.topology, trace.weights)
     if trace.algorithm == "fs":
-        return bound_params(trace.topology, weights, trace.problem, delta=0.0,
+        return bound_params(trace.topology, trace.fusion, trace.problem, delta=0.0,
                             grad_bound=trace.extras.get("obf_grad_bound"),
                             grad_smoothness=trace.extras.get("obf_smoothness_bound"))
-    return bound_params(trace.topology, weights, trace.problem, delta=trace.delta)
+    return bound_params(trace.topology, trace.fusion, trace.problem, delta=trace.delta)
 
 
 @dataclass(frozen=True)
@@ -73,13 +72,6 @@ class MetricColumns:
     eta2: np.ndarray              # (R,)
     growth_coeff: np.ndarray      # (R,) F_k in the iterate lemma
     offset_term: np.ndarray       # (R,) H_k in the iterate lemma
-
-
-def _disagreement(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean state per round and max per-agent distance from it."""
-    mean = states.mean(axis=1)
-    dev = np.linalg.norm(states - mean[:, None, :], axis=2)
-    return mean, dev.max(axis=1)
 
 
 def _steps_for(trace: ExecutionTrace, indices: np.ndarray) -> np.ndarray:
@@ -122,7 +114,7 @@ def compute_metrics(trace: ExecutionTrace, reference_point: np.ndarray | None = 
 
     idx, states = trace.states_with_final()
     steps = _steps_for(trace, idx)
-    mean, max_dis = _disagreement(states)
+    mean, max_dis = trace.disagreement
     subopt = problem.total_value(mean) - optimum_value
     eta2 = np.sum(np.square(states - reference_point[None, None, :]), axis=(1, 2))
     growth, offset = _iterate_coefficients(steps, max_dis, bounds, idx)
@@ -169,11 +161,38 @@ def render_report_table(reports: list) -> str:
     return "\n".join(lines)
 
 
+def _linear_quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, qs)`` of a non-empty 1-D float array, bit for bit
+    (signed zeros included), by the steps of numpy's linear method: the
+    virtual index, its clamping, a partition at the neighbouring indices and
+    the two-sided interpolation. numpy builds the partition's index list with
+    ``np.unique``, which imports ``numpy.ma`` on first use; a set gives the
+    same sorted list."""
+    arr = np.array(values, dtype=float)  # a copy: the partition works in place
+    n = arr.size
+    virtual = (n - 1) * qs
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    above, below = virtual >= n - 1, virtual < 0
+    prev[above] = nxt[above] = -1
+    prev[below] = nxt[below] = 0
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    arr.partition(np.array(sorted({0, -1, *prev.tolist(), *nxt.tolist()})))
+    if np.isnan(arr[-1]):  # a NaN sorts last and is every quantile
+        return np.full(qs.shape, arr[-1])
+    lo, hi = arr[prev], arr[nxt]
+    gamma = virtual - prev
+    diff = hi - lo
+    out = lo + diff * gamma
+    np.subtract(hi, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def check_lemma1(trace: ExecutionTrace, bounds: BoundParams, slack: float = 1e-9) -> CheckReport:
     """Disagreement bound: for every audited round k the next-round max
     disagreement stays below the geometric mixing envelope."""
-    idx, states = trace.states_with_final()
-    _, max_dis = _disagreement(states)
+    idx = trace.states_with_final()[0]
+    _, max_dis = trace.disagreement
     init_norm = float(np.max(np.linalg.norm(trace.init, axis=1)))
     all_steps = trace.schedule.steps(trace.max_iter)
     beta, theta = bounds.contraction, bounds.envelope
@@ -199,7 +218,7 @@ def check_lemma1(trace: ExecutionTrace, bounds: BoundParams, slack: float = 1e-9
                   for k, x, y in zip(ks[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist())]
     details = {"min_margin": float(np.min(margins)) if margins.size else None}
     if margins.size:
-        qs = np.quantile(margins, [0.0, 0.25, 0.5, 0.75, 1.0])
+        qs = _linear_quantiles(margins, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
         details["margin_quantiles"] = {str(q): float(v)
                                        for q, v in zip((0, 25, 50, 75, 100), qs)}
     return CheckReport(name="lemma1", passed=not violations, checked=int(margins.size),
@@ -218,7 +237,7 @@ def check_lemma2(trace: ExecutionTrace, y: np.ndarray,
     bounds = bounds or effective_bounds(trace)
     idx, states = trace.states_with_final()
     steps = _steps_for(trace, idx)
-    mean, max_dis = _disagreement(states)
+    mean, max_dis = trace.disagreement
     eta2 = np.sum(np.square(states - y[None, None, :]), axis=(1, 2))
     f_mean = problem.total_value(mean)
     f_y = float(problem.total_value(y))
@@ -247,16 +266,15 @@ def check_consensus(trace: ExecutionTrace, tail_fraction: float = 0.1,
     """Trailing max disagreement must fall below the threshold and be strictly
     smaller than over the leading fraction. Non-convergent schedules are
     reported as such rather than failed."""
-    idx, states = trace.states_with_final()
-    _, max_dis = _disagreement(states)
-    count = max(1, int(np.ceil(tail_fraction * idx.size)))
+    _, max_dis = trace.disagreement
+    count = max(1, int(np.ceil(tail_fraction * max_dis.size)))
     head = float(np.max(max_dis[:count]))
     tail = float(np.max(max_dis[-count:]))
-    single_agent = states.shape[1] == 1
+    single_agent = trace.n == 1
     ok = tail < threshold and (tail < head or (head == 0.0 and tail == 0.0))
     status = "passed" if ok else (
         "schedule-non-convergent" if not trace.schedule.convergent else "failed")
-    return CheckReport(name="consensus", passed=status != "failed", checked=idx.size,
+    return CheckReport(name="consensus", passed=status != "failed", checked=max_dis.size,
                        violations=[] if ok else [{"tail_max": tail, "head_max": head}],
                        details={"status": status, "tail_max": tail, "head_max": head,
                                 "threshold": threshold, "single_agent": single_agent,
@@ -282,7 +300,10 @@ def weighted_average_suboptimality(trace: ExecutionTrace, optimum_value: float,
 
 
 def theorem3_horizons(max_iter: int, count: int = 20) -> np.ndarray:
-    hs = np.unique(np.round(np.logspace(1, np.log10(max_iter), count)).astype(int))
+    """The distinct rounds, 10 or later, nearest to ``count`` logarithmically
+    spaced points from 10 to ``max_iter``, in ascending order."""
+    hs = np.array(sorted(set(np.round(np.logspace(1, np.log10(max_iter), count))
+                             .astype(int).tolist())))
     return hs[hs >= 10]
 
 
@@ -451,15 +472,16 @@ def audit_invariants(trace: ExecutionTrace, tol: float = 1e-12) -> CheckReport:
             feasible=box, validate_convexity=False)
     else:
         sub = trace.problem
-    pos = {int(r): i for i, r in enumerate(idx)}
-    pairs = [(r, pos[int(k) + 1]) for r, k in enumerate(trace.round_index) if int(k) + 1 in pos]
+    # each recorded round whose successor is recorded (or is the post-run state)
+    successor = trace.round_index + 1
+    nxt = np.searchsorted(idx, successor)  # successor <= idx[-1], so nxt < idx.size
+    rows = np.flatnonzero(idx[nxt] == successor)
+    nxt = nxt[rows]
     worst = 0.0
-    if pairs:
+    if rows.size:
         grads = sub.agent_gradients(trace.fused)
         alt = box.project(trace.fused_true
                           - trace.steps[:, None, None] * (grads - trace.fused_noise))
-        rows = np.array([r for r, _ in pairs])
-        nxt = np.array([p for _, p in pairs])
         gaps = np.abs(alt[rows] - states[nxt]).max(axis=(1, 2))
         worst = float(gaps.max())
         if worst > tol:
@@ -467,6 +489,6 @@ def audit_invariants(trace: ExecutionTrace, tol: float = 1e-12) -> CheckReport:
             violations.append({"invariant": "gradient_noise_perspective",
                                "round": int(trace.round_index[rows[bad]]), "gap": worst})
     return CheckReport(name="invariants", passed=not violations,
-                       checked=int(idx.size + len(pairs)), violations=violations,
+                       checked=int(idx.size + rows.size), violations=violations,
                        details={"perspective_worst_gap": worst},
                        summary=f"perspective gap {worst:.3e}")

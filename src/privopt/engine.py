@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import Topology
+from .graphs import FusionMatrix, Topology
 from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
                     draw_noise_functions, nb_perturbation, noise_gradient_bounds, obfuscate)
 from .objectives import Box, GlobalProblem
@@ -280,18 +280,19 @@ class ExecutionTrace:
 
     ``config`` is the canonical ``RunConfig`` dict of the run, its specs as
     the built objects write them. The topology, the problem (fs: before
-    obfuscation), the schedule, the fusion weights and the initial states
+    obfuscation), the schedule, the fusion matrix and the initial states
     are the objects ``RunConfig`` builds from it, for the run and for a
     loaded trace alike. Everything else is derived on first use, through the
     code the run uses, so it matches the values the run used bit for bit:
     the rounds, the steps, the perturbations, the fs obfuscated objectives,
-    and the messages and fused quantities of the engine's slot fuse."""
+    and the messages and fused quantities of the engine's slot fuse; and,
+    for the audits, the disagreement of the recorded states."""
 
     config: dict
     topology: Topology
     problem: GlobalProblem
     schedule: StepSchedule
-    weights: np.ndarray          # (K, n) slot weights on ``topology.fuse_slots``, not stored
+    fusion: FusionMatrix         # the checked Metropolis matrix, not stored
     init: np.ndarray             # (n, D)
     states: np.ndarray           # (R, n, D)
     final_states: np.ndarray     # (n, D)
@@ -304,6 +305,11 @@ class ExecutionTrace:
     # Not a field: a run has one (K, n) weights array. The benchmark's
     # perfbench/spans.py ``_trace_nbytes`` still reads this name.
     weights_series = None
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(K, n) slot weights on ``topology.fuse_slots``."""
+        return self.fusion.weights
 
     @property
     def algorithm(self) -> str:
@@ -441,6 +447,15 @@ class ExecutionTrace:
         arr = np.concatenate([self.states, self.final_states[None]], axis=0)
         return idx, arr
 
+    @cached_property
+    def disagreement(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R + 1, D) mean state of each ``states_with_final`` row and (R + 1,)
+        largest agent distance from it."""
+        _, states = self.states_with_final()
+        mean = states.mean(axis=1)
+        dev = np.linalg.norm(states - mean[:, None, :], axis=2)
+        return _read_only(mean), _read_only(dev.max(axis=1))
+
     def to_json_dict(self) -> dict:
         """The trace document: the config, the stored arrays as
         ``encode_array`` objects (the noise null for dgd), the fs extras and
@@ -504,7 +519,7 @@ class ExecutionTrace:
             topology=topology,
             problem=problem,
             schedule=config.build_schedule(),
-            weights=config.build_weights(topology).weights,
+            fusion=config.build_weights(topology),
             init=default_init(problem.feasible, n) if init is None else init,
             states=states,
             final_states=final_states,
@@ -548,7 +563,8 @@ def _execute(config: RunConfig, draw=None, noise: np.ndarray | None = None,
     canonical dict with the specs as those objects write them: the topology
     as its edges, and the coefficients, box and initial states as floats."""
     topology, problem = config.build_topology(), config.build_problem()
-    schedule, weights = config.build_schedule(), config.build_weights(topology).weights
+    schedule, fusion = config.build_schedule(), config.build_weights(topology)
+    weights = fusion.weights
     initial = config.build_init(problem)
     header = {**config.canonical_dict(), "topology": topology.to_spec(), **problem.to_spec(),
               "schedule": schedule.to_spec()}
@@ -603,7 +619,7 @@ def _execute(config: RunConfig, draw=None, noise: np.ndarray | None = None,
         del scaled
 
     return ExecutionTrace(config=header, topology=topology, problem=problem, schedule=schedule,
-                          weights=weights, init=initial, states=states_rec, final_states=x,
+                          fusion=fusion, init=initial, states=states_rec, final_states=x,
                           noise=noise, extras=extras or {})
 
 

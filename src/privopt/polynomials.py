@@ -123,7 +123,7 @@ def interval_candidates(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     grid += lo[:, None]
     grid[:, -1] = hi
     tolerance = 1e-9 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
-    for size in {n for n in lengths.tolist() if n >= 2}:  # a set: np.unique imports numpy.ma
+    for size in {n for n in lengths.tolist() if n >= 2}:  # not np.unique: tests/test_imports.py
         rows = (lengths == size).nonzero()[0]
         c = der[rows, :size]
         if size == 2:

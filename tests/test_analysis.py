@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import privopt as po
-from privopt.analysis import (audit_invariants, bound_params, check_consensus,
-                              check_lemma1, check_lemma2, check_theorem3,
+from privopt.analysis import (_linear_quantiles, audit_invariants, bound_params,
+                              check_consensus, check_lemma1, check_lemma2, check_theorem3,
                               check_transition_matrix, compute_metrics,
                               effective_bounds, theorem3_horizons,
                               weighted_average_suboptimality)
@@ -66,6 +66,26 @@ class TestReadersTakeTheTrace:
         trace = run("dgd", other, cycle5, inv_sqrt, 50, init=INTERIOR_INIT)
         with pytest.raises(ValueError, match="problems differ"):
             check_theorem3([dgd_run, trace], optimum_value=0.0)
+
+
+class TestTraceReuse:
+    def test_bounds_reuse_the_checked_fusion_matrix(self, nb_run, monkeypatch):
+        built = []
+        check = po.FusionMatrix.__post_init__
+        monkeypatch.setattr(po.FusionMatrix, "__post_init__",
+                            lambda self: (built.append(self), check(self)))
+        bounds = effective_bounds(nb_run)
+        assert built == []
+        assert bounds.rho == nb_run.fusion.rho == po.metropolis_weights(nb_run.topology).rho
+
+    def test_disagreement_is_computed_once_and_read_only(self, nb_run):
+        mean, max_dis = nb_run.disagreement
+        assert nb_run.disagreement[0] is mean and nb_run.disagreement[1] is max_dis
+        assert not mean.flags.writeable and not max_dis.flags.writeable
+        _, states = nb_run.states_with_final()
+        expected = np.linalg.norm(states - states.mean(axis=1)[:, None, :], axis=2).max(axis=1)
+        assert np.array_equal(mean, states.mean(axis=1))
+        assert np.array_equal(max_dis.view(np.int64), expected.view(np.int64))
 
 
 class TestBoundParams:
@@ -293,3 +313,76 @@ class TestInvariantAudit:
         report = audit_invariants(bad)
         assert not report.passed
         assert any(v["invariant"] == "states_feasible" for v in report.violations)
+
+
+QUANTILES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _quantile_battery():
+    """Seeded arrays of sizes 1-60 and 2000: spread values of magnitude 1e-5
+    to 1e12, and rounded values full of ties, signed zeros among them."""
+    rng = np.random.default_rng(23)
+    for size in [*range(1, 61), 2000]:
+        for magnitude in (1e-5, 1e-2, 1.0, 1e3, 1e7, 1e12):
+            yield rng.normal(size=size) * magnitude
+            ties = np.round(rng.normal(size=size)) * magnitude
+            yield np.where(rng.random(size) < 0.5, -ties, ties)  # -0.0 and +0.0
+        yield np.where(rng.random(size) < 0.5, -0.0, 0.0)
+        yield np.where(rng.random(size) < 0.1, np.nan, rng.normal(size=size))
+
+
+class TestLinearQuantiles:
+    def test_matches_numpy_bit_for_bit(self):
+        arrays = list(_quantile_battery())
+        assert len(arrays) == 61 * 14
+        for values in arrays:
+            before = values.copy()
+            ours = _linear_quantiles(values, QUANTILES)
+            assert np.array_equal(values.view(np.int64), before.view(np.int64))  # not partitioned
+            numpys = np.quantile(values, QUANTILES)
+            assert np.array_equal(ours.view(np.int64), numpys.view(np.int64)), values
+
+    def test_theorem3_horizons_are_sorted_and_distinct(self):
+        for max_iter in (10, 11, 57, 200, 2000, 10 ** 6):
+            hs = theorem3_horizons(max_iter)
+            points = np.round(np.logspace(1, np.log10(max_iter), 20)).astype(int)
+            expected = sorted(set(points[points >= 10].tolist()))
+            assert hs.dtype == np.int64 and hs.tolist() == expected
+
+
+def _dict_pairing_audit(trace):
+    """The perspective identity's checked count and worst gap by the
+    dict-and-list pairing of each recorded round with its recorded successor."""
+    idx, states = trace.states_with_final()
+    pos = {int(r): i for i, r in enumerate(idx)}
+    pairs = [(r, pos[int(k) + 1]) for r, k in enumerate(trace.round_index)
+             if int(k) + 1 in pos]
+    sub = trace.problem
+    if trace.algorithm == "fs":
+        sub = po.GlobalProblem(objectives=[po.PolynomialObjective(c) for c in trace.obfuscated],
+                               feasible=trace.problem.feasible, validate_convexity=False)
+    grads = sub.agent_gradients(trace.fused)
+    alt = trace.problem.feasible.project(
+        trace.fused_true - trace.steps[:, None, None] * (grads - trace.fused_noise))
+    rows = np.array([r for r, _ in pairs])
+    nxt = np.array([p for _, p in pairs])
+    gaps = np.abs(alt[rows] - states[nxt]).max(axis=(1, 2))
+    return idx.size + len(pairs), float(gaps.max())
+
+
+class TestInvariantPairing:
+    @pytest.mark.parametrize("record_every", [1, 2, 7])
+    @pytest.mark.parametrize("algorithm", ["dgd", "rss_nb", "rss_lb", "fs"])
+    def test_matches_the_dict_pairing(self, quartic_problem, cycle5, inv_sqrt, algorithm,
+                                      record_every):
+        keys = {"dgd": {}, "rss_nb": {"delta": 1.0, "seed": 5},
+                "rss_lb": {"delta": 1.0, "seed": 5},
+                "fs": {"delta_coeff": 0.5, "d_max": 8, "seed": 5}}[algorithm]
+        max_iter = 101  # a multiple of neither 2 nor 7
+        trace = run(algorithm, quartic_problem, cycle5, inv_sqrt, max_iter, init=INTERIOR_INIT,
+                    record_every=record_every, **keys)
+        report = audit_invariants(trace)
+        checked, worst = _dict_pairing_audit(trace)
+        assert report.passed, report.violations
+        assert report.checked == checked
+        assert report.details["perspective_worst_gap"] == worst
