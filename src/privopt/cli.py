@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
+import math
 import os
 import sys
 import uuid
@@ -150,10 +152,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    checks = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
     unknown = [c for c in checks if c not in _AUDIT_CHECKS]
-    if unknown:
-        print(f"unknown checks: {unknown}; available: {list(_AUDIT_CHECKS)}", file=sys.stderr)
+    if unknown or not checks:
+        named = f"unknown checks {unknown}" if unknown else "no check"
+        print(f"--checks names {named}; available: {list(_AUDIT_CHECKS)}", file=sys.stderr)
         return 2
     trace = ExecutionTrace.load(args.trace)
     # the centralized optimum, only for the checks that read it
@@ -242,7 +245,24 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _bounded(kind, accept, condition: str):
+    """An argparse type: ``kind(text)``, refused unless ``accept`` holds.
+    Text that ``kind`` cannot read gets argparse's own message, as with
+    ``type=kind``."""
+    def parse(text):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {condition}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged, so ``main`` may run any number of
+    commands in one process."""
     parser = argparse.ArgumentParser(prog="privopt",
                                      description="Distributed optimization simulator with "
                                                  "structured randomization and privacy checks")
@@ -260,11 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("trace")
     p_audit.add_argument("--checks", default="invariants,lemma1,lemma2,consensus")
     p_audit.add_argument("--out", default=None)
-    p_audit.add_argument("--tail-fraction", type=float, default=0.1)
+    p_audit.add_argument("--tail-fraction", default=0.1,
+                         type=_bounded(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)"))
     # perturbed runs have a disagreement floor of roughly step * noise bound,
     # so the default accommodates the quartic family at 1e4 rounds; tighten it
     # for baseline runs
-    p_audit.add_argument("--consensus-threshold", type=float, default=0.05)
+    p_audit.add_argument("--consensus-threshold", default=0.05,
+                         type=_bounded(float, lambda v: 0.0 < v < math.inf,
+                                       "a finite positive number"))
 
     p_priv = sub.add_parser("privacy", help="constructive indistinguishability check")
     p_priv.add_argument("trace")
@@ -272,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_priv.add_argument("--target", required=True)
     p_priv.add_argument("--alt-objectives", required=True)
     p_priv.add_argument("--out", default=None)
-    p_priv.add_argument("--extras-seed", type=int, default=0)
+    p_priv.add_argument("--extras-seed", default=0,
+                        type=_bounded(int, lambda v: v >= 0, "a non-negative integer"))
 
     p_bounds = sub.add_parser("bounds", help="print bound constants for a config")
     p_bounds.add_argument("--config", required=True)
@@ -281,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "audit": _cmd_audit,
                 "privacy": _cmd_privacy, "bounds": _cmd_bounds}
     try:

@@ -166,6 +166,9 @@ def complete_alternative_objectives(problem: GlobalProblem, coalition, target,
     coalition = set(int(a) for a in coalition)
     target = set(int(a) for a in target)
     n = problem.n
+    for a in sorted(target):
+        if not 0 <= a < n:
+            raise TargetSetError(f"target agent {a} out of range")
     good = set(range(n)) - coalition
     if not target <= good:
         raise TargetSetError("target agents must lie outside the coalition")

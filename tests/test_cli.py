@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import privopt as po
 import privopt.cli as cli_module
-from privopt.cli import main
+from privopt.cli import build_parser, main
 from privopt.engine import ExecutionTrace, encode_array
 
 from conftest import INTERIOR_INIT, edit_array, quartic_config, run, save_trace, with_entry
@@ -342,6 +343,14 @@ class TestSweep:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def audit_trace(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("audit")
+    cfg = write(tmp / "run.json", quartic_config(algorithm="rss_nb", delta=1.0, seed=3))
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp)]) == 0
+    return str(tmp / "run_trace.json")
+
+
 class TestAudit:
     def test_all_checks_pass(self, tmp_path, run_cfg):
         out = tmp_path / "out"
@@ -358,6 +367,32 @@ class TestAudit:
         out = tmp_path / "out"
         main(["run", "--config", run_cfg, "--out-dir", str(out)])
         assert main(["audit", str(out / "run_trace.json"), "--checks", "lemma9"]) == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--tail-fraction", "nan"), ("--tail-fraction", "0"), ("--tail-fraction", "-1"),
+        ("--tail-fraction", "1"), ("--tail-fraction", "2"), ("--tail-fraction", "inf"),
+        ("--consensus-threshold", "nan"), ("--consensus-threshold", "-1"),
+        ("--consensus-threshold", "0"), ("--consensus-threshold", "inf"),
+    ])
+    def test_out_of_range_option_is_a_usage_error(self, audit_trace, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", audit_trace, "--checks", "consensus", option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: must be " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("checks", ["", " , "])
+    def test_no_check_exits_2(self, audit_trace, capsys, checks):
+        assert main(["audit", audit_trace, "--checks", checks]) == 2
+        assert capsys.readouterr().err.startswith("--checks names no check; available: ")
+
+    def test_repeated_check_runs_once(self, audit_trace, monkeypatch, capsys):
+        calls = []
+        audit = cli_module.audit_invariants
+        monkeypatch.setattr(cli_module, "audit_invariants",
+                            lambda trace: calls.append(trace) or audit(trace))
+        assert main(["audit", audit_trace, "--checks", "invariants, invariants,invariants"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.count("invariants") == 1
 
     def test_corrupted_trace_fails_invariants(self, tmp_path, run_cfg):
         out = tmp_path / "out"
@@ -666,6 +701,27 @@ class TestPrivacy:
         assert main(["privacy", str(out / "run_trace.json"), "--coalition", "1",
                      "--target", "0", "--alt-objectives", alts]) == 2
 
+    @pytest.mark.parametrize("target", ["7", "-1", "0,5"])
+    def test_out_of_range_target_is_named(self, fs_artifacts, capsys, target):
+        trace, alts, _ = fs_artifacts
+        assert main(["privacy", trace, "--coalition", "3,4", "--target", target,
+                     "--alt-objectives", alts]) == 2
+        agent = target.split(",")[-1]
+        assert capsys.readouterr().err == (f"privacy check not applicable: "
+                                           f"target agent {agent} out of range\n")
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_negative_extras_seed_is_a_usage_error(self, fs_artifacts, capsys, present):
+        trace, alts, tmp = fs_artifacts
+        # refused before the trace is read: a missing trace file is never noticed
+        path = trace if present else str(tmp / "missing.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["privacy", path, "--coalition", "3,4", "--target", "0",
+                  "--alt-objectives", alts, "--extras-seed", "-3"])
+        assert exc.value.code == 2
+        assert ("argument --extras-seed: must be a non-negative integer, got '-3'"
+                in capsys.readouterr().err)
+
 
 def _add_an_agent(doc):
     """Make the config of a complete-5 trace one of six agents."""
@@ -806,6 +862,53 @@ class TestBounds:
         assert report["rho"] == pytest.approx(1 / 3)
         assert report["contraction"] == pytest.approx(1 - (1 / 3) / 100)
         assert report["delta"] == 1.0
+
+
+class TestReusedParser:
+    """``main`` builds its parser on the first call and reuses it for every
+    later command in the process."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_not_built_at_import(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli_module.__file__)),
+             *filter(None, [os.environ.get("PYTHONPATH")])])}
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import privopt.cli as c; print(c.build_parser.cache_info().currsize)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0 and child.stdout == "0\n", child.stderr
+
+    @pytest.mark.parametrize("first, later, defaults", [
+        (["audit", "t.json", "--out", "a.json", "--checks", "lemma1",
+          "--tail-fraction", "0.5"],
+         ["audit", "t.json"],
+         {"out": None, "checks": "invariants,lemma1,lemma2,consensus", "tail_fraction": 0.1}),
+        (["privacy", "t.json", "--coalition", "1", "--target", "0", "--alt-objectives", "a.json",
+          "--extras-seed", "9", "--out", "p.json"],
+         ["privacy", "t.json", "--coalition", "1", "--target", "0", "--alt-objectives", "a.json"],
+         {"extras_seed": 0, "out": None}),
+        (["run", "--config", "c.json", "--out-dir", "o"], ["run", "--config", "c.json"],
+         {"out_dir": "."}),
+    ])
+    def test_later_call_gets_the_defaults(self, monkeypatch, first, later, defaults):
+        seen = []
+        monkeypatch.setattr(cli_module, f"_cmd_{first[0]}",
+                            lambda args: seen.append(vars(args)) or 0)
+        assert main(first) == 0 and main(later) == 0
+        assert all(seen[0][key] != value for key, value in defaults.items())
+        assert {key: seen[1][key] for key in defaults} == defaults
+
+    def test_usage_error_leaves_the_next_call_unaffected(self, audit_trace, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", audit_trace, "--consensus-threshold", "0.5", "--tail-fraction", "x"])
+        assert exc.value.code == 2
+        report_path = tmp_path / "audit.json"
+        assert main(["audit", audit_trace, "--checks", "consensus", "--out", str(report_path)]) == 0
+        details = json.load(open(report_path))["report"]["consensus"]["details"]
+        assert details["threshold"] == 0.05
 
 
 class TestRandomizedConfigs:
