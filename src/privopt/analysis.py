@@ -10,7 +10,7 @@ import numpy as np
 
 from .engine import ExecutionTrace, NonFiniteError, ScheduleError
 from .graphs import FusionMatrix, Topology
-from .objectives import GlobalProblem, PolynomialObjective, solve_centralized
+from .objectives import solve_centralized
 
 
 @dataclass(frozen=True)
@@ -33,30 +33,23 @@ class BoundParams:
         return asdict(self)
 
 
-def bound_params(topology: Topology, weights: FusionMatrix, problem: GlobalProblem,
-                 delta: float, grad_bound: float | None = None,
-                 grad_smoothness: float | None = None) -> BoundParams:
-    """Assemble the lemma constants from the fusion matrix and the objectives."""
+def bound_params(topology: Topology, weights: FusionMatrix,
+                 gradient_bounds: tuple[float, float], delta: float) -> BoundParams:
+    """Assemble the lemma constants from the fusion matrix and the (L, N)
+    gradient bounds of the descended objectives."""
     n = topology.n
     rho = weights.rho
     contraction = 1.0 - rho / (4.0 * n * n)
     envelope = contraction ** -2.0
-    if grad_bound is None or grad_smoothness is None:
-        l_max, n_max = problem.constants()
-        grad_bound = l_max if grad_bound is None else grad_bound
-        grad_smoothness = n_max if grad_smoothness is None else grad_smoothness
+    grad_bound, grad_smoothness = gradient_bounds
     return BoundParams(n=n, rho=rho, contraction=contraction, envelope=envelope,
                        grad_bound=grad_bound, grad_smoothness=grad_smoothness, delta=delta)
 
 
 def effective_bounds(trace: ExecutionTrace) -> BoundParams:
-    """Bound constants appropriate for a trace: function-sharing runs use the
-    recorded obfuscated-gradient bounds and carry no state perturbation."""
-    if trace.algorithm == "fs":
-        return bound_params(trace.topology, trace.fusion, trace.problem, delta=0.0,
-                            grad_bound=trace.extras.get("obf_grad_bound"),
-                            grad_smoothness=trace.extras.get("obf_smoothness_bound"))
-    return bound_params(trace.topology, trace.fusion, trace.problem, delta=trace.delta)
+    """Bound constants of a trace: its ``gradient_bounds`` and its state
+    perturbation bound (0 for dgd and fs)."""
+    return bound_params(trace.topology, trace.fusion, trace.gradient_bounds, delta=trace.delta)
 
 
 @dataclass(frozen=True)
@@ -265,7 +258,10 @@ def check_consensus(trace: ExecutionTrace, tail_fraction: float = 0.1,
                     threshold: float = 1e-3) -> CheckReport:
     """Trailing max disagreement must fall below the threshold and be strictly
     smaller than over the leading fraction. Non-convergent schedules are
-    reported as such rather than failed."""
+    reported as such rather than failed. ValueError unless ``tail_fraction``
+    lies in (0, 1)."""
+    if not 0.0 < tail_fraction < 1.0:
+        raise ValueError(f"tail_fraction must lie in (0, 1), got {tail_fraction!r}")
     _, max_dis = trace.disagreement
     count = max(1, int(np.ceil(tail_fraction * max_dis.size)))
     head = float(np.max(max_dis[:count]))
@@ -466,12 +462,6 @@ def audit_invariants(trace: ExecutionTrace, tol: float = 1e-12) -> CheckReport:
 
     # Perspective identity: next state equals a projected descent step from the
     # true fused state with the fused noise folded into the gradient.
-    if trace.algorithm == "fs":
-        sub = GlobalProblem(
-            objectives=[PolynomialObjective(c) for c in trace.obfuscated],
-            feasible=box, validate_convexity=False)
-    else:
-        sub = trace.problem
     # each recorded round whose successor is recorded (or is the post-run state)
     successor = trace.round_index + 1
     nxt = np.searchsorted(idx, successor)  # successor <= idx[-1], so nxt < idx.size
@@ -479,7 +469,7 @@ def audit_invariants(trace: ExecutionTrace, tol: float = 1e-12) -> CheckReport:
     nxt = nxt[rows]
     worst = 0.0
     if rows.size:
-        grads = sub.agent_gradients(trace.fused)
+        grads = trace.descended.agent_gradients(trace.fused)
         alt = box.project(trace.fused_true
                           - trace.steps[:, None, None] * (grads - trace.fused_noise))
         gaps = np.abs(alt[rows] - states[nxt]).max(axis=(1, 2))

@@ -190,17 +190,26 @@ def _cmd_audit(args) -> int:
     return 1 if failed else 0
 
 
-def _parse_agents(text: str) -> list:
-    if not text.strip():
-        return []
-    return [int(t) for t in text.split(",") if t.strip()]
+def _parse_agents(option: str, text: str, role: str, n: int) -> list:
+    """The agents of a comma-separated ``option`` value, each an index below
+    ``n``; ValueError naming the option and the value otherwise."""
+    agents = []
+    for token in filter(None, map(str.strip, text.split(","))):
+        try:
+            agent = int(token)
+        except ValueError:
+            raise ValueError(f"{option} {text!r}: {token!r} is not an agent index") from None
+        if not 0 <= agent < n:
+            raise ValueError(f"{role} {agent} out of range")
+        agents.append(agent)
+    return agents
 
 
 def _cmd_privacy(args) -> int:
     trace = ExecutionTrace.load(args.trace)
     try:
-        coalition = _parse_agents(args.coalition)
-        target = _parse_agents(args.target)
+        coalition = _parse_agents("--coalition", args.coalition, "coalition member", trace.n)
+        target = _parse_agents("--target", args.target, "target agent", trace.n)
         if len(set(coalition)) >= trace.n:
             print("coalition covers every agent; the target set is empty", file=sys.stderr)
             return 2
@@ -239,7 +248,7 @@ def _cmd_bounds(args) -> int:
     topology = config.build_topology()
     problem = config.build_problem()
     weights = config.build_weights(topology)
-    params = bound_params(topology, weights, problem, delta=config.delta)
+    params = bound_params(topology, weights, problem.constants(), delta=config.delta)
     provenance = _provenance(config.canonical_dict(), config.seed)
     write_report_json(args.out, params.to_dict(), provenance)
     return 0

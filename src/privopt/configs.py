@@ -7,7 +7,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .engine import (ALGORITHMS, ExecutionTrace, StepSchedule, run_dgd,
+from .engine import (ALGORITHMS, ExecutionTrace, StepSchedule, default_init, run_dgd,
                      run_fs, run_rss_lb, run_rss_nb)
 from .graphs import FusionMatrix, Topology, metropolis_weights
 from .objectives import GlobalProblem, PolynomialObjective
@@ -148,12 +148,13 @@ class RunConfig:
                 topology, self_inclusive_degree=self.metropolis_self_inclusive)
         return weights
 
-    def build_init(self, problem: GlobalProblem) -> np.ndarray | None:
-        """The initial states as an (n, D) array, or None for the default.
-        ``init`` must hold numbers, of shape (n, D) or, when D = 1, (n,), all
-        finite and inside the feasible box; ``ConfigError`` otherwise."""
+    def build_init(self, problem: GlobalProblem) -> np.ndarray:
+        """The initial states as an (n, D) array: ``default_init`` when
+        ``init`` is unset. ``init`` must hold numbers, of shape (n, D) or,
+        when D = 1, (n,), all finite and inside the feasible box;
+        ``ConfigError`` otherwise."""
         if self.init is None:
-            return None
+            return default_init(problem.feasible, problem.n)
         try:
             init = np.asarray(self.init)
         except ValueError as exc:  # ragged nesting

@@ -14,7 +14,7 @@ import binascii
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -44,7 +44,10 @@ if TYPE_CHECKING:  # configs imports this module
 # weights (same dynamics as version 5).
 # Version 7: the fusion weights are not stored; they are the config's
 # Metropolis matrix, derived on load (same dynamics as version 6).
-TRACE_VERSION = 7
+# Version 8: no extras; the fs bounds on the obfuscated gradients are derived
+# from the config and the noise, like the obfuscated objectives (same dynamics
+# as version 7).
+TRACE_VERSION = 8
 
 ALGORITHMS = ("dgd", "rss_nb", "rss_lb", "fs")
 
@@ -62,8 +65,8 @@ class ScheduleError(ValueError):
 class TraceError(ValueError):
     """A trace file has an unsupported version, missing or unknown keys, a
     config that is not a valid run config, an array that is not encoded as
-    ``encode_array`` writes it or does not fit the config, malformed fs
-    extras, or a state digest that does not match."""
+    ``encode_array`` writes it or does not fit the config, or a state digest
+    that does not match."""
 
 
 class NonFiniteError(ValueError):
@@ -92,15 +95,6 @@ class StepSchedule:
     @property
     def convergent(self) -> bool:
         return self.kind in ("inv_sqrt", "inv_k")
-
-    def step(self, k: int) -> float:
-        if k < 1:
-            raise ScheduleError("rounds are 1-indexed")
-        if self.kind == "inv_sqrt":
-            return 1.0 / np.sqrt(k)
-        if self.kind == "inv_k":
-            return self.a / (k + self.b)
-        return self.a
 
     def steps(self, upto: int) -> np.ndarray:
         ks = np.arange(1, upto + 1, dtype=float)
@@ -266,11 +260,18 @@ def decode_array(value, name: str, *shape: int) -> np.ndarray:
     return out
 
 
-# The keys of a trace document, and the extras of an fs trace: the two bounds
-# on the obfuscated gradients that the audits read.
-DOCUMENT_KEYS = frozenset({"version", "config", "noise", "states", "final_states", "extras",
-                           "digest"})
-FS_EXTRAS = ("obf_grad_bound", "obf_smoothness_bound")
+DOCUMENT_KEYS = frozenset({"version", "config", "noise", "states", "final_states", "digest"})
+
+
+def descended_problem(algorithm: str, problem: GlobalProblem, noise: np.ndarray | None,
+                      topology: Topology) -> GlobalProblem:
+    """The problem the agents descend on: ``problem`` itself, or for fs its
+    local objectives obfuscated by the (E, D, W) noise functions, which may
+    lose convexity while their sum keeps it."""
+    if algorithm != "fs":
+        return problem
+    return GlobalProblem(objectives=obfuscate(problem.objectives, noise, topology),
+                         feasible=problem.feasible, validate_convexity=False)
 
 
 @dataclass
@@ -284,9 +285,10 @@ class ExecutionTrace:
     are the objects ``RunConfig`` builds from it, for the run and for a
     loaded trace alike. Everything else is derived on first use, through the
     code the run uses, so it matches the values the run used bit for bit:
-    the rounds, the steps, the perturbations, the fs obfuscated objectives,
-    and the messages and fused quantities of the engine's slot fuse; and,
-    for the audits, the disagreement of the recorded states."""
+    the rounds, the steps, the perturbations, the problem the agents descend
+    on (fs: the obfuscated objectives), and the messages and fused quantities
+    of the engine's slot fuse; and, for the audits, the gradient bounds of
+    the descended objectives and the disagreement of the recorded states."""
 
     config: dict
     topology: Topology
@@ -300,7 +302,6 @@ class ExecutionTrace:
     # rss_nb shares and rss_lb perturbations (R, E, D), fs noise functions
     # (E, D, d_max + 1); None for dgd
     noise: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)  # fs: the ``FS_EXTRAS`` bounds
     version: int = TRACE_VERSION
     # Not a field: a run has one (K, n) weights array. The benchmark's
     # perfbench/spans.py ``_trace_nbytes`` still reads this name.
@@ -368,14 +369,32 @@ class ExecutionTrace:
         return _read_only(np.zeros((self.round_index.size, self.n, self.dim)))
 
     @cached_property
+    def descended(self) -> GlobalProblem:
+        """The problem the agents descend on, ``descended_problem`` of the run."""
+        return descended_problem(self.algorithm, self.problem, self.noise, self.topology)
+
+    @cached_property
     def obfuscated(self) -> np.ndarray | None:
         """(n, D, W) coefficients of the objectives an fs run descends on: the
         problem's local objectives obfuscated by the noise functions; None for
         the other algorithms."""
         if self.algorithm != "fs":
             return None
-        return _read_only(np.stack([obj.poly.coeffs for obj in
-                                    obfuscate(self.problem.objectives, self.noise, self.topology)]))
+        return _read_only(np.stack([obj.poly.coeffs for obj in self.descended.objectives]))
+
+    @cached_property
+    def gradient_bounds(self) -> tuple[float, float]:
+        """(L, N): bounds on the gradient norm and the gradient Lipschitz
+        constant of every descended objective on the feasible box. They are
+        the problem's ``constants``, plus for fs the ``noise_gradient_bounds``
+        of the noise functions an agent sends or receives."""
+        grad_bound, smoothness = self.problem.constants()
+        if self.algorithm == "fs":
+            box = self.problem.feasible
+            noise_grad, noise_curv = noise_gradient_bounds(self.noise, self.topology,
+                                                           box.lower, box.upper)
+            grad_bound, smoothness = grad_bound + noise_grad, smoothness + noise_curv
+        return grad_bound, smoothness
 
     @property
     def n(self) -> int:
@@ -458,8 +477,8 @@ class ExecutionTrace:
 
     def to_json_dict(self) -> dict:
         """The trace document: the config, the stored arrays as
-        ``encode_array`` objects (the noise null for dgd), the fs extras and
-        the state digest; no derived array, and no fusion weights, which the
+        ``encode_array`` objects (the noise null for dgd) and the state
+        digest; no derived array or bound, and no fusion weights, which the
         config defines."""
         return {
             "version": self.version,
@@ -467,7 +486,6 @@ class ExecutionTrace:
             "noise": None if self.noise is None else encode_array(self.noise),
             "states": encode_array(self.states),
             "final_states": encode_array(self.final_states),
-            "extras": self.extras,
             "digest": self.state_digest(),
         }
 
@@ -477,8 +495,8 @@ class ExecutionTrace:
         through ``RunConfig``, which also builds the fusion weights; every
         array is then checked against the config's agents, dimension, edges,
         recorded rounds and noise degree, for encoding, shape and finiteness;
-        the fs extras; the state digest; and, for fs, that the obfuscated
-        objectives are finite. Any mismatch, a config error included, raises
+        then the state digest; and, for fs, that the obfuscated objectives are
+        finite. Any mismatch, a config error included, raises
         ``TraceError``."""
         from .configs import ConfigError, RunConfig
 
@@ -507,24 +525,16 @@ class ExecutionTrace:
             noise = decode_array(doc["noise"], "noise", edges, dim, config.d_max + 1)
         else:
             noise = decode_array(doc["noise"], "noise", r_count, edges, dim)
-        extras = doc["extras"]
-        keys = FS_EXTRAS if algorithm == "fs" else ()
-        if not (isinstance(extras, dict) and sorted(extras) == sorted(keys)
-                and all(type(v) in (int, float) and 0 <= v < math.inf for v in extras.values())):
-            raise TraceError(f"extras must map {list(keys)} to finite non-negative numbers, "
-                             f"got {extras!r}")
-        init = config.build_init(problem)
         trace = cls(
             config=config.canonical_dict(),
             topology=topology,
             problem=problem,
             schedule=config.build_schedule(),
             fusion=config.build_weights(topology),
-            init=default_init(problem.feasible, n) if init is None else init,
+            init=config.build_init(problem),
             states=states,
             final_states=final_states,
             noise=noise,
-            extras=extras,
         )
         digest = trace.state_digest()
         if digest != doc["digest"]:
@@ -547,16 +557,14 @@ def block_rounds(edges: int, dim: int) -> int:
     return max(MIN_BLOCK_ROUNDS, BLOCK_ENTRIES // max(edges * dim, 1))
 
 
-def _execute(config: RunConfig, draw=None, noise: np.ndarray | None = None,
-             descended: GlobalProblem | None = None, extras: dict | None = None) -> ExecutionTrace:
+def _execute(config: RunConfig, draw=None, noise: np.ndarray | None = None) -> ExecutionTrace:
     """Run the rounds of a validated ``RunConfig`` in blocks. Per block: the
     step sizes and, for rss, one ``draw(first, count)`` of the block's noise,
     which gives the (count, n, D) or (count, E, D) noise the messages carry
     and the (count, E, D) draw the trace records; per round: gather, fuse,
     descend, project and record. Without ``draw`` the messages carry no
     noise and the trace records ``noise`` as it is (fs noise functions, or
-    None). The agents descend on ``descended`` (fs: the obfuscated
-    objectives), by default the config's problem.
+    None). The agents descend on ``descended_problem`` of the run.
 
     The topology, the problem, the schedule, the weights and the initial
     states are built once, through the config. The trace's config is its
@@ -568,13 +576,11 @@ def _execute(config: RunConfig, draw=None, noise: np.ndarray | None = None,
     initial = config.build_init(problem)
     header = {**config.canonical_dict(), "topology": topology.to_spec(), **problem.to_spec(),
               "schedule": schedule.to_spec()}
-    if initial is None:
-        initial = default_init(problem.feasible, topology.n)
-    else:
+    if config.init is not None:
         header["init"] = initial.tolist()
     n, dim, max_iter = topology.n, problem.dim, config.max_iter
     senders, slot_edges = topology.fuse_slots.senders, topology.fuse_slots.edges
-    stepped = problem if descended is None else descended
+    stepped = descended_problem(config.algorithm, problem, noise, topology)
 
     edges = topology.sender_edges[0].size
     per_edge = config.algorithm == "rss_lb"
@@ -620,7 +626,7 @@ def _execute(config: RunConfig, draw=None, noise: np.ndarray | None = None,
 
     return ExecutionTrace(config=header, topology=topology, problem=problem, schedule=schedule,
                           fusion=fusion, init=initial, states=states_rec, final_states=x,
-                          noise=noise, extras=extras or {})
+                          noise=noise)
 
 
 def run_dgd(config: RunConfig) -> ExecutionTrace:
@@ -660,13 +666,6 @@ def run_rss_lb(config: RunConfig) -> ExecutionTrace:
 def run_fs(config: RunConfig) -> ExecutionTrace:
     """Function sharing: exchange polynomial noise functions once, obfuscate the
     local objectives, then run plain distributed gradient descent on them."""
-    topology, problem = config.build_topology(), config.build_problem()
-    streams = RandomStreams(config.seed)
-    noise = draw_noise_functions(topology, config.delta_coeff, config.d_max, streams, problem.dim)
-    box = problem.feasible
-    obfuscated = GlobalProblem(objectives=obfuscate(problem.objectives, noise, topology),
-                               feasible=box, validate_convexity=False)
-    grad_bound, curv_bound = noise_gradient_bounds(noise, topology, box.lower, box.upper)
-    base_l, base_n = problem.constants()
-    extras = {"obf_grad_bound": base_l + grad_bound, "obf_smoothness_bound": base_n + curv_bound}
-    return _execute(config, noise=noise, descended=obfuscated, extras=extras)
+    noise = draw_noise_functions(config.build_topology(), config.delta_coeff, config.d_max,
+                                 RandomStreams(config.seed), config.build_problem().dim)
+    return _execute(config, noise=noise)

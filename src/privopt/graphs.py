@@ -230,22 +230,6 @@ class FusionMatrix:
         """The smallest positive weight."""
         return float(self.weights[self.weights > 0].min())
 
-    @classmethod
-    def from_entries(cls, entries, topology: Topology) -> "FusionMatrix":
-        """Fusion weights of a dense (n, n) matrix B, where B[j, i] is the
-        weight agent j gives agent i. Raises GraphError for another shape or
-        a nonzero entry off the self-inclusive neighbourhoods, which the slots
-        cannot hold, and as the constructor does."""
-        entries = np.asarray(entries, dtype=float)
-        n, slots = topology.n, topology.fuse_slots
-        if entries.shape != (n, n):
-            raise GraphError(f"fusion matrix has shape {entries.shape}, expected ({n}, {n})")
-        weights = np.where(slots.live, entries[np.arange(n), slots.senders], 0.0)
-        if np.count_nonzero(entries) != np.count_nonzero(weights):
-            raise GraphError("fusion matrix has a nonzero entry off the self-inclusive "
-                             "neighbourhoods")
-        return cls(topology, weights)
-
 
 def metropolis_weights(topology: Topology, self_inclusive_degree: bool = False) -> FusionMatrix:
     """Symmetric doubly stochastic weights from local degrees.

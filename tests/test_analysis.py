@@ -91,7 +91,7 @@ class TestTraceReuse:
 class TestBoundParams:
     def test_cycle_values(self, cycle5, quartic_problem):
         w = po.metropolis_weights(cycle5)
-        p = bound_params(cycle5, w, quartic_problem, delta=1.0)
+        p = bound_params(cycle5, w, quartic_problem.constants(), delta=1.0)
         assert p.rho == pytest.approx(1 / 3)
         assert p.contraction == pytest.approx(1 - (1 / 3) / 100)
         assert p.envelope == pytest.approx(p.contraction ** -2)
@@ -99,7 +99,7 @@ class TestBoundParams:
 
     def test_complete_values(self, complete5, quartic_problem):
         w = po.metropolis_weights(complete5)
-        p = bound_params(complete5, w, quartic_problem, delta=0.0)
+        p = bound_params(complete5, w, quartic_problem.constants(), delta=0.0)
         assert p.rho == pytest.approx(0.2)
         assert p.contraction == pytest.approx(0.998)
 
@@ -107,13 +107,13 @@ class TestBoundParams:
         duo = po.Topology.family("path", 2)
         problem = po.GlobalProblem(objectives=[po.PolynomialObjective([0, 0, 1])] * 2,
                                    feasible=wide_box)
-        p = bound_params(duo, po.metropolis_weights(duo), problem, delta=0.0)
+        p = bound_params(duo, po.metropolis_weights(duo), problem.constants(), delta=0.0)
         assert p.rho == pytest.approx(0.5)
         assert p.contraction == pytest.approx(1 - 0.5 / 16)
 
     def test_constants_cover_gradients(self, cycle5, quartic_problem):
         w = po.metropolis_weights(cycle5)
-        p = bound_params(cycle5, w, quartic_problem, delta=0.0)
+        p = bound_params(cycle5, w, quartic_problem.constants(), delta=0.0)
         assert p.grad_bound == pytest.approx(108060.0)  # 2*30 + 4*30^3 for x^2+x^4
         assert p.grad_smoothness == pytest.approx(10802.0)
 
@@ -224,6 +224,11 @@ class TestConsensus:
         report = check_consensus(trace, threshold=1e-9)
         assert report.details["status"] in ("schedule-non-convergent", "passed")
         assert report.passed  # non-convergent schedule is not an error
+
+    @pytest.mark.parametrize("tail_fraction", [0.0, 2.0, float("nan")])
+    def test_tail_fraction_outside_the_unit_interval_raises(self, dgd_run, tail_fraction):
+        with pytest.raises(ValueError, match=r"tail_fraction must lie in \(0, 1\), got "):
+            check_consensus(dgd_run, tail_fraction=tail_fraction)
 
 
 class TestTheorem3:

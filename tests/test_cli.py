@@ -561,9 +561,6 @@ NON_FINITE = {
                   "config: delta must be finite and non-negative, got nan"),
     "negative_delta": ("rss_nb", ("config", "delta"), -1.0,
                        "config: delta must be finite and non-negative, got -1.0"),
-    "obf_grad_bound": ("fs", ("extras", "obf_grad_bound"), float("nan"), "extras must map"),
-    "obf_smoothness_bound": ("fs", ("extras", "obf_smoothness_bound"), float("inf"),
-                             "extras must map"),
 }
 
 
@@ -684,6 +681,24 @@ class TestPrivacy:
         assert main(["privacy", trace, "--coalition", "0,1,2,3,4", "--target", "0",
                      "--alt-objectives", alts]) == 2
 
+    def test_out_of_range_coalition_member_is_named(self, fs_artifacts, capsys):
+        # checked before the coalition is found to cover every agent
+        trace, alts, _ = fs_artifacts
+        assert main(["privacy", trace, "--coalition", "0,1,2,3,9", "--target", "0",
+                     "--alt-objectives", alts]) == 2
+        assert capsys.readouterr().err == ("privacy check not applicable: "
+                                           "coalition member 9 out of range\n")
+
+    @pytest.mark.parametrize("option, value", [("--coalition", "3,a"), ("--target", "0,x")])
+    def test_non_integer_agent_names_the_option(self, fs_artifacts, capsys, option, value):
+        trace, alts, _ = fs_artifacts
+        argv = {"--coalition": "3,4", "--target": "0", option: value}
+        assert main(["privacy", trace, "--coalition", argv["--coalition"],
+                     "--target", argv["--target"], "--alt-objectives", alts]) == 2
+        token = value.split(",")[-1]
+        assert capsys.readouterr().err == (f"privacy check not applicable: {option} {value!r}: "
+                                           f"{token!r} is not an agent index\n")
+
     def test_tampered_trace_exits_2(self, fs_artifacts, capsys):
         trace, alts, _ = fs_artifacts
         doc = json.load(open(trace))
@@ -731,12 +746,16 @@ def _add_an_agent(doc):
                   init=config["init"] + [[0.0]])
 
 
-# Header, config and extras defects of a complete-5 fs trace, each raising
+# Header and config defects of a complete-5 fs trace, each raising
 # TraceError that names the fault: (edit of the document, the start of the
 # error message)
 MALFORMED_HEADER = {
     "version_4": (lambda d: d.update(version=4), "unsupported trace version: 4"),
     "version_6": (lambda d: d.update(version=6), "unsupported trace version: 6"),
+    # a version-7 trace stores the fs gradient bounds as extras
+    "version_7": (lambda d: d.update(version=7, extras={"obf_grad_bound": 1.0,
+                                                         "obf_smoothness_bound": 1.0}),
+                  "unsupported trace version: 7"),
     "stored_weights": (lambda d: d.update(weights=encode_array(np.full((5, 5), 0.2))),
                        "a trace document holds the keys"),
     "missing_states": (lambda d: d.pop("states"), "a trace document holds the keys"),
@@ -772,7 +791,8 @@ MALFORMED_HEADER = {
                                   "config: topology n must be an integer, got 'x'"),
     "edge_out_of_range": (lambda d: d["config"]["topology"]["edges"].append([0, 9]),
                           "config: edge (0, 9) out of range"),
-    "extras_not_an_object": (lambda d: d.update(extras=[]), "extras must map"),
+    # extras are no document key since trace version 8
+    "extras_not_an_object": (lambda d: d.update(extras=[]), "a trace document holds the keys"),
     "unobfuscatable_problem": (lambda d: d["config"]["objectives"][1].update(kind="logistic",
                                                                             seed=1, dim=1),
                                "config: agent 1: function sharing requires polynomial "

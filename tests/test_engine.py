@@ -21,10 +21,9 @@ from test_golden import canonical_traces
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 DERIVED = ("messages", "fused", "fused_true", "fused_noise")
-# the keys of a trace document and of an fs trace's extras: the run config,
-# what the run drew or chose, the recorded states and the digest
-DOCUMENT_KEYS = {"version", "config", "noise", "states", "final_states", "extras", "digest"}
-FS_EXTRAS_KEYS = {"obf_grad_bound", "obf_smoothness_bound"}
+# the keys of a trace document: the run config, what the run drew or chose,
+# the recorded states and the digest
+DOCUMENT_KEYS = {"version", "config", "noise", "states", "final_states", "digest"}
 
 
 @pytest.fixture(scope="module")
@@ -43,18 +42,17 @@ def short_runs(quartic_problem, cycle5, inv_sqrt):
 class TestStepSchedule:
     def test_inv_sqrt(self):
         s = StepSchedule(kind="inv_sqrt")
-        assert s.step(1) == 1.0
-        assert s.step(4) == 0.5
+        assert s.steps(4)[[0, 3]].tolist() == [1.0, 0.5]
         assert s.convergent
 
     def test_inv_k(self):
         s = StepSchedule(kind="inv_k", a=2.0, b=3.0)
-        assert s.step(1) == 0.5
+        assert s.steps(1).tolist() == [0.5]
         assert s.convergent
 
     def test_constant_flagged_non_convergent(self):
         s = StepSchedule(kind="constant", a=0.05)
-        assert s.step(10) == 0.05
+        assert s.steps(10).tolist() == [0.05] * 10
         assert not s.convergent
 
     def test_non_increasing(self):
@@ -311,8 +309,8 @@ class TestFunctionSharing:
         trace = short_runs["fs"]
         assert (trace.delta_coeff, trace.d_max, trace.delta) == (0.5, 8, 0.0)
         assert trace.noise.shape == (10, 1, 9)  # both directions of 5 cycle edges
-        assert set(trace.extras) == FS_EXTRAS_KEYS
-        assert trace.extras["obf_grad_bound"] > 0
+        grad_bound, smoothness = trace.gradient_bounds
+        assert grad_bound > trace.problem.constants()[0] and smoothness > 0
 
     def test_random_noise_run_converges_to_optimum(self, quartic_problem, cycle5,
                                                    inv_sqrt, quartic_optimum):
@@ -507,9 +505,6 @@ class TestSlotFuse:
             gathered = np.where(slots.live, dense[np.arange(n), slots.senders], 0.0)
             assert_bit_equal(gathered, weights)
             assert np.count_nonzero(dense) == np.count_nonzero(weights)
-        metropolis = po.metropolis_weights(topology).weights
-        assert_bit_equal(po.FusionMatrix.from_entries(slots.entries(metropolis), topology).weights,
-                         metropolis)
 
     def test_slot_table_lists_ascending_in_neighbours(self):
         for topology in self.TOPOLOGIES.values():
@@ -525,19 +520,7 @@ class TestSupportGuard:
     """The slots hold only the self-inclusive neighbourhoods, so a fusion
     matrix with a weight off them is refused when it is built."""
 
-    @staticmethod
-    def _off_support(cycle5, eps=1e-13):
-        entries = cycle5.fuse_slots.entries(po.metropolis_weights(cycle5).weights)
-        entries[0, 2] = entries[2, 0] = eps  # 0 and 2 are not adjacent on the 5-cycle
-        entries[0, 0] -= eps
-        entries[2, 2] -= eps
-        return entries
-
-    def test_fixed_matrix_off_support_raises(self, cycle5):
-        # inside the 1e-12 tolerance of the sums, and far outside it
-        for eps in (1e-13, 0.1):
-            with pytest.raises(GraphError, match="off the self-inclusive neighbourhoods"):
-                po.FusionMatrix.from_entries(self._off_support(cycle5, eps), cycle5)
+    def test_fixed_matrix_off_support_raises(self):
         path5 = po.Topology.family("path", 5)
         weights = po.metropolis_weights(path5).weights.copy()
         weights[tuple(np.argwhere(~path5.fuse_slots.live)[0])] = 1e-13
@@ -594,8 +577,7 @@ def _per_round_run(problem, topology, schedule, algorithm, delta, max_iter, init
     streams = po.RandomStreams(seed)
     x, states = np.array(init, dtype=float), []
     weights = matrix.weights
-    for k in range(1, max_iter + 1):
-        alpha = schedule.step(k)
+    for k, alpha in enumerate(schedule.steps(max_iter), start=1):
         if algorithm == "dgd":
             msgs = x[slots.senders]
         elif algorithm == "rss_nb":
@@ -763,7 +745,6 @@ class TestTraceFile:
             doc = trace.to_json_dict()
             assert set(doc) == DOCUMENT_KEYS
             assert (doc["noise"] is None) == (name == "dgd")
-            assert set(doc["extras"]) == (FS_EXTRAS_KEYS if name == "fs" else set())
 
     def test_config_round_trips(self, short_runs):
         """An API-built trace's config is the canonical dict of its run
@@ -1023,27 +1004,9 @@ class TestLoadChecks:
             po.ExecutionTrace.from_json_dict(doc)
 
     @pytest.mark.parametrize("change, match", [
-        (lambda x: x.update(obf_grad_bound=-1.0), "extras must map"),
-        (lambda x: x.update(obf_grad_bound="abc"), "extras must map"),
-        (lambda x: x.pop("obf_smoothness_bound"), "extras must map"),
-        (lambda x: x.update(d_max=8), "extras must map"),
-    ])
-    def test_fs_extras_hold_only_the_bounds(self, docs, change, match):
-        doc = self._doc(docs["fs"])
-        change(doc["extras"])
-        with pytest.raises(TraceError, match=match):
-            po.ExecutionTrace.from_json_dict(doc)
-
-    def test_other_extras_are_empty(self, docs):
-        doc = self._doc(docs["rss_nb"])
-        doc["extras"] = {"obf_grad_bound": 1.0, "obf_smoothness_bound": 1.0}
-        with pytest.raises(TraceError, match=r"extras must map \[\] to"):
-            po.ExecutionTrace.from_json_dict(doc)
-
-    @pytest.mark.parametrize("change, match", [
         (lambda c: c.update(d_max=7), r"noise has shape \(10, 1, 9\), expected \(10, 1, 8\)"),
     ])
-    def test_fs_extras_checked(self, docs, change, match):
+    def test_fs_noise_checked(self, docs, change, match):
         doc = self._doc(docs["fs"])
         change(doc["config"])
         with pytest.raises(TraceError, match=match):

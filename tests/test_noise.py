@@ -229,15 +229,18 @@ def test_draws_are_rows_of_sender_edges():
     np.testing.assert_allclose(po.nb_perturbation(shares[None], complete4)[0], expected,
                                rtol=0, atol=1e-15)
     # every sender weighs its three receivers differently, so the local balance
-    # holds only with each row paired with its own receiver
-    shift = [np.roll(np.eye(4), s, axis=0) for s in range(4)]
-    entries = 0.4 * shift[0] + 0.3 * shift[1] + 0.2 * shift[2] + 0.1 * shift[3]
-    w = po.FusionMatrix.from_entries(entries, complete4)
+    # holds only with each row paired with its own receiver: on the complete
+    # graph slot k of every agent holds sender k, and agent i gives sender j
+    # the weight c[(i - j) % 4]
+    assert (complete4.fuse_slots.senders == np.arange(4)[:, None]).all()
+    c = np.array([0.4, 0.3, 0.2, 0.1])
+    weights = c[(np.arange(4)[None, :] - np.arange(4)[:, None]) % 4]
+    w = po.FusionMatrix(complete4, weights)
     d = _lb(complete4, w, 1.0, 3, RandomStreams(5), dim=2)
     assert d.shape == (12, 2)
     balance = np.zeros((4, 2))
     for e, (j, i) in enumerate(zip(senders, receivers)):
-        balance[j] += entries[i, j] * d[e]
+        balance[j] += weights[j, i] * d[e]
     assert np.abs(balance).max() < 1e-15
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import privopt as po
 from privopt.engine import NonFiniteError
 from privopt.graphs import DisconnectedError, GraphError
+from privopt.noise import noise_gradient_bounds
 from privopt.privacy import (AlternativeInstance, NonFsTraceError, NotACutError,
                              TargetSetError, exact_add, exact_max_abs, exact_pad,
                              exact_sub, from_exact, necessity_demo, replay_digest,
@@ -463,6 +465,23 @@ def test_fs_trace_on_n10_runs(quartic_problem):
 
 
 REPLAY_GRAPHS = (("complete", 5), ("cycle", 5), ("star", 5), ("petersen", 10))
+
+
+@pytest.mark.parametrize("family,n", REPLAY_GRAPHS)
+def test_fs_bounds_are_derived_from_the_problem_and_the_noise(family, n):
+    """The lemma constants of an fs trace are the problem's constants plus
+    the noise functions' gradient bounds, bit for bit, in the run's trace and
+    in the trace read back from its document."""
+    problem, trace = fs_trace(po.Topology.family(family, n), max_iter=20)
+    box = problem.feasible
+    noise_grad, noise_curv = noise_gradient_bounds(trace.noise, trace.topology,
+                                                   box.lower, box.upper)
+    grad, curv = problem.constants()
+    loaded = po.ExecutionTrace.from_json_dict(json.loads(json.dumps(trace.to_json_dict())))
+    for read in (trace, loaded):
+        bounds = po.effective_bounds(read)
+        assert (bounds.grad_bound, bounds.grad_smoothness, bounds.delta) == (
+            grad + noise_grad, curv + noise_curv, 0.0)
 
 
 class TestReplay:
