@@ -84,8 +84,13 @@ def _iterate_coefficients(steps: np.ndarray, max_dis: np.ndarray, bounds: BoundP
                   + np.square(steps) * bounds.n * (nn * dd + np.float64(l + dd) ** 2))
     overflow = ~(np.isfinite(growth) & np.isfinite(offset))
     if overflow.any():
+        named = (("gradient bound L", l), ("Lipschitz bound N", nn), ("noise bound delta", dd))
+        detail = ", ".join(f"{name} = {value:g}" for name, value in named)
+        infinite = [name.split()[-1] for name, value in named if not np.isfinite(value)]
+        if infinite:
+            detail += f"; {' and '.join(infinite)} not finite"
         raise NonFiniteError(f"round {int(rounds[overflow][0])}: the iterate-lemma coefficients "
-                             f"F_k and H_k are not finite (noise bound {dd:g})")
+                             f"F_k and H_k are not finite ({detail})")
     return growth, offset
 
 

@@ -23,7 +23,8 @@ from .analysis import (audit_invariants, bound_params, check_consensus,
                        check_lemma1, check_lemma2, check_theorem3,
                        compute_metrics, effective_bounds, render_report_table)
 from .configs import ConfigError, RunConfig, SweepConfig, execute
-from .engine import ExecutionTrace, NonFiniteError, ScheduleError, TraceError
+from .engine import (ExecutionTrace, NonFiniteError, ScheduleError, TraceError, descended_bounds,
+                     draw_fs_noise, perturbation_bound)
 from .graphs import DisconnectedError
 from .objectives import solve_centralized
 from .privacy import (NonFsTraceError, NotACutError, TargetSetError,
@@ -244,13 +245,26 @@ def _cmd_privacy(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    """The bound constants that the lemma audits of the configured run's
+    trace check against: the (L, N) of the objectives the agents descend on
+    (for fs, of the obfuscated objectives: the config's noise is drawn, not
+    run, and the true objectives' pair goes beside them as
+    ``true_grad_bound`` and ``true_grad_smoothness``) and the run's
+    ``perturbation_bound``."""
     config = RunConfig.from_file(args.config)
     topology = config.build_topology()
     problem = config.build_problem()
     weights = config.build_weights(topology)
-    params = bound_params(topology, weights, problem.constants(), delta=config.delta)
+    fs = config.algorithm == "fs"
+    noise = draw_fs_noise(config) if fs else None
+    params = bound_params(topology, weights,
+                          descended_bounds(config.algorithm, problem, noise, topology),
+                          delta=perturbation_bound(config.algorithm, config.delta))
+    report = params.to_dict()
+    if fs:
+        report["true_grad_bound"], report["true_grad_smoothness"] = problem.constants()
     provenance = _provenance(config.canonical_dict(), config.seed)
-    write_report_json(args.out, params.to_dict(), provenance)
+    write_report_json(args.out, report, provenance)
     return 0
 
 

@@ -274,6 +274,35 @@ def descended_problem(algorithm: str, problem: GlobalProblem, noise: np.ndarray 
                          feasible=problem.feasible, validate_convexity=False)
 
 
+def descended_bounds(algorithm: str, problem: GlobalProblem, noise: np.ndarray | None,
+                     topology: Topology) -> tuple[float, float]:
+    """(L, N): bounds on the gradient norm and the gradient Lipschitz
+    constant of every objective of ``descended_problem`` on the feasible
+    box. They are the problem's ``constants``, plus for fs the
+    ``noise_gradient_bounds`` of the noise functions an agent sends or
+    receives."""
+    grad_bound, smoothness = problem.constants()
+    if algorithm == "fs":
+        box = problem.feasible
+        noise_grad, noise_curv = noise_gradient_bounds(noise, topology, box.lower, box.upper)
+        grad_bound, smoothness = grad_bound + noise_grad, smoothness + noise_curv
+    return grad_bound, smoothness
+
+
+def perturbation_bound(algorithm: str, delta: float) -> float:
+    """The bound on the state perturbations of a run with the config's
+    ``delta``: ``delta`` itself for rss_nb and rss_lb, 0.0 for dgd and fs,
+    which perturb no state."""
+    return delta if algorithm in ("rss_nb", "rss_lb") else 0.0
+
+
+def draw_fs_noise(config: RunConfig) -> np.ndarray:
+    """The (E, D, d_max + 1) noise functions that an fs run of ``config``
+    exchanges: one draw from the config's seed."""
+    return draw_noise_functions(config.build_topology(), config.delta_coeff, config.d_max,
+                                RandomStreams(config.seed), config.build_problem().dim)
+
+
 @dataclass
 class ExecutionTrace:
     """Record of one run: its config, what it drew or chose, and the states
@@ -331,9 +360,8 @@ class ExecutionTrace:
 
     @property
     def delta(self) -> float:
-        """The bound on the state perturbations; 0.0 for dgd and fs, which
-        perturb no state."""
-        return self.config["delta"] if self.algorithm in ("rss_nb", "rss_lb") else 0.0
+        """``perturbation_bound`` of the run."""
+        return perturbation_bound(self.algorithm, self.config["delta"])
 
     @property
     def delta_coeff(self) -> float:
@@ -384,17 +412,8 @@ class ExecutionTrace:
 
     @cached_property
     def gradient_bounds(self) -> tuple[float, float]:
-        """(L, N): bounds on the gradient norm and the gradient Lipschitz
-        constant of every descended objective on the feasible box. They are
-        the problem's ``constants``, plus for fs the ``noise_gradient_bounds``
-        of the noise functions an agent sends or receives."""
-        grad_bound, smoothness = self.problem.constants()
-        if self.algorithm == "fs":
-            box = self.problem.feasible
-            noise_grad, noise_curv = noise_gradient_bounds(self.noise, self.topology,
-                                                           box.lower, box.upper)
-            grad_bound, smoothness = grad_bound + noise_grad, smoothness + noise_curv
-        return grad_bound, smoothness
+        """(L, N) of the descended objectives, ``descended_bounds`` of the run."""
+        return descended_bounds(self.algorithm, self.problem, self.noise, self.topology)
 
     @property
     def n(self) -> int:
@@ -666,6 +685,4 @@ def run_rss_lb(config: RunConfig) -> ExecutionTrace:
 def run_fs(config: RunConfig) -> ExecutionTrace:
     """Function sharing: exchange polynomial noise functions once, obfuscate the
     local objectives, then run plain distributed gradient descent on them."""
-    noise = draw_noise_functions(config.build_topology(), config.delta_coeff, config.d_max,
-                                 RandomStreams(config.seed), config.build_problem().dim)
-    return _execute(config, noise=noise)
+    return _execute(config, noise=draw_fs_noise(config))

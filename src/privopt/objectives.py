@@ -137,7 +137,8 @@ class PolynomialObjective(Objective):
 
 
 class QuadraticObjective(Objective):
-    """f(x) = 0.5 x'Qx + b'x + c with symmetric positive semidefinite Q."""
+    """f(x) = 0.5 x'Qx + b'x + c with symmetric positive semidefinite Q.
+    ``GlobalProblem`` checks both properties of Q, for every agent at once."""
 
     def __init__(self, matrix, vector, scalar: float = 0.0):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -147,13 +148,10 @@ class QuadraticObjective(Objective):
             raise DimensionMismatchError("quadratic matrix must be square")
         if self.vector.shape[0] != self.matrix.shape[0]:
             raise DimensionMismatchError("quadratic vector length must match the matrix")
-        if np.max(np.abs(self.matrix - self.matrix.T)) > 1e-12:
-            raise ValueError("quadratic matrix must be symmetric")
         self.dim = self.matrix.shape[0]
 
     def value(self, x):
-        x = self.check_dim(x)
-        return 0.5 * np.einsum("...i,ij,...j->...", x, self.matrix, x) + x @ self.vector + self.scalar
+        return _quadratic_values(self.check_dim(x), self.matrix.T, self.vector, self.scalar)
 
     def gradient(self, x):
         return _affine_rows(self.check_dim(x), self.matrix.T, self.vector)
@@ -215,8 +213,9 @@ class LogisticObjective(Objective):
 
 
 # A stacked total evaluates every agent at every point at once; large batches
-# go in blocks of about this many values, so the temporaries stay as small as
-# the per-objective loop's.
+# go in blocks of about this many agent coordinates, so the temporaries stay
+# small (about this many values for polynomials, D times as many for
+# quadratics, whose temporary holds the D products Q_ij x_j of a coordinate).
 _BLOCK_VALUES = 1 << 13
 
 
@@ -252,6 +251,23 @@ def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     return terms[-1]
 
 
+def _quadratic_values(x, matrices_t, vectors, scalars):
+    """x'(Qx/2 + b) + c, which is 0.5 x'Qx + b'x + c, at points x: of one
+    quadratic, given as (Q^T, b, c) and x of shape (..., D), or of a stack,
+    given as (n, D, D), (n, D) and (n,) arrays and x of shape (..., 1, D).
+    Only elementwise operations, and each sum added left to right by
+    ``_ordered_sum``, so a point's value does not depend on the batch around
+    it and a stack gives each quadratic's own value bit for bit (an einsum
+    or a matrix product may add in another order for another batch)."""
+    terms = _ordered_sum(matrices_t * x[..., :, None], axis=-2)  # (Qx)_i: Q_ij x_j over j
+    terms *= 0.5
+    terms += vectors
+    terms *= x
+    values = _ordered_sum(terms, axis=-1)
+    values += scalars
+    return values
+
+
 def _affine_rows(x, matrix_t, vector):
     """x M + v for every point of x (..., D), one vector-matrix product per
     point, so a point's gradient does not depend on the batch around it."""
@@ -277,16 +293,18 @@ class GlobalProblem:
 
     When every objective is a polynomial, or every one a quadratic, their
     coefficients are stacked on first use (never at construction), so
-    ``agent_gradients``, the polynomials' ``total_value`` and the
-    quadratics' ``total_gradient`` are one array evaluation for all agents.
-    Totals add the agents left to right, as the per-objective loop does, so
-    every value is bit-identical to it. Other problems evaluate agent by
-    agent. The per-agent constants are likewise computed once per instance.
+    ``agent_gradients`` and ``total_value``, and the quadratics'
+    ``total_gradient``, are one array evaluation for all agents. Totals add
+    the agents left to right, as the per-objective loop does, so every value
+    is bit-identical to it. Logistic and mixed-kind problems evaluate agent
+    by agent. The per-agent constants are likewise computed once per
+    instance.
 
-    Every objective must be convex on the feasible set, which construction
-    checks. Only function sharing's obfuscated objectives may lose convexity,
-    because their sum is unchanged; their problem is built with
-    ``validate_convexity=False``.
+    Construction checks, in one stacked pass each, that every quadratic
+    matrix is symmetric (to 1e-12) and, unless ``validate_convexity`` is
+    False, that every objective is convex on the feasible set. Only function
+    sharing's obfuscated objectives may lose convexity, because their sum is
+    unchanged; their problem is built with ``validate_convexity=False``.
     """
 
     objectives: tuple
@@ -300,8 +318,29 @@ class GlobalProblem:
             raise DimensionMismatchError(f"objectives disagree on dimension: {sorted(dims)}")
         if dims != {self.feasible.dim}:
             raise DimensionMismatchError("objective dimension must match the feasible set")
+        quadratic = self._quadratic_agents()
+        self._check_symmetry(*quadratic)
         if self.validate_convexity:
-            self._check_convexity()
+            self._check_convexity(*quadratic)
+
+    def _quadratic_agents(self) -> tuple[list, np.ndarray | None]:
+        """Indices of the quadratic objectives and their stacked matrices."""
+        agents = [j for j, obj in enumerate(self.objectives) if isinstance(obj, QuadraticObjective)]
+        if not agents:
+            return agents, None
+        return agents, np.stack([self.objectives[j].matrix for j in agents])
+
+    @staticmethod
+    def _check_symmetry(agents: list, matrices: np.ndarray | None) -> None:
+        """Raise ValueError naming the first quadratic agent whose matrix Q
+        has an entry of |Q - Q^T| above 1e-12, one check for every agent."""
+        if matrices is None:
+            return
+        asymmetry = np.abs(matrices - matrices.swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = np.flatnonzero(asymmetry > 1e-12)
+        if bad.size:
+            raise ValueError(f"agent {agents[bad[0]]}: quadratic matrix is not symmetric "
+                             f"(largest |Q - Q^T| entry {asymmetry[bad[0]]:.3e})")
 
     def _polynomial_agents(self) -> tuple[list, np.ndarray | None]:
         """Indices of the polynomial objectives and their ``_stack_padded``
@@ -311,12 +350,12 @@ class GlobalProblem:
             return agents, None
         return agents, _stack_padded([self.objectives[j].poly.coeffs for j in agents])
 
-    def _check_convexity(self) -> None:
+    def _check_convexity(self, quadratic: list, matrices: np.ndarray | None) -> None:
         """Raise ConvexityError naming the first agent whose objective is not
         convex on the feasible set. One ``interval_extrema`` call gives the
         curvature floors of every polynomial agent and one stacked
-        ``eigvalsh`` call the spectra of every quadratic agent; logistic
-        objectives are convex by construction."""
+        ``eigvalsh`` call the spectra of the ``quadratic`` agents' stacked
+        ``matrices``; logistic objectives are convex by construction."""
         box = self.feasible
         faults = []  # (agent, what is wrong with its objective)
         agents, coeffs = self._polynomial_agents()
@@ -331,10 +370,8 @@ class GlobalProblem:
             if bad.size:
                 faults.append((agents[bad[0]], f"polynomial objective is non-convex on the "
                                f"feasible set (second derivative reaches {floors[bad[0]]:.3e})"))
-        quadratic = [j for j, obj in enumerate(self.objectives)
-                     if isinstance(obj, QuadraticObjective)]
-        if quadratic:
-            spectra = np.linalg.eigvalsh(np.stack([self.objectives[j].matrix for j in quadratic]))
+        if matrices is not None:
+            spectra = np.linalg.eigvalsh(matrices)
             bad = np.flatnonzero(_not_psd(spectra))
             if bad.size:
                 faults.append((quadratic[bad[0]], f"quadratic matrix is not positive semidefinite "
@@ -381,6 +418,11 @@ class GlobalProblem:
         matrices_t.flags.writeable = vectors.flags.writeable = False
         return matrices_t, vectors
 
+    @cached_property
+    def _scalars(self) -> np.ndarray:
+        """(n,) constant terms c_j of all-quadratic objectives."""
+        return np.array([obj.scalar for obj in self.objectives])
+
     @property
     def n(self) -> int:
         return len(self.objectives)
@@ -391,7 +433,7 @@ class GlobalProblem:
 
     def total_value(self, x) -> np.ndarray:
         """Sum of the objectives' values at points x of shape (..., D)."""
-        if self._coefficients is None:
+        if self._coefficients is None and self._affine is None:
             return sum(obj.value(x) for obj in self.objectives)
         x = self.objectives[0].check_dim(x)  # every objective has the problem's dimension
         flat = x.reshape(-1, self.dim)
@@ -399,8 +441,12 @@ class GlobalProblem:
         if len(flat) > rows:
             blocks = [self.total_value(flat[i:i + rows]) for i in range(0, len(flat), rows)]
             return np.concatenate(blocks).reshape(x.shape[:-1])
-        per_coordinate = horner(self._coefficients, x[..., None, :])  # (..., n, D)
-        return _ordered_sum(_ordered_sum(per_coordinate, axis=-1), axis=-1).copy()
+        points = x[..., None, :]
+        if self._coefficients is not None:
+            per_agent = _ordered_sum(horner(self._coefficients, points), axis=-1)  # (..., n)
+        else:
+            per_agent = _quadratic_values(points, *self._affine, self._scalars)
+        return _ordered_sum(per_agent, axis=-1).copy()
 
     def total_gradient(self, x) -> np.ndarray:
         """Sum of the objectives' gradients at points x of shape (..., D).

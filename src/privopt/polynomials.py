@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 
 def as_coeff_matrix(coeffs, dim: int | None = None) -> np.ndarray:
@@ -195,11 +194,14 @@ class SeparablePolynomial:
         return int(nz[-1]) if nz.size else -1
 
     def value(self, x) -> np.ndarray:
-        """Evaluate at points x of shape (..., D); returns shape (...)."""
+        """Evaluate at points x of shape (..., D); returns shape (...): each
+        coordinate's polynomial by ``horner``, then 0 + p_0 + p_1 + ... over
+        the coordinates, left to right."""
         x = np.asarray(x, dtype=float)
+        per_coordinate = horner(self.coeffs, x)
         total = np.zeros(x.shape[:-1])
         for d in range(self.dim):
-            total = total + npoly.polyval(x[..., d], self.coeffs[d])
+            total = total + per_coordinate[..., d]
         return total
 
     def gradient(self, x) -> np.ndarray:

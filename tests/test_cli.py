@@ -435,6 +435,20 @@ class TestAudit:
         assert main(["audit", str(path), "--checks", "lemma2"]) == 2
         assert "non-finite value: round 1: the iterate-lemma coefficients" in capsys.readouterr().err
 
+    def test_overflowing_fs_gradient_bound_is_named(self, tmp_path, capsys):
+        """With d_max 200 on [-30, 30] the noise functions' gradient sups
+        overflow, so the obfuscated gradient bound L is inf: the run exits 2
+        and blames L, not the noise bound delta, which is 0."""
+        cfg = write(tmp_path / "fs.json", quartic_config(
+            algorithm="fs", topology={"family": "complete", "n": 5}, delta_coeff=0.5, d_max=200,
+            seed=11, max_iter=5))
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite value: round 1: the iterate-lemma coefficients" in err
+        assert "gradient bound L = inf" in err and "noise bound delta = 0;" in err
+        assert err.rstrip().endswith("; L not finite)")
+
     def test_theorem3_wrong_schedule_exits_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json",
                     quartic_config(schedule={"kind": "inv_k", "a": 1.0, "b": 1.0}))
@@ -865,6 +879,18 @@ class TestUnlocatableCriticalPoints:
         assert "trace error: config: agent 1: polynomial" in capsys.readouterr().err
 
 
+def test_asymmetric_quadratic_names_its_agent(tmp_path, capsys):
+    objectives = [{"kind": "quadratic", "matrix": [[1, 0], [0, 1]], "vector": [0, 0]}
+                  for _ in range(5)]
+    objectives[3]["matrix"] = [[1, 0.5], [0, 1]]
+    cfg = write(tmp_path / "q.json", quartic_config(
+        objectives=objectives, feasible={"lower": [-1, -1], "upper": [1, 1]}, init=None))
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert ("config error: agent 3: quadratic matrix is not symmetric"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_nonconvex_objective_names_its_agent(tmp_path, capsys):
     objectives = [{"kind": "polynomial", "coeffs": c} for c in
                   ([0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1, 0, -0.5], [0, 0, -1])]
@@ -882,6 +908,29 @@ class TestBounds:
         assert report["rho"] == pytest.approx(1 / 3)
         assert report["contraction"] == pytest.approx(1 - (1 / 3) / 100)
         assert report["delta"] == 1.0
+        assert "true_grad_bound" not in report
+
+    def test_fs_reports_the_obfuscated_bounds(self, capsys):
+        """On an fs config the report gives the (L, N) the lemma audits of
+        the config's trace check against, those of the obfuscated objectives,
+        and the true objectives' pair under its own names."""
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "fs_complete_run.json")
+        assert main(["bounds", "--config", path]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        config = po.RunConfig.from_file(path)
+        effective = po.effective_bounds(po.execute(config)).to_dict()
+        assert report == {**effective, "true_grad_bound": 108060.0,
+                          "true_grad_smoothness": 10802.0}
+        assert report["grad_bound"] == pytest.approx(4.83e11, rel=1e-2)
+        assert report["grad_smoothness"] == pytest.approx(1.12e11, rel=1e-2)
+
+    def test_dgd_reports_no_perturbation_bound(self, tmp_path, capsys):
+        """A dgd run perturbs no state, whatever its config's ``delta``."""
+        doc = quartic_config(algorithm="dgd", delta=1.0)
+        assert main(["bounds", "--config", write(tmp_path / "dgd.json", doc)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report == po.effective_bounds(po.execute(po.RunConfig.from_dict(doc))).to_dict()
+        assert report["delta"] == 0.0
 
 
 class TestReusedParser:

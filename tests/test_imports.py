@@ -11,7 +11,10 @@ No command imports ``numpy.ma``. Under numpy 2.4, ``np.unique``,
 import it on first use (about 25 ms, a third of a small audit), while
 ``np.histogram``, ``np.isin``, ``np.sort`` and ``np.partition`` do not; so the
 package calls none of the former, and the commands are checked in one fresh
-interpreter."""
+interpreter. The same interpreter checks that no command imports
+``numpy.polynomial``: the package evaluates polynomials with its own Horner
+loop, in ``polyval``'s operations, and only the tests import numpy's as the
+reference."""
 
 import ast
 import json
@@ -80,6 +83,7 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv)
     assert code == 0, (argv, code)
     assert "numpy.ma" not in sys.modules, argv
+    assert "numpy.polynomial" not in sys.modules, argv
 print("ok")
 """
 

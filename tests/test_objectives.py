@@ -252,7 +252,8 @@ class TestProblemTotals:
             got = getattr(problem, f"total_{name}")(points)
             assert _identical(got, expected), name
 
-    @pytest.mark.parametrize("case", ["quartic-d1-n9", "quartic-d1-n200", "fs-obfuscated-d2-width9"])
+    @pytest.mark.parametrize("case", ["quartic-d1-n9", "quartic-d1-n200", "fs-obfuscated-d2-width9",
+                                      "sparse-cycle-quadratics-200"])
     @pytest.mark.parametrize("lead", [(4097,), (60, 70), (1, 5000)])
     def test_large_batches_match_per_objective_sums(self, case, lead):
         """Batches of more than ``_BLOCK_VALUES`` agent values go in blocks."""
@@ -285,17 +286,50 @@ class TestProblemTotals:
         batched = case == "sparse-cycle-quadratics-200"
         assert len(calls) == (0 if batched else problem.n)
 
-    @pytest.mark.parametrize("case", ["quadratic-d1", "logistic-d1"])
+    @pytest.mark.parametrize("case", ["quadratic-d1", "quadratic-d2", "logistic-d1"])
     def test_fallback_values_are_batch_independent(self, case):
         """A batch of two points gives each point's own value."""
         rng = np.random.default_rng(4)
-        objectives = (_spd_quadratics(rng, 6, 1) if case == "quadratic-d1"
+        dim = 2 if case == "quadratic-d2" else 1
+        objectives = (_spd_quadratics(rng, 6, dim) if case.startswith("quadratic")
                       else [po.LogisticObjective(s, dim=1) for s in range(4)])
-        problem = po.GlobalProblem(objectives=objectives, feasible=po.Box([-10.0], [10.0]))
+        problem = po.GlobalProblem(objectives=objectives, feasible=po.Box([-10.0] * dim, [10.0] * dim))
         for _ in range(200):
-            pair = rng.uniform(-10.0, 10.0, size=(2, 1))
+            pair = rng.uniform(-10.0, 10.0, size=(2, dim))
             both = problem.total_value(pair)
             assert _identical(both, [problem.total_value(pair[0]), problem.total_value(pair[1])])
+
+    @pytest.mark.parametrize("case", ["quartic-widths-3-5", "sparse-cycle-quadratics-200"])
+    def test_stacked_totals_skip_the_per_objective_loop(self, case, monkeypatch):
+        problem, rng, reach = self._problem(case)
+        points = rng.uniform(-reach, reach, size=(5, problem.dim))
+        expected = problem.total_value(points)
+
+        def per_objective(self, x):
+            raise AssertionError("per-objective value called")
+        for kind in (po.PolynomialObjective, po.QuadraticObjective):
+            monkeypatch.setattr(kind, "value", per_objective)
+        assert _identical(problem.total_value(points), expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_quadratic_values_are_batch_independent(self, dim):
+        """Each quadratic's value at a point is the same alone, in a pair and
+        in a batch of seven, and the stacked total is the per-objective sum
+        for every batch, over many draws. At D = 2 an einsum's or a matrix
+        product's order of additions changes with the batch size, so a value
+        built on either fails here on some draws."""
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            objectives = _spd_quadratics(rng, 3, dim)
+            problem = po.GlobalProblem(objectives=objectives,
+                                       feasible=po.Box([-10.0] * dim, [10.0] * dim))
+            for size in (1, 2, 7):
+                batch = rng.uniform(-10.0, 10.0, size=(size, dim))
+                for obj in objectives:
+                    assert _identical(obj.value(batch), [obj.value(x) for x in batch])
+                for points in (batch, batch[0]):
+                    assert _identical(problem.total_value(points),
+                                      sum(obj.value(points) for obj in objectives))
 
     def test_wrong_dimension_raises(self):
         problem, _, _ = self._problem("quartic-widths-3-5")
@@ -388,6 +422,27 @@ class TestConvexity:
         objectives[1] = objectives[5]
         with pytest.raises(ConvexityError, match="^agent 1: polynomial objective is non-convex"):
             po.GlobalProblem(objectives=objectives, feasible=box)
+
+    @pytest.mark.parametrize("validate_convexity", [True, False])
+    def test_names_the_first_asymmetric_quadratic(self, validate_convexity):
+        """One stacked |Q - Q^T| <= 1e-12 check runs at construction, with or
+        without the convexity check and before it: agent 3's matrix is
+        asymmetric and indefinite, and agent 2, the first asymmetric one, is
+        named."""
+        box = po.Box([-1.0, -1.0], [1.0, 1.0])
+        objectives = [po.QuadraticObjective(np.eye(2) * (1 + j), [0, 0]) for j in range(5)]
+        objectives[1] = po.QuadraticObjective([[1, 1e-13], [0, 1]], [0, 0])  # within 1e-12
+        objectives[2] = po.QuadraticObjective([[2, 0.5], [0, 2]], [0, 0])
+        objectives[3] = po.QuadraticObjective([[1, 3], [1, 1]], [0, 0])
+        objectives[4] = po.PolynomialObjective([[0, 0, -1]] * 2)
+        with pytest.raises(ValueError) as raised:
+            po.GlobalProblem(objectives=objectives, feasible=box,
+                             validate_convexity=validate_convexity)
+        assert not isinstance(raised.value, ConvexityError)
+        assert str(raised.value) == ("agent 2: quadratic matrix is not symmetric "
+                                     "(largest |Q - Q^T| entry 5.000e-01)")
+        po.GlobalProblem(objectives=objectives[:2], feasible=box,
+                         validate_convexity=validate_convexity)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))

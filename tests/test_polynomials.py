@@ -139,6 +139,26 @@ def test_horner_with_high_padding_is_bit_identical_to_polyval(top):
         np.testing.assert_array_equal(got, expected)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_value_is_bit_identical_to_summed_polyval(width, dim, kind, seed):
+    """``SeparablePolynomial.value`` gives the bits of 0 + polyval(x_0, c_0)
+    + polyval(x_1, c_1) + ..., signed zeros included, for every batch shape."""
+    rng = np.random.default_rng(seed)
+    p = SeparablePolynomial(_random_rows(rng, dim, width, kind))
+    for lead in [(), (6,), (2, 3)]:
+        x = rng.uniform(-3.0, 3.0, size=lead + (dim,))
+        x[rng.random(x.shape) < 0.3] = 0.0
+        x[rng.random(x.shape) < 0.3] *= -0.0
+        expected = np.zeros(lead)
+        for d in range(dim):
+            expected = expected + npoly.polyval(x[..., d], p.coeffs[d])
+        got = p.value(x)
+        assert np.shape(got) == lead
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 def _random_rows(rng, rows: int, width: int, kind: int) -> np.ndarray:
     """Polynomial rows of one of four kinds: uniform coefficients, small
     integers (exact critical points), sparse ones, and quarter steps with zero
