@@ -6,11 +6,16 @@ quadratics (D=1, box [-10, 10], ``inv_sqrt`` steps, ``record_every`` equal to
 the round count) and reports the best of ``--repeats`` untraced runs, divided
 by the round count. Each run is a ``privopt.execute`` of a config validated,
 with its topology, problem and Metropolis weights built, beforehand. A second
-table gives
-the paper's quartic 5-cycle (the ``configs/poly_cycle_run.json`` problem) at
-2000 rounds for all four algorithms, with the noise bounds of the benchmark's
-``paper_cycle5`` workload, each run a whole ``execute`` of the config, set-up
-included. Run from a source checkout:
+table gives the paper's quartic 5-cycle (the ``configs/poly_cycle_run.json``
+problem) at 2000 rounds for all four algorithms, with the noise bounds of the
+benchmark's ``paper_cycle5`` workload, each run a whole ``execute`` of the
+config, set-up included.
+
+Every cell of one invocation runs in one process, one after another, so drift
+of a shared machine lands on whichever cells run during it, and one
+invocation per checkout is no before/after comparison. To compare two
+checkouts, run the script (or the cell in question) in alternating processes,
+one checkout after the other, for several pairs. Run from a source checkout:
 
     PYTHONPATH=src python3 scripts/engine_scaling.py
     PYTHONPATH=src python3 scripts/engine_scaling.py --sizes 5 100 --rounds 2000

@@ -250,7 +250,8 @@ def _cmd_bounds(args) -> int:
     (for fs, of the obfuscated objectives: the config's noise is drawn, not
     run, and the true objectives' pair goes beside them as
     ``true_grad_bound`` and ``true_grad_smoothness``) and the run's
-    ``perturbation_bound``."""
+    ``perturbation_bound``. NonFiniteError names a constant that is not
+    finite, which JSON cannot hold."""
     config = RunConfig.from_file(args.config)
     topology = config.build_topology()
     problem = config.build_problem()
@@ -263,6 +264,9 @@ def _cmd_bounds(args) -> int:
     report = params.to_dict()
     if fs:
         report["true_grad_bound"], report["true_grad_smoothness"] = problem.constants()
+    for name, value in report.items():
+        if not math.isfinite(value):
+            raise NonFiniteError(f"bound constant {name} = {value} is not finite")
     provenance = _provenance(config.canonical_dict(), config.seed)
     write_report_json(args.out, report, provenance)
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 from .graphs import FusionMatrix, Topology
 from .noise import (RandomStreams, draw_lb_perturbation, draw_nb_shares,
                     draw_noise_functions, nb_perturbation, noise_gradient_bounds, obfuscate)
-from .objectives import Box, GlobalProblem
+from .objectives import Box, GlobalProblem, NonFiniteError
 
 if TYPE_CHECKING:  # configs imports this module
     from .configs import RunConfig
@@ -67,10 +67,6 @@ class TraceError(ValueError):
     config that is not a valid run config, an array that is not encoded as
     ``encode_array`` writes it or does not fit the config, or a state digest
     that does not match."""
-
-
-class NonFiniteError(ValueError):
-    """A round produced a state or a bound term that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -459,10 +455,8 @@ class ExecutionTrace:
     def fused(self) -> np.ndarray:
         """(R, n, D) fused perturbed messages: the point each agent descends from."""
         senders = self.topology.fuse_slots.senders
-        if self.per_edge:
-            return self._fuse_rounds(self.states[:, senders]
-                                     + self.steps[:, None, None, None] * self._slot_noise())
-        return self._fuse_rounds(self.messages[:, senders])
+        return self._fuse_rounds(self.states[:, senders]
+                                 + self.steps[:, None, None, None] * self._slot_noise())
 
     @cached_property
     def fused_true(self) -> np.ndarray:

@@ -21,6 +21,10 @@ class ConvexityError(ValueError):
     pass
 
 
+class NonFiniteError(ValueError):
+    """A state, a bound or a bound term that is not finite."""
+
+
 class ConvergenceError(RuntimeError):
     pass
 
@@ -194,8 +198,6 @@ class LogisticObjective(Objective):
         m, x = self._margins(x)
         sig = 1.0 / (1.0 + np.exp(self.labels * m))  # sigma(-y m)
         grad = -np.tensordot(sig * self.labels, self.features, axes=([-1], [0])) / self.samples
-        if grad.shape != x.shape:
-            grad = -np.einsum("...s,sd->...d", sig * self.labels, self.features) / self.samples
         return grad + self.ridge * x
 
     def constants(self, box: Box) -> tuple[float, float]:
@@ -361,13 +363,19 @@ class GlobalProblem:
         agents, coeffs = self._polynomial_agents()
         if coeffs is not None:
             try:
-                floors = interval_extrema(derivative(coeffs, 2), box.lower,
-                                          box.upper)[0].min(axis=-1)
+                # coefficients near the float range overflow to a NaN floor, refused below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    floors = interval_extrema(derivative(coeffs, 2), box.lower,
+                                              box.upper)[0].min(axis=-1)
             except np.linalg.LinAlgError:
                 self.check_critical_points()  # names the agent whose roots cannot be located
                 raise
-            bad = np.flatnonzero(floors < _CURVATURE_FLOOR)
-            if bad.size:
+            bad = np.flatnonzero(~(floors >= _CURVATURE_FLOOR))
+            if bad.size and np.isnan(floors[bad[0]]):
+                faults.append((agents[bad[0]], "polynomial objective's second derivative on "
+                               "the feasible set is NaN (its coefficients overflow), so its "
+                               "convexity cannot be checked"))
+            elif bad.size:
                 faults.append((agents[bad[0]], f"polynomial objective is non-convex on the "
                                f"feasible set (second derivative reaches {floors[bad[0]]:.3e})"))
         if matrices is not None:
@@ -482,17 +490,25 @@ class GlobalProblem:
         the feasible set, shapes (n,), computed once per problem. All-quadratic
         problems take them from the stacked (Q_j^T, b_j) in a few array
         operations, bit-identical to ``estimate_constants``, which the other
-        problems call objective by objective."""
-        if self._affine is not None:
-            # ||Q_j x + b_j|| at every corner, and ||Q_j||_2, for all agents at once
-            corners = self.feasible.corners()[:, None, :]
-            grad_bounds = np.max(np.linalg.norm(_affine_rows(corners, *self._affine), axis=-1),
-                                 axis=0)
-            matrices = np.stack([obj.matrix for obj in self.objectives])
-            smoothness = np.linalg.norm(matrices, 2, axis=(1, 2))
-        else:
-            pairs = [estimate_constants(obj, self.feasible) for obj in self.objectives]
-            grad_bounds, smoothness = map(np.array, zip(*pairs))
+        problems call objective by objective. NonFiniteError names the first
+        agent with a bound that is not finite (coefficients that overflow)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._affine is not None:
+                # ||Q_j x + b_j|| at every corner, and ||Q_j||_2, for all agents at once
+                corners = self.feasible.corners()[:, None, :]
+                grad_bounds = np.max(np.linalg.norm(_affine_rows(corners, *self._affine),
+                                                    axis=-1), axis=0)
+                matrices = np.stack([obj.matrix for obj in self.objectives])
+                smoothness = np.linalg.norm(matrices, 2, axis=(1, 2))
+            else:
+                pairs = [estimate_constants(obj, self.feasible) for obj in self.objectives]
+                grad_bounds, smoothness = map(np.array, zip(*pairs))
+        bad = np.flatnonzero(~(np.isfinite(grad_bounds) & np.isfinite(smoothness)))
+        if bad.size:
+            j = bad[0]
+            raise NonFiniteError(f"agent {j}: its gradient bound L_j = {grad_bounds[j]} and "
+                                 f"gradient Lipschitz bound N_j = {smoothness[j]} on the "
+                                 f"feasible set must both be finite")
         grad_bounds.flags.writeable = smoothness.flags.writeable = False
         return grad_bounds, smoothness
 
@@ -509,8 +525,10 @@ class GlobalProblem:
         agents, coeffs = self._polynomial_agents()
         if coeffs is None:
             return
-        bad = (critical_points_overflow(derivative(coeffs))
-               | critical_points_overflow(derivative(coeffs, 2))).any(axis=-1)
+        # inf derivatives of overflowing coefficients: agent_constants refuses them by agent
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = (critical_points_overflow(derivative(coeffs))
+                   | critical_points_overflow(derivative(coeffs, 2))).any(axis=-1)
         if bad.any():
             j = agents[int(np.argmax(bad))]
             raise ValueError(

@@ -106,10 +106,11 @@ def interval_candidates(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     """(m, K) points of [lo[i], hi[i]] where row i of the (m, C) polynomials
     can attain its extrema: the ends, the real roots of p' inside (|imag| <
     1e-9 * max(1, |lo|, |hi|); a dropped root becomes lo) and the 65-point
-    ``np.linspace`` grid as a safety net. The roots are the eigenvalues of the
-    companion matrices of the trimmed p', built as ``npoly.polyroots`` builds
-    them, one batched ``np.linalg.eigvals`` call per trimmed length, so every
-    point is bit for bit the per-row rule's."""
+    ``np.linspace`` grid as a safety net; where hi - lo overflows, and that
+    grid holds NaN, the grid is lo (1 - i/64) + hi i/64 instead. The roots are
+    the eigenvalues of the companion matrices of the trimmed p', built as
+    ``npoly.polyroots`` builds them, one batched ``np.linalg.eigvals`` call per
+    trimmed length, so every point is bit for bit the per-row rule's."""
     der = derivative(coeffs)
     lengths = _trimmed_lengths(der)
     points = np.empty((len(der), der.shape[1] + 66))
@@ -120,6 +121,8 @@ def interval_candidates(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     flat = delta / 64 == 0
     grid[flat] = _GRID_FRACTIONS * delta[flat, None]
     grid += lo[:, None]
+    wide = ~np.isfinite(delta)
+    grid[wide] = lo[wide, None] * (1 - _GRID_FRACTIONS) + hi[wide, None] * _GRID_FRACTIONS
     grid[:, -1] = hi
     tolerance = 1e-9 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
     for size in {n for n in lengths.tolist() if n >= 2}:  # not np.unique: tests/test_imports.py
@@ -156,11 +159,14 @@ def interval_extrema(coeffs, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def derivative_sups(coeffs, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """Sups over the box [lower, upper] of the gradient 2-norm and of the
     Hessian operator norm (the Hessian is diagonal) of each separable
-    polynomial of (..., D, C) ``coeffs``: one ``interval_extrema`` call."""
+    polynomial of (..., D, C) ``coeffs``: one ``interval_extrema`` call. A
+    norm past the float range is inf, reported as such without a warning."""
     first = derivative(coeffs)
     rows = np.stack([first, pad_coeffs(derivative(coeffs, 2), first.shape[-1])])
     sups = interval_extrema(rows, lower, upper)[1]
-    return np.sqrt(np.sum(np.square(sups[0]), axis=-1)), np.max(sups[1], axis=-1)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(np.square(sups[0]), axis=-1))
+    return norms, np.max(sups[1], axis=-1)
 
 
 @dataclass(frozen=True)

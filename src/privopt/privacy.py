@@ -25,7 +25,7 @@ import numpy as np
 from .engine import ExecutionTrace, StepSchedule, dgd_step, digest_states, recorded_rounds
 # unused here, but the benchmark's span table (perfbench/spans.py) requires it at this site
 from .engine import run_dgd  # noqa: F401
-from .graphs import FusionMatrix, Topology, canonical_edge, components, spanning_tree_split
+from .graphs import Topology, canonical_edge, components, metropolis_weights, spanning_tree_split
 from .noise import COEFF_GRID, RandomStreams, noise_offsets
 from .objectives import Box, GlobalProblem, PolynomialObjective
 from .polynomials import pad_coeffs
@@ -97,7 +97,7 @@ class AdversaryView:
     coalition_objectives: dict  # agent in coalition -> float coeffs (dim, width)
     observed: np.ndarray      # (E,) bool: the coalition-incident directed edges
     noise: np.ndarray         # (E, dim, width) float noise, zero off the observed edges
-    recipe: dict              # JSON values; fusion weights as (K, n) slot lists
+    recipe: dict              # JSON values
     trace_digest: str
     states: np.ndarray
     final_states: np.ndarray
@@ -120,7 +120,7 @@ def extract_view(trace: ExecutionTrace, coalition) -> AdversaryView:
     noise = np.where(observed[:, None, None], pad_coeffs(trace.noise, width), 0.0)
     recipe = {
         "schedule": trace.schedule.to_spec(),
-        "weights": trace.weights.tolist(),
+        "metropolis_self_inclusive": trace.config["metropolis_self_inclusive"],
         "init": trace.init.tolist(),
         "max_iter": trace.max_iter,
         "record_every": trace.record_every,
@@ -352,12 +352,13 @@ def replay_digest(view: AdversaryView) -> str:
     initial states followed by these advances. When every advance equals the
     recorded state, a round-by-round replay reproduces the trace by induction;
     the first advance that differs changes both digests. So this digest
-    equals the trace digest exactly when a round-by-round replay's does.
+    equals the trace digest exactly when a round-by-round replay's does. The
+    fusion weights are the recipe's Metropolis matrix, built as the run
+    built it.
 
-    Raises GraphError for invalid fusion weights, ValueError for initial
-    states outside the feasible set and NonFiniteError for an advance that is
-    not finite (as a round-by-round replay does when no earlier transition
-    differs)."""
+    Raises ValueError for initial states outside the feasible set and
+    NonFiniteError for an advance that is not finite (as a round-by-round
+    replay does when no earlier transition differs)."""
     topology, recipe = view.topology, view.recipe
     box = Box.from_spec(recipe["feasible"])
     problem = GlobalProblem(
@@ -370,7 +371,8 @@ def replay_digest(view: AdversaryView) -> str:
         raise ValueError("initial states must lie in the feasible set")
     max_iter = int(recipe["max_iter"])
     rounds = recorded_rounds(max_iter, int(recipe["record_every"]))
-    weights = FusionMatrix(topology, recipe["weights"]).weights
+    weights = metropolis_weights(
+        topology, self_inclusive_degree=recipe["metropolis_self_inclusive"]).weights
     alphas = StepSchedule.from_spec(recipe["schedule"]).steps(max_iter)
     senders = topology.fuse_slots.senders
 

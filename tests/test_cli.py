@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -119,10 +120,11 @@ class TestRun:
         assert not list(out.iterdir())
 
     def test_non_finite_state_exits_2(self, tmp_path, capsys):
-        # the derivative coefficients of 1e308 x^4 overflow, and agent 2 starts
-        # at 0, where inf * 0 makes its gradient NaN
+        # the derivative coefficient of 1e308 x^2 overflows to inf (its curvature
+        # floor is inf, so the config is convex), and agent 2 fuses to 0, where
+        # inf * 0 makes its gradient NaN
         doc = quartic_config(max_iter=20)
-        doc["objectives"][2] = {"kind": "polynomial", "coeffs": [0, 0, 0, 0, 1e308]}
+        doc["objectives"][2] = {"kind": "polynomial", "coeffs": [0, 0, 1e308]}
         bad = write(tmp_path / "bad.json", doc)
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -442,7 +444,8 @@ class TestAudit:
         cfg = write(tmp_path / "fs.json", quartic_config(
             algorithm="fs", topology={"family": "complete", "n": 5}, delta_coeff=0.5, d_max=200,
             seed=11, max_iter=5))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "non-finite value: round 1: the iterate-lemma coefficients" in err
@@ -674,7 +677,7 @@ class TestPrivacy:
                      "--alt-objectives", alts, "--out", report_path])
         assert code == 0
         report = json.load(open(report_path))["report"]
-        assert report["passed"] and report["max_residual"] <= 1e-9
+        assert report["passed"] and report["max_residual"] == 0.0 and report["digest_ok"] is True
 
     def test_cut_coalition_exits_1_with_necessity_demo(self, tmp_path):
         cfg = write(tmp_path / "fsc.json",
@@ -689,6 +692,10 @@ class TestPrivacy:
         assert code == 1
         report = json.load(open(report_path))["report"]
         assert "necessity_demo" in report and report["necessity_demo"]["passed"]
+        # agents 1 and {3, 4} are cut off, and each sum is reconstructed exactly
+        components = report["necessity_demo"]["components"]
+        assert [c["members"] for c in components] == [[1], [3, 4]]
+        assert all(c["residual"] == 0.0 for c in components)
 
     def test_full_coalition_exits_2(self, fs_artifacts):
         trace, alts, _ = fs_artifacts
@@ -931,6 +938,40 @@ class TestBounds:
         report = json.loads(capsys.readouterr().out)["report"]
         assert report == po.effective_bounds(po.execute(po.RunConfig.from_dict(doc))).to_dict()
         assert report["delta"] == 0.0
+
+    # the curvature floor of 1e308 x^4 overflows to NaN: refused at validation
+    NAN_FLOOR = ([0, 0, 0, 0, 1e308], "config error: agent 1: polynomial objective's second "
+                                      "derivative on the feasible set is NaN")
+    # 1e308 x^2 is convex (its floor is inf), but its gradient bound overflows to NaN
+    NAN_BOUND = ([0, 0, 1e308], "non-finite value: agent 1: its gradient bound L_j = nan")
+
+    @pytest.mark.parametrize("command, coeffs, message", [
+        ("bounds", *NAN_FLOOR), ("run", *NAN_FLOOR), ("bounds", *NAN_BOUND)],
+        ids=["bounds-quartic", "run-quartic", "bounds-quadratic"])
+    def test_overflowing_coefficient_is_named(self, tmp_path, capsys, command, coeffs, message):
+        """Agent 1's coefficient 1e308 exits 2 naming agent 1, with no numpy
+        warning before the message."""
+        doc = json.load(open(os.path.join(CONFIGS, "poly_cycle_run.json")))
+        doc["objectives"][1]["coeffs"] = coeffs
+        cfg = write(tmp_path / "c.json", doc)
+        argv = {"bounds": ["bounds", "--config", cfg],
+                "run": ["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_non_finite_constant_is_refused(self, tmp_path, capsys):
+        """With d_max 200 the obfuscated gradient bound L overflows to inf,
+        which JSON cannot hold: exit 2 naming it, and no report."""
+        doc = json.load(open(os.path.join(CONFIGS, "fs_complete_run.json")))
+        cfg = write(tmp_path / "fs.json", {**doc, "d_max": 200})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "non-finite value: bound constant grad_bound = inf is not finite\n"
 
 
 class TestReusedParser:

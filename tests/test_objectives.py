@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import privopt as po
-from privopt.objectives import (ConvexityError, DimensionMismatchError,
+from privopt.objectives import (ConvexityError, DimensionMismatchError, NonFiniteError,
                                 estimate_constants, solve_centralized)
 
 from conftest import quartic_objectives
@@ -270,6 +271,19 @@ class TestProblemTotals:
         assert _identical(grad_bounds, [p[0] for p in pairs])
         assert _identical(smoothness, [p[1] for p in pairs])
         assert problem.constants() == (max(p[0] for p in pairs), max(p[1] for p in pairs))
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["last", "first"])
+    def test_non_finite_agent_bound_is_named(self, order):
+        """1e308 x^2 is convex, but its gradient bound overflows to NaN, which
+        ``max`` would skip or return depending on the agent order."""
+        coeffs = [[0, 0, 1], [0, 0, 1], [0, 0, 1e308]][::order]
+        problem = po.GlobalProblem(objectives=[po.PolynomialObjective(c) for c in coeffs],
+                                   feasible=po.Box([-30.0], [30.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^agent {2 if order == 1 else 0}: "
+                                                     f"its gradient bound L_j = nan"):
+                problem.constants()
 
     @pytest.mark.parametrize("case", ["quartic-widths-3-5", "sparse-cycle-quadratics-200",
                                       "logistic-d2"])

@@ -72,6 +72,18 @@ def test_candidate_grid_is_numpys_linspace():
         assert grid.tobytes() == np.linspace(a, b, 65).tobytes()
 
 
+def test_candidate_grid_of_an_overflowing_width_is_finite():
+    """Where hi - lo overflows, ``np.linspace``'s grid holds NaN; the
+    candidates weigh the ends instead, so a zero second derivative has the
+    floor 0 on a +-1e308 box, not NaN."""
+    lo, hi = np.array([-1e308]), np.array([1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = interval_candidates(np.ones((1, 3)), lo, hi)[0, -65:]
+        floor, _ = interval_extrema(derivative(np.array([[0.0, -1.0]]), 2), lo, hi)
+    assert (grid[0], grid[32], grid[-1]) == (-1e308, 0.0, 1e308) and np.all(np.diff(grid) > 0)
+    assert floor.tolist() == [0.0]
+
+
 def test_complex_critical_points_are_no_candidates():
     """p' = (x - 1/4)^2 + 1e-14 has the roots 1/4 +- 1e-7 i, whose imaginary
     part is above the 1e-9 tolerance: only the ends and the grid remain."""

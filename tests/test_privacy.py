@@ -8,7 +8,7 @@ import pytest
 
 import privopt as po
 from privopt.engine import NonFiniteError
-from privopt.graphs import DisconnectedError, GraphError
+from privopt.graphs import DisconnectedError
 from privopt.noise import noise_gradient_bounds
 from privopt.privacy import (AlternativeInstance, NonFsTraceError, NotACutError,
                              TargetSetError, exact_add, exact_max_abs, exact_pad,
@@ -39,7 +39,8 @@ def sequential_replay_digest(view):
     problem = po.GlobalProblem(
         objectives=[po.PolynomialObjective(view.obfuscated[j]) for j in range(view.topology.n)],
         feasible=po.Box.from_spec(recipe["feasible"]), validate_convexity=False)
-    weights = po.FusionMatrix(view.topology, recipe["weights"])
+    weights = po.metropolis_weights(view.topology,
+                                    self_inclusive_degree=recipe["metropolis_self_inclusive"])
     return reference_dgd(problem, weights, po.StepSchedule.from_spec(recipe["schedule"]),
                          recipe["max_iter"], recipe["init"], recipe["record_every"])[0]
 
@@ -553,8 +554,8 @@ class TestReplay:
 
 
 class TestSelfInclusiveWeights:
-    """A run fused by the self-inclusive Metropolis matrix: the recipe holds
-    those weights, and the replay uses them."""
+    """A run fused by the self-inclusive Metropolis matrix: the recipe names
+    that matrix, and the replay builds and uses it."""
 
     def test_lazy_weights_trace_passes(self, cycle5):
         lazy = po.metropolis_weights(cycle5, self_inclusive_degree=True)
@@ -562,7 +563,8 @@ class TestSelfInclusiveWeights:
             problem, trace = fs_trace(cycle5, metropolis_self_inclusive=True,
                                       record_every=record_every)
             view = po.extract_view(trace, coalition=[2])
-            assert view.recipe["weights"] == lazy.weights.tolist()
+            assert view.recipe["metropolis_self_inclusive"] is True
+            assert np.array_equal(trace.weights, lazy.weights)
             assert replay_digest(view) == sequential_replay_digest(view) == view.trace_digest
             alt = np.pad(truth_coeffs(trace)[0], ((0, 0), (0, 6))) + np.eye(1, 9, 4) * 0.5
             objectives = po.complete_alternative_objectives(problem, [2], target=[0],
@@ -571,14 +573,21 @@ class TestSelfInclusiveWeights:
             report = po.verify_indistinguishable(view, inst)
             assert report.passed and report.max_residual == 0.0 and report.digest_ok is True
 
-    def test_recipe_weights_are_validated(self, cycle5):
-        _, trace = fs_trace(cycle5, metropolis_self_inclusive=True)
+    @pytest.mark.parametrize("self_inclusive", [False, True])
+    def test_flipped_recipe_flag_fails_the_digest(self, cycle5, self_inclusive):
+        # the other Metropolis matrix fuses other points, so the replay departs
+        problem, trace = fs_trace(cycle5, metropolis_self_inclusive=self_inclusive)
         view = po.extract_view(trace, coalition=[2])
-        weights = np.array(view.recipe["weights"])
-        weights[0, 0] += 0.1  # row 0 no longer sums to 1
-        bad = dataclasses.replace(view, recipe={**view.recipe, "weights": weights.tolist()})
-        with pytest.raises(GraphError, match="sum to 1"):
-            replay_digest(bad)
+        flipped = dataclasses.replace(
+            view, recipe={**view.recipe, "metropolis_self_inclusive": not self_inclusive})
+        assert replay_verdicts(view) == (True, True)
+        assert replay_verdicts(flipped) == (False, False)
+        alt = np.pad(truth_coeffs(trace)[0], ((0, 0), (0, 6))) + np.eye(1, 9, 4) * 0.5
+        objectives = po.complete_alternative_objectives(problem, [2], target=[0],
+                                                        alternatives={0: alt}, d_max=8)
+        inst = po.construct_alternative(flipped, objectives, extras_seed=1)
+        report = po.verify_indistinguishable(flipped, inst)
+        assert report.max_residual == 0.0 and report.digest_ok is False and not report.passed
 
 
 def _connected(topology, agents):
